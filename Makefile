@@ -7,9 +7,11 @@ GO ?= go
 # Benchmark knobs: BENCHTIME=1x bounds CI cost (each benchmark runs once);
 # drop it locally for steadier numbers. The JSON summary (env block plus
 # name → ns/op, B/op, allocs/op) lands in $(BENCHJSON) for before/after
-# comparisons. Distinct from BENCH_PR9.json, the queryload macro curve.
+# comparisons; set PR to the pull request being measured. Distinct from
+# BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-BENCHJSON ?= BENCH_PR9_micro.json
+PR ?= 13
+BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s
@@ -21,10 +23,15 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate: vet plus the full suite under the race
-# detector (the concurrent WallCollector paths are exercised by it).
+# detector (the collector's engine → shard hand-off and the concurrent
+# WallCollector paths are exercised by it). tools/pipebench is its own
+# module — root ./... cannot see it — and it compiles against the
+# ddc/experiment API, so it is vetted and tested here too.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) vet -C tools/pipebench ./...
+	$(GO) test -C tools/pipebench ./...
 
 bench:
 	$(GO) test -bench . -benchmem -count 1 -benchtime $(BENCHTIME) -timeout 30m \
@@ -46,8 +53,8 @@ DOCTORSEEDS ?= 1,2,3
 DOCTORDAYS ?= 7
 
 # doctor is the validation gate: for every seed it re-runs the repo's
-# equivalence claims (serial vs workers collection, CSV/TBv1 round
-# trips, legacy vs zero-alloc probe codec, serial vs parallel analysis)
+# equivalence claims (one vs four collector shards, clean and
+# fault-injected; CSV/TBv1 round trips; serial vs parallel analysis)
 # and invariant-checks the collected trace in both formats; then the
 # negative leg writes the corrupted-fixture corpus and asserts -check
 # flags every fixture (and does not flag the clean one).

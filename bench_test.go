@@ -289,21 +289,6 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationWorkers is BenchmarkSimulation with the collector's
-// probe render/parse fan-out enabled (4 workers). The collected trace is
-// identical (see experiment.TestRunWorkersEquivalent); the difference is
-// pure wall time on multi-core hosts.
-func BenchmarkSimulationWorkers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Default(int64(i + 1))
-		cfg.Days = 1
-		cfg.Workers = 4
-		if _, err := experiment.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkProbeRender measures the probe's report generation on the
 // collection hot path: probe.AppendRender into a reused buffer, exactly
 // how the pooled collectors render (0 allocs/op).

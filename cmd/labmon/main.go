@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	labmon [-seed N] [-days N] [-scenario name|file.json] [-period 15m] [-workers N] [-shards N] [-segments dir] [-trace out.csv[.gz]|out.tb[.gz]] [-trace-format auto|csv|tbv1] [-csvdir dir] [-quiet]
+//	labmon [-seed N] [-days N] [-scenario name|file.json] [-period 15m] [-shards N] [-segments dir] [-trace out.csv[.gz]|out.tb[.gz]] [-trace-format auto|csv|tbv1] [-csvdir dir] [-quiet]
 //	       [-replicate N] [-metrics-addr 127.0.0.1:9090] [-trace-out spans.jsonl] [-events-out events.jsonl]
 //
 // With -scenario the run plays a bundled scenario (regime shifts, fleet
@@ -27,7 +27,7 @@
 // gates each bundled scenario's claim set in CI.
 //
 // With -shards N the fleet is partitioned lab-aligned across N
-// coordinator shards (the merged trace is identical to an unsharded run;
+// coordinator shards (the merged trace is identical to a one-shard run;
 // see internal/ddc's sharded collector); -segments additionally writes
 // each shard's trace as an independent TBv1 segment file plus a manifest,
 // which traceconv -merge compacts into one canonical trace.
@@ -112,7 +112,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the text report")
 		reps      = flag.Int("replicate", 0, "run N independent seeds and report mean ± sd")
 		traceFmt  = flag.String("trace-format", "auto", "trace file format: auto (by extension), csv, or tbv1 (binary)")
-		workers   = flag.Int("workers", 0, "probe render/parse workers per collector iteration (<=1: sequential; the collected trace is identical either way)")
 		shards    = flag.Int("shards", 0, "partition the fleet across N coordinator shards (lab-aligned; the merged trace is identical to an unsharded run)")
 		segDir    = flag.String("segments", "", "with -shards: also write the per-shard TBv1 segment files plus manifest into this directory")
 		metrics   = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /vars, /spans, /events, /healthz, /debug/pprof/) on this address")
@@ -145,7 +144,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "labmon: scenario %s: %s\n", sc.Name, sc.Description)
 	}
 	cfg.Period = *period
-	cfg.Workers = *workers
 	cfg.Shards = *shards
 	if *segDir != "" && *shards <= 1 {
 		fmt.Fprintln(os.Stderr, "labmon: -segments needs -shards > 1 (segments are the per-shard outputs)")

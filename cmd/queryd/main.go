@@ -146,7 +146,6 @@ func main() {
 		cfg := core.DefaultConfig(*seed)
 		cfg.Days = *simDays
 		cfg.Period = *period
-		cfg.Workers = *workers
 		if *pubEvery > 0 {
 			cfg.SnapshotEvery = *pubEvery
 			cfg.OnSnapshot = func(ds *trace.Dataset) { st.Publish(ds) }

@@ -131,6 +131,6 @@ func main() {
 		fmt.Printf("\nfault injection: %d transient failures over %d probe attempts; "+
 			"collector recovered %d via retries\n", fs.Transients, fs.Calls, st.Retries)
 	}
-	fmt.Println("\nthe same Executor interface drives ddc.WallCollector and ddc.SimCollector;")
+	fmt.Println("\nthe same Executor interface drives ddc.WallCollector and ddc.ShardedCollector;")
 	fmt.Println("see cmd/ddcd for the full coordinator loop over TCP.")
 }

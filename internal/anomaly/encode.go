@@ -1,10 +1,9 @@
 package anomaly
 
 import (
-	"math"
 	"strconv"
-	"time"
-	"unicode/utf8"
+
+	"winlab/internal/jsonx"
 )
 
 // AppendEventJSON appends one event encoded exactly as encoding/json
@@ -21,92 +20,29 @@ func AppendEventJSON(dst []byte, e Event) []byte { return appendEventJSON(dst, e
 // does not append a newline: the ring reuses it for both JSONL lines
 // and the /events array body.
 func appendEventJSON(dst []byte, e Event) []byte {
-	dst = append(dst, `{"t":"`...)
-	dst = e.Time.AppendFormat(dst, time.RFC3339Nano)
-	dst = append(dst, `","kind":`...)
-	dst = appendJSONString(dst, string(e.Kind))
+	dst = append(dst, `{"t":`...)
+	dst = jsonx.AppendTime(dst, e.Time)
+	dst = append(dst, `,"kind":`...)
+	dst = jsonx.AppendString(dst, string(e.Kind))
 	dst = append(dst, `,"severity":`...)
-	dst = appendJSONString(dst, string(e.Severity))
+	dst = jsonx.AppendString(dst, string(e.Severity))
 	if e.Machine != "" {
 		dst = append(dst, `,"machine":`...)
-		dst = appendJSONString(dst, e.Machine)
+		dst = jsonx.AppendString(dst, e.Machine)
 	}
 	if e.Lab != "" {
 		dst = append(dst, `,"lab":`...)
-		dst = appendJSONString(dst, e.Lab)
+		dst = jsonx.AppendString(dst, e.Lab)
 	}
 	dst = append(dst, `,"first_iter":`...)
 	dst = strconv.AppendInt(dst, int64(e.FirstIter), 10)
 	dst = append(dst, `,"last_iter":`...)
 	dst = strconv.AppendInt(dst, int64(e.LastIter), 10)
 	dst = append(dst, `,"score":`...)
-	dst = appendJSONFloat(dst, e.Score)
+	dst = jsonx.AppendFloat(dst, e.Score)
 	if e.Detail != "" {
 		dst = append(dst, `,"detail":`...)
-		dst = appendJSONString(dst, e.Detail)
+		dst = jsonx.AppendString(dst, e.Detail)
 	}
 	return append(dst, '}')
-}
-
-// appendJSONFloat appends f the way encoding/json's floatEncoder does:
-// strconv shortest form, but with %e forced for very small/large
-// magnitudes and the exponent then compacted (e-05 → e-5) to match
-// ES6 number formatting. NaN/±Inf (which encoding/json rejects) encode
-// as 0 — detectors clamp scores finite, so this is a belt-and-braces
-// guard for the streaming surfaces, not a supported value.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(dst, '0')
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// strconv writes "2.5e-05"; json wants "2.5e-5".
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string, mirroring encoding/json's
-// default escaping: quotes, backslashes, control characters, the
-// HTML-sensitive <, >, &, the line separators U+2028/U+2029, and �
-// for invalid UTF-8 bytes. (Duplicated from internal/telemetry, which
-// keeps it unexported; both copies are pinned against encoding/json by
-// golden tests.)
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		i += size
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == '"':
-			dst = append(dst, '\\', '"')
-		case r == '\\':
-			dst = append(dst, '\\', '\\')
-		case r == '\n':
-			dst = append(dst, '\\', 'n')
-		case r == '\r':
-			dst = append(dst, '\\', 'r')
-		case r == '\t':
-			dst = append(dst, '\\', 't')
-		case r < 0x20 || r == '<' || r == '>' || r == '&':
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[byte(r)>>4], hexDigits[byte(r)&0xf])
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			dst = utf8.AppendRune(dst, r)
-		}
-	}
-	return append(dst, '"')
 }

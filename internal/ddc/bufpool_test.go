@@ -60,16 +60,14 @@ func TestPoisonOnPutDestroysAliases(t *testing.T) {
 	}
 }
 
-// TestCollectionRetainsNothing runs a real deferred-path sim collection
-// (Workers > 1 rents one pooled buffer per probe job) with a
+// TestCollectionRetainsNothing runs a real sim collection (each
+// iteration batch rents one pooled buffer as its report arena) with a
 // PostCollect hook that snapshots each report by copy and stashes the
 // raw slice by reference. With poisoning on, the copies must survive
 // intact while the retained aliases are destroyed by the time the run
 // ends — proving the collector returns every rented buffer and that
 // honest hooks (which parse or copy before returning) never observe
-// poison. The sequential path (Workers ≤ 1) renders into a
-// collector-owned scratch buffer instead of the pool, so it is outside
-// this tripwire; its reports die by overwrite on the next probe.
+// poison.
 func TestCollectionRetainsNothing(t *testing.T) {
 	src := multiSource{ms: map[string]*machine.Machine{}}
 	for _, id := range []string{"M1", "M2"} {
@@ -85,15 +83,14 @@ func TestCollectionRetainsNothing(t *testing.T) {
 	var got []captured
 	eng := sim.New(t0)
 	end := t0.Add(31 * time.Minute)
-	coll := &SimCollector{
+	oneShard{
 		Cfg: Config{
 			Machines:    []string{"M1", "M2"},
 			Period:      15 * time.Minute,
 			LatencyOK:   func() time.Duration { return time.Second },
 			LatencyFail: func() time.Duration { return 4 * time.Second },
 		},
-		Exec:    &Direct{Source: src, Now: eng.Now},
-		Workers: 2, // deferred path: one pooled buffer per probe job
+		Exec: &Direct{Source: src, Now: eng.Now},
 		Post: func(iter int, machine string, stdout []byte, err error) {
 			if err != nil {
 				return
@@ -103,11 +100,7 @@ func TestCollectionRetainsNothing(t *testing.T) {
 				alias: stdout, // contract violation, on purpose
 			})
 		},
-	}
-	if err := coll.Install(eng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+	}.run(t, eng, t0, end)
 
 	if len(got) == 0 {
 		t.Fatal("no reports captured")

@@ -56,37 +56,25 @@ type AppendExecutor interface {
 	ExecAppend(dst []byte, machineID string) (stdout []byte, err error)
 }
 
-// ProbeJob is the deferred half of a probe execution: everything
-// time-sensitive (snapshotting the target's state at the scheduled
-// instant) has already happened, and calling the job performs the
-// remaining pure work — rendering the report bytes. Jobs are independent
-// and safe to run concurrently with one another.
-type ProbeJob func() []byte
+// AtExecutor is the executor shape for sources that can defer the probe
+// itself: the scheduling step receives the probe's simulated instant
+// explicitly, decides reachability, and returns a render job that may run
+// later on another goroutine. A BeginAppendAt implementation backed by a
+// pure (time-travel-queryable) source defers even the snapshot to the
+// job, so the collector's serial chain does O(1) work per probe and the
+// per-shard goroutines do the rest — that is what lets sharded
+// collection scale (see PureDirect).
+type AtExecutor interface {
+	BeginAppendAt(machineID string, at time.Time) (AppendProbeJob, error)
+}
 
-// AppendProbeJob is ProbeJob's buffer-reusing variant: it appends the
-// report to dst and returns the extended slice. The same aliasing rule
-// as ExecAppend applies.
+// AppendProbeJob is the deferred half of an AtExecutor probe: the
+// order-sensitive scheduling decision has already been made on the
+// collector's chain, and calling the job performs the remaining pure
+// work — it appends the report to dst and returns the extended slice.
+// Jobs are independent and safe to run concurrently with one another.
+// The same aliasing rule as ExecAppend applies.
 type AppendProbeJob func(dst []byte) []byte
-
-// AppendDeferredExecutor pairs DeferredExecutor with the append codec:
-// BeginAppend snapshots now and returns a render job that writes into a
-// caller-supplied buffer later.
-type AppendDeferredExecutor interface {
-	DeferredExecutor
-	BeginAppend(machineID string) (AppendProbeJob, error)
-}
-
-// DeferredExecutor is implemented by executors whose probe splits into a
-// cheap, order-sensitive scheduling step and a pure rendering step. Begin
-// runs the scheduling step now (capturing machine state at the current
-// instant) and returns the render job, or an error when the machine is
-// unreachable. The collector may then execute the returned jobs on worker
-// goroutines without perturbing probe timing, which is what makes the
-// parallel collection path bit-identical to the sequential one.
-type DeferredExecutor interface {
-	Executor
-	Begin(machineID string) (ProbeJob, error)
-}
 
 // PrepareCollect is the two-phase variant of PostCollect for sinks that
 // can split their per-probe work into a pure parse phase and a mutating
@@ -109,6 +97,20 @@ func execProbe(ctx context.Context, e Executor, machineID string) ([]byte, error
 	return e.Exec(machineID)
 }
 
+// execAppend runs one probe through e and appends its report to dst,
+// using the executor's own append path when it has one. dst is returned
+// extended on success and must be considered unchanged on error.
+func execAppend(e Executor, dst []byte, machineID string) ([]byte, error) {
+	if ae, ok := e.(AppendExecutor); ok {
+		return ae.ExecAppend(dst, machineID)
+	}
+	out, err := e.Exec(machineID)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, out...), nil
+}
+
 // PostCollect is the coordinator-side hook run after every probe attempt,
 // successful or not — the paper's "post-collecting code". stdout is nil
 // when err is non-nil.
@@ -123,7 +125,8 @@ type PostCollect func(iter int, machineID string, stdout []byte, err error)
 // collection-health counters accumulated while running it. Attempted and
 // Responded mirror the paper's per-iteration bookkeeping; the remaining
 // fields expose the hardened collector's retry/breaker machinery (always
-// zero for SimCollector, which models the paper's retry-free coordinator).
+// zero on the simulated clock, which models the paper's retry-free
+// coordinator).
 type IterationInfo struct {
 	Iter      int
 	Start     time.Time
@@ -183,8 +186,9 @@ type Stats struct {
 	Attempts   int // probe executions, including retries
 	Samples    int
 
-	// Collection-health counters (populated by WallCollector; SimCollector
-	// models the paper's retry-free coordinator and leaves them zero).
+	// Collection-health counters (populated by WallCollector; the
+	// simulated-clock collector models the paper's retry-free coordinator
+	// and leaves them zero).
 	Retries        int // probe executions beyond each machine's first try
 	BreakerSkipped int // machine-iterations skipped by an open breaker
 	BreakerOpens   int // closed→open breaker transitions

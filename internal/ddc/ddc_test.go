@@ -3,6 +3,7 @@ package ddc
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"winlab/internal/probe"
 	"winlab/internal/sim"
 	"winlab/internal/smart"
+	"winlab/internal/telemetry"
 )
 
 var t0 = time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
@@ -63,12 +65,44 @@ func (f *fakeExec) Exec(id string) ([]byte, error) {
 	return []byte("data:" + id), nil
 }
 
+// oneShard describes the paper's serial coordinator: a ShardedCollector
+// whose single shard is Cfg.Machines. Post and OnIteration run on the
+// shard goroutine; run joins it, so tests may read what the hooks wrote
+// once run returns.
+type oneShard struct {
+	Cfg         Config
+	Exec        Executor
+	Post        PostCollect
+	OnIteration IterationFunc
+	Telemetry   *telemetry.Registry
+}
+
+// run installs the collector on eng over [start, end), runs the engine
+// dry and joins the shard.
+func (o oneShard) run(t *testing.T, eng *sim.Engine, start, end time.Time) *ShardedCollector {
+	t.Helper()
+	c := &ShardedCollector{
+		Cfg:       o.Cfg,
+		Exec:      o.Exec,
+		Shards:    []ShardSpec{{Machines: o.Cfg.Machines, Post: o.Post, OnIteration: o.OnIteration}},
+		Telemetry: o.Telemetry,
+	}
+	if err := c.Install(eng, start, end); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	c.Finish()
+	return c
+}
+
 func TestSimCollectorIterates(t *testing.T) {
 	eng := sim.New(t0)
 	exec := &fakeExec{up: map[string]bool{"M1": true, "M2": false, "M3": true}}
 	var posts []string
 	var postErrs int
-	coll := &SimCollector{
+	var iterDone int
+	end := t0.Add(46 * time.Minute) // iterations at 0, 15, 30, 45
+	coll := oneShard{
 		Cfg: Config{
 			Machines:    []string{"M1", "M2", "M3"},
 			Period:      15 * time.Minute,
@@ -83,22 +117,16 @@ func TestSimCollectorIterates(t *testing.T) {
 			}
 			posts = append(posts, fmt.Sprintf("%d/%s", iter, id))
 		},
-	}
-	var iterDone int
-	coll.OnIteration = func(info IterationInfo) {
-		iterDone++
-		if info.Attempted != 3 || info.Responded != 2 {
-			t.Errorf("iteration %d: attempted=%d responded=%d", info.Iter, info.Attempted, info.Responded)
-		}
-		if info.Probes != 3 || info.Retries != 0 {
-			t.Errorf("iteration %d: probes=%d retries=%d", info.Iter, info.Probes, info.Retries)
-		}
-	}
-	end := t0.Add(46 * time.Minute) // iterations at 0, 15, 30, 45
-	if err := coll.Install(eng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+		OnIteration: func(info IterationInfo) {
+			iterDone++
+			if info.Attempted != 3 || info.Responded != 2 {
+				t.Errorf("iteration %d: attempted=%d responded=%d", info.Iter, info.Attempted, info.Responded)
+			}
+			if info.Probes != 3 || info.Retries != 0 {
+				t.Errorf("iteration %d: probes=%d retries=%d", info.Iter, info.Probes, info.Retries)
+			}
+		},
+	}.run(t, eng, t0, end)
 	st := coll.Stats()
 	if st.Iterations != 4 || st.Attempts != 12 || st.Samples != 8 || st.Skipped != 0 {
 		t.Errorf("stats = %+v", st)
@@ -109,6 +137,10 @@ func TestSimCollectorIterates(t *testing.T) {
 	if len(posts) != 8 || postErrs != 4 {
 		t.Errorf("posts = %d, errors = %d", len(posts), postErrs)
 	}
+	// Post-collection runs in machine order within each iteration.
+	if want := []string{"0/M1", "0/M3", "1/M1", "1/M3"}; !reflect.DeepEqual(posts[:4], want) {
+		t.Errorf("post order: %v, want %v", posts[:4], want)
+	}
 	// Probing is sequential and ordered.
 	if exec.calls[0] != "M1" || exec.calls[1] != "M2" || exec.calls[2] != "M3" {
 		t.Errorf("probe order: %v", exec.calls[:3])
@@ -117,23 +149,24 @@ func TestSimCollectorIterates(t *testing.T) {
 
 func TestSimCollectorProbesSpreadInTime(t *testing.T) {
 	eng := sim.New(t0)
+	// The executor runs on the engine goroutine at the probe's scheduled
+	// instant, so it is where a probe's simulated time is observable.
 	var times []time.Time
-	exec := &fakeExec{up: map[string]bool{"M1": true, "M2": true, "M3": true}}
-	coll := &SimCollector{
+	exec := &fakeExec{
+		up: map[string]bool{"M1": true, "M2": true, "M3": true},
+		payload: func(id string) []byte {
+			times = append(times, eng.Now())
+			return []byte("data:" + id)
+		},
+	}
+	oneShard{
 		Cfg: Config{
 			Machines:  []string{"M1", "M2", "M3"},
 			Period:    15 * time.Minute,
 			LatencyOK: func() time.Duration { return 2 * time.Second },
 		},
 		Exec: exec,
-		Post: func(iter int, id string, out []byte, err error) {
-			times = append(times, eng.Now())
-		},
-	}
-	if err := coll.Install(eng, t0, t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+	}.run(t, eng, t0, t0.Add(time.Minute))
 	if len(times) != 3 {
 		t.Fatalf("probes = %d", len(times))
 	}
@@ -146,18 +179,14 @@ func TestSimCollectorProbesSpreadInTime(t *testing.T) {
 func TestSimCollectorOutages(t *testing.T) {
 	eng := sim.New(t0)
 	exec := &fakeExec{up: map[string]bool{"M1": true}}
-	coll := &SimCollector{
+	coll := oneShard{
 		Cfg: Config{
 			Machines: []string{"M1"},
 			Period:   15 * time.Minute,
 			Outages:  []Outage{{Start: t0.Add(10 * time.Minute), End: t0.Add(40 * time.Minute)}},
 		},
 		Exec: exec,
-	}
-	if err := coll.Install(eng, t0, t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+	}.run(t, eng, t0, t0.Add(time.Hour))
 	st := coll.Stats()
 	// Iterations at 0, 15, 30, 45: those at 15 and 30 are inside the outage.
 	if st.Iterations != 2 || st.Skipped != 2 {
@@ -166,7 +195,7 @@ func TestSimCollectorOutages(t *testing.T) {
 }
 
 func TestSimCollectorRejectsBadConfig(t *testing.T) {
-	coll := &SimCollector{Cfg: Config{}, Exec: &fakeExec{}}
+	coll := &ShardedCollector{Exec: &fakeExec{}, Shards: []ShardSpec{{Machines: []string{"M1"}}}}
 	if err := coll.Install(sim.New(t0), t0, t0.Add(time.Hour)); err == nil {
 		t.Error("bad config accepted")
 	}

@@ -14,7 +14,8 @@ import (
 // agents, and hard-down machines. It exists so the collector's
 // retry/backoff/breaker policies are testable without a flaky network —
 // the same experiment seed always injects the same fault sequence (probe
-// order permitting; with Workers ≤ 1 the sequence is fully reproducible).
+// order permitting; with sequential probing the sequence is fully
+// reproducible).
 type FaultExecutor struct {
 	Inner Executor
 
@@ -92,21 +93,41 @@ func (f *FaultExecutor) Exec(machineID string) ([]byte, error) {
 	return f.ExecContext(context.Background(), machineID)
 }
 
-// ExecContext implements ContextExecutor. Injected delays respect ctx; a
-// cancelled delay returns ErrUnreachable, exactly like a timed-out probe.
-func (f *FaultExecutor) ExecContext(ctx context.Context, machineID string) ([]byte, error) {
+// inject applies the attempt's fault plan: it returns the injected
+// failure, or nil (after any injected delay) when the probe should run.
+// Injected delays respect ctx; a cancelled delay returns ErrUnreachable,
+// exactly like a timed-out probe.
+func (f *FaultExecutor) inject(ctx context.Context, machineID string) error {
 	transient, delay, down := f.decide(machineID)
 	if down {
-		return nil, fmt.Errorf("%w: %s: injected hard-down", ErrUnreachable, machineID)
+		return fmt.Errorf("%w: %s: injected hard-down", ErrUnreachable, machineID)
 	}
 	if transient {
-		return nil, fmt.Errorf("%w: %s: injected transient failure", ErrUnreachable, machineID)
+		return fmt.Errorf("%w: %s: injected transient failure", ErrUnreachable, machineID)
 	}
 	if delay > 0 {
 		sleepCtx(ctx, delay)
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, machineID, err)
+			return fmt.Errorf("%w: %s: %v", ErrUnreachable, machineID, err)
 		}
 	}
+	return nil
+}
+
+// ExecContext implements ContextExecutor.
+func (f *FaultExecutor) ExecContext(ctx context.Context, machineID string) ([]byte, error) {
+	if err := f.inject(ctx, machineID); err != nil {
+		return nil, err
+	}
 	return execProbe(ctx, f.Inner, machineID)
+}
+
+// ExecAppend implements AppendExecutor by delegating to the inner
+// executor's append path, so an injected run keeps the pooled-buffer
+// collection loop.
+func (f *FaultExecutor) ExecAppend(dst []byte, machineID string) ([]byte, error) {
+	if err := f.inject(context.Background(), machineID); err != nil {
+		return nil, err
+	}
+	return execAppend(f.Inner, dst, machineID)
 }

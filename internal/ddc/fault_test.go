@@ -94,3 +94,41 @@ func TestFaultExecutorLatencySpike(t *testing.T) {
 		t.Errorf("cancelled spike slept the full spike: %v", el)
 	}
 }
+
+// TestFaultExecutorExecAppend: the append path draws the same fault
+// stream as Exec, appends the inner report after what dst already holds
+// — through the inner executor's own append path when it has one — and
+// leaves dst alone on an injected failure.
+func TestFaultExecutorExecAppend(t *testing.T) {
+	m := newMachine("M1")
+	m.PowerOn(t0)
+	now := t0.Add(10 * time.Minute)
+	inners := map[string]Executor{
+		"append inner": &Direct{Source: memSource{m}, Now: func() time.Time { return now }},
+		"plain inner":  &fakeExec{up: map[string]bool{"M1": true}},
+	}
+	for name, inner := range inners {
+		viaExec := &FaultExecutor{Inner: inner, TransientFailP: 0.4, Seed: 5}
+		viaAppend := &FaultExecutor{Inner: inner, TransientFailP: 0.4, Seed: 5}
+		prefix := []byte("earlier report|")
+		for i := 0; i < 50; i++ {
+			want, werr := viaExec.Exec("M1")
+			got, gerr := viaAppend.ExecAppend(prefix, "M1")
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%s, call %d: Exec err %v, ExecAppend err %v", name, i, werr, gerr)
+			}
+			if gerr != nil {
+				if got != nil || !errors.Is(gerr, ErrUnreachable) {
+					t.Fatalf("%s, call %d: injected failure returned %q, %v", name, i, got, gerr)
+				}
+				continue
+			}
+			if string(got) != string(prefix)+string(want) {
+				t.Fatalf("%s, call %d: ExecAppend = %q, want prefix + %q", name, i, got, want)
+			}
+		}
+		if viaExec.Stats() != viaAppend.Stats() || viaAppend.Stats().Transients == 0 {
+			t.Errorf("%s: fault stats diverge or inert: %+v vs %+v", name, viaExec.Stats(), viaAppend.Stats())
+		}
+	}
+}

@@ -5,96 +5,37 @@ import (
 	"sync"
 	"time"
 
-	"winlab/internal/probe"
 	"winlab/internal/sim"
 	"winlab/internal/telemetry"
 	"winlab/internal/trace"
 )
 
-// Sharded fleet collection. One coordinator still owns the probe clock —
-// a single serial event chain on the engine schedules every probe at its
-// exact simulated instant, in global machine order, drawing the same
-// latencies the serial collector would — but the machines are
-// partitioned across N shards, and everything downstream of scheduling
-// (report rendering, parsing, sink commits) runs on one goroutine per
-// shard against that shard's own sink. Each shard can then write an
-// independent TBv1 segment file, which is what bounds per-shard memory:
-// a shard holds 1/N of the fleet's samples, and trace.MergeSegments
-// compacts the segments into the canonical fleet trace without
-// materialising any of them.
+// Collection on the simulated clock (DESIGN.md §8.3 has the long form).
+// One coordinator owns the probe clock: a single serial event chain on
+// the engine visits every machine at its exact simulated instant, in
+// fleet order, drawing one latency per probe. The machines are
+// partitioned across N shards, each with its own goroutine and sink. One
+// shard is the paper's serial coordinator; N shards are the same loop
+// with the downstream work fanned out, each able to write its own TBv1
+// segment, which bounds per-shard memory to 1/N of the fleet's samples.
 //
-// Identity argument (asserted by internal/validate's shard arms): the
-// scheduling chain is byte-for-byte the serial collector's — same
-// snapshot instants, same RNG draw order, same accounting via the shared
-// accountProbe — so the sample streams are identical; only where the
-// pure render/parse work executes moves. The per-shard sinks see their
-// machines in the same relative order and at the same iteration
-// boundaries as the fleet-wide sink would, so the merged dataset is
-// sample-identical to the serial run.
-
-// AtExecutor is the executor shape built for sharded scheduling: the
-// scheduling step receives the probe's simulated instant explicitly and
-// returns a render job that may run later on another goroutine. Unlike
-// DeferredExecutor.Begin — which must capture the full machine snapshot
-// at call time — a BeginAppendAt implementation backed by a pure
-// (time-travel-queryable) source can defer even the snapshot to the
-// render job, leaving only a reachability decision on the scheduling
-// chain. That is what makes sharded collection scale: the serial chain
-// does O(1) work per probe and the per-shard goroutines do the rest.
-type AtExecutor interface {
-	BeginAppendAt(machineID string, at time.Time) (AppendProbeJob, error)
-}
-
-// PureSource is a StateSource whose snapshots are pure functions of
-// (machine, instant): Snapshot may be called from any goroutine, at any
-// real time, for any simulated instant, and returns the same state.
-// Reachable must agree with what Snapshot's ok result would be at the
-// same instant. The simulated fleet does NOT qualify — machine.Machine
-// advances internal counters on every Snapshot, so it must be probed on
-// the engine thread via Direct — but arithmetically-derived sources
-// (the gridscale harness) and replay sources do, and they are where the
-// scale-out matters.
-type PureSource interface {
-	StateSource
-	Reachable(machineID string, at time.Time) bool
-}
-
-// PureDirect is the Executor/AtExecutor over a PureSource: scheduling
-// only asks Reachable (cheap, on the engine chain), and the returned job
-// takes the snapshot and renders the report on whatever goroutine runs
-// it — the honest model of a real deployment, where the probe executes
-// on the remote machine, not on the coordinator.
-type PureDirect struct {
-	Source PureSource
-	Now    func() time.Time
-}
-
-// Exec implements Executor for serial use of the same source.
-func (d *PureDirect) Exec(machineID string) ([]byte, error) {
-	sn, ok := d.Source.Snapshot(machineID, d.Now())
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	return probe.Render(sn), nil
-}
-
-// BeginAppendAt implements AtExecutor. If the source breaks the purity
-// contract (Reachable true but Snapshot later says no), the job renders
-// an empty report, which the sink books as a parse error — visible, not
-// silently dropped.
-func (d *PureDirect) BeginAppendAt(machineID string, at time.Time) (AppendProbeJob, error) {
-	if !d.Source.Reachable(machineID, at) {
-		return nil, ErrUnreachable
-	}
-	src := d.Source
-	return func(dst []byte) []byte {
-		sn, ok := src.Snapshot(machineID, at)
-		if !ok {
-			return dst
-		}
-		return probe.AppendRender(dst, sn)
-	}, nil
-}
+// The chain takes a probe's outcome in exactly two shapes:
+//
+//   - an AtExecutor (a pure source, PureDirect) only decides reachability
+//     on the chain and returns a render job; snapshot, render, parse and
+//     commit all run on the shard goroutine;
+//   - any other Executor is executed synchronously on the engine
+//     goroutine at the probe's scheduled instant (through ExecAppend when
+//     it has one) into the iteration batch's report arena, leaving parse
+//     and commit to the shard goroutine. The simulated fleet needs this
+//     (machine.Machine mutates on Snapshot), and it is why injection
+//     composes with sharding: FaultExecutor decides on the chain.
+//
+// Identity argument (internal/validate's shard arms, the golden digests
+// in internal/experiment): snapshot instants, RNG draw order and
+// accounting do not depend on the partition, and each shard's sink sees
+// its machines in fleet order at the same iteration boundaries, so the
+// merged dataset is sample-identical for every shard count.
 
 // PartitionN splits ids into at most n contiguous, non-empty parts whose
 // concatenation is ids — an even split, with the first len(ids)%n parts
@@ -197,24 +138,43 @@ type ShardSpec struct {
 	OnIteration IterationFunc
 }
 
-// shardBatch carries one iteration's scheduled jobs for one shard from
-// the engine chain to the shard goroutine.
+// shardBatch carries one iteration's probe outcomes for one shard from
+// the engine chain to the shard goroutine. Slots are appended in machine
+// order. Under an AtExecutor a slot is a render job; otherwise the
+// reports were already executed on the chain and lie back to back in
+// arena, slot i ending at ends[i].
 type shardBatch struct {
 	iter       int
 	start, end time.Time
 	responded  int // within this shard
-	jobs       []AppendProbeJob
 	errs       []error
+	jobs       []AppendProbeJob
+	arena      *reportBuf
+	ends       []int
 	wg         *sync.WaitGroup // global iteration barrier; nil when unused
 }
 
-// ShardedCollector runs the collection loop with the fleet partitioned
-// across shards (see the package comment at the top of this file for the
-// architecture and the identity argument). The executor must support a
-// deferred scheduling step: AtExecutor (preferred — O(1) scheduling),
-// AppendDeferredExecutor, or DeferredExecutor. Plain synchronous
-// executors — including FaultExecutor, whose injected faults are
-// decided at execution time — are rejected at Install.
+// report returns slot i's report bytes, rendering the slot's job into
+// scratch when there is one. The bytes are valid until the next call.
+func (b *shardBatch) report(i int, scratch *reportBuf) []byte {
+	switch {
+	case b.errs[i] != nil:
+		return nil
+	case b.arena == nil:
+		out := b.jobs[i](scratch.b[:0])
+		scratch.b = out[:0]
+		return out
+	case i == 0:
+		return b.arena.b[:b.ends[0]]
+	default:
+		return b.arena.b[b.ends[i-1]:b.ends[i]]
+	}
+}
+
+// ShardedCollector runs the collection loop on a discrete-event engine
+// with the fleet partitioned across shards (architecture and identity
+// argument at the top of this file). Any Executor works; an AtExecutor
+// additionally moves snapshot and render off the scheduling chain.
 type ShardedCollector struct {
 	// Cfg supplies Period, latencies and outages; Cfg.Machines is
 	// ignored — the fleet is the concatenation of the shard machine
@@ -229,9 +189,11 @@ type ShardedCollector struct {
 	// don't. Runs on the engine goroutine.
 	OnIteration IterationFunc
 
-	// Telemetry mirrors the run into a metrics registry, fleet-wide:
-	// one registry, the same counters and histograms the serial
-	// collector would book (per-shard numbers live in ShardStats).
+	// Telemetry mirrors the run into a metrics registry, fleet-wide, and
+	// records one span per probe. Latencies are simulated time (the
+	// modelled probe latency), not wall time — the iteration duration
+	// histogram reports the sweep length the paper's sequential
+	// coordinator would have seen. Per-shard numbers live in ShardStats.
 	Telemetry *telemetry.Registry
 
 	// QueueDepth bounds how many iterations a shard may lag behind the
@@ -244,18 +206,17 @@ type ShardedCollector struct {
 	shardStats []Stats
 	tel        collectorTelemetry
 
-	machines []string // concatenation of shard machine lists
-	shardOf  []int    // global machine index -> shard
-	localOf  []int    // global machine index -> index within its shard
-	begin    func(e *sim.Engine, id string) (AppendProbeJob, error)
+	machines []string   // concatenation of shard machine lists
+	shardOf  []int      // global machine index -> shard
+	at       AtExecutor // non-nil: outcomes are render jobs, not arena reports
 
 	chans []chan *shardBatch
 	done  sync.WaitGroup
 	pool  sync.Pool
 }
 
-// Stats returns the fleet-wide run statistics — the same numbers the
-// serial collector would report. Call after the engine run finishes.
+// Stats returns the fleet-wide run statistics, whatever the shard count.
+// Call after the engine run finishes.
 func (c *ShardedCollector) Stats() Stats { return c.stats }
 
 // ShardStats returns per-shard statistics. Attempts/Samples are
@@ -307,17 +268,15 @@ func (c *ShardedCollector) Install(eng *sim.Engine, start, end time.Time) error 
 	}
 	c.machines = make([]string, 0, total)
 	c.shardOf = make([]int, 0, total)
-	c.localOf = make([]int, 0, total)
 	seen := make(map[string]int, total)
 	for s, sh := range c.Shards {
-		for l, id := range sh.Machines {
+		for _, id := range sh.Machines {
 			if prev, dup := seen[id]; dup {
 				return fmt.Errorf("ddc: machine %s assigned to shards %d and %d (shards must partition the fleet)", id, prev, s)
 			}
 			seen[id] = s
 			c.machines = append(c.machines, id)
 			c.shardOf = append(c.shardOf, s)
-			c.localOf = append(c.localOf, l)
 		}
 	}
 	cfg := c.Cfg
@@ -325,27 +284,7 @@ func (c *ShardedCollector) Install(eng *sim.Engine, start, end time.Time) error 
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-
-	switch x := c.Exec.(type) {
-	case AtExecutor:
-		c.begin = func(e *sim.Engine, id string) (AppendProbeJob, error) {
-			return x.BeginAppendAt(id, e.Now())
-		}
-	case AppendDeferredExecutor:
-		c.begin = func(_ *sim.Engine, id string) (AppendProbeJob, error) {
-			return x.BeginAppend(id)
-		}
-	case DeferredExecutor:
-		c.begin = func(_ *sim.Engine, id string) (AppendProbeJob, error) {
-			pj, err := x.Begin(id)
-			if pj == nil {
-				return nil, err
-			}
-			return func(dst []byte) []byte { return pj() }, err
-		}
-	default:
-		return fmt.Errorf("ddc: sharded collection needs a deferred-capable executor (AtExecutor, BeginAppend or Begin); %T only executes synchronously", c.Exec)
-	}
+	c.at, _ = c.Exec.(AtExecutor)
 
 	c.tel = newCollectorTelemetry(c.Telemetry)
 	c.shardStats = make([]Stats, len(c.Shards))
@@ -373,7 +312,14 @@ func (c *ShardedCollector) Install(eng *sim.Engine, start, end time.Time) error 
 			continue
 		}
 		eng.At(at, "ddc-iteration", func(e *sim.Engine) {
-			c.runIteration(e, thisIter, at)
+			c.stats.Iterations++
+			c.tel.iterations.Inc()
+			sw := &sweep{c: c, iter: thisIter, start: at, batches: make([]*shardBatch, len(c.Shards))}
+			for s := range sw.batches {
+				sw.batches[s] = c.newBatch(thisIter, at)
+			}
+			sw.next = sw.step
+			sw.step(e)
 		})
 	}
 	return nil
@@ -393,62 +339,97 @@ func (c *ShardedCollector) Finish() {
 	c.done.Wait()
 }
 
-// runIteration is the serial scheduling chain — the exact structure of
-// the serial collector's deferred iteration (outage check already done
-// in Install): one event per probe, each delayed by the previous probe's
-// latency, booking accounting at the probe's scheduled instant. Jobs
-// land in per-shard batches instead of one fleet-wide slice; the final
-// event dispatches the batches to the shard goroutines.
-func (c *ShardedCollector) runIteration(eng *sim.Engine, iter int, start time.Time) {
-	c.stats.Iterations++
-	c.tel.iterations.Inc()
-	batches := make([]*shardBatch, len(c.Shards))
-	for s := range batches {
-		batches[s] = c.newBatch(len(c.Shards[s].Machines), iter, start)
+// sweep is one iteration of the serial scheduling chain: one event per
+// probe, each delayed by the previous probe's latency. The state lives
+// here rather than in per-probe closures, so the chain itself allocates
+// nothing per probe.
+type sweep struct {
+	c       *ShardedCollector
+	iter    int
+	start   time.Time
+	idx     int // next machine, in fleet order
+	batches []*shardBatch
+	next    func(*sim.Engine) // sw.step, bound once
+}
+
+// step probes machine idx at the engine's current instant — the probe's
+// scheduled instant — books it, and schedules the next probe after this
+// one's latency. Past the last machine it dispatches the batches.
+func (sw *sweep) step(e *sim.Engine) {
+	c := sw.c
+	if sw.idx >= len(c.machines) {
+		c.dispatch(e, sw)
+		return
 	}
-	var step func(e *sim.Engine, idx int)
-	step = func(e *sim.Engine, idx int) {
-		if idx >= len(c.machines) {
-			c.dispatch(e, iter, start, batches)
-			return
-		}
-		id := c.machines[idx]
-		job, err := c.begin(e, id)
-		s := c.shardOf[idx]
-		b := batches[s]
-		l := c.localOf[idx]
-		b.jobs[l], b.errs[l] = job, err
-		if err == nil {
-			b.responded++
-		}
-		ss := &c.shardStats[s]
-		ss.Attempts++
-		if err == nil {
-			ss.Samples++
-		}
-		lat := accountProbe(&c.Cfg, &c.stats, &c.tel, id, iter, err)
-		e.After(lat, "ddc-probe", func(e2 *sim.Engine) { step(e2, idx+1) })
+	id := c.machines[sw.idx]
+	s := c.shardOf[sw.idx]
+	sw.idx++
+	b := sw.batches[s]
+	err := c.probe(b, id, e.Now())
+	b.errs = append(b.errs, err)
+	ss := &c.shardStats[s]
+	ss.Attempts++
+	if err == nil {
+		b.responded++
+		ss.Samples++
 	}
-	step(eng, 0)
+	e.After(c.account(id, sw.iter, err), "ddc-probe", sw.next)
+}
+
+// probe takes one probe's outcome into the batch in the executor's
+// shape: a render job, or the report itself appended to the arena.
+func (c *ShardedCollector) probe(b *shardBatch, id string, now time.Time) error {
+	if c.at != nil {
+		job, err := c.at.BeginAppendAt(id, now)
+		b.jobs = append(b.jobs, job)
+		return err
+	}
+	out, err := execAppend(c.Exec, b.arena.b, id)
+	if err == nil {
+		b.arena.b = out
+	}
+	b.ends = append(b.ends, len(b.arena.b))
+	return err
+}
+
+// account books one probe attempt into the run stats and telemetry at
+// the probe's scheduled instant and returns the latency the chain must
+// charge for it.
+func (c *ShardedCollector) account(id string, iter int, err error) time.Duration {
+	c.stats.Attempts++
+	c.tel.probes.Inc()
+	var lat time.Duration
+	outcome := telemetry.OutcomeOK
+	if err != nil {
+		lat, outcome = c.Cfg.latFail(), telemetry.OutcomeError
+		c.tel.failures.Inc()
+	} else {
+		lat = c.Cfg.latOK()
+		c.stats.Samples++
+		c.tel.samples.Inc()
+	}
+	c.tel.probeDuration.Observe(lat)
+	c.tel.span(id, iter, 1, lat, outcome, err)
+	return lat
 }
 
 // dispatch hands the iteration's batches to the shard goroutines. With a
 // global OnIteration hook the engine chain waits for every shard to
 // commit (the fleet-wide barrier); otherwise shards may pipeline up to
 // QueueDepth iterations behind the scheduler.
-func (c *ShardedCollector) dispatch(e *sim.Engine, iter int, start time.Time, batches []*shardBatch) {
+func (c *ShardedCollector) dispatch(e *sim.Engine, sw *sweep) {
 	end := e.Now()
-	c.tel.iterationDuration.Observe(end.Sub(start))
+	c.tel.iterationDuration.Observe(end.Sub(sw.start))
 	responded := 0
-	for _, b := range batches {
+	for _, b := range sw.batches {
 		responded += b.responded
 	}
 	var wg *sync.WaitGroup
 	if c.OnIteration != nil {
 		wg = &sync.WaitGroup{}
-		wg.Add(len(batches))
+		wg.Add(len(sw.batches))
 	}
-	for s, b := range batches {
+	for s, b := range sw.batches {
 		b.end = end
 		b.wg = wg
 		c.chans[s] <- b
@@ -456,31 +437,25 @@ func (c *ShardedCollector) dispatch(e *sim.Engine, iter int, start time.Time, ba
 	if wg != nil {
 		wg.Wait()
 		c.OnIteration(IterationInfo{
-			Iter: iter, Start: start, End: end,
+			Iter: sw.iter, Start: sw.start, End: end,
 			Attempted: len(c.machines), Responded: responded,
 			Probes: len(c.machines),
 		})
 	}
 }
 
-// shardWorker is one shard's goroutine: render each job into the
-// shard's reusable buffer, hand the report to the shard's Post, fire the
-// shard's OnIteration — the downstream half of the serial collector's
-// iteration, shard-locally.
+// shardWorker is one shard's goroutine: hand each report to the shard's
+// Post in machine order, then fire the shard's OnIteration — the
+// downstream half of the paper's coordinator loop, shard-locally.
 func (c *ShardedCollector) shardWorker(s int, ch chan *shardBatch) {
 	defer c.done.Done()
 	sh := &c.Shards[s]
-	rb := getReportBuf()
-	defer putReportBuf(rb)
+	scratch := getReportBuf()
+	defer putReportBuf(scratch)
 	for b := range ch {
-		for i, job := range b.jobs {
-			var out []byte
-			if job != nil {
-				out = job(rb.b[:0])
-				rb.b = out[:0]
-			}
-			if sh.Post != nil {
-				sh.Post(b.iter, sh.Machines[i], out, b.errs[i])
+		if sh.Post != nil {
+			for i, id := range sh.Machines {
+				sh.Post(b.iter, id, b.report(i, scratch), b.errs[i])
 			}
 		}
 		if sh.OnIteration != nil {
@@ -497,25 +472,30 @@ func (c *ShardedCollector) shardWorker(s int, ch chan *shardBatch) {
 	}
 }
 
-// newBatch rents a batch sized for n jobs from the pool.
-func (c *ShardedCollector) newBatch(n, iter int, start time.Time) *shardBatch {
+// newBatch rents an empty batch from the pool; its slot slices keep the
+// capacity earlier iterations grew.
+func (c *ShardedCollector) newBatch(iter int, start time.Time) *shardBatch {
 	b, _ := c.pool.Get().(*shardBatch)
 	if b == nil {
 		b = &shardBatch{}
 	}
-	if cap(b.jobs) < n {
-		b.jobs = make([]AppendProbeJob, n)
-		b.errs = make([]error, n)
-	} else {
-		b.jobs = b.jobs[:n]
-		b.errs = b.errs[:n]
-		for i := range b.jobs {
-			b.jobs[i], b.errs[i] = nil, nil
-		}
+	if c.at == nil {
+		b.arena = getReportBuf()
 	}
 	b.iter, b.start, b.end = iter, start, time.Time{}
 	b.responded, b.wg = 0, nil
 	return b
 }
 
-func (c *ShardedCollector) putBatch(b *shardBatch) { c.pool.Put(b) }
+// putBatch recycles a committed batch: the arena goes back to the report
+// pool (poisoned under PoisonBuffers — reports die with their batch).
+func (c *ShardedCollector) putBatch(b *shardBatch) {
+	if b.arena != nil {
+		putReportBuf(b.arena)
+		b.arena = nil
+	}
+	clear(b.errs)
+	clear(b.jobs)
+	b.errs, b.jobs, b.ends = b.errs[:0], b.jobs[:0], b.ends[:0]
+	c.pool.Put(b)
+}

@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,7 +9,9 @@ import (
 	"time"
 
 	"winlab/internal/machine"
+	"winlab/internal/probe"
 	"winlab/internal/sim"
+	"winlab/internal/telemetry"
 	"winlab/internal/trace"
 )
 
@@ -108,8 +111,8 @@ func TestPartitionLabAlignedProperty(t *testing.T) {
 	}
 }
 
-// shardedFixtureFleet builds the same 3-machine fleet as
-// runSimCollection: M1/M3 up, M2 never powered on.
+// shardedFixtureFleet builds a 3-machine fleet: M1/M3 up, M2 never
+// powered on.
 func shardedFixtureFleet() multiSource {
 	src := multiSource{ms: map[string]*machine.Machine{}}
 	for _, id := range []string{"M1", "M3"} {
@@ -121,21 +124,92 @@ func shardedFixtureFleet() multiSource {
 	return src
 }
 
-// TestShardedCollectorMatchesSerial is the tentpole identity contract at
-// unit scale: a 2-shard run over per-shard sinks, merged with
-// MergeSharded, must reproduce the serial collector's dataset and
-// fleet-wide stats, and SumShardStats must fold the per-shard stats back
-// into the fleet-wide ones. (Seed-scale identity is asserted by
-// internal/validate's shard arms.)
+// shardRun is everything one finished collection exposes.
+type shardRun struct {
+	coll   *ShardedCollector
+	merged *trace.Dataset   // MergeSharded over the per-shard sinks
+	infos  []IterationInfo  // what the global OnIteration saw
+	prom   string           // rendered metrics
+	spans  []telemetry.Span // probe spans, wall-clock stamps stripped
+}
+
+// shardSinks builds one sink per part and the shard specs feeding them.
+func shardSinks(parts [][]string, end time.Time, period time.Duration) ([]*DatasetSink, []ShardSpec) {
+	sinks := make([]*DatasetSink, len(parts))
+	shards := make([]ShardSpec, len(parts))
+	for i, p := range parts {
+		sinks[i] = NewDatasetSink(t0, end, period, nil)
+		shards[i] = ShardSpec{Machines: p, Post: sinks[i].Post, OnIteration: sinks[i].OnIteration}
+	}
+	return sinks, shards
+}
+
+// runShards collects the given fleet partition over [t0, end) with one
+// sink per shard and the collector — not the sinks, whose per-shard
+// iteration counters legitimately scale with the shard count —
+// instrumented. mkExec builds the executor against the
+// run's own engine.
+func runShards(t *testing.T, cfg Config, end time.Time, parts [][]string, mkExec func(*sim.Engine) Executor) shardRun {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	eng := sim.New(t0)
+	sinks, shards := shardSinks(parts, end, cfg.Period)
+	var r shardRun
+	r.coll = &ShardedCollector{
+		Cfg:         cfg,
+		Exec:        mkExec(eng),
+		Shards:      shards,
+		OnIteration: func(info IterationInfo) { r.infos = append(r.infos, info) },
+		Telemetry:   reg,
+	}
+	if err := r.coll.Install(eng, t0, end); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	r.coll.Finish()
+
+	shardDS := make([]*trace.Dataset, len(sinks))
+	for i, s := range sinks {
+		ds, err := s.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.SortSamples()
+		shardDS[i] = ds
+	}
+	var err error
+	if r.merged, err = trace.MergeSharded(shardDS...); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r.prom = buf.String()
+	// Spans are wall-clock stamped at Record time; everything else — order
+	// included — is part of the contract.
+	for _, sp := range reg.Spans().Snapshot() {
+		sp.Time = time.Time{}
+		r.spans = append(r.spans, sp)
+	}
+	return r
+}
+
+// TestShardedCollectorMatchesSerial is the identity contract at unit
+// scale: a 2-shard run over per-shard sinks, merged with MergeSharded,
+// must reproduce the one-shard (serial) run's dataset, fleet-wide stats,
+// metrics and probe spans bit for bit, and SumShardStats must fold the
+// per-shard stats back into the fleet-wide ones. (Seed-scale identity is
+// asserted by internal/validate's shard arms and the experiment golden
+// digests.) Under -race this also exercises the engine → shard hand-off.
 func TestShardedCollectorMatchesSerial(t *testing.T) {
-	period := 15 * time.Minute
 	end := t0.Add(46 * time.Minute)
 	mkCfg := func() Config {
 		// Twin deterministic latency schedules: latency depends only on
 		// draw order, which the identity argument says is shared.
 		okN, failN := 0, 0
 		return Config{
-			Period: period,
+			Period: 15 * time.Minute,
 			LatencyOK: func() time.Duration {
 				okN++
 				return time.Second + time.Duration(okN)*7*time.Millisecond
@@ -147,88 +221,102 @@ func TestShardedCollectorMatchesSerial(t *testing.T) {
 			Outages: []Outage{{Start: t0.Add(15 * time.Minute), End: t0.Add(16 * time.Minute)}},
 		}
 	}
+	direct := func(eng *sim.Engine) Executor {
+		return &Direct{Source: shardedFixtureFleet(), Now: eng.Now}
+	}
+	serial := runShards(t, mkCfg(), end, [][]string{{"M1", "M2", "M3"}}, direct)
+	sharded := runShards(t, mkCfg(), end, [][]string{{"M1", "M2"}, {"M3"}}, direct)
 
-	// Serial reference.
-	serialSrc := shardedFixtureFleet()
-	serialEng := sim.New(t0)
-	serialSink := NewDatasetSink(t0, end, period, nil)
-	cfg := mkCfg()
-	cfg.Machines = []string{"M1", "M2", "M3"}
-	serial := &SimCollector{
-		Cfg:  cfg,
-		Exec: &Direct{Source: serialSrc, Now: serialEng.Now},
-		Post: serialSink.Post,
+	if len(serial.merged.Samples) == 0 || len(serial.merged.Iterations) != 3 {
+		t.Fatalf("degenerate serial run: %d samples, %d iterations", len(serial.merged.Samples), len(serial.merged.Iterations))
 	}
-	serial.OnIteration = serialSink.OnIteration
-	if err := serial.Install(serialEng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	serialEng.Run()
-	serialDS, serr := serialSink.Dataset()
-	if serr != nil {
-		t.Fatal(serr)
-	}
-
-	// Sharded run: M1+M2 on shard 0, M3 on shard 1, each with its own
-	// sink; a global OnIteration collecting fleet-wide infos.
-	shSrc := shardedFixtureFleet()
-	shEng := sim.New(t0)
-	sinks := []*DatasetSink{
-		NewDatasetSink(t0, end, period, nil),
-		NewDatasetSink(t0, end, period, nil),
-	}
-	var infos []IterationInfo
-	coll := &ShardedCollector{
-		Cfg:  mkCfg(),
-		Exec: &Direct{Source: shSrc, Now: shEng.Now},
-		Shards: []ShardSpec{
-			{Machines: []string{"M1", "M2"}, Post: sinks[0].Post, OnIteration: sinks[0].OnIteration},
-			{Machines: []string{"M3"}, Post: sinks[1].Post, OnIteration: sinks[1].OnIteration},
-		},
-		OnIteration: func(info IterationInfo) { infos = append(infos, info) },
-	}
-	if err := coll.Install(shEng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	shEng.Run()
-	coll.Finish()
-
-	shardDS := make([]*trace.Dataset, len(sinks))
-	for i, s := range sinks {
-		ds, err := s.Dataset()
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardDS[i] = ds
-	}
-	merged, err := trace.MergeSharded(shardDS...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialDS.SortSamples()
-	if len(merged.Samples) == 0 {
-		t.Fatal("degenerate sharded run: no samples")
-	}
-	if !reflect.DeepEqual(merged.Samples, serialDS.Samples) {
+	if !reflect.DeepEqual(sharded.merged.Samples, serial.merged.Samples) {
 		t.Error("merged shard samples differ from serial run")
 	}
-	if !reflect.DeepEqual(merged.Iterations, serialDS.Iterations) {
-		t.Errorf("merged iterations differ:\nsharded %+v\nserial  %+v", merged.Iterations, serialDS.Iterations)
+	if !reflect.DeepEqual(sharded.merged.Iterations, serial.merged.Iterations) {
+		t.Errorf("merged iterations differ:\nsharded %+v\nserial  %+v", sharded.merged.Iterations, serial.merged.Iterations)
 	}
-	if !reflect.DeepEqual(coll.Stats(), serial.Stats()) {
-		t.Errorf("stats differ:\nsharded %+v\nserial  %+v", coll.Stats(), serial.Stats())
+	if !reflect.DeepEqual(sharded.coll.Stats(), serial.coll.Stats()) {
+		t.Errorf("stats differ:\nsharded %+v\nserial  %+v", sharded.coll.Stats(), serial.coll.Stats())
 	}
-	if got := SumShardStats(coll.ShardStats()); !reflect.DeepEqual(got, coll.Stats()) {
-		t.Errorf("SumShardStats != Stats:\nsum   %+v\ntotal %+v", got, coll.Stats())
+	if got := SumShardStats(sharded.coll.ShardStats()); !reflect.DeepEqual(got, sharded.coll.Stats()) {
+		t.Errorf("SumShardStats != Stats:\nsum   %+v\ntotal %+v", got, sharded.coll.Stats())
+	}
+	if serial.prom != sharded.prom {
+		t.Errorf("metrics differ:\nserial:\n%s\nsharded:\n%s", serial.prom, sharded.prom)
+	}
+	if !reflect.DeepEqual(serial.spans, sharded.spans) {
+		t.Error("probe spans differ between one and two shards")
 	}
 	// Global OnIteration saw every run iteration with fleet-wide counts.
-	if len(infos) != serial.Stats().Iterations {
-		t.Fatalf("global OnIteration fired %d times, want %d", len(infos), serial.Stats().Iterations)
+	if len(sharded.infos) != serial.coll.Stats().Iterations {
+		t.Fatalf("global OnIteration fired %d times, want %d", len(sharded.infos), serial.coll.Stats().Iterations)
 	}
-	for _, info := range infos {
+	for _, info := range sharded.infos {
 		if info.Attempted != 3 || info.Responded != 2 {
 			t.Errorf("iteration %d: attempted %d responded %d, want 3/2", info.Iter, info.Attempted, info.Responded)
 		}
+	}
+}
+
+// TestParseErrorsBookedPerIteration drives garbage reports through a
+// plain Executor (no append path: the chain copies its output into the
+// arena) and checks the sinks book them — parsed on the shard goroutine,
+// attributed to the iteration that collected them — identically for one
+// and two shards.
+func TestParseErrorsBookedPerIteration(t *testing.T) {
+	m := newMachine("M1")
+	m.PowerOn(t0)
+	good := probe.Render(mustSnapshot(t, m, t0.Add(5*time.Minute)))
+
+	end := t0.Add(16 * time.Minute) // iterations at 0 and 15
+	run := func(parts [][]string) []*DatasetSink {
+		exec := &fakeExec{
+			up: map[string]bool{"M1": true, "M2": true},
+			payload: func(id string) []byte {
+				if id == "M2" {
+					return []byte("garbage")
+				}
+				return good
+			},
+		}
+		eng := sim.New(t0)
+		sinks, shards := shardSinks(parts, end, 15*time.Minute)
+		coll := &ShardedCollector{Cfg: Config{Period: 15 * time.Minute}, Exec: exec, Shards: shards}
+		if err := coll.Install(eng, t0, end); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		coll.Finish()
+		return sinks
+	}
+
+	one := run([][]string{{"M1", "M2"}})[0]
+	two := run([][]string{{"M1"}, {"M2"}})
+	if one.ParseErrors != 2 || two[0].ParseErrors != 0 || two[1].ParseErrors != 2 {
+		t.Fatalf("parse errors: one shard %d, two shards %d+%d, want 2 and 0+2",
+			one.ParseErrors, two[0].ParseErrors, two[1].ParseErrors)
+	}
+	ds1, e1 := one.Dataset()
+	if e1 == nil {
+		t.Fatal("parse error not surfaced by Dataset()")
+	}
+	if _, e2 := two[1].Dataset(); e2 == nil {
+		t.Fatal("parse error not surfaced by the owning shard's Dataset()")
+	}
+	if len(ds1.Samples) != 2 || ds1.Samples[0].Machine != "M1" {
+		t.Errorf("samples = %+v, want M1's two good reports", ds1.Samples)
+	}
+	if ds1.Iterations[0].ParseErrors != 1 || ds1.Iterations[1].ParseErrors != 1 {
+		t.Errorf("per-iteration parse-error attribution: %+v", ds1.Iterations)
+	}
+	dsM1, _ := two[0].Dataset()
+	dsM2, _ := two[1].Dataset()
+	if !reflect.DeepEqual(dsM1.Samples, ds1.Samples) || len(dsM2.Samples) != 0 {
+		t.Error("two-shard samples differ from the one-shard run")
+	}
+	if dsM2.Iterations[0].ParseErrors != 1 || dsM2.Iterations[1].ParseErrors != 1 {
+		t.Errorf("two-shard parse-error attribution: %+v", dsM2.Iterations)
 	}
 }
 
@@ -251,69 +339,31 @@ func (s pureFake) Snapshot(id string, at time.Time) (machine.Snapshot, bool) {
 
 func (s pureFake) Reachable(id string, at time.Time) bool { return !s.down[id] }
 
-// TestPureDirectSharded drives the AtExecutor path (reachability decided
-// on the scheduling chain, snapshot deferred to the shard goroutine) and
-// checks it against the serial collector over the same pure source.
+// TestPureDirectSharded drives both outcome shapes over the same pure
+// source: the AtExecutor path (reachability decided on the scheduling
+// chain, snapshot deferred to the shard goroutine) across three shards
+// must collect exactly what Direct — executed synchronously on the
+// chain — collects on one.
 func TestPureDirectSharded(t *testing.T) {
-	period := 15 * time.Minute
 	end := t0.Add(46 * time.Minute)
 	src := pureFake{down: map[string]bool{"M2": true}}
 	ids := []string{"M1", "M2", "M3", "M4", "M5"}
+	cfg := Config{Period: 15 * time.Minute}
 
-	serialEng := sim.New(t0)
-	serialSink := NewDatasetSink(t0, end, period, nil)
-	serial := &SimCollector{
-		Cfg:  Config{Machines: ids, Period: period},
-		Exec: &Direct{Source: src, Now: serialEng.Now},
-		Post: serialSink.Post,
-	}
-	serial.OnIteration = serialSink.OnIteration
-	if err := serial.Install(serialEng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	serialEng.Run()
-	serialDS, err := serialSink.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runShards(t, cfg, end, [][]string{ids}, func(eng *sim.Engine) Executor {
+		return &Direct{Source: src, Now: eng.Now}
+	})
+	sharded := runShards(t, cfg, end, PartitionN(ids, 3), func(eng *sim.Engine) Executor {
+		return &PureDirect{Source: src, Now: eng.Now}
+	})
 
-	shEng := sim.New(t0)
-	parts := PartitionN(ids, 3)
-	sinks := make([]*DatasetSink, len(parts))
-	shards := make([]ShardSpec, len(parts))
-	for i, p := range parts {
-		sinks[i] = NewDatasetSink(t0, end, period, nil)
-		shards[i] = ShardSpec{Machines: p, Post: sinks[i].Post, OnIteration: sinks[i].OnIteration}
+	if len(sharded.merged.Samples) != 4*serial.coll.Stats().Iterations {
+		t.Fatalf("sample count %d, want %d", len(sharded.merged.Samples), 4*serial.coll.Stats().Iterations)
 	}
-	coll := &ShardedCollector{
-		Cfg:    Config{Period: period},
-		Exec:   &PureDirect{Source: src, Now: shEng.Now},
-		Shards: shards,
-	}
-	if err := coll.Install(shEng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	shEng.Run()
-	coll.Finish()
-
-	shardDS := make([]*trace.Dataset, len(sinks))
-	for i, s := range sinks {
-		if shardDS[i], err = s.Dataset(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := trace.MergeSharded(shardDS...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialDS.SortSamples()
-	if len(merged.Samples) != 4*serial.Stats().Iterations {
-		t.Fatalf("sample count %d, want %d", len(merged.Samples), 4*serial.Stats().Iterations)
-	}
-	if !reflect.DeepEqual(merged.Samples, serialDS.Samples) {
+	if !reflect.DeepEqual(sharded.merged.Samples, serial.merged.Samples) {
 		t.Error("PureDirect sharded samples differ from serial Direct run")
 	}
-	if !reflect.DeepEqual(merged.Iterations, serialDS.Iterations) {
+	if !reflect.DeepEqual(sharded.merged.Iterations, serial.merged.Iterations) {
 		t.Error("PureDirect sharded iterations differ from serial Direct run")
 	}
 }
@@ -342,18 +392,76 @@ func TestShardedCollectorRejections(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "M2") {
 		t.Errorf("duplicate machine: err = %v", err)
 	}
-
-	// Synchronous-only executor (the fault injector's shape).
-	c = &ShardedCollector{
-		Cfg:    Config{Period: time.Minute},
-		Exec:   syncOnlyExec{},
-		Shards: []ShardSpec{{Machines: []string{"M1"}}},
-	}
-	if err := c.Install(eng, t0, end); err == nil {
-		t.Error("synchronous-only executor accepted")
-	}
 }
 
-type syncOnlyExec struct{}
+// snapSource serves fixed, prebuilt snapshots: probing it allocates
+// nothing, so what a collection allocates is the collector's own.
+type snapSource map[string]machine.Snapshot
 
-func (syncOnlyExec) Exec(string) ([]byte, error) { return nil, ErrUnreachable }
+func (s snapSource) Snapshot(id string, at time.Time) (machine.Snapshot, bool) {
+	sn, ok := s[id]
+	return sn, ok
+}
+
+// TestSweepAllocatesNoPerProbeObject: in steady state a one-shard
+// iteration over the paper-sized fleet (169 machines) allocates nothing
+// per probe in the collector — batch, report arena, error and offset
+// slices are pooled, and the chain reuses one bound step function instead
+// of a closure per probe. The only per-probe allocation left is the
+// engine's own sim.Event (one per scheduled probe), so the budget is one
+// object per machine plus a small per-iteration constant (the sweep, its
+// batch list, the iteration's event).
+func TestSweepAllocatesNoPerProbeObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const machines = 169
+	src := snapSource{}
+	ids := make([]string, machines)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("M%03d", i)
+		if i%3 == 0 {
+			continue // a third of the fleet is powered off: the error path
+		}
+		sn, _ := pureFake{}.Snapshot(ids[i], t0)
+		src[ids[i]] = sn
+	}
+	period := 15 * time.Minute
+	eng := sim.New(t0)
+	committed := 0
+	coll := &ShardedCollector{
+		Cfg:  Config{Period: period},
+		Exec: &Direct{Source: src, Now: eng.Now},
+		Shards: []ShardSpec{{
+			Machines: ids,
+			Post: func(_ int, _ string, stdout []byte, err error) {
+				if err == nil && len(stdout) > 0 {
+					committed++
+				}
+			},
+		}},
+	}
+	if err := coll.Install(eng, t0, t0.Add(400*period)); err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Finish()
+	next := t0
+	sweep := func() {
+		next = next.Add(period)
+		eng.RunUntil(next)
+	}
+	for i := 0; i < 20; i++ { // warm the batch pool and the arena
+		sweep()
+	}
+	const perIterationSlack = 12
+	allocs := testing.AllocsPerRun(100, sweep)
+	t.Logf("one-shard sweep of %d machines: %.0f allocs", machines, allocs)
+	if allocs > machines+perIterationSlack {
+		t.Errorf("one-shard sweep allocates %.0f objects, want ≤ %d (one sim.Event per probe + %d)",
+			allocs, machines+perIterationSlack, perIterationSlack)
+	}
+	coll.Finish()
+	if want := coll.Stats().Iterations * (machines - (machines+2)/3); committed != want {
+		t.Errorf("committed %d reports, want %d", committed, want)
+	}
+}

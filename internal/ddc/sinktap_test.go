@@ -49,21 +49,17 @@ func TestSinkTapChainObservesEveryCommit(t *testing.T) {
 		})
 	}
 
-	coll := &SimCollector{
+	oneShard{
 		Cfg: Config{
 			Machines:    []string{"M1", "M2", "M3"},
 			Period:      15 * time.Minute,
 			LatencyOK:   func() time.Duration { return time.Second },
 			LatencyFail: func() time.Duration { return 4 * time.Second },
 		},
-		Exec: &Direct{Source: src, Now: eng.Now},
-		Post: sink.Post,
-	}
-	coll.OnIteration = sink.OnIteration
-	if err := coll.Install(eng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+		Exec:        &Direct{Source: src, Now: eng.Now},
+		Post:        sink.Post,
+		OnIteration: sink.OnIteration,
+	}.run(t, eng, t0, end)
 
 	ds, err := sink.Dataset()
 	if err != nil {

@@ -34,21 +34,17 @@ func TestSnapshotEveryPublishesCommittedPrefixes(t *testing.T) {
 	})
 	defer detach()
 
-	coll := &SimCollector{
+	oneShard{
 		Cfg: Config{
 			Machines:    ids,
 			Period:      15 * time.Minute,
 			LatencyOK:   func() time.Duration { return time.Second },
 			LatencyFail: func() time.Duration { return 4 * time.Second },
 		},
-		Exec: &Direct{Source: src, Now: eng.Now},
-		Post: sink.Post,
-	}
-	coll.OnIteration = sink.OnIteration
-	if err := coll.Install(eng, t0, end); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
+		Exec:        &Direct{Source: src, Now: eng.Now},
+		Post:        sink.Post,
+		OnIteration: sink.OnIteration,
+	}.run(t, eng, t0, end)
 
 	final, err := sink.Dataset()
 	if err != nil {

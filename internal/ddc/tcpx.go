@@ -27,8 +27,8 @@ import (
 // The explicit OK status line exists because the original protocol had the
 // client sniff the whole stream for an "ERR " prefix — which misclassified
 // any healthy machine whose report happened to begin with those four bytes
-// as unreachable. The client keeps a compat read path for legacy agents
-// that send the report unframed.
+// as unreachable. A reply whose first line is neither status is a
+// protocol error, booked as unreachable like any other transport failure.
 //
 // The transport exists so the collector's code path — attempt, timeout,
 // capture stdout, post-collect — is exercised over an actual network
@@ -308,11 +308,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readFramedReport reads an agent response. Framed responses carry an
-// explicit status line ("OK" or "ERR <msg>"); anything else is treated as
-// a legacy unframed report whose first line is part of the body (compat
-// path for pre-framing agents). The bufio wrapper is pooled; the returned
-// report is freshly allocated and owned by the caller.
+// readFramedReport reads an agent response: an explicit status line ("OK"
+// or "ERR <msg>"), then the report. Any other first line is an error. The
+// bufio wrapper is pooled; the returned report is freshly allocated and
+// owned by the caller.
 func readFramedReport(r io.Reader) ([]byte, error) {
 	br := getConnReader(r)
 	defer putConnReader(br)
@@ -326,12 +325,7 @@ func readFramedReport(r io.Reader) ([]byte, error) {
 	case strings.HasPrefix(status, "ERR "):
 		return nil, fmt.Errorf("%s", strings.TrimPrefix(status, "ERR "))
 	default:
-		// Legacy agent: no status line; the line we consumed is report.
-		rest, rerr := io.ReadAll(br)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return append([]byte(line), rest...), nil
+		return nil, fmt.Errorf("unframed reply: status line %q is neither OK nor ERR", status)
 	}
 }
 
@@ -374,8 +368,8 @@ type WallCollector struct {
 	// value disables it.
 	Breaker BreakerPolicy
 
-	// OnIteration mirrors SimCollector.OnIteration and additionally
-	// carries the iteration's health counters.
+	// OnIteration fires after every sweep; the info carries the
+	// iteration's health counters.
 	OnIteration IterationFunc
 
 	// Telemetry, when set, streams the run's health into a metrics

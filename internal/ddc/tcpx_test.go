@@ -2,7 +2,6 @@ package ddc
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -239,7 +238,7 @@ func TestWallCollectorConcurrentWorkers(t *testing.T) {
 
 // rawProbeServer runs a hand-rolled server that consumes the request line
 // and answers with respond — for exercising the client against framed,
-// legacy, and adversarial peers.
+// unframed, and adversarial peers.
 func rawProbeServer(t *testing.T, respond func(conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -283,9 +282,10 @@ func TestTCPAdversarialReportNotMisparsed(t *testing.T) {
 	}
 }
 
-func TestTCPLegacyUnframedCompat(t *testing.T) {
-	// A pre-framing agent sends the report with no status line; the compat
-	// read path must still deliver it verbatim.
+// TestTCPUnframedReplyRejected: a peer that answers without a status
+// line — no agent of this repo ever did — is a protocol error, booked as
+// unreachable rather than parsed as a report.
+func TestTCPUnframedReplyRejected(t *testing.T) {
 	m := newMachine("M1")
 	m.PowerOn(t0)
 	sn, _ := m.Snapshot(t0.Add(time.Hour))
@@ -297,23 +297,20 @@ func TestTCPLegacyUnframedCompat(t *testing.T) {
 	exec.Timeout = 2 * time.Second
 	exec.Register("M1", addr)
 	out, err := exec.Exec("M1")
-	if err != nil {
-		t.Fatalf("legacy report rejected: %v", err)
+	if !errors.Is(err, ErrUnreachable) || out != nil {
+		t.Fatalf("unframed report: out = %q, err = %v, want ErrUnreachable", out, err)
 	}
-	if !bytes.Equal(out, report) {
-		t.Errorf("legacy report altered:\n got %q\nwant %q", out, report)
-	}
-	if _, err := probe.Parse(out); err != nil {
-		t.Errorf("legacy report unparseable: %v", err)
+	if !strings.Contains(err.Error(), "unframed") {
+		t.Errorf("error does not name the protocol violation: %v", err)
 	}
 
-	// Legacy error responses still surface as unreachable.
+	// A bare ERR status line still surfaces as unreachable.
 	addr2 := rawProbeServer(t, func(c net.Conn) {
 		_, _ = io.WriteString(c, "ERR unreachable\n")
 	})
 	exec.Register("M2", addr2)
 	if _, err := exec.Exec("M2"); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("legacy ERR line err = %v", err)
+		t.Errorf("ERR line err = %v", err)
 	}
 }
 

@@ -466,7 +466,7 @@ func TestIterationEndBothCollectors(t *testing.T) {
 func TestSimCollectorIterationEndIsSweepEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var got []IterationInfo
-	c := &SimCollector{
+	oneShard{
 		Cfg: Config{
 			Machines:  []string{"M1", "M2"},
 			Period:    15 * time.Minute,
@@ -475,13 +475,7 @@ func TestSimCollectorIterationEndIsSweepEnd(t *testing.T) {
 		Exec:        &fakeExec{up: map[string]bool{"M1": true, "M2": true}},
 		OnIteration: func(i IterationInfo) { got = append(got, i) },
 		Telemetry:   reg,
-	}
-	eng := sim.New(t0)
-	start := t0
-	if err := c.Install(eng, start, start.Add(30*time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(start.Add(30 * time.Minute))
+	}.run(t, sim.New(t0), t0, t0.Add(30*time.Minute))
 	if len(got) != 2 {
 		t.Fatalf("iterations = %d", len(got))
 	}

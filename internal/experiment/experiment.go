@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"winlab/internal/anomaly"
@@ -42,22 +43,14 @@ type Config struct {
 	// uninstrumented.
 	Telemetry *telemetry.Registry
 
-	// Workers > 1 fans each iteration's probe rendering and report
-	// parsing across that many goroutines (the simulated schedule — probe
-	// instants, latencies, outage windows — stays sequential, so the
-	// collected trace, collector stats and telemetry are bit-identical to
-	// a Workers ≤ 1 run; see TestRunWorkersEquivalent). Zero or one keeps
-	// the fully sequential collection loop.
-	Workers int
-
 	// Inject schedules synthetic anomalies into the run: the state source
 	// is wrapped in an Injector (report corruption) and a FaultExecutor
 	// (collapse windows as denied probes), so the injection timetable is
 	// free ground truth for the detection harness (see
-	// DefaultAnomalyScenarios and anomaly.Score). Injection routes probes
-	// through the fault wrapper, which forfeits the zero-alloc append
-	// executor fast path — use it for labeled runs, not benchmarks. Empty
-	// keeps the run byte-identical to pre-injection behaviour.
+	// DefaultAnomalyScenarios and anomaly.Score). The fault decision is
+	// made on the collector's scheduling chain, so injection composes with
+	// any shard count. Empty keeps the run byte-identical to pre-injection
+	// behaviour.
 	Inject []InjectedAnomaly
 
 	// Detect, when set, taps the sink's commit path with the streaming
@@ -69,13 +62,24 @@ type Config struct {
 
 	// Shards > 1 partitions the fleet across that many coordinator
 	// shards (lab-aligned, see ddc.PartitionLabAligned): probe scheduling
-	// stays one serial chain, but rendering, parsing and sink commits run
-	// on one goroutine per shard against a per-shard sink. The merged
-	// dataset and the fleet-wide collector stats are identical to an
-	// unsharded run (internal/validate's shard arms); the per-shard
-	// datasets and stats are additionally exposed on the Result.
-	// Incompatible with Inject (fault injection decides outcomes at
-	// execution time, which the deferred scheduling step cannot defer).
+	// and execution stay one serial chain, but report parsing and sink
+	// commits run on one goroutine per shard against a per-shard sink.
+	// The merged dataset and the fleet-wide collector stats are identical
+	// to a one-shard run (internal/validate's shard arms); the per-shard
+	// datasets and stats are additionally exposed on the Result. Zero or
+	// one is the paper's serial coordinator: the same collector with a
+	// single shard.
+	//
+	// Anomaly detection composes with sharding under two rules. Shard
+	// boundaries are lab-aligned, so a lab's samples all flow through one
+	// shard goroutine and reach the detectors in the serial order — the
+	// per-lab detector view stays coherent; sample taps from different
+	// shards interleave across labs, so cross-lab event *order* may
+	// differ from a one-shard run, but the event set does not
+	// (TestShardedDetectCoherent). And iteration records are fed to the
+	// detectors once, fleet-wide, from the collector's end-of-iteration
+	// barrier, which fires after every shard committed the iteration
+	// (that feed carries no parse-error count; detectors ignore it).
 	Shards int
 
 	// Scenario hooks (internal/scenario composes these; all empty by
@@ -99,7 +103,8 @@ type Config struct {
 	// to OnSnapshot every that many completed iterations — the feed for
 	// the query service's snapshot store (query.Store.Publish). Clones
 	// are cut under the sink lock at iteration boundaries, so each one
-	// is an exact committed prefix of the final trace. Requires
+	// is an exact committed prefix of the final trace. OnSnapshot runs
+	// on the collector's shard goroutine, not the engine's. Requires
 	// OnSnapshot; incompatible with Shards > 1 (there is no single sink
 	// whose prefix would be the fleet-wide trace).
 	SnapshotEvery int
@@ -131,6 +136,7 @@ type Result struct {
 	Fleet     *lab.Fleet      // ground-truth power/session logs live here
 	Model     *behavior.Model // behaviour diagnostics (boots, forgets, ...)
 	Collector ddc.Stats
+	Faults    ddc.FaultStats // what Config.Inject's fault wrapper injected; zero without Inject
 
 	// Sharded runs (Config.Shards > 1) also expose the per-shard view:
 	// ShardDatasets[i] is shard i's own dataset (Dataset is their
@@ -141,28 +147,41 @@ type Result struct {
 	ShardStats    []ddc.Stats
 }
 
+// ConfigError is the typed refusal Config.Validate returns: which field
+// (or field combination) is unusable, and why.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string { return "experiment: " + e.Field + ": " + e.Reason }
+
+// Validate reports every reason Run would refuse the configuration, up
+// front: a config that validates runs to completion (barring corrupt
+// probe output), and no field is silently ignored.
+func (c Config) Validate() error {
+	if c.Days <= 0 {
+		return &ConfigError{"Days", fmt.Sprintf("non-positive duration %d days", c.Days)}
+	}
+	if c.Period <= 0 {
+		return &ConfigError{"Period", fmt.Sprintf("non-positive period %v", c.Period)}
+	}
+	if err := c.Behavior.Validate(); err != nil {
+		return &ConfigError{"Behavior", err.Error()}
+	}
+	if c.SnapshotEvery > 0 && c.OnSnapshot == nil {
+		return &ConfigError{"SnapshotEvery", "set without OnSnapshot"}
+	}
+	if c.SnapshotEvery > 0 && c.Shards > 1 {
+		return &ConfigError{"SnapshotEvery", "incompatible with Shards > 1 (no single sink holds the fleet-wide prefix)"}
+	}
+	return validateScenario(c)
+}
+
 // Run executes the full experiment.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Days <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive duration %d days", cfg.Days)
-	}
-	if cfg.Period <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive period %v", cfg.Period)
-	}
-	if err := cfg.Behavior.Validate(); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	if cfg.SnapshotEvery > 0 && cfg.OnSnapshot == nil {
-		return nil, fmt.Errorf("experiment: SnapshotEvery set without OnSnapshot")
-	}
-	if err := validateScenario(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		if cfg.SnapshotEvery > 0 {
-			return nil, fmt.Errorf("experiment: SnapshotEvery is incompatible with Shards > 1")
-		}
-		return runSharded(cfg)
 	}
 	start, end := cfg.Start, cfg.End()
 
@@ -173,37 +192,61 @@ func Run(cfg Config) (*Result, error) {
 	model.Install(eng, start, end)
 
 	infos := machineInfos(cfg, fleet)
-	ids := make([]string, 0, fleet.Size())
-	for _, m := range fleet.Machines {
-		ids = append(ids, m.ID)
-	}
-
-	lat := rng.Derive(cfg.Seed, "latency")
-	sink := ddc.NewDatasetSink(start, end, cfg.Period, infos).WithTelemetry(cfg.Telemetry)
 	if cfg.Detect != nil {
 		cfg.Detect.SetMachines(infos)
-		sink.Tap(cfg.Detect.Sample, cfg.Detect.Iteration)
 	}
-	if cfg.SnapshotEvery > 0 {
-		sink.SnapshotEvery(cfg.SnapshotEvery, cfg.OnSnapshot)
+	serial := cfg.Shards <= 1
+
+	// One sink per shard. The serial coordinator's single sink feeds the
+	// detectors and the snapshot tap directly; with several shards the
+	// sample taps run on the shard goroutines and the iteration feed on
+	// the engine goroutine, so detectMu serialises the detector.
+	var detectMu sync.Mutex
+	parts := ddc.PartitionLabAligned(infos, max(1, cfg.Shards))
+	sinks := make([]*ddc.DatasetSink, len(parts))
+	shards := make([]ddc.ShardSpec, len(parts))
+	for i, part := range parts {
+		sink := ddc.NewDatasetSink(start, end, cfg.Period, part).WithTelemetry(cfg.Telemetry)
+		switch {
+		case cfg.Detect == nil:
+		case serial:
+			sink.Tap(cfg.Detect.Sample, cfg.Detect.Iteration)
+		default:
+			sink.Tap(func(s *trace.Sample) {
+				detectMu.Lock()
+				cfg.Detect.Sample(s)
+				detectMu.Unlock()
+			}, nil)
+		}
+		if cfg.SnapshotEvery > 0 {
+			sink.SnapshotEvery(cfg.SnapshotEvery, cfg.OnSnapshot)
+		}
+		ids := make([]string, len(part))
+		for j, mi := range part {
+			ids[j] = mi.ID
+		}
+		sinks[i] = sink
+		shards[i] = ddc.ShardSpec{Machines: ids, Post: sink.Post, OnIteration: sink.OnIteration}
 	}
-	var exec ddc.Executor = &ddc.Direct{
-		Source: lab.Source{Fleet: fleet},
-		Now:    eng.Now,
-	}
+
+	direct := &ddc.Direct{Source: lab.Source{Fleet: fleet}, Now: eng.Now}
+	var exec ddc.Executor = direct
+	var faults *ddc.FaultExecutor
 	if len(cfg.Inject) > 0 {
-		inj := NewInjector(lab.Source{Fleet: fleet}, infos, cfg.Inject)
-		exec = &ddc.FaultExecutor{
-			Inner:  &ddc.Direct{Source: inj, Now: eng.Now},
+		inj := NewInjector(direct.Source, infos, cfg.Inject)
+		direct.Source = inj
+		faults = &ddc.FaultExecutor{
+			Inner:  direct,
 			Seed:   cfg.Seed,
 			DownFn: func(id string) bool { return inj.DownNow(id, eng.Now()) },
 		}
+		exec = faults
 	}
-	coll := &ddc.SimCollector{
+	lat := rng.Derive(cfg.Seed, "latency")
+	coll := &ddc.ShardedCollector{
 		Telemetry: cfg.Telemetry,
 		Cfg: ddc.Config{
-			Machines: ids,
-			Period:   cfg.Period,
+			Period: cfg.Period,
 			LatencyOK: func() time.Duration {
 				return time.Duration(lat.Uniform(float64(500*time.Millisecond), float64(2500*time.Millisecond)))
 			},
@@ -212,30 +255,53 @@ func Run(cfg Config) (*Result, error) {
 			},
 			Outages: GenerateOutages(cfg),
 		},
-		Exec:    exec,
-		Post:    sink.Post,
-		Workers: cfg.Workers,
-		Prepare: sink.Prepare,
+		Exec:   exec,
+		Shards: shards,
 	}
-	coll.OnIteration = sink.OnIteration
+	if cfg.Detect != nil && !serial {
+		coll.OnIteration = func(info ddc.IterationInfo) {
+			detectMu.Lock()
+			cfg.Detect.Iteration(trace.Iteration{
+				Iter: info.Iter, Start: info.Start, End: info.End,
+				Attempted: info.Attempted, Responded: info.Responded,
+			})
+			detectMu.Unlock()
+		}
+	}
 	if err := coll.Install(eng, start, end); err != nil {
 		return nil, err
 	}
 
 	eng.RunUntil(end)
+	coll.Finish()
 
-	ds, err := sink.Dataset()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: corrupt probe output: %w", err)
+	shardDS := make([]*trace.Dataset, len(sinks))
+	for i, sink := range sinks {
+		ds, err := sink.Dataset()
+		if err != nil {
+			return nil, fmt.Errorf("experiment: shard %d: corrupt probe output: %w", i, err)
+		}
+		ds.SortSamples()
+		shardDS[i] = ds
 	}
-	ds.SortSamples()
-	return &Result{
+	res := &Result{
 		Config:    cfg,
-		Dataset:   ds,
+		Dataset:   shardDS[0],
 		Fleet:     fleet,
 		Model:     model,
 		Collector: coll.Stats(),
-	}, nil
+	}
+	if faults != nil {
+		res.Faults = faults.Stats()
+	}
+	if !serial {
+		merged, err := trace.MergeSharded(shardDS...)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %w", err)
+		}
+		res.Dataset, res.ShardDatasets, res.ShardStats = merged, shardDS, coll.ShardStats()
+	}
+	return res, nil
 }
 
 // GenerateOutages draws coordinator downtime windows totalling roughly

@@ -1,13 +1,18 @@
 package experiment
 
 import (
-	"reflect"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"winlab/internal/analysis"
+	"winlab/internal/anomaly"
+	"winlab/internal/behavior"
+	"winlab/internal/ddc"
 	"winlab/internal/lab"
 	"winlab/internal/trace"
+	"winlab/internal/trace/check"
 )
 
 // shortConfig returns a fast configuration: the full fleet for one week.
@@ -80,16 +85,114 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunValidation: every refusal is a *ConfigError naming the field,
+// and Run makes it before doing any work.
 func TestRunValidation(t *testing.T) {
-	cfg := shortConfig(1)
-	cfg.Days = 0
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero days accepted")
+	cases := []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"Days", func(c *Config) { c.Days = 0 }},
+		{"Period", func(c *Config) { c.Period = 0 }},
+		{"Behavior", func(c *Config) { c.Behavior.ForgetProb = 2 }},
+		{"SnapshotEvery", func(c *Config) { c.SnapshotEvery = 4 }},
+		{"SnapshotEvery", func(c *Config) {
+			c.SnapshotEvery, c.OnSnapshot, c.Shards = 4, func(*trace.Dataset) {}, 2
+		}},
+		{"LabCalendars", func(c *Config) { c.LabCalendars = map[string]behavior.Calendar{"nowhere": {}} }},
+		{"Lifecycle", func(c *Config) { c.Lifecycle = []behavior.Lifecycle{{}} }},
 	}
-	cfg = shortConfig(1)
-	cfg.Period = 0
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero period accepted")
+	for _, tc := range cases {
+		cfg := shortConfig(1)
+		tc.edit(&cfg)
+		_, err := Run(cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: Run error = %v, want a *ConfigError", tc.field, err)
+			continue
+		}
+		if ce.Field != tc.field || ce.Reason == "" {
+			t.Errorf("%s: got %+v", tc.field, ce)
+		}
+		if verr := cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("%s: Validate() = %v, Run refused with %v", tc.field, verr, err)
+		}
+	}
+	if err := shortConfig(1).Validate(); err != nil {
+		t.Errorf("default config refused: %v", err)
+	}
+}
+
+// TestConfigMatrix walks Shards × Inject × Detect × SnapshotEvery: every
+// point either fails Validate with a *ConfigError or runs to a trace the
+// invariant checker accepts — no refusal from inside the run, no field
+// silently ignored (a snapshot tap that was wired published, an
+// injection that was scheduled fired).
+func TestConfigMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the experiment up to 24 times")
+	}
+	for _, shards := range []int{0, 1, 4} {
+		for _, inject := range []bool{false, true} {
+			for _, detect := range []bool{false, true} {
+				for _, every := range []int{0, 24} {
+					name := fmt.Sprintf("shards%d/inject=%v/detect=%v/every%d", shards, inject, detect, every)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						cfg := Default(1)
+						cfg.Days = 2
+						cfg.Shards = shards
+						if inject {
+							cfg.Inject = []InjectedAnomaly{
+								{Kind: anomaly.KindAvailabilityCollapse, Lab: cfg.Labs[0].Name,
+									Start: cfg.Start.Add(34 * time.Hour), End: cfg.Start.Add(36 * time.Hour)},
+								{Kind: anomaly.KindSMARTAnomaly, Machines: []string{cfg.Labs[1].Name + "-M01"},
+									Start: cfg.Start.Add(30 * time.Hour), End: cfg.Start.Add(31 * time.Hour), CycleJump: 500},
+							}
+						}
+						if detect {
+							cfg.Detect = anomaly.New(anomaly.Config{}, nil)
+						}
+						snaps := 0
+						if every > 0 {
+							cfg.SnapshotEvery = every
+							cfg.OnSnapshot = func(*trace.Dataset) { snaps++ }
+						}
+
+						verr := cfg.Validate()
+						res, err := Run(cfg)
+						if verr != nil {
+							var ce *ConfigError
+							if !errors.As(verr, &ce) {
+								t.Fatalf("Validate refused with %T (%v), want *ConfigError", verr, verr)
+							}
+							if err == nil {
+								t.Fatal("Run accepted a config Validate refuses")
+							}
+							return
+						}
+						if err != nil {
+							t.Fatalf("Validate accepted, Run refused: %v", err)
+						}
+						if r := check.Check(res.Dataset, check.Options{}); !r.OK() {
+							t.Errorf("trace not doctor-clean: %v", r.Err())
+						}
+						if inject && res.Faults.DownDenied == 0 {
+							t.Error("Inject set but no probe was denied")
+						}
+						if !inject && res.Faults != (ddc.FaultStats{}) {
+							t.Errorf("fault stats without Inject: %+v", res.Faults)
+						}
+						if every > 0 && snaps != len(res.Dataset.Iterations)/every {
+							t.Errorf("published %d snapshots over %d iterations (every %d)", snaps, len(res.Dataset.Iterations), every)
+						}
+						if (shards > 1) != (res.ShardDatasets != nil) {
+							t.Errorf("Shards=%d but %d shard datasets", shards, len(res.ShardDatasets))
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -139,37 +242,6 @@ func TestGenerateOutagesShortExperimentClamped(t *testing.T) {
 					seed, o, cfg.Start, cfg.End())
 			}
 		}
-	}
-}
-
-// TestRunWorkersEquivalent is the end-to-end determinism contract of the
-// parallel collection path: a Workers=8 run must collect the exact trace
-// a sequential run collects — samples, iterations and collector stats all
-// deep-equal. Under -race this exercises the render/parse fan-out against
-// the live simulated fleet.
-func TestRunWorkersEquivalent(t *testing.T) {
-	cfg := Default(3)
-	cfg.Days = 2
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Dataset.Samples) == 0 {
-		t.Fatal("degenerate serial run")
-	}
-	if !reflect.DeepEqual(serial.Dataset.Samples, par.Dataset.Samples) {
-		t.Error("samples differ between sequential and Workers=8 runs")
-	}
-	if !reflect.DeepEqual(serial.Dataset.Iterations, par.Dataset.Iterations) {
-		t.Error("iterations differ between sequential and Workers=8 runs")
-	}
-	if !reflect.DeepEqual(serial.Collector, par.Collector) {
-		t.Errorf("collector stats differ:\nserial   %+v\nparallel %+v", serial.Collector, par.Collector)
 	}
 }
 

@@ -24,8 +24,8 @@ type goldenRun struct {
 // goldenStats is the comparable subset of ddc.Stats the golden pins.
 type goldenStats struct{ Iterations, Skipped, Attempts, Samples int }
 
-// goldenRuns was recorded ONCE, from the sequential SimCollector of the
-// commit before that collector was deleted (d74a73b, PR 11), and is the
+// goldenRuns was recorded ONCE, from the sequential simulated collector
+// of the commit before that collector was deleted (d74a73b, PR 11), and is the
 // reference every later collector must reproduce byte for byte. It is
 // data, not a second code path: never regenerate it from the code under
 // test. (The 77-day digests for seeds 1–5 are pinned the same way in

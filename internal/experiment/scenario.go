@@ -109,26 +109,26 @@ func validateScenario(cfg Config) error {
 	}
 	for _, e := range cfg.ExtraMachines {
 		if e.Lab == "" || e.ID == "" {
-			return fmt.Errorf("experiment: extra machine needs both ID and Lab (got %q in %q)", e.ID, e.Lab)
+			return &ConfigError{"ExtraMachines", fmt.Sprintf("extra machine needs both ID and Lab (got %q in %q)", e.ID, e.Lab)}
 		}
 	}
 	for lb := range cfg.LabCalendars {
 		if !labs[lb] && !extraLab(cfg, lb) {
-			return fmt.Errorf("experiment: calendar for unknown lab %q", lb)
+			return &ConfigError{"LabCalendars", fmt.Sprintf("calendar for unknown lab %q", lb)}
 		}
 	}
 	for _, lb := range cfg.AlwaysOnLabs {
 		if !labs[lb] && !extraLab(cfg, lb) {
-			return fmt.Errorf("experiment: always-on marker for unknown lab %q", lb)
+			return &ConfigError{"AlwaysOnLabs", fmt.Sprintf("always-on marker for unknown lab %q", lb)}
 		}
 	}
 	for _, lc := range cfg.Lifecycle {
 		if lc.Machine == "" {
-			return fmt.Errorf("experiment: lifecycle entry without a machine ID")
+			return &ConfigError{"Lifecycle", "entry without a machine ID"}
 		}
 		if !lc.Join.IsZero() && !lc.Leave.IsZero() && !lc.Leave.After(lc.Join) {
-			return fmt.Errorf("experiment: machine %s leaves (%s) before it joins (%s)",
-				lc.Machine, lc.Leave.Format(time.RFC3339), lc.Join.Format(time.RFC3339))
+			return &ConfigError{"Lifecycle", fmt.Sprintf("machine %s leaves (%s) before it joins (%s)",
+				lc.Machine, lc.Leave.Format(time.RFC3339), lc.Join.Format(time.RFC3339))}
 		}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRunShardedMatchesSerial is the end-to-end identity contract: a
-// Shards=3 run over the paper fleet must reproduce the serial run's
+// Shards=3 run over the paper fleet must reproduce the one-shard run's
 // dataset sample for sample, iteration for iteration, and its collector
 // stats — and the per-shard stats must fold back into the fleet-wide
 // ones. (Seeds 1–3 at full length are covered by internal/validate's
@@ -49,30 +49,24 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunShardedRejectsInject pins the documented incompatibility.
-func TestRunShardedRejectsInject(t *testing.T) {
-	cfg := shortConfig(1)
-	cfg.Days = 1
-	cfg.Shards = 2
-	cfg.Inject = []InjectedAnomaly{{
-		Kind: anomaly.KindSMARTAnomaly, Machines: []string{"x"},
-		Start: cfg.Start, End: cfg.End(), CycleJump: 100,
-	}}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("sharded run with injection accepted")
-	}
-}
-
-// TestShardedDetectCoherent runs the streaming anomaly detectors under
-// both collection modes. Lab-aligned shard boundaries keep each lab's
-// sample stream in serial order, so the detected event *set* must match
-// exactly; only cross-lab interleaving (and hence ring order) may
-// differ. Events are compared sorted by identity.
+// TestShardedDetectCoherent runs the streaming anomaly detectors at one
+// and at four shards, on a clean run and on one with the labelled
+// anomaly scenarios injected. Lab-aligned shard boundaries keep each
+// lab's sample stream in serial order, and the fault decision is made on
+// the scheduling chain whatever the shard count, so the detected event
+// *set* must match exactly; only cross-lab interleaving (and hence ring
+// order) may differ. Events are compared sorted by identity.
 func TestShardedDetectCoherent(t *testing.T) {
-	run := func(shards int) []anomaly.Event {
+	run := func(shards, days int, inject bool) []anomaly.Event {
 		cfg := shortConfig(2)
-		cfg.Days = 3
+		cfg.Days = days
 		cfg.Shards = shards
+		if inject {
+			var err error
+			if cfg.Inject, _, err = DefaultAnomalyScenarios(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
 		cfg.Detect = anomaly.New(anomaly.Config{}, nil)
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
@@ -93,10 +87,19 @@ func TestShardedDetectCoherent(t *testing.T) {
 		})
 		return evs
 	}
-	serial := run(0)
-	sharded := run(4)
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Errorf("detector event sets differ: serial %d events, sharded %d events\nserial:  %+v\nsharded: %+v",
-			len(serial), len(sharded), serial, sharded)
+	for _, tc := range []struct {
+		name   string
+		days   int
+		inject bool
+	}{{"clean", 3, false}, {"injected", 12, true}} {
+		serial := run(1, tc.days, tc.inject)
+		sharded := run(4, tc.days, tc.inject)
+		if tc.inject && len(serial) == 0 {
+			t.Errorf("%s: injected run detected nothing", tc.name)
+		}
+		if !reflect.DeepEqual(serial, sharded) {
+			t.Errorf("%s: detector event sets differ: serial %d events, sharded %d events\nserial:  %+v\nsharded: %+v",
+				tc.name, len(serial), len(sharded), serial, sharded)
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package query
 
 import (
-	"math"
 	"strconv"
-	"time"
-	"unicode/utf8"
 
 	"winlab/internal/anomaly"
+	"winlab/internal/jsonx"
 )
 
 // The response encoders are append-style and byte-identical to
@@ -20,13 +18,13 @@ func appendMeta(dst []byte, m *Meta) []byte {
 	dst = append(dst, `{"epoch":`...)
 	dst = strconv.AppendUint(dst, m.Epoch, 10)
 	dst = append(dst, `,"fingerprint":`...)
-	dst = appendJSONString(dst, m.Fingerprint)
+	dst = jsonx.AppendString(dst, m.Fingerprint)
 	dst = append(dst, `,"start":`...)
-	dst = appendJSONTime(dst, m.Start)
+	dst = jsonx.AppendTime(dst, m.Start)
 	dst = append(dst, `,"end":`...)
-	dst = appendJSONTime(dst, m.End)
+	dst = jsonx.AppendTime(dst, m.End)
 	dst = append(dst, `,"period_sec":`...)
-	dst = appendJSONFloat(dst, m.PeriodSec)
+	dst = jsonx.AppendFloat(dst, m.PeriodSec)
 	dst = append(dst, `,"iterations":`...)
 	dst = strconv.AppendInt(dst, int64(m.Iterations), 10)
 	dst = append(dst, `,"samples":`...)
@@ -40,19 +38,19 @@ func appendColumn(dst []byte, c *Column) []byte {
 	dst = append(dst, `{"samples":`...)
 	dst = strconv.AppendInt(dst, int64(c.Samples), 10)
 	dst = append(dst, `,"uptime_pct":`...)
-	dst = appendJSONFloat(dst, c.UptimePct)
+	dst = jsonx.AppendFloat(dst, c.UptimePct)
 	dst = append(dst, `,"cpu_idle_pct":`...)
-	dst = appendJSONFloat(dst, c.CPUIdlePct)
+	dst = jsonx.AppendFloat(dst, c.CPUIdlePct)
 	dst = append(dst, `,"ram_load_pct":`...)
-	dst = appendJSONFloat(dst, c.RAMLoadPct)
+	dst = jsonx.AppendFloat(dst, c.RAMLoadPct)
 	dst = append(dst, `,"swap_load_pct":`...)
-	dst = appendJSONFloat(dst, c.SwapLoadPct)
+	dst = jsonx.AppendFloat(dst, c.SwapLoadPct)
 	dst = append(dst, `,"disk_used_gb":`...)
-	dst = appendJSONFloat(dst, c.DiskUsedGB)
+	dst = jsonx.AppendFloat(dst, c.DiskUsedGB)
 	dst = append(dst, `,"sent_bps":`...)
-	dst = appendJSONFloat(dst, c.SentBps)
+	dst = jsonx.AppendFloat(dst, c.SentBps)
 	dst = append(dst, `,"recv_bps":`...)
-	dst = appendJSONFloat(dst, c.RecvBps)
+	dst = jsonx.AppendFloat(dst, c.RecvBps)
 	return append(dst, '}')
 }
 
@@ -66,29 +64,29 @@ func appendSummary(dst []byte, s *Summary) []byte {
 	dst = append(dst, `,"both":`...)
 	dst = appendColumn(dst, &s.Both)
 	dst = append(dst, `,"avg_powered_on":`...)
-	dst = appendJSONFloat(dst, s.AvgPoweredOn)
+	dst = jsonx.AppendFloat(dst, s.AvgPoweredOn)
 	dst = append(dst, `,"avg_user_free":`...)
-	dst = appendJSONFloat(dst, s.AvgUserFree)
+	dst = jsonx.AppendFloat(dst, s.AvgUserFree)
 	dst = append(dst, `,"equivalence_occupied":`...)
-	dst = appendJSONFloat(dst, s.EquivalenceOccupied)
+	dst = jsonx.AppendFloat(dst, s.EquivalenceOccupied)
 	dst = append(dst, `,"equivalence_free":`...)
-	dst = appendJSONFloat(dst, s.EquivalenceFree)
+	dst = jsonx.AppendFloat(dst, s.EquivalenceFree)
 	dst = append(dst, `,"equivalence_total":`...)
-	dst = appendJSONFloat(dst, s.EquivalenceTotal)
+	dst = jsonx.AppendFloat(dst, s.EquivalenceTotal)
 	dst = append(dst, `,"power_cycles_total":`...)
 	dst = strconv.AppendInt(dst, s.PowerCyclesTotal, 10)
 	dst = append(dst, `,"power_cycles_per_day":`...)
-	dst = appendJSONFloat(dst, s.PowerCyclesPerDay)
+	dst = jsonx.AppendFloat(dst, s.PowerCyclesPerDay)
 	dst = append(dst, `,"lifetime_per_cycle_h":`...)
-	dst = appendJSONFloat(dst, s.LifetimePerCycleH)
+	dst = jsonx.AppendFloat(dst, s.LifetimePerCycleH)
 	dst = append(dst, `,"session_count":`...)
 	dst = strconv.AppendInt(dst, int64(s.SessionCount), 10)
 	dst = append(dst, `,"session_mean_h":`...)
-	dst = appendJSONFloat(dst, s.SessionMeanH)
+	dst = jsonx.AppendFloat(dst, s.SessionMeanH)
 	dst = append(dst, `,"fleet_free_ram_gb":`...)
-	dst = appendJSONFloat(dst, s.FleetFreeRAMGB)
+	dst = jsonx.AppendFloat(dst, s.FleetFreeRAMGB)
 	dst = append(dst, `,"fleet_free_disk_tb":`...)
-	dst = appendJSONFloat(dst, s.FleetFreeDiskTB)
+	dst = jsonx.AppendFloat(dst, s.FleetFreeDiskTB)
 	return append(dst, '}')
 }
 
@@ -134,21 +132,21 @@ func appendLabs(dst []byte, ls *Labs) []byte {
 			}
 			l := &ls.Labs[i]
 			dst = append(dst, `{"lab":`...)
-			dst = appendJSONString(dst, l.Lab)
+			dst = jsonx.AppendString(dst, l.Lab)
 			dst = append(dst, `,"machines":`...)
 			dst = strconv.AppendInt(dst, int64(l.Machines), 10)
 			dst = append(dst, `,"uptime_pct":`...)
-			dst = appendJSONFloat(dst, l.UptimePct)
+			dst = jsonx.AppendFloat(dst, l.UptimePct)
 			dst = append(dst, `,"occupied_pct":`...)
-			dst = appendJSONFloat(dst, l.OccupiedPct)
+			dst = jsonx.AppendFloat(dst, l.OccupiedPct)
 			dst = append(dst, `,"cpu_idle_pct":`...)
-			dst = appendJSONFloat(dst, l.CPUIdlePct)
+			dst = jsonx.AppendFloat(dst, l.CPUIdlePct)
 			dst = append(dst, `,"ram_load_pct":`...)
-			dst = appendJSONFloat(dst, l.RAMLoadPct)
+			dst = jsonx.AppendFloat(dst, l.RAMLoadPct)
 			dst = append(dst, `,"free_ram_mb":`...)
-			dst = appendJSONFloat(dst, l.FreeRAMMB)
+			dst = jsonx.AppendFloat(dst, l.FreeRAMMB)
 			dst = append(dst, `,"free_disk_gb":`...)
-			dst = appendJSONFloat(dst, l.FreeDiskGB)
+			dst = jsonx.AppendFloat(dst, l.FreeDiskGB)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -170,13 +168,13 @@ func appendMachines(dst []byte, ms *Machines) []byte {
 			}
 			m := &ms.Machines[i]
 			dst = append(dst, `{"id":`...)
-			dst = appendJSONString(dst, m.ID)
+			dst = jsonx.AppendString(dst, m.ID)
 			dst = append(dst, `,"lab":`...)
-			dst = appendJSONString(dst, m.Lab)
+			dst = jsonx.AppendString(dst, m.Lab)
 			dst = append(dst, `,"uptime_ratio":`...)
-			dst = appendJSONFloat(dst, m.UptimeRatio)
+			dst = jsonx.AppendFloat(dst, m.UptimeRatio)
 			dst = append(dst, `,"nines":`...)
-			dst = appendJSONFloat(dst, m.Nines)
+			dst = jsonx.AppendFloat(dst, m.Nines)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -206,11 +204,11 @@ func appendEquivalence(dst []byte, e *Equivalence) []byte {
 	dst = append(dst, `{"meta":`...)
 	dst = appendMeta(dst, &e.Meta)
 	dst = append(dst, `,"occupied":`...)
-	dst = appendJSONFloat(dst, e.Occupied)
+	dst = jsonx.AppendFloat(dst, e.Occupied)
 	dst = append(dst, `,"free":`...)
-	dst = appendJSONFloat(dst, e.Free)
+	dst = jsonx.AppendFloat(dst, e.Free)
 	dst = append(dst, `,"total":`...)
-	dst = appendJSONFloat(dst, e.Total)
+	dst = jsonx.AppendFloat(dst, e.Total)
 	dst = append(dst, `,"weekly_total":`...)
 	dst = appendFloats(dst, e.WeeklyTotal)
 	dst = append(dst, `,"weekly_occupied":`...)
@@ -254,9 +252,9 @@ func appendHeatmap(dst []byte, h *Heatmap) []byte {
 			}
 			r := &h.Machines[i]
 			dst = append(dst, `{"id":`...)
-			dst = appendJSONString(dst, r.ID)
+			dst = jsonx.AppendString(dst, r.ID)
 			dst = append(dst, `,"lab":`...)
-			dst = appendJSONString(dst, r.Lab)
+			dst = jsonx.AppendString(dst, r.Lab)
 			dst = append(dst, `,"uptime":`...)
 			dst = appendFloats(dst, r.Uptime)
 			dst = append(dst, '}')
@@ -305,7 +303,7 @@ func appendFloats(dst []byte, xs []float64) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONFloat(dst, x)
+		dst = jsonx.AppendFloat(dst, x)
 	}
 	return append(dst, ']')
 }
@@ -323,76 +321,4 @@ func appendInts(dst []byte, xs []int) []byte {
 		dst = strconv.AppendInt(dst, int64(x), 10)
 	}
 	return append(dst, ']')
-}
-
-// appendJSONTime appends t as encoding/json marshals time.Time: a quoted
-// RFC3339Nano string.
-func appendJSONTime(dst []byte, t time.Time) []byte {
-	dst = append(dst, '"')
-	dst = t.AppendFormat(dst, time.RFC3339Nano)
-	return append(dst, '"')
-}
-
-// appendJSONFloat appends f the way encoding/json's floatEncoder does:
-// strconv shortest form, with %e forced for very small/large magnitudes
-// and the exponent compacted (e-05 → e-5). NaN/±Inf (which encoding/json
-// rejects) encode as 0 — the aggregates are NaN-free by the stats
-// layer's non-finite handling, so this is a guard, not a supported
-// value. (Same contract as internal/anomaly and internal/telemetry;
-// each copy is pinned against encoding/json by its own golden test.)
-func appendJSONFloat(dst []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(dst, '0')
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// strconv writes "2.5e-05"; json wants "2.5e-5".
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string, mirroring encoding/json's
-// default escaping: quotes, backslashes, control characters, the
-// HTML-sensitive <, >, &, the line separators U+2028/U+2029, and � for
-// invalid UTF-8 bytes. (Third copy after internal/telemetry and
-// internal/anomaly, which keep theirs unexported; every copy is pinned
-// against encoding/json by a golden test.)
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		i += size
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == '"':
-			dst = append(dst, '\\', '"')
-		case r == '\\':
-			dst = append(dst, '\\', '\\')
-		case r == '\n':
-			dst = append(dst, '\\', 'n')
-		case r == '\r':
-			dst = append(dst, '\\', 'r')
-		case r == '\t':
-			dst = append(dst, '\\', 't')
-		case r < 0x20 || r == '<' || r == '>' || r == '&':
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[byte(r)>>4], hexDigits[byte(r)&0xf])
-		case r == ' ' || r == ' ':
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			dst = utf8.AppendRune(dst, r)
-		}
-	}
-	return append(dst, '"')
 }

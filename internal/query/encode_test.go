@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"winlab/internal/anomaly"
+	"winlab/internal/jsonx"
 )
 
 // The golden tests pin every hand-rolled encoder byte-identical to
@@ -213,7 +214,7 @@ func TestGoldenStringEscaping(t *testing.T) {
 		"line seps \u2028 \u2029", "invalid \xff\xfe utf8", "mixed\x7f",
 	}
 	for _, s := range cases {
-		got := string(appendJSONString(nil, s))
+		got := string(jsonx.AppendString(nil, s))
 		want := mustJSON(t, s)
 		if got != want {
 			t.Errorf("string %q:\n got %s\nwant %s", s, got, want)
@@ -230,7 +231,7 @@ func TestGoldenFloatFormats(t *testing.T) {
 		3.141592653589793, 84.87, 0.1, 1.0 / 3.0,
 	}
 	for _, f := range cases {
-		got := string(appendJSONFloat(nil, f))
+		got := string(jsonx.AppendFloat(nil, f))
 		want := mustJSON(t, f)
 		if got != want {
 			t.Errorf("float %v:\n got %s\nwant %s", f, got, want)

@@ -226,13 +226,8 @@ func (s *Snapshot) build() {
 
 // fingerprintHex renders a fingerprint the way the ETag carries it.
 func fingerprintHex(fp uint64) string {
-	const hexLen = 16
-	var buf [hexLen]byte
-	for i := hexLen - 1; i >= 0; i-- {
-		buf[i] = hexDigits[fp&0xf]
-		fp >>= 4
-	}
-	return string(buf[:])
+	s := strconv.FormatUint(fp, 16)
+	return "0000000000000000"[len(s):] + s
 }
 
 // infoFingerprint digests an Info whose producer had no index fingerprint

@@ -5,7 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"winlab/internal/jsonx"
 )
 
 // DefaultSpanCapacity is the size of the in-memory span ring: large
@@ -134,10 +135,10 @@ func (s *SpanRecorder) Record(sp Span) {
 // terminated by a newline — the JSONL line json.Encoder used to produce,
 // minus its per-call buffer.
 func appendSpanJSON(dst []byte, sp Span) []byte {
-	dst = append(dst, `{"t":"`...)
-	dst = sp.Time.AppendFormat(dst, time.RFC3339Nano)
-	dst = append(dst, `","machine":`...)
-	dst = appendJSONString(dst, sp.Machine)
+	dst = append(dst, `{"t":`...)
+	dst = jsonx.AppendTime(dst, sp.Time)
+	dst = append(dst, `,"machine":`...)
+	dst = jsonx.AppendString(dst, sp.Machine)
 	dst = append(dst, `,"iter":`...)
 	dst = strconv.AppendInt(dst, int64(sp.Iter), 10)
 	dst = append(dst, `,"attempt":`...)
@@ -145,47 +146,12 @@ func appendSpanJSON(dst []byte, sp Span) []byte {
 	dst = append(dst, `,"latency_ns":`...)
 	dst = strconv.AppendInt(dst, int64(sp.Latency), 10)
 	dst = append(dst, `,"outcome":`...)
-	dst = appendJSONString(dst, string(sp.Outcome))
+	dst = jsonx.AppendString(dst, string(sp.Outcome))
 	if sp.Err != "" {
 		dst = append(dst, `,"err":`...)
-		dst = appendJSONString(dst, sp.Err)
+		dst = jsonx.AppendString(dst, sp.Err)
 	}
 	return append(dst, '}', '\n')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string, mirroring encoding/json's
-// default escaping: quotes, backslashes, control characters, the
-// HTML-sensitive <, >, &, the line separators U+2028/U+2029, and �
-// for invalid UTF-8 bytes.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		i += size
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == '"':
-			dst = append(dst, '\\', '"')
-		case r == '\\':
-			dst = append(dst, '\\', '\\')
-		case r == '\n':
-			dst = append(dst, '\\', 'n')
-		case r == '\r':
-			dst = append(dst, '\\', 'r')
-		case r == '\t':
-			dst = append(dst, '\\', 't')
-		case r < 0x20 || r == '<' || r == '>' || r == '&':
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[byte(r)>>4], hexDigits[byte(r)&0xf])
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			dst = utf8.AppendRune(dst, r)
-		}
-	}
-	return append(dst, '"')
 }
 
 // Snapshot returns the buffered spans, oldest first.

@@ -1,23 +1,15 @@
 // Package validate is the differential half of the trace doctor: it
 // re-runs, as a library, every equivalence claim the repo's performance
 // work rests on. PRs 1–4 rebuilt the pipeline for speed — frozen index,
-// deferred executor, pooled buffers, append/in-place codec, TBv1 — and
-// each rewrite came with an "identical output" claim asserted in some
-// test. This package centralises those claims so the tracedoctor CLI
+// pooled buffers, append/in-place codec, TBv1 — and each rewrite came
+// with an "identical output" claim asserted in some test. This package centralises those claims so the tracedoctor CLI
 // and `make doctor` can exercise all of them against arbitrary seeds,
 // diffing down to the first divergent field via check.FirstDiff /
 // check.DiffDatasets instead of a bare reflect.DeepEqual boolean:
 //
-//   - serial vs -workers N collection (experiment.Run with Workers=1
-//     against Workers=2 and N; the workers arm routes through the
-//     AppendDeferredExecutor + PrepareCollect two-phase path, so this
-//     one differential covers both the "serial vs workers" and the
-//     "sequential vs deferred executor" claims);
 //   - CSV write→read→write byte stability, and Dataset→TBv1→Dataset
 //     identity (the binary codec is lossless by design);
 //   - trace.ReadAny format sniffing agreeing with the explicit readers;
-//   - legacy probe.Render/Parse vs the zero-allocation
-//     AppendRender/Parser.ParseBytes pair, byte- and field-identical;
 //   - analysis.All with Workers=1 (the exact serial path) vs a parallel
 //     pool, bit-identical across all ten artefacts;
 //   - the out-of-core path (PR 6): the stream cursor reproducing
@@ -25,9 +17,12 @@
 //     bit-identical to analysis.All, and the sharded parallel
 //     AllStream within a documented relative tolerance (counts exact,
 //     merged floats ≤ streamTol);
-//   - the sharded collector (PR 8): experiment.Run with Shards=4
-//     reproducing the serial dataset and stats exactly, per-shard stats
-//     folding back into the fleet-wide total, the segment-file
+//   - the collector: experiment.Run with Shards=4 reproducing the
+//     one-shard (serial) dataset and stats exactly — also with the
+//     labelled anomaly scenarios injected, where the fault wrapper's
+//     own counters must agree too — per-shard stats folding back into
+//     the fleet-wide total (the deleted sequential collector survives
+//     as the golden digests in internal/experiment), the segment-file
 //     write→manifest→compact cycle yielding bytes identical to encoding
 //     the merged dataset directly, the manifest checker passing over a
 //     freshly written segment set, the shard-aware readers
@@ -42,13 +37,10 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"time"
 
 	"winlab/internal/analysis"
 	"winlab/internal/ddc"
 	"winlab/internal/experiment"
-	"winlab/internal/machine"
-	"winlab/internal/probe"
 	"winlab/internal/trace"
 	"winlab/internal/trace/check"
 	"winlab/internal/trace/stream"
@@ -94,32 +86,15 @@ func Suite(cfg Config) []Failure {
 		}
 	}
 
-	serial, err := run(cfg, 1)
+	serial, err := run(cfg, 1, false)
 	if err != nil {
 		// Without the reference arm nothing else can run.
 		return append(fails, Failure{Check: "collect/serial", Detail: err.Error()})
 	}
 
-	// Collection: serial vs the deferred two-phase path at two widths
-	// (2 catches partitioning bugs a wide pool can mask, N catches
-	// contention bugs 2 cannot see).
-	for _, w := range []int{2, cfg.Workers} {
-		par, err := run(cfg, w)
-		name := fmt.Sprintf("collect/serial-vs-workers%d", w)
-		if err != nil {
-			add(name, err.Error())
-			continue
-		}
-		add(name+"/dataset", check.DiffDatasets(serial.Dataset, par.Dataset))
-		add(name+"/stats", check.FirstDiff(serial.Collector, par.Collector))
-	}
-
 	add("trace/csv-write-read-write", diffCSVRoundTrip(serial.Dataset))
 	add("trace/tbv1-roundtrip", diffTBRoundTrip(serial.Dataset))
 	add("trace/readany-sniff", diffReadAny(serial.Dataset))
-
-	add("probe/render-legacy-vs-append", diffRender())
-	add("probe/parse-legacy-vs-reused-parser", diffParse())
 
 	r1 := analysis.All(serial.Dataset, analysis.Options{Workers: 1})
 	rN := analysis.All(serial.Dataset, analysis.Options{Workers: cfg.Workers})
@@ -138,12 +113,13 @@ func Suite(cfg Config) []Failure {
 		add("stream/allstream-parallel", diffAllStreamApprox(r1, tb.Bytes(), cfg.Workers))
 	}
 
-	// Sharded collection arms (PR 8). The sharded collector keeps one
-	// serial scheduling chain, so its merged dataset and stats must be
-	// *exactly* the serial run's — no tolerance anywhere in this block
-	// except the final AllSegments arm, which inherits the parallel
-	// streaming epsilon (one Welford merge per segment).
-	sharded, err := runSharded(cfg, 4)
+	// Sharded collection arms. The collector keeps one serial
+	// scheduling chain whatever the shard count, so the four-shard merged
+	// dataset and stats must be *exactly* the one-shard run's — no
+	// tolerance anywhere in this block except the final AllSegments arm,
+	// which inherits the parallel streaming epsilon (one Welford merge
+	// per segment).
+	sharded, err := run(cfg, 4, false)
 	if err != nil {
 		add("shard/collect", err.Error())
 	} else {
@@ -152,6 +128,10 @@ func Suite(cfg Config) []Failure {
 		add("shard/stats-sum", check.FirstDiff(sharded.Collector, ddc.SumShardStats(sharded.ShardStats)))
 		diffShardSegments(serial, sharded, r1, add)
 	}
+
+	// Shards×Inject: the fault decision is made on the scheduling chain,
+	// so an injected run is as partition-independent as a clean one.
+	add("shard/inject-vs-single", diffInjected(cfg))
 
 	if r := check.Check(serial.Dataset, check.Options{}); !r.OK() {
 		add("check/invariants", r.Err().Error())
@@ -292,22 +272,51 @@ func diffAllStreamApprox(want *analysis.Results, tb []byte, workers int) string 
 // the suite diffs everything against. Exported so the tracedoctor CLI
 // can reuse the same configuration for its file-level round trips.
 func Run(cfg Config) (*experiment.Result, error) {
-	return run(cfg.withDefaults(), 1)
+	return run(cfg.withDefaults(), 1, false)
 }
 
-func run(cfg Config, workers int) (*experiment.Result, error) {
-	ec := experiment.Default(cfg.Seed)
-	ec.Days = cfg.Days
-	ec.Workers = workers
-	return experiment.Run(ec)
-}
-
-// runSharded executes the same experiment through the sharded collector.
-func runSharded(cfg Config, shards int) (*experiment.Result, error) {
+// run executes the experiment across the given number of collector
+// shards, optionally with the labelled anomaly scenarios injected.
+func run(cfg Config, shards int, inject bool) (*experiment.Result, error) {
 	ec := experiment.Default(cfg.Seed)
 	ec.Days = cfg.Days
 	ec.Shards = shards
+	if inject {
+		var err error
+		if ec.Inject, _, err = experiment.DefaultAnomalyScenarios(ec); err != nil {
+			return nil, err
+		}
+	}
 	return experiment.Run(ec)
+}
+
+// diffInjected runs the labelled anomaly scenarios at one and at four
+// shards and asserts dataset, collector stats and fault-injection
+// counters are identical. The scenario windows sit in week two, so the
+// arm runs at least the 12 days DefaultAnomalyScenarios needs.
+func diffInjected(cfg Config) string {
+	cfg.Days = max(cfg.Days, 12)
+	one, err := run(cfg, 1, true)
+	if err != nil {
+		return "shards=1: " + err.Error()
+	}
+	four, err := run(cfg, 4, true)
+	if err != nil {
+		return "shards=4: " + err.Error()
+	}
+	if one.Faults.DownDenied == 0 {
+		return "inert injection: no probe was denied"
+	}
+	if d := check.DiffDatasets(one.Dataset, four.Dataset); d != "" {
+		return "dataset: " + d
+	}
+	if d := check.FirstDiff(one.Collector, four.Collector); d != "" {
+		return "stats: " + d
+	}
+	if d := check.FirstDiff(one.Faults, four.Faults); d != "" {
+		return "fault stats: " + d
+	}
+	return ""
 }
 
 // diffCSVRoundTrip asserts write→read→write is byte-stable: the textual
@@ -373,83 +382,6 @@ func diffReadAny(ds *trace.Dataset) string {
 	}
 	if d := check.DiffDatasets(ds, got); d != "" {
 		return "readany(tbv1) " + d
-	}
-	return ""
-}
-
-// probeFixtures covers the codec's edge cases: sessions present and
-// absent, MAC lists of zero/one/many, fractional clocks around the MHz
-// quantisation boundary, large per-boot counters.
-func probeFixtures() []machine.Snapshot {
-	t0 := time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
-	return []machine.Snapshot{
-		{
-			Time: t0, ID: "lab1-m01", Lab: "lab1",
-			CPUModel: "Intel(R) Pentium(R) 4 CPU 2.80GHz", CPUGHz: 2.794,
-			RAMMB: 512, SwapMB: 768, DiskGB: 74.5, Serial: "WD-WMA111",
-			MACs: []string{"00:0d:56:aa:bb:cc"}, OS: "Windows XP",
-			BootTime: t0.Add(-3 * time.Hour), Uptime: 3 * time.Hour,
-			CPUIdle: 2*time.Hour + 59*time.Minute, MemLoadPct: 43, SwapLoadPct: 12,
-			FreeDiskGB: 31.25, PowerCycles: 412, PowerOnHours: 9001,
-			SentBytes: 123456789, RecvBytes: 987654321,
-			SessionUser: "alice", SessionStart: t0.Add(-42 * time.Minute),
-		},
-		{
-			Time: t0.Add(15 * time.Minute), ID: "lab2-m17", Lab: "lab2",
-			CPUModel: "AMD Athlon XP 1700+", CPUGHz: 1.4665,
-			RAMMB: 256, SwapMB: 0, DiskGB: 40, Serial: "",
-			MACs:     []string{"00:0d:56:aa:bb:cc", "00:11:22:33:44:55", "aa:bb:cc:dd:ee:ff"},
-			OS:       "Windows 2000",
-			BootTime: t0, Uptime: 15 * time.Minute,
-			CPUIdle: 14 * time.Minute, MemLoadPct: 0, SwapLoadPct: 0,
-			FreeDiskGB: 0.125, PowerCycles: 1, PowerOnHours: 0,
-			SentBytes: 0, RecvBytes: 42,
-		},
-		{
-			Time: t0.Add(30 * time.Minute), ID: "lab3-m02", Lab: "lab3",
-			CPUModel: "VIA C3", CPUGHz: 0.8,
-			RAMMB: 128, SwapMB: 256, DiskGB: 20.001, Serial: "S/N 0",
-			MACs: nil, OS: "Windows XP",
-			BootTime: t0.Add(-100 * 24 * time.Hour), Uptime: 100 * 24 * time.Hour,
-			CPUIdle: 99 * 24 * time.Hour, MemLoadPct: 100, SwapLoadPct: 100,
-			FreeDiskGB: 19.999, PowerCycles: 1 << 40, PowerOnHours: 1 << 41,
-			SentBytes: 1<<63 + 7, RecvBytes: 1 << 62,
-			SessionUser: "bob", SessionStart: t0.Add(30 * time.Minute),
-		},
-	}
-}
-
-// diffRender asserts legacy probe.Render and the zero-allocation
-// AppendRender (with a reused buffer) produce identical bytes.
-func diffRender() string {
-	var buf []byte
-	for _, sn := range probeFixtures() {
-		legacy := probe.Render(sn)
-		buf = probe.AppendRender(buf[:0], sn)
-		if !bytes.Equal(legacy, buf) {
-			return fmt.Sprintf("snapshot %s: Render and AppendRender differ at byte %d", sn.ID, firstByteDiff(legacy, buf))
-		}
-	}
-	return ""
-}
-
-// diffParse asserts legacy probe.Parse and a reused Parser.ParseBytes
-// decode identical snapshots from the same report.
-func diffParse() string {
-	p := probe.NewParser()
-	for _, sn := range probeFixtures() {
-		report := probe.Render(sn)
-		legacy, err1 := probe.Parse(report)
-		reused, err2 := p.ParseBytes(report)
-		if (err1 == nil) != (err2 == nil) {
-			return fmt.Sprintf("snapshot %s: Parse err=%v, Parser.ParseBytes err=%v", sn.ID, err1, err2)
-		}
-		if err1 != nil {
-			return fmt.Sprintf("snapshot %s: round-trip parse failed: %v", sn.ID, err1)
-		}
-		if d := check.FirstDiff(legacy, reused); d != "" {
-			return fmt.Sprintf("snapshot %s: %s", sn.ID, d)
-		}
 	}
 	return ""
 }

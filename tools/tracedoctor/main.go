@@ -25,9 +25,9 @@
 //	           (one trace per invariant class, plus clean.csv) into a
 //	           directory — `make doctor` checks them and demands a
 //	           non-zero exit on every corrupted one.
-//	-selftest  run the differential validation suite per seed (serial vs
-//	           -workers collection, CSV/TBv1 round-trips, legacy vs
-//	           zero-alloc probe codec, serial vs parallel analysis),
+//	-selftest  run the differential validation suite per seed (one vs
+//	           four collector shards, clean and fault-injected,
+//	           CSV/TBv1 round-trips, serial vs parallel analysis),
 //	           then write+reload+check each seed's trace in both CSV and
 //	           TBv1 (gzipped) through real files — the `make doctor`
 //	           entry point.
