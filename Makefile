@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
+.PHONY: build test verify bench profile ledger fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
 
 # Benchmark knobs: BENCHTIME=1x bounds CI cost (each benchmark runs once);
 # drop it locally for steadier numbers. The JSON summary (env block plus
@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 13
+PR ?= 20
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -37,12 +37,36 @@ bench:
 	$(GO) test -bench . -benchmem -count 1 -benchtime $(BENCHTIME) -timeout 30m \
 	    | $(GO) run ./tools/benchjson -o $(BENCHJSON)
 
-# fuzz smoke-runs the codec fuzzers (probe report parser, TBv1 trace
-# reader, format sniffer) for $(FUZZTIME) each. The committed corpora
-# under testdata/fuzz replay on every plain `go test` run; this target
-# explores new inputs.
+# profile answers "where does the paper's run go?": the 77-day, seed-1
+# experiment.Run once under the CPU profiler, then the cumulative top of
+# the profile. One simulated day (BenchmarkSimulation) hides whatever
+# grows with the trace — at 77 days the old machine-major sort was 27 %
+# of the run and on nobody's list. Binary and profile land in
+# $(PROFILEDIR), which .gitignore covers.
+PROFILEDIR ?= .bench_build/profile
+
+profile:
+	@mkdir -p $(PROFILEDIR)
+	$(GO) test -c -o $(PROFILEDIR)/winlab.test .
+	$(PROFILEDIR)/winlab.test -test.run '^$$' -test.bench '^BenchmarkSimulationPaperScale$$' \
+	    -test.benchtime 1x -test.benchmem -test.cpu 2 -test.cpuprofile $(PROFILEDIR)/cpu.prof
+	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILEDIR)/winlab.test $(PROFILEDIR)/cpu.prof
+
+# ledger writes this PR's pipebench result set (schema pipebench/1, three
+# runs per workload plus a traced one, ≈10 minutes) where a PR may commit
+# it: tools/pipebench/ledger is inside the benchmark's protected path,
+# bench/ledger is not. Compare two sets with
+#   bash tools/pipebench/run.sh -compare bench/ledger/PR<a>.json bench/ledger/PR<b>.json
+ledger:
+	bash tools/pipebench/run.sh -runs 3 -trace 1 -label PR$(PR) -o bench/ledger/PR$(PR).json
+
+# fuzz smoke-runs the codec fuzzers (probe report parser, fixed-point
+# float formatter, TBv1 trace reader, format sniffer) for $(FUZZTIME)
+# each. The committed corpora under testdata/fuzz replay on every plain
+# `go test` run; this target explores new inputs.
 fuzz:
 	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzParseBytes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
 

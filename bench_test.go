@@ -18,7 +18,8 @@
 //	BenchmarkHarvest       — desktop-grid yield (extension)
 //	BenchmarkAblation*     — design-choice ablations
 //	BenchmarkNBench*       — the benchmark suite's own kernels
-//	BenchmarkSimulation    — fleet-simulation throughput
+//	BenchmarkSimulation    — fleet-simulation throughput (one day)
+//	BenchmarkSimulationPaperScale — the 77-day run, per sample (-benchtime 1x)
 //	BenchmarkCollection    — probe render+parse+post-collect path
 package bench
 
@@ -287,6 +288,24 @@ func BenchmarkSimulation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSimulationPaperScale is the paper's run — 169 machines × 77
+// days, seed 1 — through experiment.Run, reported per collected sample.
+// One day (BenchmarkSimulation) hides every cost that grows with the
+// trace: the machine-major ordering pass and the sink's slice growth only
+// show at this length. One iteration takes seconds; run it with
+// -benchtime 1x (`make profile` does, under -cpuprofile).
+func BenchmarkSimulationPaperScale(b *testing.B) {
+	samples := 0
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.Run(experiment.Default(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples += len(res.Dataset.Samples)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(samples), "us/sample")
 }
 
 // BenchmarkProbeRender measures the probe's report generation on the

@@ -95,7 +95,7 @@ func (o oneShard) run(t *testing.T, eng *sim.Engine, start, end time.Time) *Shar
 	return c
 }
 
-func TestSimCollectorIterates(t *testing.T) {
+func TestCollectorIterates(t *testing.T) {
 	eng := sim.New(t0)
 	exec := &fakeExec{up: map[string]bool{"M1": true, "M2": false, "M3": true}}
 	var posts []string
@@ -147,7 +147,7 @@ func TestSimCollectorIterates(t *testing.T) {
 	}
 }
 
-func TestSimCollectorProbesSpreadInTime(t *testing.T) {
+func TestCollectorProbesSpreadInTime(t *testing.T) {
 	eng := sim.New(t0)
 	// The executor runs on the engine goroutine at the probe's scheduled
 	// instant, so it is where a probe's simulated time is observable.
@@ -176,7 +176,7 @@ func TestSimCollectorProbesSpreadInTime(t *testing.T) {
 	}
 }
 
-func TestSimCollectorOutages(t *testing.T) {
+func TestCollectorOutages(t *testing.T) {
 	eng := sim.New(t0)
 	exec := &fakeExec{up: map[string]bool{"M1": true}}
 	coll := oneShard{
@@ -194,7 +194,7 @@ func TestSimCollectorOutages(t *testing.T) {
 	}
 }
 
-func TestSimCollectorRejectsBadConfig(t *testing.T) {
+func TestCollectorRejectsBadConfig(t *testing.T) {
 	coll := &ShardedCollector{Exec: &fakeExec{}, Shards: []ShardSpec{{Machines: []string{"M1"}}}}
 	if err := coll.Install(sim.New(t0), t0, t0.Add(time.Hour)); err == nil {
 		t.Error("bad config accepted")

@@ -318,7 +318,7 @@ func (c *ShardedCollector) Install(eng *sim.Engine, start, end time.Time) error 
 			for s := range sw.batches {
 				sw.batches[s] = c.newBatch(thisIter, at)
 			}
-			sw.next = sw.step
+			sw.next = sim.Event{Name: "ddc-probe", Fn: sw.step}
 			sw.step(e)
 		})
 	}
@@ -341,15 +341,16 @@ func (c *ShardedCollector) Finish() {
 
 // sweep is one iteration of the serial scheduling chain: one event per
 // probe, each delayed by the previous probe's latency. The state lives
-// here rather than in per-probe closures, so the chain itself allocates
-// nothing per probe.
+// here rather than in per-probe closures, and the chain re-arms the one
+// event it owns, so it allocates nothing per probe — and, the next probe
+// nearly always being the engine's earliest event, never sifts a heap.
 type sweep struct {
 	c       *ShardedCollector
 	iter    int
 	start   time.Time
 	idx     int // next machine, in fleet order
 	batches []*shardBatch
-	next    func(*sim.Engine) // sw.step, bound once
+	next    sim.Event // the probe event; Fn is sw.step, bound once
 }
 
 // step probes machine idx at the engine's current instant — the probe's
@@ -373,7 +374,7 @@ func (sw *sweep) step(e *sim.Engine) {
 		b.responded++
 		ss.Samples++
 	}
-	e.After(c.account(id, sw.iter, err), "ddc-probe", sw.next)
+	e.Reschedule(&sw.next, c.account(id, sw.iter, err))
 }
 
 // probe takes one probe's outcome into the batch in the executor's

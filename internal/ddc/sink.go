@@ -30,6 +30,11 @@ type DatasetSink struct {
 	// next OnIteration books.
 	bookedParseErrs int
 
+	// bookedSamples is len(d.Samples) at the last booked iteration and
+	// largestIter the most samples any one iteration committed — what
+	// reserveLocked sizes the slice by.
+	bookedSamples, largestIter int
+
 	tel sinkTelemetry
 
 	// taps observe every committed sample and iteration record under the
@@ -172,6 +177,37 @@ func (s *DatasetSink) OnIteration(info IterationInfo) {
 			t.iter(it)
 		}
 	}
+	s.largestIter = max(s.largestIter, len(s.d.Samples)-s.bookedSamples)
+	s.bookedSamples = len(s.d.Samples)
+	s.reserveLocked(info.Start)
+}
+
+// reserveLocked sizes the sample slice for the rest of the run at an
+// iteration boundary, so that commit's append does not regrow it — a
+// copy of everything collected so far, in 1.25× steps — in the middle of
+// sweep after sweep. It acts only when the free capacity would not hold
+// another iteration as large as the largest so far, and then grows once,
+// by the samples the remaining iterations (those starting after last,
+// before the dataset's End) will bring at the rate seen so far plus 5 %.
+// That estimate is held between bounds: at least append's own quarter of
+// the length, so a rate that outruns it never copies more than append
+// would have; at most the largest iteration every remaining time; and
+// always room for one such iteration. A wrong early guess costs a copy of
+// a still-small slice. With no iterations left to come, or bounds that do
+// not say, append's growth stands.
+func (s *DatasetSink) reserveLocked(last time.Time) {
+	d := s.d
+	n := len(d.Samples)
+	left := d.End.Sub(last)
+	if cap(d.Samples)-n >= s.largestIter || d.Period <= 0 || left <= d.Period {
+		return
+	}
+	remaining := int((left - 1) / d.Period) // iterations starting in (last, End)
+	want := int(1.05 * float64(n) / float64(len(d.Iterations)) * float64(remaining))
+	want = max(min(max(want, n/4), remaining*s.largestIter), s.largestIter)
+	grown := make([]trace.Sample, n, n+want)
+	copy(grown, d.Samples)
+	d.Samples = grown
 }
 
 // CloneDataset deep-copies the accumulated dataset under the sink lock:

@@ -460,10 +460,10 @@ func TestIterationEndBothCollectors(t *testing.T) {
 	}
 }
 
-// TestSimCollectorIterationEndIsSweepEnd: the sim collector's End is the
+// TestCollectorIterationEndIsSweepEnd: the sim collector's End is the
 // simulated instant the last probe finished — start + the sum of the
 // modelled probe latencies.
-func TestSimCollectorIterationEndIsSweepEnd(t *testing.T) {
+func TestCollectorIterationEndIsSweepEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var got []IterationInfo
 	oneShard{

@@ -92,9 +92,49 @@ func appendUintKV(dst []byte, key string, val uint64) []byte {
 
 func appendFloatKV(dst []byte, key string, val float64, prec int) []byte {
 	dst = append(dst, key...)
-	dst = strconv.AppendFloat(dst, val, 'f', prec, 64)
+	dst = appendFixed(dst, val, prec)
 	return append(dst, '\n')
 }
+
+// appendFixed appends val with prec decimals, byte for byte what
+// strconv.AppendFloat(dst, val, 'f', prec, 64) appends — which, having no
+// short path for 'f' with a precision, does it in multiprecision decimal.
+// A float64 is m × 2^-shift with m < 2^53, so for prec ≤ 3 the scaled
+// value m × 10^prec fits in 63 bits and the quotient, the exact remainder
+// and the round-half-to-even decision (strconv's rule, on the same exact
+// value) are integer operations. Everything outside that envelope —
+// negative or non-finite values, subnormals, magnitudes of 2^53 and
+// above, a shift that leaves no integer bits — goes to strconv.
+func appendFixed(dst []byte, val float64, prec int) []byte {
+	bits := math.Float64bits(val)
+	exp := int(bits >> 52) // sign bit included: a negative value fails the range test below
+	shift := 1075 - exp    // val = m × 2^-shift
+	if bits != 0 && (exp == 0 || shift < 0 || shift > 63) || uint(prec) >= uint(len(scale10)) {
+		return strconv.AppendFloat(dst, val, 'f', prec, 64)
+	}
+	var q uint64
+	if bits != 0 {
+		n := (bits&(1<<52-1) | 1<<52) * scale10[prec]
+		q = n >> shift
+		if shift > 0 {
+			rem, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+			if rem > half || rem == half && q&1 == 1 {
+				q++
+			}
+		}
+	}
+	dst = strconv.AppendUint(dst, q/scale10[prec], 10)
+	if prec > 0 {
+		dst = append(dst, '.')
+		for frac, p := q%scale10[prec], prec-1; p >= 0; p-- {
+			dst = append(dst, byte('0'+frac/scale10[p]%10))
+		}
+	}
+	return dst
+}
+
+// scale10 holds 10^prec for the precisions appendFixed formats itself.
+var scale10 = [...]uint64{1, 10, 100, 1000}
 
 func appendTimeKV(dst []byte, key string, t time.Time) []byte {
 	dst = append(dst, key...)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -196,5 +198,192 @@ func TestStepOnEmpty(t *testing.T) {
 	e := New(t0)
 	if e.Step() {
 		t.Error("Step on empty queue returned true")
+	}
+}
+
+// refEvent is one pending event of the reference model the property test
+// compares the engine with: a plain list, the next event found by
+// scanning for the smallest (at, seq).
+type refEvent struct {
+	at      time.Time
+	seq, id int
+}
+
+// TestEngineMatchesReferenceModel drives random At/After/Cancel/Reschedule
+// calls — from outside and from inside handlers, with equal instants
+// common — through the engine and through a list ordered by (At, seq), and
+// requires the same event to fire at every step, with Now, Fired, Pending,
+// Cancelled and the tracer agreeing. The front slot and the heap are an
+// implementation of that order, nothing more.
+func TestEngineMatchesReferenceModel(t *testing.T) {
+	delays := []time.Duration{0, 0, time.Second, time.Second, 2 * time.Second, 7 * time.Second, time.Minute}
+	for seed := int64(1); seed <= 30; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		e := New(t0)
+		var (
+			model  []refEvent // pending, in no particular order
+			seq    int        // mirrors the engine's sequence counter
+			fired  int64
+			traced = -1
+			owned  [4]Event  // caller-owned, re-armed with Reschedule; ids 0..3
+			events []*Event  // every event by id
+			mutate func(int) // up to n random calls on the engine and the model
+		)
+		pendingAt := func(id int) int {
+			for i, r := range model {
+				if r.id == id {
+					return i
+				}
+			}
+			return -1
+		}
+		fire := func(id int) func(*Engine) {
+			return func(en *Engine) {
+				next := 0
+				for i, r := range model {
+					if m := model[next]; r.at.Before(m.at) || r.at.Equal(m.at) && r.seq < m.seq {
+						next = i
+					}
+				}
+				want := model[next]
+				model = append(model[:next], model[next+1:]...)
+				fired++
+				if id != want.id || traced != id || !en.Now().Equal(want.at) {
+					t.Fatalf("seed %d: fired event %d at %v (tracer saw %d), model fires %d at %v",
+						seed, id, en.Now(), traced, want.id, want.at)
+				}
+				if en.Fired() != fired || en.Pending() != len(model) {
+					t.Fatalf("seed %d: in handler Fired %d Pending %d, model %d and %d",
+						seed, en.Fired(), en.Pending(), fired, len(model))
+				}
+				mutate(rnd.Intn(4))
+			}
+		}
+		for id := range owned {
+			owned[id] = Event{Name: strconv.Itoa(id), Fn: fire(id)}
+			events = append(events, &owned[id])
+		}
+		e.SetTracer(func(ev *Event) { traced, _ = strconv.Atoi(ev.Name) })
+		mutate = func(n int) {
+			for ; n > 0; n-- {
+				d := delays[rnd.Intn(len(delays))]
+				switch op := rnd.Intn(10); {
+				case op < 5 && len(model) < 60:
+					id := len(events)
+					if op%2 == 0 {
+						events = append(events, e.At(e.Now().Add(d), strconv.Itoa(id), fire(id)))
+					} else {
+						events = append(events, e.After(d, strconv.Itoa(id), fire(id)))
+					}
+					model = append(model, refEvent{e.Now().Add(d), seq, id})
+					seq++
+				case op < 7:
+					id := rnd.Intn(len(events))
+					at := pendingAt(id)
+					was := events[id].Cancelled()
+					e.Cancel(events[id])
+					if at >= 0 {
+						model = append(model[:at], model[at+1:]...)
+					}
+					if got, want := events[id].Cancelled(), at >= 0 || was; got != want {
+						t.Fatalf("seed %d: event %d Cancelled() = %v, want %v", seed, id, got, want)
+					}
+				default:
+					id := rnd.Intn(len(owned))
+					if pendingAt(id) >= 0 {
+						continue // re-arming a pending event panics: TestRescheduleWhilePendingPanics
+					}
+					e.Reschedule(&owned[id], d)
+					model = append(model, refEvent{e.Now().Add(d), seq, id})
+					seq++
+				}
+			}
+		}
+		mutate(8)
+		for round := 0; round < 400; round++ {
+			switch rnd.Intn(4) {
+			case 0:
+				mutate(3)
+			case 1:
+				end := e.Now().Add(delays[rnd.Intn(len(delays))])
+				e.RunUntil(end)
+				for _, r := range model {
+					if r.at.Before(end) {
+						t.Fatalf("seed %d: RunUntil(%v) left event %d at %v", seed, end, r.id, r.at)
+					}
+				}
+				if !e.Now().Equal(end) {
+					t.Fatalf("seed %d: Now %v after RunUntil(%v)", seed, e.Now(), end)
+				}
+			default:
+				if want := len(model) > 0; e.Step() != want {
+					t.Fatalf("seed %d: Step = %v, model says %v", seed, !want, want)
+				}
+			}
+			if e.Fired() != fired || e.Pending() != len(model) {
+				t.Fatalf("seed %d: Fired %d Pending %d, model %d and %d",
+					seed, e.Fired(), e.Pending(), fired, len(model))
+			}
+		}
+		e.Run()
+		if len(model) != 0 || e.Pending() != 0 || e.Fired() != fired {
+			t.Fatalf("seed %d: after Run %d events left in the model, Pending %d, Fired %d (model %d)",
+				seed, len(model), e.Pending(), e.Fired(), fired)
+		}
+	}
+}
+
+func TestRescheduleWhilePendingPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		others int // events scheduled earlier, so ev waits in the heap rather than the front slot
+	}{{"front-slot", 0}, {"heap", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(t0)
+			for i := 0; i < tc.others; i++ {
+				e.After(time.Second, "other", func(*Engine) {})
+			}
+			fired := 0
+			ev := Event{Name: "mine", Fn: func(*Engine) { fired++ }}
+			e.Reschedule(&ev, time.Minute)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Reschedule of a pending event did not panic")
+					}
+				}()
+				e.Reschedule(&ev, time.Hour)
+			}()
+			e.Run()
+			// Fired, and cancelled, events may be armed again.
+			e.Reschedule(&ev, time.Minute)
+			e.Cancel(&ev)
+			e.Reschedule(&ev, time.Minute)
+			e.Run()
+			if fired != 2 || e.Pending() != 0 {
+				t.Errorf("fired %d times with %d pending, want 2 and 0", fired, e.Pending())
+			}
+		})
+	}
+}
+
+// TestProbeChainStaysOutOfHeap pins the cost model of the front slot: a
+// chain that re-arms its own event ahead of everything queued neither
+// allocates nor grows the heap.
+func TestProbeChainStaysOutOfHeap(t *testing.T) {
+	e := New(t0)
+	for i := 0; i < 100; i++ {
+		e.After(time.Duration(i+1)*time.Hour, "model", func(*Engine) {})
+	}
+	var chain Event
+	chain = Event{Name: "chain", Fn: func(en *Engine) { en.Reschedule(&chain, time.Second) }}
+	e.Reschedule(&chain, time.Second)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !e.Step() || e.front != &chain || len(e.queue) != 100 {
+			t.Fatal("chain event left the front slot")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one chain step allocates %.0f objects, want 0", allocs)
 	}
 }

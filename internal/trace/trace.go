@@ -5,7 +5,8 @@
 package trace
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,23 +174,105 @@ func (d *Dataset) Days() float64 {
 }
 
 // SortSamples orders samples by machine then time, the order the pairing
-// and session-detection passes require. Collectors append in iteration
-// order, so this is typically a near-sorted input. Freeze calls it once;
-// on an already-frozen dataset it is a (stable) no-op.
+// and session-detection passes require; samples with equal (machine, time)
+// keep their relative order. A collector commits iteration-major — every
+// machine's samples are spread over the whole slice — so ordering its
+// output is a full transpose, not a touch-up; a dataset that was read
+// from a file or already frozen is in order. Both cases are linear: one
+// scan recognises an ordered slice and returns, otherwise the samples are
+// bucketed by machine and permuted in place (see sortSamplesLocked).
+// Freeze calls it once.
 func (d *Dataset) SortSamples() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
 	d.sortSamplesLocked()
 }
 
+// sortSamplesLocked is a counting sort on the machine ID followed by a
+// per-machine check of the time order. The distinct IDs (at most the
+// fleet size) are ranked by sorting them, not the samples; one pass then
+// gives every sample its destination, and the permutation is applied in
+// place by following its cycles — 4 bytes of index per sample instead of
+// a second 208-byte-per-sample slice, which a 64 MB/shard grid run cannot
+// afford. Commit order within one machine is time order, so the time
+// pass is normally one comparison per sample; a bucket that is not in
+// order (hand-built or merged input) gets a stable sort by time. Indexes
+// are uint32: 2³² samples would be 890 GB resident.
 func (d *Dataset) sortSamplesLocked() {
-	sort.SliceStable(d.Samples, func(i, j int) bool {
-		a, b := &d.Samples[i], &d.Samples[j]
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
+	s := d.Samples
+	if samplesOrdered(s) {
+		return
+	}
+	// Number the machines in first-seen order and count their samples;
+	// dest[i] holds sample i's machine number until the destination pass
+	// overwrites it.
+	seen := make(map[string]uint32, len(d.Machines))
+	ids := make([]string, 0, len(d.Machines))
+	next := make([]uint32, 0, len(d.Machines))
+	dest := make([]uint32, len(s))
+	for i := range s {
+		n, ok := seen[s[i].Machine]
+		if !ok {
+			n = uint32(len(ids))
+			seen[s[i].Machine] = n
+			ids = append(ids, s[i].Machine)
+			next = append(next, 0)
 		}
-		return a.Time.Before(b.Time)
-	})
+		dest[i] = n
+		next[n]++
+	}
+	// Rank the IDs; next[n] turns from machine n's count into the output
+	// position of its next sample, starting at its bucket's first slot.
+	byID := make([]uint32, len(ids))
+	for n := range byID {
+		byID[n] = uint32(n)
+	}
+	slices.SortFunc(byID, func(a, b uint32) int { return strings.Compare(ids[a], ids[b]) })
+	at := uint32(0)
+	for _, n := range byID {
+		at, next[n] = at+next[n], at
+	}
+	for i := range dest {
+		n := dest[i]
+		dest[i] = next[n]
+		next[n]++
+	}
+	// Apply the permutation: carry each displaced sample around its cycle.
+	for i := range s {
+		if dest[i] == uint32(i) {
+			continue
+		}
+		carry := s[i]
+		for j := dest[i]; j != uint32(i); j, dest[j] = dest[j], j {
+			carry, s[j] = s[j], carry
+		}
+		s[i] = carry
+	}
+	// next[n] is now the end of machine n's bucket, so walking the ranks
+	// walks the buckets in output order.
+	lo := uint32(0)
+	for _, n := range byID {
+		bucket := s[lo:next[n]]
+		lo = next[n]
+		if !samplesOrdered(bucket) {
+			slices.SortStableFunc(bucket, func(a, b Sample) int { return a.Time.Compare(b.Time) })
+		}
+	}
+}
+
+// samplesOrdered reports whether s is in (machine, time) order.
+func samplesOrdered(s []Sample) bool {
+	for i := 1; i < len(s); i++ {
+		a, b := &s[i-1], &s[i]
+		if a.Machine == b.Machine {
+			if b.Time.Before(a.Time) {
+				return false
+			}
+		} else if a.Machine > b.Machine {
+			return false
+		}
+	}
+	return true
 }
 
 // ByMachine groups the samples per machine, preserving time order. It is
