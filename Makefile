@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench profile ledger fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
+.PHONY: build test verify bench profile profile-grid ledger fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
 
 # Benchmark knobs: BENCHTIME=1x bounds CI cost (each benchmark runs once);
 # drop it locally for steadier numbers. The JSON summary (env block plus
@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 20
+PR ?= 22
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -52,6 +52,25 @@ profile:
 	    -test.benchtime 1x -test.benchmem -test.cpu 2 -test.cpuprofile $(PROFILEDIR)/cpu.prof
 	$(GO) tool pprof -top -cum -nodecount 40 $(PROFILEDIR)/winlab.test $(PROFILEDIR)/cpu.prof
 
+# profile-grid is profile for grid_shards' trace stages: the six-segment
+# merge at the benchmark's 100k-machine shape under the CPU and
+# allocation profilers. The benchmark collects its own segments first,
+# so both reports are focused on the stage's entry point; for the other
+# two stages set GRIDBENCH=BenchmarkGridCursor GRIDFOCUS=NextRun, or
+# GRIDBENCH=BenchmarkGridSegmentWrite GRIDFOCUS=BenchmarkGridSegmentWrite.
+# Start the next PR on this path from its output, not from a guess.
+GRIDBENCH ?= BenchmarkGridMerge
+GRIDFOCUS ?= MergeSegments
+
+profile-grid:
+	@mkdir -p $(PROFILEDIR)
+	$(GO) test -c -o $(PROFILEDIR)/winlab.test .
+	GRIDSCALE_MACHINES=$(GRIDSCALE_MACHINES) $(PROFILEDIR)/winlab.test -test.run '^$$' -test.bench '^$(GRIDBENCH)$$' \
+	    -test.benchtime 3x -test.benchmem -test.cpu 2 \
+	    -test.cpuprofile $(PROFILEDIR)/grid-cpu.prof -test.memprofile $(PROFILEDIR)/grid-mem.prof -test.memprofilerate 4096
+	$(GO) tool pprof -top -cum -nodecount 40 -focus '$(GRIDFOCUS)' $(PROFILEDIR)/winlab.test $(PROFILEDIR)/grid-cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 -focus '$(GRIDFOCUS)' $(PROFILEDIR)/winlab.test $(PROFILEDIR)/grid-mem.prof
+
 # ledger writes this PR's pipebench result set (schema pipebench/1, three
 # runs per workload plus a traced one, ≈10 minutes) where a PR may commit
 # it: tools/pipebench/ledger is inside the benchmark's protected path,
@@ -61,14 +80,16 @@ ledger:
 	bash tools/pipebench/run.sh -runs 3 -trace 1 -label PR$(PR) -o bench/ledger/PR$(PR).json
 
 # fuzz smoke-runs the codec fuzzers (probe report parser, fixed-point
-# float formatter, TBv1 trace reader, format sniffer) for $(FUZZTIME)
-# each. The committed corpora under testdata/fuzz replay on every plain
-# `go test` run; this target explores new inputs.
+# float formatter, TBv1 trace reader, format sniffer, segment merge
+# against its oracle) for $(FUZZTIME) each. The committed corpora under
+# testdata/fuzz replay on every plain `go test` run; this target
+# explores new inputs.
 fuzz:
 	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzParseBytes$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)
 
 # Trace doctor knobs: which sim seeds the differential suite replays and
 # how many simulated days per seed (the full paper run is 77 days; 7 is
@@ -146,13 +167,15 @@ scenario-longhaul:
 # of 64 MB per shard (see TestGridScale). Gating — a red run means some
 # path materialises the fleet dataset and sharded collection no longer
 # bounds per-shard memory. The iteration count is compressed (12 vs the
-# paper's 7392); the resident state does not depend on it.
+# paper's 7392); the resident state does not depend on it. At this size
+# TestGridMergedDigest also replays pipebench's grid_shards layout for
+# seeds 1-3 and holds the merged bytes to the ledger's digests.
 GRIDSCALE_MACHINES ?= 100000
 GRIDSCALE_ITERS ?= 12
 
 gridscale:
 	GRIDSCALE_MACHINES=$(GRIDSCALE_MACHINES) GRIDSCALE_ITERS=$(GRIDSCALE_ITERS) \
-	    $(GO) test . -run '^TestGridScale$$' -v -count 1 -timeout 20m
+	    $(GO) test . -run '^TestGrid(Scale|MergedDigest)$$' -v -count 1 -timeout 20m
 
 # stream-smoke is the out-of-core gate: stream-analyze a TBv1 trace
 # several times larger than an enforced soft memory limit and assert

@@ -21,11 +21,13 @@
 //	BenchmarkSimulation    — fleet-simulation throughput (one day)
 //	BenchmarkSimulationPaperScale — the 77-day run, per sample (-benchtime 1x)
 //	BenchmarkCollection    — probe render+parse+post-collect path
+//	BenchmarkGrid*         — grid_shards' trace stages: segment write, merge, cursor
 package bench
 
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +35,7 @@ import (
 	"winlab/internal/analysis"
 	"winlab/internal/ddc"
 	"winlab/internal/experiment"
+	"winlab/internal/gridfleet"
 	"winlab/internal/harvest"
 	"winlab/internal/lab"
 	"winlab/internal/nbench"
@@ -517,6 +520,118 @@ func BenchmarkTraceStreamCursor(b *testing.B) {
 		if uint64(n) != c.DeclaredSamples() {
 			b.Fatalf("decoded %d of %d samples", n, c.DeclaredSamples())
 		}
+	}
+}
+
+// gridSegments collects pipebench's grid_shards layout — two shards,
+// four-iteration chunks, twelve iterations, so six segments — into a
+// fresh directory and returns its manifest. GRIDSCALE_MACHINES sizes the
+// fleet (20k by default; `make profile-grid` raises it to the
+// benchmark's 100k).
+func gridSegments(b *testing.B) (string, *trace.Manifest) {
+	b.Helper()
+	dir := b.TempDir()
+	mpath, _, err := gridfleet.Collect(dir, 1, gridEnvInt("GRIDSCALE_MACHINES", 20000), 2, 12, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := trace.ReadManifest(mpath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dir, m
+}
+
+// gridMerge compacts the manifest's segments into dir/grid-merged.tb and
+// returns the path and size of the merged trace.
+func gridMerge(b *testing.B, dir string, m *trace.Manifest) (string, int64) {
+	b.Helper()
+	path := filepath.Join(dir, "grid-merged.tb")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := trace.MergeSegments(f, m, dir); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return path, info.Size()
+}
+
+// BenchmarkGridSegmentWrite measures writing one frozen chunk (half the
+// fleet × four iterations) as a TBv1 segment file — what each shard
+// does three times per grid_shards round (trace.segment_write).
+func BenchmarkGridSegmentWrite(b *testing.B) {
+	dir, m := gridSegments(b)
+	seg := filepath.Join(dir, m.Segments[0].Path)
+	ds, err := trace.ReadFile(seg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(seg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(info.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.WriteFileFormat(filepath.Join(dir, "rewrite.tb"), ds, trace.FormatTB); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGridMerge measures the streaming compaction of the six
+// segments into one canonical trace, file to file (trace.merge);
+// throughput is in merged bytes.
+func BenchmarkGridMerge(b *testing.B) {
+	dir, m := gridSegments(b)
+	_, size := gridMerge(b, dir, m)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gridMerge(b, dir, m)
+	}
+}
+
+// BenchmarkGridCursor measures a run-at-a-time drain of the merged
+// trace from disk (trace.cursor_count) — the rate the merge is judged
+// against.
+func BenchmarkGridCursor(b *testing.B) {
+	dir, m := gridSegments(b)
+	path, size := gridMerge(b, dir, m)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var run stream.Run
+	for i := 0; i < b.N; i++ {
+		c, err := stream.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := uint64(0)
+		for {
+			ok, err := c.NextRun(&run)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n += uint64(len(run.Samples))
+		}
+		if n != c.DeclaredSamples() {
+			b.Fatalf("decoded %d of %d samples", n, c.DeclaredSamples())
+		}
+		c.Close()
 	}
 }
 

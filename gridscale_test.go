@@ -7,14 +7,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"winlab/internal/ddc"
-	"winlab/internal/machine"
+	"winlab/internal/gridfleet"
 	"winlab/internal/sim"
 	"winlab/internal/trace"
 	"winlab/internal/trace/check"
@@ -34,176 +33,7 @@ import (
 // fill, and compacts the segments with the streaming merger. Peak live
 // heap is asserted against a per-shard ceiling: the resident state is
 // one chunk of samples per shard plus catalogues, never machines×iters.
-
-// gridSource is an arithmetic PureSource: every field of a snapshot is
-// derived from a hash of (machine ID, instant). No per-machine state
-// exists, so a 100k-machine fleet costs only its ID strings.
-type gridSource struct {
-	start time.Time
-}
-
-func (g gridSource) Reachable(id string, at time.Time) bool { return true }
-
-func (g gridSource) Snapshot(id string, at time.Time) (machine.Snapshot, bool) {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	seed := h.Sum64()
-	mix := seed ^ uint64(at.Unix())*0x9e3779b97f4a7c15
-	boot := g.start.Add(-time.Duration(seed%72) * time.Hour)
-	up := at.Sub(boot)
-	return machine.Snapshot{
-		Time: at, ID: id, Lab: gridLab(id),
-		CPUModel: "Intel(R) Pentium(R) 4 CPU 2.40GHz", CPUGHz: 2.4,
-		RAMMB: 512, SwapMB: 768, DiskGB: 74.5,
-		Serial: "GRID-" + id, OS: "Windows XP",
-		BootTime: boot, Uptime: up,
-		CPUIdle:     up * time.Duration(50+mix%50) / 100,
-		MemLoadPct:  int(mix % 101),
-		SwapLoadPct: int(mix >> 8 % 101),
-		FreeDiskGB:  float64(mix%60000) / 1000,
-		PowerCycles: int64(seed % 2000), PowerOnHours: int64(seed % 30000),
-		SentBytes: mix % (1 << 32), RecvBytes: (mix >> 16) % (1 << 32),
-	}, true
-}
-
-// gridFleet builds n machine IDs ("G<lab>-m<index>", 100 machines per
-// lab) and the matching catalogue metadata.
-func gridFleet(n int) ([]string, []trace.MachineInfo) {
-	ids := make([]string, n)
-	infos := make([]trace.MachineInfo, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("G%03d-m%06d", i/100, i)
-		infos[i] = trace.MachineInfo{
-			ID: ids[i], Lab: gridLab(ids[i]),
-			RAMMB: 512, DiskGB: 74.5, IntIndex: 30.5, FPIndex: 33.1,
-		}
-	}
-	return ids, infos
-}
-
-func gridLab(id string) string { return id[:4] }
-
-// chunker rolls one shard's samples into time-chunked segment files:
-// every chunkIters iterations the current sink is frozen, written as a
-// TBv1 segment, and replaced — bounding the shard's resident samples to
-// one chunk. Runs entirely on the shard's goroutine.
-type chunker struct {
-	dir        string
-	shard      int
-	infos      []trace.MachineInfo
-	period     time.Duration
-	chunkIters int
-	runEnd     time.Time
-
-	sink  *ddc.DatasetSink
-	count int
-	segs  []trace.SegmentInfo
-	err   error
-}
-
-func (c *chunker) post(iter int, machineID string, stdout []byte, err error) {
-	c.sink.Post(iter, machineID, stdout, err)
-}
-
-func (c *chunker) onIteration(info ddc.IterationInfo) {
-	c.sink.OnIteration(info)
-	c.count++
-	if c.count >= c.chunkIters {
-		c.flush()
-	}
-}
-
-func (c *chunker) newSink(start time.Time) {
-	end := start.Add(time.Duration(c.chunkIters) * c.period)
-	if end.After(c.runEnd) {
-		end = c.runEnd
-	}
-	c.sink = ddc.NewDatasetSink(start, end, c.period, c.infos)
-	c.count = 0
-}
-
-// flush freezes the current chunk, writes it as a segment and opens the
-// next sink window.
-func (c *chunker) flush() {
-	ds, err := c.sink.Dataset()
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	nextStart := ds.End
-	if len(ds.Samples) > 0 || len(ds.Iterations) > 0 {
-		ds.SortSamples()
-		name := fmt.Sprintf("grid-%03d-%03d.tb", c.shard, len(c.segs))
-		if err := trace.WriteFileFormat(filepath.Join(c.dir, name), ds, trace.FormatTB); err != nil && c.err == nil {
-			c.err = err
-		}
-		c.segs = append(c.segs, trace.NewSegmentInfo(name, c.shard, ds))
-	}
-	c.newSink(nextStart)
-}
-
-// collectGrid runs a sharded collection over the arithmetic fleet and
-// returns the manifest path plus the collector's fleet-wide stats.
-func collectGrid(dir string, machines, shards, iters, chunkIters int) (string, ddc.Stats, error) {
-	ids, infos := gridFleet(machines)
-	start := time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
-	period := 15 * time.Minute
-	end := start.Add(time.Duration(iters) * period)
-
-	parts := ddc.PartitionN(ids, shards)
-	chunkers := make([]*chunker, len(parts))
-	specs := make([]ddc.ShardSpec, len(parts))
-	at := 0
-	for i, part := range parts {
-		ck := &chunker{
-			dir: dir, shard: i, infos: infos[at : at+len(part)],
-			period: period, chunkIters: chunkIters, runEnd: end,
-		}
-		ck.newSink(start)
-		at += len(part)
-		chunkers[i] = ck
-		specs[i] = ddc.ShardSpec{Machines: part, Post: ck.post, OnIteration: ck.onIteration}
-	}
-
-	eng := sim.New(start)
-	// Sequential probing must fit the period at grid scale: 100k probes
-	// × 500µs = 50 simulated seconds per sweep, well inside 15 minutes.
-	lat := func() time.Duration { return 500 * time.Microsecond }
-	coll := &ddc.ShardedCollector{
-		Cfg: ddc.Config{
-			Period:      period,
-			LatencyOK:   lat,
-			LatencyFail: lat,
-		},
-		Exec:   &ddc.PureDirect{Source: gridSource{start: start}, Now: eng.Now},
-		Shards: specs,
-	}
-	if err := coll.Install(eng, start, end); err != nil {
-		return "", ddc.Stats{}, err
-	}
-	eng.RunUntil(end)
-	coll.Finish()
-
-	m := &trace.Manifest{Start: start, End: end, PeriodNS: period}
-	for _, ck := range chunkers {
-		ck.flush() // final partial chunk
-		if ck.err != nil {
-			return "", ddc.Stats{}, fmt.Errorf("shard %d: %w", ck.shard, ck.err)
-		}
-		m.Segments = append(m.Segments, ck.segs...)
-	}
-	sort.Slice(m.Segments, func(a, b int) bool {
-		sa, sb := m.Segments[a], m.Segments[b]
-		if sa.Shard != sb.Shard {
-			return sa.Shard < sb.Shard
-		}
-		return sa.FirstIter < sb.FirstIter
-	})
-	mpath := filepath.Join(dir, "grid.manifest.json")
-	if err := trace.WriteManifest(mpath, m); err != nil {
-		return "", ddc.Stats{}, err
-	}
-	return mpath, coll.Stats(), nil
-}
+// The fleet and the chunked collection live in internal/gridfleet.
 
 func gridEnvInt(name string, def int) int {
 	if v := os.Getenv(name); v != "" {
@@ -261,7 +91,7 @@ func TestGridScale(t *testing.T) {
 		}
 	}()
 
-	mpath, stats, err := collectGrid(dir, machines, shards, iters, chunkIters)
+	mpath, stats, err := gridfleet.Collect(dir, 0, machines, shards, iters, chunkIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +152,48 @@ func TestGridScale(t *testing.T) {
 		machines, iters, shards, len(m.Segments), float64(grew)/(1<<20), ceiling>>20)
 }
 
+// TestGridMergedDigest pins the merged trace of pipebench's grid_shards
+// layout (two shards, four-iteration chunks) to the FNV-64a digests its
+// ledger records: the segment encoder and the compactor may get faster,
+// never different. The smoke-sized row always runs; `make gridscale`
+// (100k × 12) adds the three full-size ledger rows.
+func TestGridMergedDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects thousands of machines")
+	}
+	type row struct {
+		machines, iters int
+		seed            uint64
+		digest          string
+	}
+	rows := []row{{2000, 4, 1, "cd1a40edc110cbaf"}}
+	if gridEnvInt("GRIDSCALE_MACHINES", 0) == 100000 && gridEnvInt("GRIDSCALE_ITERS", 0) == 12 {
+		rows = append(rows,
+			row{100000, 12, 1, "4365a7f474e507f0"},
+			row{100000, 12, 2, "c6b02014f7447788"},
+			row{100000, 12, 3, "c0f1b35b0c6e32fc"})
+	}
+	for _, row := range rows {
+		dir := t.TempDir()
+		mpath, _, err := gridfleet.Collect(dir, row.seed, row.machines, 2, row.iters, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := trace.ReadManifest(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		if err := trace.MergeSegments(h, m, dir); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != row.digest {
+			t.Errorf("%d machines × %d iters, seed %d: merged digest %s, want %s",
+				row.machines, row.iters, row.seed, got, row.digest)
+		}
+	}
+}
+
 // BenchmarkShardedCollection measures sharded collection wall time on a
 // paper-scale fleet at 1/2/4/8 shards: one simulated day (96 iterations)
 // of 169 machines per op. The serial residue per probe is the scheduling
@@ -331,7 +203,7 @@ func TestGridScale(t *testing.T) {
 func BenchmarkShardedCollection(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			ids, infos := gridFleet(169)
+			ids, infos := gridfleet.Fleet(169)
 			start := time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
 			period := 15 * time.Minute
 			end := start.AddDate(0, 0, 1)
@@ -352,7 +224,7 @@ func BenchmarkShardedCollection(b *testing.B) {
 				lat := func() time.Duration { return 800 * time.Millisecond }
 				coll := &ddc.ShardedCollector{
 					Cfg:    ddc.Config{Period: period, LatencyOK: lat, LatencyFail: lat},
-					Exec:   &ddc.PureDirect{Source: gridSource{start: start}, Now: eng.Now},
+					Exec:   &ddc.PureDirect{Source: gridfleet.Source{Start: start}, Now: eng.Now},
 					Shards: specs,
 				}
 				if err := coll.Install(eng, start, end); err != nil {

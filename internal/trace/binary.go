@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -46,8 +47,11 @@ import (
 // one period in every clock, by small increments in every counter, and
 // not at all in most floats — so deltas are 1–6 byte varints and the XOR
 // of two nearby float64s clears the high mantissa bits. Samples stay in
-// dataset order (the per-machine state lives in a map), so a decoded
-// dataset is deep-equal to the encoded one, including sample order.
+// dataset order (a machine's predictor is found through its dictionary
+// reference, whatever was sampled in between), so a decoded dataset is
+// deep-equal to the encoded one, including sample order. The predictor
+// belongs to the dictionary slot: writers intern every string once, and
+// a hostile stream that interns a machine twice gets two predictors.
 //
 // Malformed input must produce errors, never panics or unbounded
 // allocation: every count and string length is validated against caps
@@ -101,6 +105,22 @@ func clampPrealloc(n uint64) int {
 	return int(n)
 }
 
+// growTo makes room for one more entry in a slice that mirrors an
+// untrusted count. Capacity doubles — append's 1.25× schedule copies a
+// long catalogue five times over — but never past the declared count,
+// and only once the entries so far have really decoded, so memory stays
+// proportional to input consumed.
+func growTo[T any](s []T, declared uint64) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := uint64(max(len(s), 16))
+	if room := declared - uint64(len(s)); room < n {
+		n = max(room, 1)
+	}
+	return slices.Grow(s, int(n))
+}
+
 // tbState is the per-machine (and per-iteration) delta predictor. Writer
 // and reader evolve identical copies, so only differences hit the wire.
 type tbState struct {
@@ -131,40 +151,99 @@ func baseState(start time.Time) tbState {
 	}
 }
 
+// tbSlab hands out per-machine predictor states, indexed by dictionary
+// reference (no string is hashed to find one). States are cut from
+// chunked backing arrays — a 100k-machine stream costs a few hundred
+// allocations, not one per machine — and a chunk is never reallocated,
+// so the pointers handed out stay valid.
+type tbSlab struct {
+	base  tbState
+	byRef []*tbState
+	free  []tbState // uncut tail of the newest chunk
+	chunk int       // its size
+}
+
+// tbSlabChunk caps a backing array; chunks double up to it, so a small
+// stream stays small and an untrusted one pays only for the machines its
+// samples actually name.
+const tbSlabChunk = 1024
+
+// get returns the predictor of the machine interned at ref, seeding a
+// new one from the header start time on first use.
+func (p *tbSlab) get(ref uint64) *tbState {
+	if ref < uint64(len(p.byRef)) {
+		if st := p.byRef[ref]; st != nil {
+			return st
+		}
+	}
+	for uint64(len(p.byRef)) <= ref {
+		p.byRef = append(p.byRef, nil)
+	}
+	if len(p.free) == 0 {
+		p.chunk = min(max(16, 2*p.chunk), tbSlabChunk)
+		p.free = make([]tbState, p.chunk)
+	}
+	st := &p.free[0]
+	p.free = p.free[1:]
+	*st = p.base
+	p.byRef[ref] = st
+	return st
+}
+
 // --- writer ---
 
+// tbWriter appends the wire form of each field to one reusable buffer;
+// the owner hands the buffer to w a full IO window at a time (spill),
+// so a sample costs no Write call of its own.
 type tbWriter struct {
-	w    *bufio.Writer
-	tmp  [binary.MaxVarintLen64]byte
+	w    io.Writer
+	buf  []byte
+	err  error // first write error; sticky, reported by flush
 	dict map[string]uint64
 }
 
-func (e *tbWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(e.tmp[:], v)
-	e.w.Write(e.tmp[:n])
-}
+func (e *tbWriter) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
-func (e *tbWriter) varint(v int64) {
-	n := binary.PutVarint(e.tmp[:], v)
-	e.w.Write(e.tmp[:n])
-}
+func (e *tbWriter) varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
 func (e *tbWriter) f64(v float64) {
-	binary.LittleEndian.PutUint64(e.tmp[:8], math.Float64bits(v))
-	e.w.Write(e.tmp[:8])
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// str writes a dictionary reference, introducing the string on first use.
-func (e *tbWriter) str(s string) {
-	if idx, ok := e.dict[s]; ok {
+// str writes a dictionary reference, introducing the string on first
+// use, and returns the reference.
+func (e *tbWriter) str(s string) uint64 {
+	idx, ok := e.dict[s]
+	if ok {
 		e.uvarint(idx)
-		return
+		return idx
 	}
-	idx := uint64(len(e.dict))
+	idx = uint64(len(e.dict))
 	e.dict[s] = idx
 	e.uvarint(idx)
 	e.uvarint(uint64(len(s)))
-	e.w.WriteString(s)
+	e.buf = append(e.buf, s...)
+	return idx
+}
+
+// refMemo remembers the last string one field position interned, so a
+// machine-contiguous stream looks nothing up inside a run: the machine,
+// its lab and the (usually empty) session user repeat sample after
+// sample.
+type refMemo struct {
+	s   string
+	ref uint64
+	ok  bool
+}
+
+// memoStr is str through a one-entry memo.
+func (e *tbWriter) memoStr(m *refMemo, s string) uint64 {
+	if m.ok && m.s == s {
+		e.uvarint(m.ref)
+		return m.ref
+	}
+	m.s, m.ref, m.ok = s, e.str(s), true
+	return m.ref
 }
 
 // time writes an absolute instant relative to a predictor, advancing it.
@@ -173,6 +252,28 @@ func (e *tbWriter) time(t time.Time, sec, ns *int64) {
 	e.varint(ts - *sec)
 	e.varint(tn - *ns)
 	*sec, *ns = ts, tn
+}
+
+// tbSpill is the buffer fill at which spill writes it out: one IO window
+// less room for a whole sample, so the buffer never regrows on the way.
+const tbSpill = ioBufSize - 512
+
+// spill hands a full buffer to the underlying writer. Callers invoke it
+// between records, so every Write carries whole records.
+func (e *tbWriter) spill() {
+	if len(e.buf) >= tbSpill {
+		e.flush()
+	}
+}
+
+// flush writes the buffered bytes out and returns the first write error
+// the stream has seen.
+func (e *tbWriter) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
 }
 
 // binaryEncoder writes a TBv1 stream incrementally: the header, machine
@@ -186,9 +287,14 @@ func (e *tbWriter) time(t time.Time, sec, ns *int64) {
 // it); flush verifies the promise was kept, because a count mismatch
 // would make the stream undecodable past the shorter side.
 type binaryEncoder struct {
-	e        *tbWriter
-	base     tbState
-	states   map[uint64]*tbState
+	e      *tbWriter
+	states tbSlab
+
+	// Per-field memos of the previous sample, and the predictor of the
+	// memoised machine.
+	machine, lab, user refMemo
+	st                 *tbState
+
 	declared uint64
 	written  uint64
 }
@@ -197,10 +303,10 @@ type binaryEncoder struct {
 // iteration blocks, sample count) and returns an encoder positioned at
 // the first sample.
 func newBinaryEncoder(w io.Writer, start, end time.Time, period time.Duration, machines []MachineInfo, iterations []Iteration, samples uint64) *binaryEncoder {
-	e := &tbWriter{w: bufio.NewWriterSize(w, ioBufSize), dict: make(map[string]uint64, 64)}
+	e := &tbWriter{w: w, buf: make([]byte, 0, ioBufSize), dict: make(map[string]uint64, len(machines)+64)}
 	ver := tbVersionFor(machines)
-	e.w.Write(magicTB)
-	e.w.WriteByte(ver)
+	e.buf = append(e.buf, magicTB...)
+	e.buf = append(e.buf, ver)
 
 	var hdr tbState
 	e.time(start, &hdr.timeSec, &hdr.timeNs)
@@ -210,6 +316,7 @@ func newBinaryEncoder(w io.Writer, start, end time.Time, period time.Duration, m
 	e.uvarint(uint64(len(machines)))
 	for i := range machines {
 		m := &machines[i]
+		e.spill()
 		e.str(m.ID)
 		e.str(m.Lab)
 		e.varint(int64(m.RAMMB))
@@ -225,6 +332,7 @@ func newBinaryEncoder(w io.Writer, start, end time.Time, period time.Duration, m
 	e.uvarint(uint64(len(iterations)))
 	prev := baseState(start)
 	for _, it := range iterations {
+		e.spill()
 		e.varint(int64(it.Iter) - prev.iter)
 		prev.iter = int64(it.Iter)
 		e.time(it.Start, &prev.timeSec, &prev.timeNs)
@@ -246,8 +354,7 @@ func newBinaryEncoder(w io.Writer, start, end time.Time, period time.Duration, m
 	e.uvarint(samples)
 	return &binaryEncoder{
 		e:        e,
-		base:     baseState(start),
-		states:   make(map[uint64]*tbState, len(machines)),
+		states:   tbSlab{base: baseState(start)},
 		declared: samples,
 	}
 }
@@ -256,55 +363,65 @@ func newBinaryEncoder(w io.Writer, start, end time.Time, period time.Duration, m
 // sample of the same machine.
 func (b *binaryEncoder) writeSample(s *Sample) {
 	e := b.e
-	e.str(s.Machine)
-	mref := e.dict[s.Machine]
-	st := b.states[mref]
-	if st == nil {
-		cp := b.base
-		st = &cp
-		b.states[mref] = st
+	e.spill()
+	was := b.machine.ref
+	if ref := e.memoStr(&b.machine, s.Machine); ref != was || b.st == nil {
+		b.st = b.states.get(ref)
 	}
-	e.str(s.Lab)
-	e.varint(int64(s.Iter) - st.iter)
+	st := b.st
+	e.memoStr(&b.lab, s.Lab)
+
+	// The fifteen numeric fields append through a local, so the slice
+	// header is not reloaded and stored back once per varint.
+	buf := e.buf
+	buf = binary.AppendVarint(buf, int64(s.Iter)-st.iter)
 	st.iter = int64(s.Iter)
-	e.time(s.Time, &st.timeSec, &st.timeNs)
-	e.time(s.BootTime, &st.bootSec, &st.bootNs)
-	e.varint(int64(s.Uptime) - st.uptime)
+	sec, ns := s.Time.Unix(), int64(s.Time.Nanosecond())
+	buf = binary.AppendVarint(buf, sec-st.timeSec)
+	buf = binary.AppendVarint(buf, ns-st.timeNs)
+	st.timeSec, st.timeNs = sec, ns
+	sec, ns = s.BootTime.Unix(), int64(s.BootTime.Nanosecond())
+	buf = binary.AppendVarint(buf, sec-st.bootSec)
+	buf = binary.AppendVarint(buf, ns-st.bootNs)
+	st.bootSec, st.bootNs = sec, ns
+	buf = binary.AppendVarint(buf, int64(s.Uptime)-st.uptime)
 	st.uptime = int64(s.Uptime)
-	e.varint(int64(s.CPUIdle) - st.cpuIdle)
+	buf = binary.AppendVarint(buf, int64(s.CPUIdle)-st.cpuIdle)
 	st.cpuIdle = int64(s.CPUIdle)
-	e.varint(int64(s.MemLoadPct) - st.mem)
+	buf = binary.AppendVarint(buf, int64(s.MemLoadPct)-st.mem)
 	st.mem = int64(s.MemLoadPct)
-	e.varint(int64(s.SwapLoadPct) - st.swap)
+	buf = binary.AppendVarint(buf, int64(s.SwapLoadPct)-st.swap)
 	st.swap = int64(s.SwapLoadPct)
 	db := math.Float64bits(s.DiskGB)
-	e.uvarint(db ^ st.diskBits)
+	buf = binary.AppendUvarint(buf, db^st.diskBits)
 	st.diskBits = db
 	fb := math.Float64bits(s.FreeDiskGB)
-	e.uvarint(fb ^ st.freeBits)
+	buf = binary.AppendUvarint(buf, fb^st.freeBits)
 	st.freeBits = fb
-	e.varint(s.PowerCycles - st.cycles)
+	buf = binary.AppendVarint(buf, s.PowerCycles-st.cycles)
 	st.cycles = s.PowerCycles
-	e.varint(s.PowerOnHours - st.hours)
+	buf = binary.AppendVarint(buf, s.PowerOnHours-st.hours)
 	st.hours = s.PowerOnHours
-	e.varint(int64(s.SentBytes - st.sent)) // wrap-around delta
+	buf = binary.AppendVarint(buf, int64(s.SentBytes-st.sent)) // wrap-around delta
 	st.sent = s.SentBytes
-	e.varint(int64(s.RecvBytes - st.recv))
+	buf = binary.AppendVarint(buf, int64(s.RecvBytes-st.recv))
 	st.recv = s.RecvBytes
-	e.str(s.SessionUser)
+	e.buf = buf
+
+	e.memoStr(&b.user, s.SessionUser)
 	if s.SessionUser != "" {
 		e.time(s.SessionStart, &st.sessSec, &st.sessNs)
 	}
 	b.written++
 }
 
-// flush drains the buffered writer after verifying the declared sample
-// count was honoured.
+// flush drains the buffer after verifying the declared sample count was
+// honoured.
 func (b *binaryEncoder) flush() error {
 	if b.written != b.declared {
 		return fmt.Errorf("trace: tbv1: encoder wrote %d samples, declared %d", b.written, b.declared)
 	}
-	return b.e.w.Flush()
+	return b.e.flush()
 }
 
 // WriteBinary serialises the dataset in the TBv1 binary format.
@@ -318,31 +435,113 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 
 // --- reader ---
 
+// tbReader decodes fields from a peeked window of r's buffer: varints
+// and short strings are sliced straight out of it, with no call into
+// bufio per byte. Whatever the window cannot serve — a field that
+// straddles its end, a string longer than it, the last bytes of the
+// stream — goes through r directly, which is also where every
+// truncation and overflow error is produced.
 type tbReader struct {
-	r    *bufio.Reader
-	dict []string
-	err  error
+	r       *bufio.Reader
+	win     []byte // peeked from r, not yet consumed
+	peeked  int    // len(win) when it was peeked; the rest is consumed
+	scratch []byte // staging for bytes read past the window
+	dict    []string
+	err     error
+}
+
+// tbWindow is how far ahead the reader peeks: a hundred samples or so
+// per refill, and small enough to fit any caller-supplied bufio.Reader
+// worth the name.
+const tbWindow = 4096
+
+// sync returns the unconsumed window to r ahead of a direct read.
+func (d *tbReader) sync() {
+	d.r.Discard(d.peeked - len(d.win)) // peeked bytes are buffered: cannot fail
+	d.win, d.peeked = nil, 0
+}
+
+// fill re-peeks the window. A short (or empty) window is not an error
+// here: the caller falls through to a direct read, which reports it.
+func (d *tbReader) fill() {
+	d.sync()
+	d.win, _ = d.r.Peek(tbWindow)
+	d.peeked = len(d.win)
+}
+
+// bytes returns the next n bytes of the stream: a slice of the window
+// when it holds them (refilled once), otherwise read from r into the
+// scratch buffer. Either way they are only good until the next read.
+// After an error it returns nil.
+func (d *tbReader) bytes(what string, n int) []byte {
+	if len(d.win) < n && d.err == nil {
+		d.fill()
+	}
+	if len(d.win) >= n {
+		b := d.win[:n]
+		d.win = d.win[n:]
+		return b
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.sync()
+	if cap(d.scratch) < n {
+		d.scratch = make([]byte, n)
+	}
+	b := d.scratch[:n]
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		d.wrap(what, err)
+		return nil
+	}
+	return b
+}
+
+// atEOF reports whether the stream has been consumed exactly.
+func (d *tbReader) atEOF() bool {
+	if len(d.win) > 0 {
+		return false
+	}
+	d.sync()
+	_, err := d.r.ReadByte()
+	return err == io.EOF
 }
 
 func (d *tbReader) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("trace: tbv1: "+format, args...)
+		d.win, d.peeked = nil, 0 // sticky: no fast path reads on
 	}
 }
 
 func (d *tbReader) wrap(what string, err error) {
-	if d.err == nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		d.err = fmt.Errorf("trace: tbv1: %s: %w", what, err)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
+	d.fail("%s: %w", what, err)
 }
 
 func (d *tbReader) uvarint(what string) uint64 {
+	if v, n := binary.Uvarint(d.win); n > 0 {
+		d.win = d.win[n:]
+		return v
+	}
+	return d.uvarintSlow(what)
+}
+
+// uvarintSlow serves a varint the window does not hold whole.
+func (d *tbReader) uvarintSlow(what string) uint64 {
 	if d.err != nil {
 		return 0
 	}
+	d.fill()
+	if v, n := binary.Uvarint(d.win); n > 0 {
+		d.win = d.win[n:]
+		return v
+	}
+	// Overflow, or the stream ends inside the varint: the byte-wise
+	// reader tells which.
+	d.sync()
 	v, err := binary.ReadUvarint(d.r)
 	if err != nil {
 		d.wrap(what, err)
@@ -351,59 +550,88 @@ func (d *tbReader) uvarint(what string) uint64 {
 	return v
 }
 
-func (d *tbReader) varint(what string) int64 {
-	if d.err != nil {
-		return 0
+// uvarints decodes len(out) consecutive varints, what[i] labelling the
+// i-th in errors. When the window holds all of them at their longest
+// the loop runs on locals: no call, no window bookkeeping and no bounds
+// reasoning per value. Anything unusual — a short window, a ten-byte
+// varint — starts over one uvarint at a time, which also words the
+// errors.
+func (d *tbReader) uvarints(out []uint64, what []string) {
+	if b := d.win; len(b) >= len(out)*binary.MaxVarintLen64 {
+		off := 0
+	fast:
+		for i := range out {
+			var x uint64
+			for shift := uint(0); shift < 63; shift += 7 {
+				c := b[off]
+				off++
+				if c < 0x80 {
+					out[i] = x | uint64(c)<<shift
+					continue fast
+				}
+				x |= uint64(c&0x7f) << shift
+			}
+			off = -1 // a tenth byte: leave it to the checked path
+			break
+		}
+		if off >= 0 {
+			d.win = b[off:]
+			return
+		}
 	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.wrap(what, err)
-		return 0
+	for i := range out {
+		out[i] = d.uvarint(what[i])
 	}
-	return v
 }
+
+// unzig maps a zig-zag varint back to the signed value it encodes.
+func unzig(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+func (d *tbReader) varint(what string) int64 { return unzig(d.uvarint(what)) }
 
 func (d *tbReader) f64(what string) float64 {
-	if d.err != nil {
+	b := d.bytes(what, 8)
+	if b == nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		d.wrap(what, err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// str reads a dictionary reference, materialising new entries.
-func (d *tbReader) str(what string) string {
+// str reads a dictionary reference, materialising new entries, and
+// returns the string with its reference.
+func (d *tbReader) str(what string) (string, uint64) {
 	ref := d.uvarint(what)
 	if d.err != nil {
-		return ""
+		return "", 0
 	}
 	if ref < uint64(len(d.dict)) {
-		return d.dict[ref]
+		return d.dict[ref], ref
 	}
 	if ref > uint64(len(d.dict)) {
 		d.fail("%s: dictionary reference %d out of range (dict has %d)", what, ref, len(d.dict))
-		return ""
+		return "", 0
 	}
 	n := d.uvarint(what)
 	if d.err != nil {
-		return ""
+		return "", 0
 	}
 	if n > tbMaxString {
 		d.fail("%s: string length %d exceeds limit", what, n)
-		return ""
+		return "", 0
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.wrap(what, err)
-		return ""
+	b := d.bytes(what, int(n))
+	if d.err != nil {
+		return "", 0
 	}
-	s := string(buf)
-	d.dict = append(d.dict, s)
-	return s
+	s := string(b)
+	d.dict = append(growTo(d.dict, math.MaxUint64), s)
+	return s, ref
 }
 
 // time reads an instant relative to a predictor, advancing it.
@@ -449,8 +677,40 @@ func readBinary(br *bufio.Reader) (*Dataset, error) {
 		if !ok {
 			return ds, nil
 		}
-		ds.Samples = append(ds.Samples, s)
+		ds.Samples = append(growTo(ds.Samples, c.declared), s)
 	}
+}
+
+// The fifteen varints every sample carries between its lab reference and
+// its session user, in wire order, and the label each goes by in decode
+// errors.
+const (
+	fIter = iota
+	fTimeSec
+	fTimeNs
+	fBootSec
+	fBootNs
+	fUptime
+	fCPUIdle
+	fMem
+	fSwap
+	fDisk
+	fFree
+	fCycles
+	fHours
+	fSent
+	fRecv
+	tbSampleVarints
+)
+
+var tbSampleFields = [tbSampleVarints]string{
+	fIter: "sample iter", fTimeSec: "sample time", fTimeNs: "sample time",
+	fBootSec: "sample boot time", fBootNs: "sample boot time",
+	fUptime: "sample uptime", fCPUIdle: "sample cpu idle",
+	fMem: "sample mem load", fSwap: "sample swap load",
+	fDisk: "sample disk gb", fFree: "sample free gb",
+	fCycles: "sample power cycles", fHours: "sample power-on hours",
+	fSent: "sample sent bytes", fRecv: "sample recv bytes",
 }
 
 // BinaryCursor decodes a TBv1 stream incrementally. The header, machine
@@ -475,8 +735,8 @@ type BinaryCursor struct {
 	done     bool
 	err      error
 
-	base   tbState
-	states map[string]*tbState
+	states tbSlab
+	mref   uint64 // dictionary reference of the last sample's machine
 }
 
 // NewBinaryCursor reads the TBv1 magic, header, machine and iteration
@@ -520,8 +780,8 @@ func newBinaryCursor(br *bufio.Reader) (*BinaryCursor, error) {
 	}
 	for i := uint64(0); i < nM && dec.err == nil; i++ {
 		var m MachineInfo
-		m.ID = dec.str("machine id")
-		m.Lab = dec.str("machine lab")
+		m.ID, _ = dec.str("machine id")
+		m.Lab, _ = dec.str("machine lab")
 		m.RAMMB = int(dec.varint("machine ram"))
 		m.DiskGB = dec.f64("machine disk")
 		m.IntIndex = dec.f64("machine int index")
@@ -534,7 +794,7 @@ func newBinaryCursor(br *bufio.Reader) (*BinaryCursor, error) {
 			}
 		}
 		if dec.err == nil {
-			c.machines = append(c.machines, m)
+			c.machines = append(growTo(c.machines, nM), m)
 		}
 	}
 
@@ -566,7 +826,7 @@ func newBinaryCursor(br *bufio.Reader) (*BinaryCursor, error) {
 		prev.cycles += dec.varint("iteration parse errors")
 		it.ParseErrors = int(prev.cycles)
 		if dec.err == nil {
-			c.iterations = append(c.iterations, it)
+			c.iterations = append(growTo(c.iterations, nI), it)
 		}
 	}
 
@@ -574,8 +834,7 @@ func newBinaryCursor(br *bufio.Reader) (*BinaryCursor, error) {
 	if dec.err != nil {
 		return nil, dec.err
 	}
-	c.base = baseState(c.start)
-	c.states = make(map[string]*tbState, len(c.machines))
+	c.states.base = baseState(c.start)
 	return c, nil
 }
 
@@ -614,7 +873,7 @@ func (c *BinaryCursor) Next(s *Sample) (bool, error) {
 	}
 	if c.decoded == c.declared {
 		c.done = true
-		if _, err := c.dec.r.ReadByte(); err != io.EOF {
+		if !c.dec.atEOF() {
 			c.err = fmt.Errorf("trace: tbv1: trailing data after sample block")
 			return false, c.err
 		}
@@ -622,46 +881,48 @@ func (c *BinaryCursor) Next(s *Sample) (bool, error) {
 	}
 
 	dec := c.dec
-	*s = Sample{}
-	s.Machine = dec.str("sample machine")
+	s.Machine, c.mref = dec.str("sample machine")
 	if dec.err != nil {
 		c.err = dec.err
 		return false, c.err
 	}
-	st := c.states[s.Machine]
-	if st == nil {
-		cp := c.base
-		st = &cp
-		c.states[s.Machine] = st
-	}
-	s.Lab = dec.str("sample lab")
-	st.iter += dec.varint("sample iter")
+	st := c.states.get(c.mref)
+	s.Lab, _ = dec.str("sample lab")
+	var f [tbSampleVarints]uint64
+	dec.uvarints(f[:], tbSampleFields[:])
+	st.iter += unzig(f[fIter])
 	s.Iter = int(st.iter)
-	s.Time = dec.time("sample time", &st.timeSec, &st.timeNs)
-	s.BootTime = dec.time("sample boot time", &st.bootSec, &st.bootNs)
-	st.uptime += dec.varint("sample uptime")
+	st.timeSec += unzig(f[fTimeSec])
+	st.timeNs += unzig(f[fTimeNs])
+	s.Time = time.Unix(st.timeSec, st.timeNs).UTC()
+	st.bootSec += unzig(f[fBootSec])
+	st.bootNs += unzig(f[fBootNs])
+	s.BootTime = time.Unix(st.bootSec, st.bootNs).UTC()
+	st.uptime += unzig(f[fUptime])
 	s.Uptime = time.Duration(st.uptime)
-	st.cpuIdle += dec.varint("sample cpu idle")
+	st.cpuIdle += unzig(f[fCPUIdle])
 	s.CPUIdle = time.Duration(st.cpuIdle)
-	st.mem += dec.varint("sample mem load")
+	st.mem += unzig(f[fMem])
 	s.MemLoadPct = int(st.mem)
-	st.swap += dec.varint("sample swap load")
+	st.swap += unzig(f[fSwap])
 	s.SwapLoadPct = int(st.swap)
-	st.diskBits ^= dec.uvarint("sample disk gb")
+	st.diskBits ^= f[fDisk]
 	s.DiskGB = math.Float64frombits(st.diskBits)
-	st.freeBits ^= dec.uvarint("sample free gb")
+	st.freeBits ^= f[fFree]
 	s.FreeDiskGB = math.Float64frombits(st.freeBits)
-	st.cycles += dec.varint("sample power cycles")
+	st.cycles += unzig(f[fCycles])
 	s.PowerCycles = st.cycles
-	st.hours += dec.varint("sample power-on hours")
+	st.hours += unzig(f[fHours])
 	s.PowerOnHours = st.hours
-	st.sent += uint64(dec.varint("sample sent bytes"))
+	st.sent += uint64(unzig(f[fSent]))
 	s.SentBytes = st.sent
-	st.recv += uint64(dec.varint("sample recv bytes"))
+	st.recv += uint64(unzig(f[fRecv]))
 	s.RecvBytes = st.recv
-	s.SessionUser = dec.str("sample session user")
+	s.SessionUser, _ = dec.str("sample session user")
 	if s.SessionUser != "" {
 		s.SessionStart = dec.time("sample session start", &st.sessSec, &st.sessNs)
+	} else {
+		s.SessionStart = time.Time{}
 	}
 	if dec.err != nil {
 		c.err = dec.err

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -20,12 +23,12 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	valid := seedBuf.Bytes()
 	f.Add(append([]byte(nil), valid...))
-	f.Add(valid[:len(valid)/2])             // truncated mid-stream
-	f.Add(valid[:5])                        // header only
-	f.Add([]byte{})                         // empty
-	f.Add([]byte("WLTB"))                   // magic, no version
-	f.Add([]byte("NOPE\x01"))               // wrong magic
-	f.Add([]byte("WLTB\x02"))               // future version
+	f.Add(valid[:len(valid)/2])                                          // truncated mid-stream
+	f.Add(valid[:5])                                                     // header only
+	f.Add([]byte{})                                                      // empty
+	f.Add([]byte("WLTB"))                                                // magic, no version
+	f.Add([]byte("NOPE\x01"))                                            // wrong magic
+	f.Add([]byte("WLTB\x02"))                                            // future version
 	f.Add(append([]byte("WLTB\x01"), bytes.Repeat([]byte{0x80}, 32)...)) // overlong varint
 	f.Add(append([]byte("WLTB\x01"), 0, 0, 0, 0, 0, 0, 0,
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)) // huge count
@@ -81,6 +84,89 @@ func FuzzReadBinary(f *testing.F) {
 			if a.Machine != b.Machine || !a.Time.Equal(b.Time) ||
 				a.SentBytes != b.SentBytes || a.SessionUser != b.SessionUser {
 				t.Fatalf("sample %d drifted: %+v vs %+v", i, a, b)
+			}
+		}
+	})
+}
+
+// mergeFuzzSeeds are segment pairs covering what the compactor has to
+// tell apart: disjoint shards, time chunks of one shard, overlapping
+// and unsorted segments, a truncated stream, a twice-interned machine.
+// They seed FuzzMergeSegmentStreams and are committed under
+// testdata/fuzz as its regression corpus.
+func mergeFuzzSeeds(t testing.TB) [][2][]byte {
+	enc := func(d *Dataset) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	shards := shardFixture(3, []string{"01-a", "01-b"}, []string{"02-a"})
+	a, b := enc(shards[0]), enc(shards[1])
+	early, late := SplitAt(shards[0], t0.Add(20*time.Minute))
+	early.Machines, late.Machines = shards[0].Machines, shards[0].Machines
+	swapped := variant(shards[0], shards[0].Machines, append([]Sample(nil), shards[0].Samples...))
+	swapped.Samples[0], swapped.Samples[1] = swapped.Samples[1], swapped.Samples[0]
+	sessions := variant(shards[1], shards[1].Machines, append([]Sample(nil), shards[1].Samples...))
+	sessions.Samples[1].SessionUser, sessions.Samples[1].SessionStart = "u1", t0.Add(time.Minute)
+	empty := enc(&Dataset{Start: t0, End: t0.Add(time.Hour), Period: 15 * time.Minute})
+	// "01-a" interned a second time, as slot 4, for its second sample.
+	// That sample starts where the one-sample image ends (the images
+	// differ only in the one-byte count) with the machine reference 0.
+	at := len(enc(variant(shards[0], shards[0].Machines, shards[0].Samples[:1])))
+	if a[at] != 0 {
+		t.Fatalf("fixture drifted: byte %d is %#x, want the machine reference 0", at, a[at])
+	}
+	twice := append(append(append([]byte{}, a[:at]...), 4, 4, '0', '1', '-', 'a'), a[at+1:]...)
+	return [][2][]byte{
+		{a, b}, {b, a}, {enc(early), enc(late)}, {a, a}, {enc(swapped), b},
+		{a, enc(sessions)}, {a, empty}, {a[:len(a)/2], b}, {twice, b}, {nil, a},
+	}
+}
+
+// FuzzMergeSegmentStreams feeds the compactor two arbitrary byte strings
+// as segments. It must never panic, and must not allocate beyond a
+// constant plus a multiple of the input (lying counts reserve nothing,
+// as in TestReadBinaryAllocBomb). Against the oracle: whatever the old
+// merge refused, this one refuses; what the old merge emitted, this one
+// emits byte for byte — or refuses with an *OrderError, the check the
+// old merge lacked; an overlap is reported with the same coordinates.
+func FuzzMergeSegmentStreams(f *testing.F) {
+	for _, seed := range mergeFuzzSeeds(f) {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		names := []string{"a", "b"}
+		var want bytes.Buffer
+		oerr := oracleMergeSegmentStreams(&want, names, []io.Reader{small(a), small(b)})
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var got bytes.Buffer
+		err := MergeSegmentStreams(&got, names, []io.Reader{bytes.NewReader(a), bytes.NewReader(b)})
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+128*(len(a)+len(b))); grew > limit {
+			t.Fatalf("merge of %d input bytes allocated %d, limit %d", len(a)+len(b), grew, limit)
+		}
+
+		var ord *OrderError
+		var ov, oov *OverlapError
+		switch {
+		case errors.As(err, &ord):
+			// Unsorted input: the oracle's verdict on it is not a reference.
+		case oerr == nil:
+			if err != nil {
+				t.Fatalf("the oracle merged this, the merge failed: %v", err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("merged bytes differ from the oracle's")
+			}
+		case err == nil:
+			t.Fatalf("the oracle refused this (%v), the merge accepted it", oerr)
+		case errors.As(oerr, &oov):
+			if !errors.As(err, &ov) || *ov != *oov {
+				t.Fatalf("overlap %v, oracle %v", err, oerr)
 			}
 		}
 	})

@@ -3,14 +3,16 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -33,12 +35,24 @@ import (
 //   - machine metadata is consistent: a machine catalogued by several
 //     segments (time-chunked shards re-catalogue their machines) must
 //     carry identical metadata everywhere;
-//   - each segment is machine-contiguous (all of a machine's samples
-//     consecutive), the order WriteBinary produces for a frozen dataset;
+//   - each segment is in canonical order — runs in ascending machine
+//     order (so machine-contiguous: a machine never reappears), time
+//     never going backwards inside a run — the order WriteBinary
+//     produces for a frozen dataset. The k-way merge is only correct
+//     over sorted inputs; a breach is an *OrderError naming the segment,
+//     the offending sample's machine and iteration, and the machine
+//     before it;
 //   - no two segments claim overlapping iteration ranges for the same
 //     machine — that means two shards probed one host, or two time
 //     chunks overlap, and the violation is reported with machine/iter
 //     coordinates as an *OverlapError rather than silently interleaved.
+//
+// Segments are decoded and re-encoded, never copied through as bytes: a
+// sample's wire form depends on its machine's predictor, and the
+// session-start predictor only advances on samples that carry a session
+// — after a chunk boundary the input's and the output's predictors
+// disagree for as long as nobody logs in, so a raw copy would be wrong
+// exactly when a user is logged in.
 //
 // The merged catalogue keeps first-appearance order and the merged
 // samples come out machine-major time-sorted — for segments written from
@@ -240,33 +254,92 @@ func MergeSegments(w io.Writer, m *Manifest, dir string) error {
 	return MergeSegmentStreams(w, names, readers)
 }
 
-// segHead is one segment's decode state in the k-way merge: the cursor,
-// its look-ahead sample, and the per-segment contiguity carry.
+// OrderError reports a segment whose samples are not in canonical order:
+// a run that does not sort after the run before it (Machine <
+// PrevMachine — which covers a machine reappearing after others, the
+// contiguity breach), or, with Machine == PrevMachine, time going
+// backwards inside a machine's run (or a hostile stream interning the
+// machine twice to open a second run for it). The k-way merge is only
+// correct over sorted inputs, so the compactor refuses the segment
+// instead of emitting a trace that is not machine-major time-sorted.
+// Iter is the iteration of the offending sample.
+type OrderError struct {
+	Segment     string
+	Machine     string
+	PrevMachine string
+	Iter        int
+}
+
+func (e *OrderError) Error() string {
+	if e.Machine == e.PrevMachine {
+		return fmt.Sprintf("trace: merge: %s is not time-sorted: machine %s goes back in time (or restarts its run) at iteration %d",
+			e.Segment, e.Machine, e.Iter)
+	}
+	return fmt.Sprintf("trace: merge: %s is not machine-sorted: %q (iteration %d) follows %q",
+		e.Segment, e.Machine, e.Iter, e.PrevMachine)
+}
+
+// segHead is one segment's decode state in the k-way merge: the cursor
+// and its look-ahead sample.
 type segHead struct {
 	idx  int
 	name string
 	c    *BinaryCursor
 	s    Sample
-	prev string // machine of the previous sample, for contiguity checks
+	ref  uint64 // dictionary reference of s.Machine: the run's identity
 }
 
-// segQueue orders segment heads by (machine, time, segment index) — the
-// canonical machine-major sample order SortSamples produces, with the
-// index as a deterministic tie-break.
+// advance decodes the segment's next sample into the look-ahead,
+// enforcing canonical order against the one it replaces. newRun reports
+// that the sample opens another machine's run.
+func (h *segHead) advance() (ok, newRun bool, err error) {
+	prevMachine, prevTime := h.s.Machine, h.s.Time
+	ok, err = h.c.Next(&h.s)
+	if err != nil {
+		return false, false, fmt.Errorf("trace: merge: %s: %w", h.name, err)
+	}
+	if !ok {
+		return false, false, nil
+	}
+	if h.c.mref != h.ref {
+		h.ref = h.c.mref
+		if h.s.Machine <= prevMachine {
+			return false, false, &OrderError{Segment: h.name, Machine: h.s.Machine, PrevMachine: prevMachine, Iter: h.s.Iter}
+		}
+		return true, true, nil
+	}
+	if h.s.Time.Before(prevTime) {
+		return false, false, &OrderError{Segment: h.name, Machine: h.s.Machine, PrevMachine: prevMachine, Iter: h.s.Iter}
+	}
+	return true, false, nil
+}
+
+// before reports whether h's look-ahead sorts before o's in the merged
+// order: (machine, time, segment index) — the canonical machine-major
+// sample order SortSamples produces, with the index as a deterministic
+// tie-break.
+func (h *segHead) before(o *segHead) bool {
+	if h.s.Machine != o.s.Machine {
+		return h.s.Machine < o.s.Machine
+	}
+	return h.earlier(o)
+}
+
+// earlier is before for two heads known to hold the same machine.
+func (h *segHead) earlier(o *segHead) bool {
+	if !h.s.Time.Equal(o.s.Time) {
+		return h.s.Time.Before(o.s.Time)
+	}
+	return h.idx < o.idx
+}
+
+// segQueue is the min-heap of segment heads.
 type segQueue []*segHead
 
-func (q segQueue) Len() int { return len(q) }
-func (q segQueue) Less(a, b int) bool {
-	if q[a].s.Machine != q[b].s.Machine {
-		return q[a].s.Machine < q[b].s.Machine
-	}
-	if !q[a].s.Time.Equal(q[b].s.Time) {
-		return q[a].s.Time.Before(q[b].s.Time)
-	}
-	return q[a].idx < q[b].idx
-}
-func (q segQueue) Swap(a, b int) { q[a], q[b] = q[b], q[a] }
-func (q *segQueue) Push(x any)   { *q = append(*q, x.(*segHead)) }
+func (q segQueue) Len() int           { return len(q) }
+func (q segQueue) Less(a, b int) bool { return q[a].before(q[b]) }
+func (q segQueue) Swap(a, b int)      { q[a], q[b] = q[b], q[a] }
+func (q *segQueue) Push(x any)        { *q = append(*q, x.(*segHead)) }
 func (q *segQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -276,10 +349,38 @@ func (q *segQueue) Pop() any {
 	return h
 }
 
+// runnerUp returns the head that sorts second, nil when the queue holds
+// one: in a binary heap it is the smaller child of the root.
+func (q segQueue) runnerUp() *segHead {
+	switch {
+	case len(q) < 2:
+		return nil
+	case len(q) > 2 && q.Less(2, 1):
+		return q[2]
+	}
+	return q[1]
+}
+
 // segRange is the iteration span one segment observed for one machine.
 type segRange struct {
 	seg    int
 	lo, hi int
+}
+
+// overlapIn looks for two segments whose iteration spans for one machine
+// intersect — they claim the same probes. spans is sorted in place.
+func overlapIn(machine string, spans []segRange, name func(int) string) *OverlapError {
+	slices.SortStableFunc(spans, func(a, b segRange) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo <= spans[i-1].hi {
+			return &OverlapError{
+				Machine:  machine,
+				SegmentA: name(spans[i-1].seg), LoA: spans[i-1].lo, HiA: spans[i-1].hi,
+				SegmentB: name(spans[i].seg), LoB: spans[i].lo, HiB: spans[i].hi,
+			}
+		}
+	}
+	return nil
 }
 
 // MergeSegmentStreams is the io-level core of MergeSegments: each reader
@@ -318,20 +419,31 @@ func MergeSegmentStreams(w io.Writer, names []string, rs []io.Reader) error {
 		end = maxTime(end, h.c.End())
 	}
 
-	// Merged catalogue: first-appearance order, duplicates must agree
-	// (time-chunked shards re-catalogue their machines).
-	var machines []MachineInfo
-	catalogued := map[string]MachineInfo{}
+	// Merged catalogue: first-appearance order, duplicates must agree.
+	// Time-chunked shards re-catalogue their machines in the same order,
+	// so a repeat is usually found where the previous one pointed, with
+	// no hashing; the index map serves first appearances and reorderings.
+	most := 0
 	for _, h := range heads {
+		most = max(most, len(h.c.Machines()))
+	}
+	machines := make([]MachineInfo, 0, most)
+	catalogued := make(map[string]int, most)
+	for _, h := range heads {
+		next := 0
 		for _, mi := range h.c.Machines() {
-			if prev, ok := catalogued[mi.ID]; ok {
-				if prev != mi {
-					return fmt.Errorf("trace: merge: %s catalogues machine %s with conflicting metadata", h.name, mi.ID)
-				}
-				continue
+			at, known := next, next < len(machines) && machines[next].ID == mi.ID
+			if !known {
+				at, known = catalogued[mi.ID]
 			}
-			catalogued[mi.ID] = mi
-			machines = append(machines, mi)
+			if !known {
+				at = len(machines)
+				catalogued[mi.ID] = at
+				machines = append(growTo(machines, math.MaxUint64), mi)
+			} else if machines[at] != mi {
+				return fmt.Errorf("trace: merge: %s catalogues machine %s with conflicting metadata", h.name, mi.ID)
+			}
+			next = at + 1
 		}
 	}
 
@@ -360,80 +472,65 @@ func MergeSegmentStreams(w io.Writer, names []string, rs []io.Reader) error {
 			return fmt.Errorf("trace: merge: %s: %w", h.name, err)
 		}
 		if ok {
-			h.prev = h.s.Machine
+			h.ref = h.c.mref
 			q = append(q, h)
 		}
 	}
 	heap.Init(&q)
 
-	// K-way merge by (machine, time). ranges tracks, per machine, the
-	// iteration span each segment contributed — the overlap evidence.
-	// Spans are keyed by (machine, segment) so a span keeps growing even
-	// when two segments interleave on one machine; the final report then
-	// carries each segment's whole claimed range, not the first collision.
-	type rangeKey struct {
+	// Galloping k-way merge. The least head's run is drained for as long
+	// as its next sample still sorts before the runner-up, so the heap
+	// is touched once per run, not once per sample. Every input is
+	// machine-sorted (advance enforces it), so the merged stream visits
+	// each machine once: spans — the iteration range each segment
+	// contributed to the machine being merged, the overlap evidence — is
+	// complete when the machine changes, and is judged and reset there.
+	// A span keeps growing when two segments interleave on one machine,
+	// so the report carries each segment's whole claimed range; the first
+	// overlap found is the lexically first machine's.
+	var (
+		overlap *OverlapError
 		machine string
-		seg     int
-	}
-	ranges := map[string][]segRange{}
-	idxOf := map[rangeKey]int{}
-	for q.Len() > 0 {
+		spans   []segRange
+	)
+	for len(q) > 0 {
 		h := q[0]
-		enc.writeSample(&h.s)
-
-		key := rangeKey{h.s.Machine, h.idx}
-		if i, ok := idxOf[key]; ok {
-			// Same segment extending its span. A machine reappearing in a
-			// segment after other machines breaks the contiguity contract
-			// (the heap's sortedness guarantee rests on it).
-			if h.s.Machine != h.prev {
-				return fmt.Errorf("trace: merge: %s is not machine-contiguous: %q reappears after other machines", h.name, h.s.Machine)
+		if h.s.Machine != machine {
+			if overlap == nil {
+				overlap = overlapIn(machine, spans, name)
 			}
-			r := &ranges[h.s.Machine][i]
-			if h.s.Iter < r.lo {
-				r.lo = h.s.Iter
-			}
-			if h.s.Iter > r.hi {
-				r.hi = h.s.Iter
-			}
-		} else {
-			idxOf[key] = len(ranges[h.s.Machine])
-			ranges[h.s.Machine] = append(ranges[h.s.Machine], segRange{seg: h.idx, lo: h.s.Iter, hi: h.s.Iter})
+			machine, spans = h.s.Machine, spans[:0]
 		}
-		h.prev = h.s.Machine
+		at := slices.IndexFunc(spans, func(r segRange) bool { return r.seg == h.idx })
+		if at < 0 {
+			at = len(spans)
+			spans = append(spans, segRange{seg: h.idx, lo: h.s.Iter, hi: h.s.Iter})
+		}
+		span := &spans[at]
 
-		ok, err := h.c.Next(&h.s)
-		if err != nil {
-			return fmt.Errorf("trace: merge: %s: %w", h.name, err)
-		}
-		if ok {
-			heap.Fix(&q, 0)
-		} else {
-			heap.Pop(&q)
-		}
-	}
-
-	// Overlap detection, with coordinates: any two segments whose
-	// iteration spans for one machine intersect claim the same probes.
-	// Report the lexically first machine so the error is deterministic.
-	var overlap *OverlapError
-	for id, rs := range ranges {
-		if len(rs) < 2 {
-			continue
-		}
-		sort.Slice(rs, func(a, b int) bool { return rs[a].lo < rs[b].lo })
-		for i := 1; i < len(rs); i++ {
-			if rs[i].lo <= rs[i-1].hi {
-				if overlap == nil || id < overlap.Machine {
-					overlap = &OverlapError{
-						Machine:  id,
-						SegmentA: name(rs[i-1].seg), LoA: rs[i-1].lo, HiA: rs[i-1].hi,
-						SegmentB: name(rs[i].seg), LoB: rs[i].lo, HiB: rs[i].hi,
-					}
-				}
+		// The runner-up gates the drain only while it holds the same
+		// machine; otherwise the whole run sorts before it.
+		ru := q.runnerUp()
+		contested := ru != nil && ru.s.Machine == machine
+		for {
+			enc.writeSample(&h.s)
+			span.lo, span.hi = min(span.lo, h.s.Iter), max(span.hi, h.s.Iter)
+			ok, newRun, err := h.advance()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				heap.Pop(&q)
+				break
+			}
+			if newRun || contested && !h.earlier(ru) {
+				heap.Fix(&q, 0)
 				break
 			}
 		}
+	}
+	if overlap == nil {
+		overlap = overlapIn(machine, spans, name)
 	}
 	if overlap != nil {
 		return overlap

@@ -180,35 +180,44 @@ func (c *Cursor) next(s *trace.Sample) (bool, error) {
 // the partial run and is returned (and sticky) — a truncated trace
 // never yields silently partial analysis input.
 func (c *Cursor) NextRun(run *Run) (bool, error) {
-	run.Samples = run.Samples[:0]
-	if !c.hasPending {
-		ok, err := c.next(&c.pending)
-		if err != nil || !ok {
-			return false, err
-		}
-		c.hasPending = true
-	}
-	run.Machine = c.pending.Machine
-	run.Samples = append(run.Samples, c.pending)
-	c.hasPending = false
-
 	limit := c.RunLimit
 	if limit <= 0 {
 		limit = DefaultRunLimit
 	}
-	for len(run.Samples) < limit {
-		ok, err := c.next(&c.pending)
+	// Samples decode straight into the run's buffer. Only the sample
+	// that turns out to open the next machine's run is copied, into
+	// pending — once per run, not twice per sample.
+	buf := run.Samples[:0]
+	if c.hasPending {
+		buf = append(buf, c.pending)
+		c.hasPending = false
+	}
+	for len(buf) < limit {
+		if len(buf) < cap(buf) {
+			buf = buf[:len(buf)+1]
+		} else {
+			buf = append(buf, trace.Sample{})
+		}
+		last := &buf[len(buf)-1]
+		ok, err := c.next(last)
 		if err != nil {
+			run.Samples = buf[:0]
 			return false, err
 		}
 		if !ok {
+			buf = buf[:len(buf)-1]
 			break
 		}
-		if c.pending.Machine != run.Machine {
-			c.hasPending = true
+		if last.Machine != buf[0].Machine {
+			c.pending, c.hasPending = *last, true
+			buf = buf[:len(buf)-1]
 			break
 		}
-		run.Samples = append(run.Samples, c.pending)
 	}
+	run.Samples = buf
+	if len(buf) == 0 {
+		return false, nil
+	}
+	run.Machine = buf[0].Machine
 	return true, nil
 }
