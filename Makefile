@@ -99,7 +99,8 @@ DOCTORDAYS ?= 7
 
 # doctor is the validation gate: for every seed it re-runs the repo's
 # equivalence claims (one vs four collector shards, clean and
-# fault-injected; CSV/TBv1 round trips; serial vs parallel analysis)
+# fault-injected; CSV/TBv1 round trips; the analysis engine fed from a
+# dataset, a TBv1 stream and unmerged segments)
 # and invariant-checks the collected trace in both formats; then the
 # negative leg writes the corrupted-fixture corpus and asserts -check
 # flags every fixture (and does not flag the clean one).
@@ -195,32 +196,40 @@ QUERYFLOOR ?= 100000
 
 # serve-smoke is the query-service gate: start queryd on a seeded
 # 3-day simulated trace, assert every /api endpoint answers 200, assert
-# the strong-ETag revalidation round-trip returns 304, then drive the
-# cached hot path with tools/queryload — shedding must hold the served
-# p99 under overload (-saturate) and throughput must clear $(QUERYFLOOR).
-# The latency/throughput curve lands in BENCH_PR9.json (CI uploads it as
-# a non-gating artifact).
+# the strong-ETag revalidation round-trip returns 304; then serve the
+# same 3-day run from a labmon-written TBv1 file with queryd -stream and
+# assert every /api endpoint (heatmap included) answers 200 there too;
+# then drive the cached hot path with tools/queryload — shedding must
+# hold the served p99 under overload (-saturate) and throughput must
+# clear $(QUERYFLOOR). The latency/throughput curve lands in
+# BENCH_PR9.json (CI uploads it as a non-gating artifact).
 serve-smoke:
 	@set -e; \
-	bin=$$(mktemp); \
-	trap 'kill $$pid 2>/dev/null || true; rm -f $$bin' EXIT; \
+	tmp=$$(mktemp -d); bin=$$tmp/queryd; \
+	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$bin ./cmd/queryd; \
-	$$bin -addr $(SERVEADDR) -sim-days 3 -seed 1 -hold 60s & pid=$$!; \
-	for i in $$(seq 1 150); do \
-	    curl -sf http://$(SERVEADDR)/api/epoch >/dev/null 2>&1 && break; \
-	    sleep 0.2; \
+	$(GO) build -o $$tmp/labmon ./cmd/labmon; \
+	$$tmp/labmon -seed 1 -days 3 -trace $$tmp/t.tb -quiet; \
+	for src in "-sim-days 3 -seed 1" "-stream $$tmp/t.tb"; do \
+	    $$bin -addr $(SERVEADDR) $$src -hold 60s & pid=$$!; \
+	    for i in $$(seq 1 150); do \
+	        curl -sf http://$(SERVEADDR)/api/epoch >/dev/null 2>&1 && break; \
+	        sleep 0.2; \
+	    done; \
+	    for ep in epoch summary availability labs machines weekly equivalence uptimes heatmap events; do \
+	        code=$$(curl -s -o /dev/null -w '%{http_code}' http://$(SERVEADDR)/api/$$ep); \
+	        [ "$$code" = 200 ] || { echo "serve-smoke: queryd $$src: /api/$$ep -> $$code (want 200)"; exit 1; }; \
+	    done; \
+	    echo "serve-smoke: queryd $$src: all /api endpoints 200"; \
+	    case $$src in -stream*) ;; *) \
+	        etag=$$(curl -sI http://$(SERVEADDR)/api/summary | tr -d '\r' | awk 'tolower($$1)=="etag:"{print $$2}'); \
+	        [ -n "$$etag" ] || { echo "serve-smoke: no ETag on /api/summary"; exit 1; }; \
+	        code=$$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $$etag" http://$(SERVEADDR)/api/summary); \
+	        [ "$$code" = 304 ] || { echo "serve-smoke: revalidation -> $$code (want 304)"; exit 1; }; \
+	        echo "serve-smoke: ETag round-trip 304 ok ($$etag)";; \
+	    esac; \
+	    kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
 	done; \
-	for ep in epoch summary availability labs machines weekly equivalence uptimes heatmap events; do \
-	    code=$$(curl -s -o /dev/null -w '%{http_code}' http://$(SERVEADDR)/api/$$ep); \
-	    [ "$$code" = 200 ] || { echo "serve-smoke: /api/$$ep -> $$code (want 200)"; exit 1; }; \
-	done; \
-	echo "serve-smoke: all /api endpoints 200"; \
-	etag=$$(curl -sI http://$(SERVEADDR)/api/summary | tr -d '\r' | awk 'tolower($$1)=="etag:"{print $$2}'); \
-	[ -n "$$etag" ] || { echo "serve-smoke: no ETag on /api/summary"; exit 1; }; \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $$etag" http://$(SERVEADDR)/api/summary); \
-	[ "$$code" = 304 ] || { echo "serve-smoke: revalidation -> $$code (want 304)"; exit 1; }; \
-	echo "serve-smoke: ETag round-trip 304 ok ($$etag)"; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
 	$(GO) run ./tools/queryload -sim-days 3 -seed 1 \
 	    -endpoints epoch,summary,availability,heatmap \
 	    -duration 1s -saturate -floor $(QUERYFLOOR) -o BENCH_PR9.json

@@ -1,20 +1,14 @@
-// Package bench is the reproduction's benchmark harness: one benchmark per
-// table and figure of the paper, plus the ablations called out in
-// DESIGN.md §5. Each benchmark regenerates its artefact from a shared
-// 14-day trace (the full 77-day run is cmd/labmon's job; the statistics
-// are scale-free) and attaches the headline values as custom benchmark
+// Package bench is the reproduction's benchmark harness: the paper's
+// tables and figures, plus the ablations called out in DESIGN.md §5. The
+// analysis benchmarks regenerate their artefacts from a shared 14-day
+// trace (the full 77-day run is cmd/labmon's job; the statistics are
+// scale-free) and attach the headline values as custom benchmark
 // metrics, so `go test -bench .` both times the analysis pipeline and
 // prints the reproduced numbers next to the paper's.
 //
 //	BenchmarkTable1        — hardware catalogue + fleet aggregates
-//	BenchmarkTable2        — main results (uptime, CPU, RAM, swap, disk, net)
-//	BenchmarkFigure2       — CPU idleness by session age
-//	BenchmarkFigure3       — powered-on / user-free series
-//	BenchmarkFigure4       — uptime ratios + session-length distribution
-//	BenchmarkSessions      — §5.2.1 session statistics
-//	BenchmarkPowerCycles   — §5.2.2 SMART analysis
-//	BenchmarkFigure5       — weekly resource profiles
-//	BenchmarkFigure6       — cluster-equivalence ratio
+//	BenchmarkPaperArtefacts — Table 2, Figures 2–6, §5.2 sessions and SMART
+//	                         cycles, per-lab usage, §6 capacity: one pass
 //	BenchmarkHarvest       — desktop-grid yield (extension)
 //	BenchmarkAblation*     — design-choice ablations
 //	BenchmarkNBench*       — the benchmark suite's own kernels
@@ -76,98 +70,44 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportMetric(agg.TotalGFlops, "fleet_GFlops")
 }
 
-func BenchmarkTable2(b *testing.B) {
+// BenchmarkPaperArtefacts times the analysis engine's one pass over the
+// shared trace and reports every artefact's headline values.
+func BenchmarkPaperArtefacts(b *testing.B) {
 	res := dataset(b)
 	b.ResetTimer()
-	var t2 analysis.Table2
+	var r *analysis.Results
 	for i := 0; i < b.N; i++ {
-		t2 = analysis.MainResults(res.Dataset, analysis.DefaultForgottenThreshold)
+		r = analysis.All(res.Dataset, analysis.Options{})
 	}
+	b.StopTimer()
+	if len(r.Labs) != 11 {
+		b.Fatalf("labs = %d", len(r.Labs))
+	}
+	t2 := r.Table2
 	b.ReportMetric(t2.Both.UptimePct, "uptime_%")
 	b.ReportMetric(t2.Both.CPUIdlePct, "cpu_idle_%")
 	b.ReportMetric(t2.NoLogin.CPUIdlePct, "cpu_idle_nologin_%")
 	b.ReportMetric(t2.WithLogin.CPUIdlePct, "cpu_idle_login_%")
 	b.ReportMetric(t2.Both.RAMLoadPct, "ram_%")
 	b.ReportMetric(t2.Both.DiskUsedGB, "disk_GB")
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var p analysis.SessionAgeProfile
-	for i := 0; i < b.N; i++ {
-		p = analysis.SessionAge(res.Dataset, 24)
-	}
-	b.ReportMetric(float64(p.FirstBucketAtOrAbove(99)), "forgotten_threshold_h")
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var av analysis.AvailabilitySeries
-	for i := 0; i < b.N; i++ {
-		av = analysis.Availability(res.Dataset, analysis.DefaultForgottenThreshold)
-	}
-	b.ReportMetric(av.AvgPoweredOn, "powered_on")
-	b.ReportMetric(av.AvgUserFree, "user_free")
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var us []analysis.MachineUptime
-	for i := 0; i < b.N; i++ {
-		us = analysis.UptimeRatios(res.Dataset)
-	}
-	b.ReportMetric(float64(analysis.CountAbove(us, 0.5)), "machines_above_0.5")
-	b.ReportMetric(float64(analysis.CountAbove(us, 0.8)), "machines_above_0.8")
-}
-
-func BenchmarkSessions(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var st analysis.SessionStats
-	for i := 0; i < b.N; i++ {
-		st = analysis.Sessions(res.Dataset, 96*time.Hour, 24)
-	}
-	b.ReportMetric(float64(st.Count), "sessions")
-	b.ReportMetric(st.Mean.Hours(), "mean_h")
-	b.ReportMetric(100*st.ShortFraction, "under_96h_%")
-}
-
-func BenchmarkPowerCycles(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var pc analysis.PowerCycleStats
-	for i := 0; i < b.N; i++ {
-		pc = analysis.PowerCycles(res.Dataset)
-	}
-	b.ReportMetric(pc.CyclesPerDay, "cycles/machine-day")
-	b.ReportMetric(100*pc.UndetectedRatio, "undetected_%")
-	b.ReportMetric(pc.LifetimePerCycle.Hours(), "lifetime_h/cycle")
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var w *analysis.WeeklyProfiles
-	for i := 0; i < b.N; i++ {
-		w = analysis.Weekly(res.Dataset)
-	}
-	_, idle := w.MinCPUIdleSlot()
+	b.ReportMetric(float64(r.SessionAge.FirstBucketAtOrAbove(99)), "forgotten_threshold_h")
+	b.ReportMetric(r.Availability.AvgPoweredOn, "powered_on")
+	b.ReportMetric(r.Availability.AvgUserFree, "user_free")
+	b.ReportMetric(float64(analysis.CountAbove(r.Uptimes, 0.5)), "machines_above_0.5")
+	b.ReportMetric(float64(analysis.CountAbove(r.Uptimes, 0.8)), "machines_above_0.8")
+	b.ReportMetric(float64(r.Sessions.Count), "sessions")
+	b.ReportMetric(r.Sessions.Mean.Hours(), "mean_h")
+	b.ReportMetric(100*r.Sessions.ShortFraction, "under_96h_%")
+	b.ReportMetric(r.PowerCycles.CyclesPerDay, "cycles/machine-day")
+	b.ReportMetric(100*r.PowerCycles.UndetectedRatio, "undetected_%")
+	b.ReportMetric(r.PowerCycles.LifetimePerCycle.Hours(), "lifetime_h/cycle")
+	_, idle := r.Weekly.MinCPUIdleSlot()
 	b.ReportMetric(idle, "min_weekly_idle_%")
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var eq analysis.EquivalenceResult
-	for i := 0; i < b.N; i++ {
-		eq = analysis.Equivalence(res.Dataset, true)
-	}
-	b.ReportMetric(eq.TotalRatio, "equivalence")
-	b.ReportMetric(eq.OccupiedRatio, "occupied")
-	b.ReportMetric(eq.FreeRatio, "free")
+	b.ReportMetric(r.Equivalence.TotalRatio, "equivalence")
+	b.ReportMetric(r.Equivalence.OccupiedRatio, "occupied")
+	b.ReportMetric(r.Equivalence.FreeRatio, "free")
+	b.ReportMetric(r.Capacity.FleetFreeRAMGB, "fleet_free_RAM_GB")
+	b.ReportMetric(r.Capacity.FleetFreeDiskTB, "fleet_free_disk_TB")
 }
 
 func BenchmarkHarvest(b *testing.B) {
@@ -216,8 +156,8 @@ func BenchmarkAblationEquivalenceWeighting(b *testing.B) {
 	b.ResetTimer()
 	var weighted, unweighted float64
 	for i := 0; i < b.N; i++ {
-		weighted = analysis.Equivalence(res.Dataset, true).TotalRatio
-		unweighted = analysis.Equivalence(res.Dataset, false).TotalRatio
+		weighted = analysis.All(res.Dataset, analysis.Options{}).Equivalence.TotalRatio
+		unweighted = analysis.All(res.Dataset, analysis.Options{UnweightedEquivalence: true}).Equivalence.TotalRatio
 	}
 	b.ReportMetric(weighted, "weighted")
 	b.ReportMetric(unweighted, "unweighted")
@@ -238,9 +178,9 @@ func BenchmarkAblationSamplingPeriod(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n30 = len(analysis.DetectSessions(res30.Dataset))
+		n30 = analysis.All(res30.Dataset, analysis.Options{}).Sessions.Count
 	}
-	n15 := len(analysis.DetectSessions(res15.Dataset))
+	n15 := analysis.All(res15.Dataset, analysis.Options{}).Sessions.Count
 	b.ReportMetric(float64(gt.PowerSessions), "true_sessions")
 	b.ReportMetric(float64(n15), "detected_15m")
 	b.ReportMetric(float64(n30), "detected_30m")
@@ -265,21 +205,6 @@ func BenchmarkAblationHarvestCheckpoint(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Infrastructure benchmarks.
-
-// BenchmarkAnalyzeAll measures the parallel analysis driver: every table
-// and figure of the paper computed concurrently over one shared frozen
-// index (bit-identical to the serial per-function calls, see
-// analysis.TestAllMatchesSerial).
-func BenchmarkAnalyzeAll(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var r *analysis.Results
-	for i := 0; i < b.N; i++ {
-		r = analysis.All(res.Dataset, analysis.Options{})
-	}
-	b.ReportMetric(r.Table2.Both.UptimePct, "uptime_%")
-	b.ReportMetric(r.Equivalence.TotalRatio, "equivalence")
-}
 
 // BenchmarkSimulation measures fleet-simulation throughput: one simulated
 // day of the full 169-machine institution per iteration.
@@ -637,7 +562,7 @@ func BenchmarkGridCursor(b *testing.B) {
 
 // BenchmarkAnalyzeAllStream measures the sequential out-of-core
 // analysis: every table and figure in one pass over the TBv1 bytes,
-// bit-identical to BenchmarkAnalyzeAll's artefacts.
+// bit-identical to BenchmarkPaperArtefacts' in-memory pass.
 func BenchmarkAnalyzeAllStream(b *testing.B) {
 	tb := streamTB(b)
 	b.SetBytes(int64(len(tb)))
@@ -693,31 +618,6 @@ func BenchmarkNBenchKernels(b *testing.B) {
 			_ = sink
 		})
 	}
-}
-
-// BenchmarkLabUsage regenerates the per-laboratory breakdown.
-func BenchmarkLabUsage(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var us []analysis.LabUsage
-	for i := 0; i < b.N; i++ {
-		us = analysis.ByLab(res.Dataset, analysis.DefaultForgottenThreshold)
-	}
-	if len(us) != 11 {
-		b.Fatalf("labs = %d", len(us))
-	}
-}
-
-// BenchmarkCapacity regenerates the §6 harvestable-capacity report.
-func BenchmarkCapacity(b *testing.B) {
-	res := dataset(b)
-	b.ResetTimer()
-	var c analysis.CapacityReport
-	for i := 0; i < b.N; i++ {
-		c = analysis.Capacity(res.Dataset)
-	}
-	b.ReportMetric(c.FleetFreeRAMGB, "fleet_free_RAM_GB")
-	b.ReportMetric(c.FleetFreeDiskTB, "fleet_free_disk_TB")
 }
 
 // BenchmarkAblationReplication runs the bag-of-tasks master at replication

@@ -37,6 +37,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -53,8 +54,9 @@ import (
 	"winlab/internal/trace"
 )
 
-// replicate runs n seeds and prints mean ± sd for the headline metrics.
-func replicate(cfg core.Config, n int) error {
+// replicate runs the n consecutive seeds starting at cfg.Seed and writes
+// mean ± sd of the headline metrics to w, progress to log.
+func replicate(w, log io.Writer, cfg core.Config, n int) error {
 	metrics := map[string]*stats.Running{}
 	order := []string{}
 	add := func(name string, v float64) {
@@ -67,17 +69,15 @@ func replicate(cfg core.Config, n int) error {
 		r.Add(v)
 	}
 	for i := 0; i < n; i++ {
-		cfg.Seed = cfg.Seed + int64(i)
-		cfg.Behavior.Seed = cfg.Seed
-		res, err := core.RunExperiment(cfg)
+		run := cfg
+		run.Seed = cfg.Seed + int64(i)
+		run.Behavior.Seed = run.Seed
+		res, err := core.RunExperiment(run)
 		if err != nil {
 			return err
 		}
-		d := res.Dataset
-		t2 := analysis.MainResults(d, analysis.DefaultForgottenThreshold)
-		av := analysis.Availability(d, analysis.DefaultForgottenThreshold)
-		eq := analysis.Equivalence(d, true)
-		pc := analysis.PowerCycles(d)
+		a := analysis.All(res.Dataset, analysis.Options{})
+		t2, av, eq, pc := a.Table2, a.Availability, a.Equivalence, a.PowerCycles
 		add("uptime both %", t2.Both.UptimePct)
 		add("cpu idle both %", t2.Both.CPUIdlePct)
 		add("cpu idle login %", t2.WithLogin.CPUIdlePct)
@@ -87,7 +87,7 @@ func replicate(cfg core.Config, n int) error {
 		add("user-free avg", av.AvgUserFree)
 		add("equivalence", eq.TotalRatio)
 		add("lifetime h/cycle", pc.LifetimePerCycle.Hours())
-		fmt.Fprintf(os.Stderr, "labmon: replication %d/%d done (seed %d)\n", i+1, n, cfg.Seed)
+		fmt.Fprintf(log, "labmon: replication %d/%d done (seed %d)\n", i+1, n, run.Seed)
 	}
 	t := &report.Table{
 		Title:   fmt.Sprintf("Headline metrics over %d seeds (mean ± sd)", n),
@@ -97,7 +97,7 @@ func replicate(cfg core.Config, n int) error {
 		r := metrics[name]
 		t.AddRow(name, fmt.Sprintf("%.3f", r.Mean()), fmt.Sprintf("%.3f", r.SampleStdDev()))
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 	return nil
 }
 
@@ -228,7 +228,7 @@ func main() {
 	}
 
 	if *reps > 0 {
-		if err := replicate(cfg, *reps); err != nil {
+		if err := replicate(os.Stdout, os.Stderr, cfg, *reps); err != nil {
 			fmt.Fprintln(os.Stderr, "labmon:", err)
 			os.Exit(1)
 		}

@@ -8,7 +8,7 @@
 //
 //	-trace FILE    load a collected trace (CSV or TBv1, plain or gzipped)
 //	-stream FILE   stream a TBv1 trace or segment manifest out-of-core
-//	               (bounded memory; the heatmap endpoint is unavailable)
+//	               (bounded memory)
 //	-sim-days N    simulate the paper's fleet for N days in-process,
 //	               publishing a snapshot every -publish-every iterations
 //	               while the collection runs, then the final trace
@@ -53,7 +53,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "serve the query API on this address (use :0 for an ephemeral port)")
 		traceIn   = flag.String("trace", "", "serve this collected trace file (CSV or TBv1, plain or gzipped)")
-		streamIn  = flag.String("stream", "", "stream this TBv1 trace or segment manifest out-of-core (heatmap unavailable)")
+		streamIn  = flag.String("stream", "", "stream this TBv1 trace or segment manifest out-of-core (bounded memory)")
 		simDays   = flag.Int("sim-days", 0, "simulate the paper's fleet for N days and serve the trace")
 		seed      = flag.Int64("seed", 1, "simulation seed (with -sim-days)")
 		period    = flag.Duration("period", 15*time.Minute, "sampling period (with -sim-days)")
@@ -113,33 +113,22 @@ func main() {
 			len(ds.Samples), len(ds.Iterations), len(ds.Machines), *traceIn, st.Epoch())
 
 	case *streamIn != "":
-		rep, err := core.AnalyzeStream(*streamIn, *workers)
+		res, err := core.StreamResults(*streamIn, *workers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "queryd: streaming %s: %v\n", *streamIn, err)
 			os.Exit(1)
 		}
-		res := &analysis.Results{
-			Table2:       rep.Table2,
-			SessionAge:   rep.SessionAge,
-			Availability: rep.Avail,
-			Uptimes:      rep.Uptimes,
-			Sessions:     rep.Sessions,
-			PowerCycles:  rep.PowerCycles,
-			Weekly:       rep.Weekly,
-			Equivalence:  rep.Equivalence,
-			Labs:         rep.Labs2,
-			Capacity:     rep.Capacity,
-		}
-		info := query.Info{Iterations: len(rep.Avail.Points)}
-		if n := len(rep.Avail.Points); n > 0 {
-			info.Start = rep.Avail.Points[0].Time
+		pts := res.Availability.Points
+		info := query.Info{Iterations: len(pts)}
+		if n := len(pts); n > 0 {
+			info.Start = pts[0].Time
 			if n > 1 {
-				info.Period = rep.Avail.Points[1].Time.Sub(rep.Avail.Points[0].Time)
+				info.Period = pts[1].Time.Sub(pts[0].Time)
 			}
-			info.End = rep.Avail.Points[n-1].Time.Add(info.Period)
+			info.End = pts[n-1].Time.Add(info.Period)
 		}
 		st.PublishResults(res, info)
-		fmt.Fprintf(os.Stderr, "queryd: serving streamed analysis of %s (epoch %d, heatmap unavailable)\n",
+		fmt.Fprintf(os.Stderr, "queryd: serving streamed analysis of %s (epoch %d)\n",
 			*streamIn, st.Epoch())
 
 	case *simDays > 0:

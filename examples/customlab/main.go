@@ -47,10 +47,10 @@ func main() {
 	report.Table1(custom).Render(os.Stdout)
 	fmt.Println(report.Table1Aggregates(custom))
 
-	t2 := analysis.MainResults(res.Dataset, analysis.DefaultForgottenThreshold)
-	report.Table2(t2).Render(os.Stdout)
+	a := analysis.All(res.Dataset, analysis.Options{})
+	report.Table2(a.Table2).Render(os.Stdout)
 
-	eq := analysis.Equivalence(res.Dataset, true)
+	eq := a.Equivalence
 	fmt.Printf("\ncustom fleet equivalence ratio: %.2f (occupied %.2f + free %.2f)\n",
 		eq.TotalRatio, eq.OccupiedRatio, eq.FreeRatio)
 	fmt.Println("\nCompare with the paper fleet: go run ./examples/quickstart")

@@ -30,7 +30,7 @@ func main() {
 	}
 	d := res.Dataset
 
-	upper := analysis.Equivalence(d, true)
+	upper := analysis.All(d, analysis.Options{}).Equivalence
 	fmt.Printf("idleness-derived equivalence (upper bound): %.3f\n\n", upper.TotalRatio)
 
 	// Tasks of one NBench-index-hour each (roughly 2.4 minutes on a fast

@@ -92,7 +92,11 @@ func main() {
 	// Between-sample CPU idleness, the paper's §4.2 computation, over real
 	// counters.
 	fmt.Println()
-	for _, iv := range ds.Intervals(2 * period) {
+	for i := 1; i < len(ds.Samples); i++ {
+		iv := trace.Interval{A: &ds.Samples[i-1], B: &ds.Samples[i]}
+		if !trace.SameBoot(iv.A, iv.B) || iv.Duration() > 2*period {
+			continue // rebooted or missed a probe: no valid interval
+		}
 		fmt.Printf("interval %s → %s: CPU idleness %.1f%%\n",
 			iv.A.Time.Format("15:04:05"), iv.B.Time.Format("15:04:05"), iv.CPUIdlePct())
 	}

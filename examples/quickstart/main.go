@@ -30,12 +30,11 @@ func main() {
 		res.Collector.Samples, res.Collector.Iterations, len(res.Dataset.Machines))
 
 	// Table 2: resource usage split by interactive-session presence.
-	t2 := analysis.MainResults(res.Dataset, analysis.DefaultForgottenThreshold)
-	report.Table2(t2).Render(os.Stdout)
+	a := analysis.All(res.Dataset, analysis.Options{})
+	report.Table2(a.Table2).Render(os.Stdout)
 
 	// The two headline findings of the paper:
-	av := analysis.Availability(res.Dataset, analysis.DefaultForgottenThreshold)
-	eq := analysis.Equivalence(res.Dataset, true)
+	av, eq := a.Availability, a.Equivalence
 	fmt.Printf("\nOn average %.1f of %d machines were powered on; %.1f of those were user-free.\n",
 		av.AvgPoweredOn, len(res.Dataset.Machines), av.AvgUserFree)
 	fmt.Printf("Cluster equivalence ratio: %.2f (the paper's \"2:1 rule\": N non-dedicated\n"+

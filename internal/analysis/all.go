@@ -1,21 +1,19 @@
 package analysis
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"winlab/internal/trace"
 )
 
-// Options configures the parallel analysis driver. The zero value
-// reproduces the paper's choices: the 10-hour forgotten threshold, the
-// 96-hour/24-bin session histogram, the 24-hour session-age profile, the
-// NBench-weighted equivalence ratio, and one worker per CPU.
+// Options configures the analysis engine. The zero value reproduces the
+// paper's choices: the 10-hour forgotten threshold, the 96-hour/24-bin
+// session histogram, the 24-hour session-age profile and the
+// NBench-weighted equivalence ratio.
 type Options struct {
 	// Threshold is the forgotten-session threshold; zero means
 	// DefaultForgottenThreshold. (To analyse with reclassification
-	// disabled, call the individual functions with a zero threshold.)
+	// disabled, call MainResults with a zero threshold.)
 	Threshold time.Duration
 
 	// HistCap / HistBins bound the session-length histogram; zero means
@@ -30,13 +28,16 @@ type Options struct {
 	// equivalence ratio (the ablation; the paper weights).
 	UnweightedEquivalence bool
 
-	// Workers bounds the concurrent artefact computations; zero means
-	// GOMAXPROCS, one runs the exact serial path on the calling goroutine.
+	// Workers shards a streamed trace by machine across that many
+	// accumulators (AllStream); zero or one is the exact sequential pass.
+	// All is always that exact pass and ignores Workers, and AllSegments
+	// runs one accumulator per segment.
 	Workers int
 }
 
 // Results bundles every table and figure the paper derives from a trace —
-// the same artefacts core.Analyze renders, computed by All.
+// the same artefacts core.Analyze renders — plus the hour-of-week heatmaps
+// the query layer serves.
 type Results struct {
 	Table2       Table2
 	SessionAge   SessionAgeProfile
@@ -48,79 +49,46 @@ type Results struct {
 	Equivalence  EquivalenceResult
 	Labs         []LabUsage
 	Capacity     CapacityReport
+	Heatmap      *HeatmapData
 }
 
-// All computes every headline artefact of the paper concurrently over a
-// bounded worker pool and returns results identical to calling each serial
-// function in turn.
-//
-// Identical means identical: the dataset is frozen once up front, so every
-// worker reads the same machine-sorted spans and the same cached interval
-// pairs, and each artefact's internal accumulation order is exactly the
-// serial function's order. Parallelism only interleaves *between*
-// artefacts, never inside one, so no floating-point reassociation occurs
-// (asserted by TestAllMatchesSerial under -race).
+// withDefaults fills the zero fields with the paper's parameters.
+func (o Options) withDefaults() Options {
+	if o.Threshold == 0 {
+		o.Threshold = DefaultForgottenThreshold
+	}
+	if o.HistCap <= 0 {
+		o.HistCap = 96 * time.Hour
+	}
+	if o.HistBins <= 0 {
+		o.HistBins = 24
+	}
+	if o.SessionAgeHours <= 0 {
+		o.SessionAgeHours = 24
+	}
+	return o
+}
+
+// All computes every artefact of the paper from an in-memory trace in one
+// sequential pass of the analysis engine (the accumulator AllStream and
+// AllSegments feed from files): the dataset is frozen, and each machine's
+// time-sorted span is fed in sorted machine order — exactly the order a
+// TBv1 file written from the frozen dataset streams in, which is why
+// AllStream with one worker reproduces All bit for bit.
 func All(d *trace.Dataset, opts Options) *Results {
-	if opts.Threshold == 0 {
-		opts.Threshold = DefaultForgottenThreshold
-	}
-	if opts.HistCap <= 0 {
-		opts.HistCap = 96 * time.Hour
-	}
-	if opts.HistBins <= 0 {
-		opts.HistBins = 24
-	}
-	if opts.SessionAgeHours <= 0 {
-		opts.SessionAgeHours = 24
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return allFrozen(d, opts.withDefaults())
+}
 
-	// Freeze once: the single sort and the interval pairings happen here,
-	// not N times inside the workers. Warming the one maxGap every
-	// artefact uses keeps the workers read-only on the cache.
+// allFrozen is All with opts already resolved, so MainResults and Heatmap
+// can pass a zero threshold through (reclassification disabled).
+func allFrozen(d *trace.Dataset, opts Options) *Results {
 	idx := d.Index()
-	idx.Intervals(2 * d.Period)
-
-	res := &Results{}
-	jobs := []func(){
-		func() { res.Table2 = MainResults(d, opts.Threshold) },
-		func() { res.SessionAge = SessionAge(d, opts.SessionAgeHours) },
-		func() { res.Availability = Availability(d, opts.Threshold) },
-		func() { res.Uptimes = UptimeRatios(d) },
-		func() { res.Sessions = Sessions(d, opts.HistCap, opts.HistBins) },
-		func() { res.PowerCycles = PowerCycles(d) },
-		func() { res.Weekly = Weekly(d) },
-		func() { res.Equivalence = Equivalence(d, !opts.UnweightedEquivalence) },
-		func() { res.Labs = ByLab(d, opts.Threshold) },
-		func() { res.Capacity = Capacity(d) },
-	}
-	if workers == 1 {
-		for _, job := range jobs {
-			job()
-		}
-		return res
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	ch := make(chan func())
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for job := range ch {
-				job()
-			}
-		}()
-	}
-	for _, job := range jobs {
-		ch <- job
-	}
-	close(ch)
-	wg.Wait()
-	return res
+	acc := newStreamAcc(d.Start, d.End, d.Period, d.Machines, d.Iterations, opts)
+	idx.EachMachine(func(id string, ss []trace.Sample) {
+		// Index spans are machine-contiguous by construction, so the
+		// contiguity check cannot fire.
+		_ = acc.addRun(id, ss)
+	})
+	acc.finish()
+	return acc.finalize(d.Machines, d.Iterations)
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"winlab/internal/trace"
 	"winlab/internal/trace/stream"
@@ -12,9 +11,9 @@ import (
 // AllSegments computes the same Results as AllStream directly from the
 // unmerged TBv1 segment files of a sharded collection run — no
 // compaction pass, no materialised dataset: each segment is drained by
-// its own goroutine into its own streamAcc (the exact accumulators
-// AllStream uses), and the per-segment accumulators fold together with
-// the same merge the Workers > 1 path uses. Peak memory is K cursors
+// its own goroutine into its own instance of the analysis engine, and
+// the per-segment engines fold together with the same merge AllStream's
+// Workers > 1 path uses. Peak memory is K cursors
 // plus K accumulator states, independent of trace length.
 //
 // The segments must come from one run: equal periods, one shared
@@ -34,18 +33,7 @@ func AllSegments(paths []string, opts Options) (*Results, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("analysis: no segments")
 	}
-	if opts.Threshold == 0 {
-		opts.Threshold = DefaultForgottenThreshold
-	}
-	if opts.HistCap <= 0 {
-		opts.HistCap = 96 * time.Hour
-	}
-	if opts.HistBins <= 0 {
-		opts.HistBins = 24
-	}
-	if opts.SessionAgeHours <= 0 {
-		opts.SessionAgeHours = 24
-	}
+	opts = opts.withDefaults()
 
 	cursors := make([]*stream.Cursor, len(paths))
 	defer func() {
@@ -105,7 +93,7 @@ func AllSegments(paths []string, opts Options) (*Results, error) {
 	errs := make([]error, len(cursors))
 	var wg sync.WaitGroup
 	for i, c := range cursors {
-		accs[i] = newStreamAcc(start, end, period, machines, opts)
+		accs[i] = newStreamAcc(start, end, period, machines, iterations, opts)
 		wg.Add(1)
 		go func(i int, c *stream.Cursor) {
 			defer wg.Done()
@@ -119,7 +107,7 @@ func AllSegments(paths []string, opts Options) (*Results, error) {
 				if !ok {
 					return
 				}
-				if err := accs[i].addRun(&run); err != nil {
+				if err := accs[i].addRun(run.Machine, run.Samples); err != nil {
 					errs[i] = fmt.Errorf("analysis: segment %s: %w", paths[i], err)
 					return
 				}
@@ -146,13 +134,7 @@ func AllSegments(paths []string, opts Options) (*Results, error) {
 		}
 	}
 
-	acc := accs[0]
-	acc.finish()
-	for _, sh := range accs[1:] {
-		sh.finish()
-		acc.merge(sh)
-	}
-	return acc.finalize(machines, iterations), nil
+	return fold(accs).finalize(machines, iterations), nil
 }
 
 // AllManifest is AllSegments over a segment manifest: the segment paths

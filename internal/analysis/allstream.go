@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,105 +15,84 @@ import (
 // TBv1 cursor, without ever materialising a Dataset: peak memory is a
 // few run buffers plus O(machines + iterations + labs) accumulator
 // state, independent of trace length. This is the out-of-core path for
-// traces that do not fit in memory (ROADMAP item 2).
+// traces that do not fit in memory.
 //
 // Input contract: the stream must be machine-contiguous — all of a
 // machine's samples consecutive, time-sorted within the machine — which
-// is exactly what WriteBinary produces for a frozen Dataset (All/Freeze
-// sort machine-major before writing). Non-contiguous input is detected
-// and rejected rather than silently mis-paired.
+// is exactly what WriteBinary produces for a frozen Dataset. Non-contiguous
+// input is detected and rejected rather than silently mis-paired.
 //
 // Equivalence to All (asserted by internal/validate's stream arms):
 //
-//   - opts.Workers ≤ 1: bit-exact. Every Welford/histogram/profile
-//     accumulator receives exactly the Add sequence the in-memory
-//     functions produce, because the in-memory path freezes (sorts
-//     machine-major) first and this pass consumes the file in that same
-//     order; only the interleaving *between* independent accumulators
-//     differs, which cannot reassociate floating point.
+//   - opts.Workers ≤ 1: bit-exact. All feeds the same engine the frozen
+//     dataset's machine spans in the order this pass reads them from
+//     the file.
 //   - opts.Workers > 1: machines are sharded deterministically across
 //     workers (stream.Parallel) and per-shard accumulators are merged
 //     in worker order. Counts, histograms and every integer artefact
 //     remain exact; Welford-merged means and variances may differ from
 //     the serial result in the last bits (documented epsilon).
 func AllStream(c *stream.Cursor, opts Options) (*Results, error) {
-	if opts.Threshold == 0 {
-		opts.Threshold = DefaultForgottenThreshold
-	}
-	if opts.HistCap <= 0 {
-		opts.HistCap = 96 * time.Hour
-	}
-	if opts.HistBins <= 0 {
-		opts.HistBins = 24
-	}
-	if opts.SessionAgeHours <= 0 {
-		opts.SessionAgeHours = 24
-	}
-
+	opts = opts.withDefaults()
 	machines := c.Machines()
 	iterations := c.Iterations()
-
-	if opts.Workers <= 1 {
-		acc := newStreamAcc(c.Start(), c.End(), c.Period(), machines, opts)
-		var run stream.Run
-		for {
-			ok, err := c.NextRun(&run)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if err := acc.addRun(&run); err != nil {
-				return nil, err
-			}
-		}
-		acc.finish()
-		return acc.finalize(machines, iterations), nil
-	}
-
-	shards := make([]*streamAcc, opts.Workers)
+	workers := max(opts.Workers, 1)
+	shards := make([]*streamAcc, workers)
 	for i := range shards {
-		shards[i] = newStreamAcc(c.Start(), c.End(), c.Period(), machines, opts)
+		shards[i] = newStreamAcc(c.Start(), c.End(), c.Period(), machines, iterations, opts)
 	}
-	err := stream.Parallel(c, opts.Workers, func(w int, run *stream.Run) error {
-		return shards[w].addRun(run)
+	err := stream.Parallel(c, workers, func(w int, run *stream.Run) error {
+		return shards[w].addRun(run.Machine, run.Samples)
 	})
 	if err != nil {
 		return nil, err
 	}
-	acc := shards[0]
-	acc.finish()
-	for _, sh := range shards[1:] {
-		sh.finish()
-		acc.merge(sh)
-	}
-	return acc.finalize(machines, iterations), nil
+	return fold(shards).finalize(machines, iterations), nil
 }
 
-// machState is the per-machine carry state of the streaming pass: the
-// previous sample (interval pairing, uptime-ratio dedup, PowerCycles
-// endpoints) and the open detected session.
+// machState is the per-machine carry state of the pass: the previous
+// sample (interval pairing, uptime-ratio dedup, PowerCycles' last
+// counters), the first sample's SMART counters, the open detected
+// session, and the machine's catalogue entry, resolved once.
 type machState struct {
 	hasPrev bool
-	prev    trace.Sample // last sample seen
-	first   trace.Sample // first sample seen
+	prev    trace.Sample // last sample, copied out at the end of each run
+
+	firstCycles int64 // PowerCycles window start: the first sample's
+	firstPOH    int64 // SMART counters and uptime
+	firstUptime time.Duration
 
 	sessOpen bool
 	sessBoot time.Time // boot time of the open session's first sample
 	sessLen  time.Duration
 
-	answered int // distinct iterations answered (duplicate-deduped)
+	answered int               // distinct iterations answered (duplicate-deduped)
+	heat     [HeatHours]uint32 // of those, per hour-of-week cell
+
+	cat        catEntry
+	catalogued bool // so it weighs into Figure 6
+	capClass   *stats.Running
+	cpuLab     *labAcc // catalogue lab, resolved on the first interval
+
+	// Per-lab sample counts key on the lab the sample names, cached
+	// here with its accumulator.
+	sampleLabName string
+	sampleLab     *labAcc
 }
 
-type availCount struct{ on, free int }
+// catEntry is what the engine needs of one catalogued machine.
+type catEntry struct {
+	ram  int
+	lab  string
+	perf float64
+}
 
-type eqSum struct{ occ, free float64 }
-
-type capIterSum struct {
-	ramMB  float64
-	diskGB float64
-	on     int
+// iterSum is one iteration's per-sample and per-interval sums: Figure 3's
+// counts, Figure 6's perf-weighted idleness and the capacity totals.
+type iterSum struct {
+	on, free      int
+	occ, freeIdle float64
+	ramMB, diskGB float64
 }
 
 type labAcc struct {
@@ -124,11 +104,62 @@ type labAcc struct {
 	cpu      stats.Running
 }
 
-// streamAcc is one shard's worth of single-pass accumulators — every
-// per-sample and per-interval aggregate behind the ten artefacts of
-// Results. Per-iteration and per-machine aggregates stay as compact
-// sums in maps and are expanded to the artefact shapes in finalize,
-// replaying the exact finalisation order of the in-memory functions.
+// iterIndex maps an iteration number to its position among the distinct
+// iteration numbers of the header's log, the index of the per-iteration
+// sums. Only logged iterations are read at finalize, so a sample whose
+// Iter is not in the log has no position and skips those sums; nothing a
+// sample carries ever sizes an allocation.
+type iterIndex struct {
+	keys []int // distinct logged iteration numbers, ascending
+	lo   int   // keys[0]
+	pos  []int // iter-lo → position in keys or -1; nil for a sparse log
+}
+
+func newIterIndex(iterations []trace.Iteration) iterIndex {
+	keys := make([]int, len(iterations))
+	for i := range iterations {
+		keys[i] = iterations[i].Iter
+	}
+	slices.Sort(keys)
+	x := iterIndex{keys: slices.Compact(keys)}
+	if len(x.keys) == 0 {
+		return x
+	}
+	x.lo = x.keys[0]
+	// A dense table only when it stays within a small multiple of the
+	// log's own length (collector outages leave a few gaps); a sparser
+	// log is searched instead.
+	if span := uint64(x.keys[len(x.keys)-1]) - uint64(x.lo); span < 4*uint64(len(x.keys)) {
+		x.pos = make([]int, span+1)
+		for i := range x.pos {
+			x.pos[i] = -1
+		}
+		for k, it := range x.keys {
+			x.pos[it-x.lo] = k
+		}
+	}
+	return x
+}
+
+// of returns iter's position, or -1 when the log does not contain it.
+func (x *iterIndex) of(iter int) int {
+	if x.pos != nil {
+		if i := uint(iter - x.lo); i < uint(len(x.pos)) {
+			return x.pos[i]
+		}
+		return -1
+	}
+	if k, ok := slices.BinarySearch(x.keys, iter); ok {
+		return k
+	}
+	return -1
+}
+
+// streamAcc is the analysis engine: one shard's worth of single-pass
+// accumulators behind every artefact of Results. It is fed machine runs
+// (addRun) by All, AllStream and AllSegments; per-iteration and
+// per-machine aggregates stay compact and are expanded to the artefact
+// shapes in finalize.
 type streamAcc struct {
 	start, end time.Time
 	threshold  time.Duration
@@ -137,13 +168,12 @@ type streamAcc struct {
 	histCap    time.Duration
 
 	mach map[string]*machState
-	cur  string // machine of the current run, for contiguity + flush
+	cur  string     // machine of the current run, for contiguity + flush
+	curM *machState // its state
 
-	// Catalogue-derived lookups (identical in every shard).
-	ramByID   map[string]int
-	labOf     map[string]string
-	perf      map[string]float64
+	cat       map[string]catEntry
 	totalPerf float64
+	perf      map[string]float64 // for the churn denominator (activePerf)
 
 	// Table 2 (§4.2) and the reclassification counts.
 	t2no, t2with, t2both table2Acc
@@ -153,8 +183,9 @@ type streamAcc struct {
 	// Figure 2: CPU idleness by session age.
 	age []stats.Running
 
-	// Figure 3: powered-on / user-free counts per iteration.
-	avail map[int]*availCount
+	// Figures 3 and 6 and the capacity totals, by iterIdx position.
+	iterIdx iterIndex
+	iters   []iterSum
 
 	// §5.2.1 detected sessions.
 	sessCount   int
@@ -166,9 +197,6 @@ type streamAcc struct {
 	// Figure 5 weekly profiles.
 	weekly WeeklyProfiles
 
-	// Figure 6 equivalence: perf-weighted idleness sums per iteration.
-	eq map[int]*eqSum
-
 	// Per-lab usage.
 	labs map[string]*labAcc
 
@@ -176,10 +204,12 @@ type streamAcc struct {
 	capRAM   stats.Running
 	capDisk  stats.Running
 	capClass map[int]*stats.Running
-	capIter  map[int]*capIterSum
 }
 
-func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.MachineInfo, opts Options) *streamAcc {
+// newStreamAcc builds an engine for a trace with the given header; opts
+// must already be resolved (withDefaults, or a deliberate zero
+// threshold).
+func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.MachineInfo, iterations []trace.Iteration, opts Options) *streamAcc {
 	a := &streamAcc{
 		start:     start,
 		end:       end,
@@ -188,24 +218,21 @@ func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.M
 		ageMax:    opts.SessionAgeHours,
 		histCap:   opts.HistCap,
 		mach:      make(map[string]*machState),
-		ramByID:   make(map[string]int, len(machines)),
-		labOf:     make(map[string]string, len(machines)),
+		cat:       make(map[string]catEntry, len(machines)),
 		perf:      make(map[string]float64, len(machines)),
 		age:       make([]stats.Running, opts.SessionAgeHours),
-		avail:     make(map[int]*availCount),
+		iterIdx:   newIterIndex(iterations),
 		sessHist:  stats.NewHistogram(0, opts.HistCap.Hours(), opts.HistBins),
-		eq:        make(map[int]*eqSum),
 		labs:      make(map[string]*labAcc),
 		capClass:  make(map[int]*stats.Running),
-		capIter:   make(map[int]*capIterSum),
 	}
+	a.iters = make([]iterSum, len(a.iterIdx.keys))
 	for _, m := range machines {
-		a.ramByID[m.ID] = m.RAMMB
-		a.labOf[m.ID] = m.Lab
 		p := m.PerfIndex()
 		if opts.UnweightedEquivalence {
 			p = 1
 		}
+		a.cat[m.ID] = catEntry{ram: m.RAMMB, lab: m.Lab, perf: p}
 		a.perf[m.ID] = p
 		a.totalPerf += p
 	}
@@ -217,53 +244,74 @@ func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.M
 // runs are *not* consecutive violates the contiguity contract — its
 // intervals and sessions would be silently mis-paired — so that input
 // is rejected.
-func (a *streamAcc) addRun(run *stream.Run) error {
-	if run.Machine != a.cur {
-		if a.mach[run.Machine] != nil {
-			return fmt.Errorf("analysis: stream not machine-contiguous: %q reappears after other machines; re-encode the trace from a frozen dataset", run.Machine)
+func (a *streamAcc) addRun(id string, samples []trace.Sample) error {
+	if len(samples) == 0 {
+		return nil
+	}
+	if a.curM == nil || id != a.cur {
+		if a.mach[id] != nil {
+			return fmt.Errorf("analysis: stream not machine-contiguous: %q reappears after other machines; re-encode the trace from a frozen dataset", id)
 		}
-		a.closeSession(a.mach[a.cur])
-		a.cur = run.Machine
+		a.closeSession(a.curM)
+		a.cur, a.curM = id, a.newMachine(id, &samples[0])
 	}
-	m := a.mach[run.Machine]
-	if m == nil {
-		m = &machState{}
-		a.mach[run.Machine] = m
+	m := a.curM
+	var prev *trace.Sample
+	if m.hasPrev {
+		prev = &m.prev
 	}
-	for i := range run.Samples {
-		a.addSample(&run.Samples[i], m)
+	for i := range samples {
+		s := &samples[i]
+		a.addSample(m, prev, s)
+		prev = s
 	}
+	m.prev = *prev
+	m.hasPrev = true
 	return nil
+}
+
+func (a *streamAcc) newMachine(id string, first *trace.Sample) *machState {
+	e, ok := a.cat[id]
+	m := &machState{
+		firstCycles: first.PowerCycles,
+		firstPOH:    first.PowerOnHours,
+		firstUptime: first.Uptime,
+		cat:         e,
+		catalogued:  ok,
+	}
+	m.capClass = a.capClass[e.ram]
+	if m.capClass == nil {
+		m.capClass = &stats.Running{}
+		a.capClass[e.ram] = m.capClass
+	}
+	a.mach[id] = m
+	return m
 }
 
 // finish flushes the trailing machine's open detected session. Call
 // once, after the last run.
-func (a *streamAcc) finish() { a.closeSession(a.mach[a.cur]) }
+func (a *streamAcc) finish() { a.closeSession(a.curM) }
 
-func sameBootTime(x, y time.Time) bool {
-	sx := trace.Sample{BootTime: x}
-	sy := trace.Sample{BootTime: y}
-	return trace.SameBoot(&sx, &sy)
-}
-
-func (a *streamAcc) addSample(s *trace.Sample, m *machState) {
+// addSample folds one sample; prev is the machine's previous sample, or
+// nil for its first.
+func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) {
 	cl := Classify(s, a.threshold)
+	occupied := cl.Occupied()
+	slot := stats.WeekSlot(s.Time)
+	k := a.iterIdx.of(s.Iter)
 
-	// Interval pairing against the machine's previous sample, before the
-	// carry state advances — the streaming equivalent of
-	// Index.buildIntervals' adjacent same-boot pairs with the 2×period
-	// gap cap.
-	if m.hasPrev && trace.SameBoot(&m.prev, s) {
-		if gap := s.Time.Sub(m.prev.Time); a.maxGap <= 0 || gap <= a.maxGap {
-			a.addInterval(trace.Interval{A: &m.prev, B: s}, cl)
+	// Interval pairing against the machine's previous sample: adjacent
+	// same-boot samples at most 2×period apart.
+	if prev != nil && trace.SameBoot(prev, s) {
+		if gap := s.Time.Sub(prev.Time); a.maxGap <= 0 || gap <= a.maxGap {
+			a.addInterval(m, trace.Interval{A: prev, B: s}, occupied, slot, k)
 		}
 	}
 
-	// Detected sessions (§5.2.1): like DetectSessions, a session
-	// continues while the sample's boot time matches the boot time of
-	// the session's *first* sample, and its length is the last sample's
-	// uptime.
-	if m.sessOpen && sameBootTime(m.sessBoot, s.BootTime) {
+	// Detected sessions (§5.2.1): a session continues while the sample's
+	// boot time matches the boot time of the session's *first* sample,
+	// and its length is the last sample's uptime.
+	if m.sessOpen && trace.SameBootTime(m.sessBoot, s.BootTime) {
 		m.sessLen = s.Uptime
 	} else {
 		a.closeSession(m)
@@ -272,16 +320,12 @@ func (a *streamAcc) addSample(s *trace.Sample, m *machState) {
 		m.sessLen = s.Uptime
 	}
 
-	// Uptime ratios: count distinct iterations answered (duplicate
-	// samples within one iteration count once, like UptimeRatios).
-	if !m.hasPrev || s.Iter != m.prev.Iter {
+	// Uptime ratios and the heatmap count distinct iterations answered:
+	// duplicate samples within one iteration count once.
+	if prev == nil || s.Iter != prev.Iter {
 		m.answered++
+		m.heat[slot/4]++
 	}
-	if !m.hasPrev {
-		m.first = *s
-	}
-	m.prev = *s
-	m.hasPrev = true
 
 	// Reclassification counts (Table 2's Reclass block).
 	if s.HasSession() {
@@ -292,81 +336,67 @@ func (a *streamAcc) addSample(s *trace.Sample, m *machState) {
 	}
 
 	// Table 2 sample-level metrics.
-	acc := &a.t2no
-	if cl.Occupied() {
-		acc = &a.t2with
+	col := &a.t2no
+	if occupied {
+		col = &a.t2with
 	}
-	for _, t := range [2]*table2Acc{acc, &a.t2both} {
-		t.samples++
-		t.ram.Add(float64(s.MemLoadPct))
-		t.swap.Add(float64(s.SwapLoadPct))
-		t.disk.Add(s.UsedDiskGB())
-	}
+	col.addSample(s)
+	a.t2both.addSample(s)
 
-	// Figure 3 per-iteration counts.
-	av := a.avail[s.Iter]
-	if av == nil {
-		av = &availCount{}
-		a.avail[s.Iter] = av
-	}
-	av.on++
-	if !cl.Occupied() {
-		av.free++
+	mem := float64(s.MemLoadPct)
+	freeMB := float64(m.cat.ram) * (100 - mem) / 100
+
+	// Figure 3 counts and the capacity totals, per iteration.
+	if k >= 0 {
+		it := &a.iters[k]
+		it.on++
+		if !occupied {
+			it.free++
+		}
+		it.ramMB += freeMB
+		it.diskGB += s.FreeDiskGB
 	}
 
 	// Figure 5 sample-level profiles.
-	a.weekly.RAMLoadPct.Add(s.Time, float64(s.MemLoadPct))
-	a.weekly.SwapLoad.Add(s.Time, float64(s.SwapLoadPct))
+	a.weekly.RAMLoadPct.Slots[slot].Add(mem)
+	a.weekly.SwapLoad.Slots[slot].Add(float64(s.SwapLoadPct))
 
-	// Per-lab usage (sample lab, like ByLab's sample loop).
-	la := a.lab(s.Lab)
+	// Per-lab usage, keyed by the lab the sample names.
+	if m.sampleLab == nil || s.Lab != m.sampleLabName {
+		m.sampleLabName, m.sampleLab = s.Lab, a.lab(s.Lab)
+	}
+	la := m.sampleLab
 	la.samples++
-	if cl.Occupied() {
+	if occupied {
 		la.occupied++
 	}
-	la.ram.Add(float64(s.MemLoadPct))
-	if ram := a.ramByID[s.Machine]; ram > 0 {
-		la.freeRAM.Add(float64(ram) * (100 - float64(s.MemLoadPct)) / 100)
+	la.ram.Add(mem)
+	if m.cat.ram > 0 {
+		la.freeRAM.Add(freeMB)
 	}
 	la.freeDisk.Add(s.FreeDiskGB)
 
 	// Capacity.
-	ram := a.ramByID[s.Machine]
-	freeMB := float64(ram) * (100 - float64(s.MemLoadPct)) / 100
 	a.capRAM.Add(freeMB)
 	a.capDisk.Add(s.FreeDiskGB)
-	cc := a.capClass[ram]
-	if cc == nil {
-		cc = &stats.Running{}
-		a.capClass[ram] = cc
-	}
-	cc.Add(freeMB)
-	ci := a.capIter[s.Iter]
-	if ci == nil {
-		ci = &capIterSum{}
-		a.capIter[s.Iter] = ci
-	}
-	ci.ramMB += freeMB
-	ci.diskGB += s.FreeDiskGB
-	ci.on++
+	m.capClass.Add(freeMB)
 }
 
-func (a *streamAcc) addInterval(iv trace.Interval, cl Class) {
+// addInterval folds the interval closing at iv.B, which addSample has
+// already classified, slotted and indexed.
+func (a *streamAcc) addInterval(m *machState, iv trace.Interval, occupied bool, slot, k int) {
 	idle := iv.CPUIdlePct()
 	sent := iv.SentBps()
 	recv := iv.RecvBps()
 	s := iv.B
 
 	// Table 2 interval-level metrics, classified by the closing sample.
-	acc := &a.t2no
-	if cl.Occupied() {
-		acc = &a.t2with
+	col := &a.t2no
+	if occupied {
+		col = &a.t2with
 	}
-	for _, t := range [2]*table2Acc{acc, &a.t2both} {
-		t.cpuIdle.Add(idle)
-		t.sent.Add(sent)
-		t.recv.Add(recv)
-	}
+	col.addInterval(idle, sent, recv)
+	a.t2both.addInterval(idle, sent, recv)
 
 	// Figure 2: idleness by session age.
 	if s.HasSession() {
@@ -379,27 +409,25 @@ func (a *streamAcc) addInterval(iv trace.Interval, cl Class) {
 	}
 
 	// Figure 5 interval-level profiles.
-	a.weekly.CPUIdlePct.Add(s.Time, idle)
-	a.weekly.SentBps.Add(s.Time, sent)
-	a.weekly.RecvBps.Add(s.Time, recv)
+	a.weekly.CPUIdlePct.Slots[slot].Add(idle)
+	a.weekly.SentBps.Slots[slot].Add(sent)
+	a.weekly.RecvBps.Slots[slot].Add(recv)
 
 	// Figure 6: perf-weighted idleness, split by raw session presence.
-	if p, ok := a.perf[s.Machine]; ok {
-		es := a.eq[s.Iter]
-		if es == nil {
-			es = &eqSum{}
-			a.eq[s.Iter] = es
-		}
-		contrib := idle / 100 * p
+	if m.catalogued && k >= 0 {
+		contrib := idle / 100 * m.cat.perf
 		if s.HasSession() {
-			es.occ += contrib
+			a.iters[k].occ += contrib
 		} else {
-			es.free += contrib
+			a.iters[k].freeIdle += contrib
 		}
 	}
 
-	// Per-lab CPU idleness (catalogue lab, like ByLab's interval loop).
-	a.lab(a.labOf[s.Machine]).cpu.Add(idle)
+	// Per-lab CPU idleness, keyed by the catalogue lab.
+	if m.cpuLab == nil {
+		m.cpuLab = a.lab(m.cat.lab)
+	}
+	m.cpuLab.cpu.Add(idle)
 }
 
 func (a *streamAcc) lab(lb string) *labAcc {
@@ -438,95 +466,80 @@ func mergeT2(a, b *table2Acc) {
 	a.recv = a.recv.Merge(b.recv)
 }
 
-// merge folds shard b into a. Shards partition machines (the parallel
-// scheduler routes every run of a machine to one worker), so the
+// fold finishes every shard and merges them, in order, into the first.
+// Shards partition machines (the parallel scheduler routes every run of
+// a machine to one worker; segments must hold whole machines), so the
 // per-machine states are disjoint; everything else merges by Welford /
-// histogram / integer addition. Merging in fixed worker order keeps the
-// result deterministic for a given trace and worker count.
-func (a *streamAcc) merge(b *streamAcc) {
-	for id, m := range b.mach {
-		a.mach[id] = m
-	}
-
-	mergeT2(&a.t2no, &b.t2no)
-	mergeT2(&a.t2with, &b.t2with)
-	mergeT2(&a.t2both, &b.t2both)
-	a.rawLogin += b.rawLogin
-	a.reclassified += b.reclassified
-
-	for i := range a.age {
-		a.age[i] = a.age[i].Merge(b.age[i])
-	}
-
-	for iter, c := range b.avail {
-		av := a.avail[iter]
-		if av == nil {
-			av = &availCount{}
-			a.avail[iter] = av
+// histogram / integer addition. Merging in fixed order keeps the result
+// deterministic for a given trace and shard count.
+func fold(shards []*streamAcc) *streamAcc {
+	a := shards[0]
+	a.finish()
+	for _, b := range shards[1:] {
+		b.finish()
+		for id, m := range b.mach {
+			a.mach[id] = m
 		}
-		av.on += c.on
-		av.free += c.free
-	}
 
-	a.sessCount += b.sessCount
-	a.sessLengths = a.sessLengths.Merge(b.sessLengths)
-	a.sessHist.Merge(b.sessHist)
-	a.uptimeAll += b.uptimeAll
-	a.uptimeShort += b.uptimeShort
+		mergeT2(&a.t2no, &b.t2no)
+		mergeT2(&a.t2with, &b.t2with)
+		mergeT2(&a.t2both, &b.t2both)
+		a.rawLogin += b.rawLogin
+		a.reclassified += b.reclassified
 
-	a.weekly.CPUIdlePct.Merge(&b.weekly.CPUIdlePct)
-	a.weekly.RAMLoadPct.Merge(&b.weekly.RAMLoadPct)
-	a.weekly.SwapLoad.Merge(&b.weekly.SwapLoad)
-	a.weekly.SentBps.Merge(&b.weekly.SentBps)
-	a.weekly.RecvBps.Merge(&b.weekly.RecvBps)
-
-	for iter, e := range b.eq {
-		es := a.eq[iter]
-		if es == nil {
-			es = &eqSum{}
-			a.eq[iter] = es
+		for i := range a.age {
+			a.age[i] = a.age[i].Merge(b.age[i])
 		}
-		es.occ += e.occ
-		es.free += e.free
-	}
 
-	for lb, bl := range b.labs {
-		al := a.lab(lb)
-		al.samples += bl.samples
-		al.occupied += bl.occupied
-		al.ram = al.ram.Merge(bl.ram)
-		al.freeRAM = al.freeRAM.Merge(bl.freeRAM)
-		al.freeDisk = al.freeDisk.Merge(bl.freeDisk)
-		al.cpu = al.cpu.Merge(bl.cpu)
-	}
+		for k := range a.iters {
+			x, y := &a.iters[k], &b.iters[k]
+			x.on += y.on
+			x.free += y.free
+			x.occ += y.occ
+			x.freeIdle += y.freeIdle
+			x.ramMB += y.ramMB
+			x.diskGB += y.diskGB
+		}
 
-	a.capRAM = a.capRAM.Merge(b.capRAM)
-	a.capDisk = a.capDisk.Merge(b.capDisk)
-	for ram, r := range b.capClass {
-		if ar := a.capClass[ram]; ar != nil {
-			merged := ar.Merge(*r)
-			*ar = merged
-		} else {
-			cp := *r
-			a.capClass[ram] = &cp
+		a.sessCount += b.sessCount
+		a.sessLengths = a.sessLengths.Merge(b.sessLengths)
+		a.sessHist.Merge(b.sessHist)
+		a.uptimeAll += b.uptimeAll
+		a.uptimeShort += b.uptimeShort
+
+		a.weekly.CPUIdlePct.Merge(&b.weekly.CPUIdlePct)
+		a.weekly.RAMLoadPct.Merge(&b.weekly.RAMLoadPct)
+		a.weekly.SwapLoad.Merge(&b.weekly.SwapLoad)
+		a.weekly.SentBps.Merge(&b.weekly.SentBps)
+		a.weekly.RecvBps.Merge(&b.weekly.RecvBps)
+
+		for lb, bl := range b.labs {
+			al := a.lab(lb)
+			al.samples += bl.samples
+			al.occupied += bl.occupied
+			al.ram = al.ram.Merge(bl.ram)
+			al.freeRAM = al.freeRAM.Merge(bl.freeRAM)
+			al.freeDisk = al.freeDisk.Merge(bl.freeDisk)
+			al.cpu = al.cpu.Merge(bl.cpu)
+		}
+
+		a.capRAM = a.capRAM.Merge(b.capRAM)
+		a.capDisk = a.capDisk.Merge(b.capDisk)
+		for ram, r := range b.capClass {
+			if ar := a.capClass[ram]; ar != nil {
+				*ar = ar.Merge(*r)
+			} else {
+				a.capClass[ram] = r
+			}
 		}
 	}
-	for iter, ci := range b.capIter {
-		ai := a.capIter[iter]
-		if ai == nil {
-			ai = &capIterSum{}
-			a.capIter[iter] = ai
-		}
-		ai.ramMB += ci.ramMB
-		ai.diskGB += ci.diskGB
-		ai.on += ci.on
-	}
+	return a
 }
 
 // finalize expands the compact accumulator state into Results,
-// replaying each in-memory function's finalisation order exactly
-// (iteration-log order for per-iteration series, catalogue order for
-// uptime ratios, sorted-machine order for the SMART statistics, sorted
+// replaying each artefact's finalisation order exactly (iteration-log
+// order for per-iteration series, catalogue order for uptime ratios and
+// heatmap rows, sorted-machine order for the SMART statistics, sorted
 // lab names).
 func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.Iteration) *Results {
 	res := &Results{}
@@ -535,6 +548,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	for _, it := range iterations {
 		attempts += it.Attempted
 	}
+	// sums returns a logged iteration's sums.
+	sums := func(it *trace.Iteration) *iterSum { return &a.iters[a.iterIdx.of(it.Iter)] }
 
 	// Table 2.
 	res.Table2 = Table2{
@@ -561,11 +576,9 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 
 	// Figure 3.
 	var on, free stats.Running
-	for _, it := range iterations {
-		c := a.avail[it.Iter]
-		if c == nil {
-			c = &availCount{}
-		}
+	for i := range iterations {
+		it := &iterations[i]
+		c := sums(it)
 		res.Availability.Points = append(res.Availability.Points, AvailabilityPoint{
 			Iter: it.Iter, Time: it.Start, PoweredOn: c.on, UserFree: c.free,
 		})
@@ -575,9 +588,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	res.Availability.AvgPoweredOn = on.Mean()
 	res.Availability.AvgUserFree = free.Mean()
 
-	// Figure 4 (left): uptime ratios, catalogue order then ratio-sorted.
-	// The denominator is per-machine (lifetime-bounded for fleet-churn
-	// machines), mirroring UptimeRatios exactly.
+	// Figure 4 (left): uptime ratios, catalogue order then ratio-sorted,
+	// over each machine's (lifetime-bounded) attempts.
 	if len(iterations) > 0 {
 		ups := make([]MachineUptime, 0, len(machines))
 		for i := range machines {
@@ -615,26 +627,27 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 		res.Sessions.ShortUptimeFraction = a.uptimeShort / a.uptimeAll
 	}
 
-	// §5.2.2 power cycles, in sorted machine order like EachMachine.
+	// §5.2.2 power cycles, in sorted machine order.
 	ids := make([]string, 0, len(a.mach))
-	for id, m := range a.mach {
-		if m.hasPrev {
-			ids = append(ids, id)
-		}
+	for id := range a.mach {
+		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	var pc PowerCycleStats
 	var perMach, perCycle, lifetime stats.Running
 	for _, id := range ids {
 		m := a.mach[id]
-		first, last := &m.first, &m.prev
-		cycles := last.PowerCycles - first.PowerCycles + 1
+		last := &m.prev
+		cycles := last.PowerCycles - m.firstCycles + 1
 		if cycles < 1 {
 			cycles = 1
 		}
 		pc.TotalCycles += cycles
 		perMach.Add(float64(cycles))
-		hours := float64(last.PowerOnHours-first.PowerOnHours) + first.Uptime.Hours()
+		// Powered-on hours accumulated during the window. The first
+		// sample's uptime predates the counter difference, so add it back
+		// (in whole hours the SMART attribute would have counted).
+		hours := float64(last.PowerOnHours-m.firstPOH) + m.firstUptime.Hours()
 		if hours > 0 {
 			perCycle.Add(hours / float64(cycles))
 		}
@@ -661,9 +674,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	res.Weekly = &a.weekly
 
 	// Figure 6, iteration-log order; zero result when no machine has
-	// index metadata, like Equivalence. On fleet-churn traces the
-	// denominator is the per-iteration active fleet, mirroring
-	// Equivalence exactly.
+	// index metadata. On fleet-churn traces the denominator is the
+	// per-iteration active fleet.
 	if a.totalPerf != 0 {
 		partial := false
 		for i := range machines {
@@ -673,20 +685,18 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 			}
 		}
 		var occ, freeEq stats.Running
-		for _, it := range iterations {
-			es := a.eq[it.Iter]
-			if es == nil {
-				es = &eqSum{}
-			}
+		for i := range iterations {
+			it := &iterations[i]
+			es := sums(it)
 			denom := a.totalPerf
 			if partial {
 				denom = activePerf(machines, a.perf, it.Iter)
 				if denom == 0 {
-					continue
+					continue // no fleet at this instant; nothing to compare against
 				}
 			}
 			o := es.occ / denom
-			f := es.free / denom
+			f := es.freeIdle / denom
 			occ.Add(o)
 			freeEq.Add(f)
 			res.Equivalence.WeeklyOccupied.Add(it.Start, o)
@@ -699,8 +709,9 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	}
 
 	// Labs: catalogue labs always appear (even with no samples), machine
-	// counts come from the catalogue, sorted by name like ByLab. Lab
-	// attempts are lifetime-bounded per machine, mirroring ByLab.
+	// counts come from the catalogue, sorted by name. Lab attempts are
+	// lifetime-bounded per machine: full-lifetime machines are attempted
+	// every iteration, partial-lifetime machines only while members.
 	labMachines := make(map[string]map[string]bool)
 	labAttempts := make(map[string]int)
 	for i := range machines {
@@ -731,24 +742,19 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	sort.Slice(labs, func(i, j int) bool { return labs[i].Lab < labs[j].Lab })
 	res.Labs = labs
 
-	// Capacity, iteration-log order with zero-fill like Capacity.
+	// Capacity, iteration-log order; an iteration nobody answered adds
+	// zeros.
 	rep := CapacityReport{
 		AvgFreeRAMMBPerMachine:  a.capRAM.Mean(),
 		FreeRAMByClass:          map[int]float64{},
 		AvgFreeDiskGBPerMachine: a.capDisk.Mean(),
 	}
 	var iterRAM, iterDisk, iterOn stats.Running
-	for _, it := range iterations {
-		ci := a.capIter[it.Iter]
-		if ci == nil {
-			iterRAM.Add(0)
-			iterDisk.Add(0)
-			iterOn.Add(0)
-			continue
-		}
-		iterRAM.Add(ci.ramMB)
-		iterDisk.Add(ci.diskGB)
-		iterOn.Add(float64(ci.on))
+	for i := range iterations {
+		c := sums(&iterations[i])
+		iterRAM.Add(c.ramMB)
+		iterDisk.Add(c.diskGB)
+		iterOn.Add(float64(c.on))
 	}
 	rep.FleetFreeRAMGB = iterRAM.Mean() / 1024
 	rep.FleetFreeDiskTB = iterDisk.Mean() / 1024
@@ -757,6 +763,29 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 		rep.FreeRAMByClass[ram] = acc.Mean()
 	}
 	res.Capacity = rep
+
+	// Hour-of-week heatmaps, machines in catalogue order.
+	cells := make([]int, HeatHours)
+	for _, it := range iterations {
+		cells[heatCell(it.Start)]++
+	}
+	hd := &HeatmapData{
+		IterationsPerCell: cells,
+		FreeMachines:      FreeMachineHeat(res.Availability),
+		Machines:          make([]MachineHeat, 0, len(machines)),
+	}
+	for _, mi := range machines {
+		up := make([]float64, HeatHours)
+		if st := a.mach[mi.ID]; st != nil {
+			for c := range up {
+				if cells[c] > 0 {
+					up[c] = float64(st.heat[c]) / float64(cells[c])
+				}
+			}
+		}
+		hd.Machines = append(hd.Machines, MachineHeat{Machine: mi.ID, Lab: mi.Lab, Uptime: up})
+	}
+	res.Heatmap = hd
 
 	return res
 }

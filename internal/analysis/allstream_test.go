@@ -265,7 +265,7 @@ func bigTrace(t *testing.T, dir string, nMach, nIter int) (string, int64) {
 	for m := 0; m < nMach; m++ {
 		lab := "L0" + string(rune('1'+m%4))
 		d.Machines = append(d.Machines, trace.MachineInfo{
-			ID: "m" + string(rune('0'+m/100%10)) + string(rune('0'+m/10%10)) + string(rune('0'+m%10)),
+			ID:  "m" + string(rune('0'+m/100%10)) + string(rune('0'+m/10%10)) + string(rune('0'+m%10)),
 			Lab: lab, RAMMB: 256 << (m % 2), DiskGB: 74.5, IntIndex: 30, FPIndex: 34,
 		})
 	}
@@ -374,4 +374,54 @@ func TestAllStreamMemoryCeiling(t *testing.T) {
 	t.Logf("decoded %0.1f MB, heap growth %0.1f MB (ceiling %d MB)",
 		float64(decoded)/(1<<20), float64(grew)/(1<<20), ceiling>>20)
 	_ = os.Remove(path)
+}
+
+// TestAllStreamHostileIter feeds sample and log iteration numbers far
+// outside any real run — negative, 2⁴⁰, a log with a 2⁴⁰ gap — through
+// the TBv1 decoder into the engine. Nothing may panic, samples outside
+// the log still count in Table 2 but in no per-iteration series, and
+// what the pass allocates stays bounded by the log's length, never by an
+// iteration number.
+func TestAllStreamHostileIter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		logIter []int // iteration numbers of the header's log
+		iters   []int // per-sample iteration numbers, M1 then M2
+		inLog   int   // samples whose Iter is in the log
+	}{
+		{"sample-iters", []int{1, 2, 3, 4}, []int{1, -5, 1 << 40, 4}, 2},
+		{"sparse-log", []int{0, 1 << 40}, []int{0, 1 << 40, -1 << 40, 7}, 2},
+	} {
+		b := newBuilder(1, "M1", "M2")
+		for i, it := range tc.iters {
+			for _, id := range []string{"M1", "M2"} {
+				s := b.sample(i+1, id, t0, 0.9, "", time.Time{})
+				s.Iter = it
+			}
+		}
+		b.d.Iterations = b.d.Iterations[:0]
+		for _, it := range tc.logIter {
+			b.d.Iterations = append(b.d.Iterations, trace.Iteration{Iter: it, Start: t0, Attempted: 2})
+		}
+		tb := encodeTB(t, b.d)
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := allStreamOver(t, tb, Options{Workers: 1}, 0)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: the pass allocated %d B for a %d-entry log", tc.name, grew, len(tc.logIter))
+		}
+		if got, want := res.Table2.Both.Samples, 2*len(tc.iters); got != want {
+			t.Errorf("%s: Table 2 counted %d samples, want %d", tc.name, got, want)
+		}
+		on := 0
+		for _, p := range res.Availability.Points {
+			on += p.PoweredOn
+		}
+		if on != 2*tc.inLog {
+			t.Errorf("%s: availability counted %d samples, want the %d in the log", tc.name, on, 2*tc.inLog)
+		}
+	}
 }

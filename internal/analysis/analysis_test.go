@@ -102,7 +102,7 @@ func TestReclassify(t *testing.T) {
 	b.sample(1, "M1", boot, 0.9, "", time.Time{})
 	b.sample(2, "M1", boot, 0.9, "u", t0)   // 30 m old: kept
 	b.sample(48, "M1", boot, 0.99, "u", t0) // 12 h old: reclassified
-	st := Reclassify(b.d, DefaultForgottenThreshold)
+	st := All(b.d, Options{}).Table2.Reclass
 	if st.RawLoginSamples != 2 || st.Reclassified != 1 {
 		t.Errorf("Reclassify = %+v", st)
 	}
@@ -121,7 +121,7 @@ func TestMainResultsExactSplit(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		b.sample(i, "M2", boot, 0.60, "u", boot)
 	}
-	t2 := MainResults(b.d, DefaultForgottenThreshold)
+	t2 := All(b.d, Options{}).Table2
 	if t2.NoLogin.Samples != 4 || t2.WithLogin.Samples != 4 || t2.Both.Samples != 8 {
 		t.Fatalf("sample split: %d/%d/%d", t2.NoLogin.Samples, t2.WithLogin.Samples, t2.Both.Samples)
 	}
@@ -150,7 +150,7 @@ func TestMainResultsForgottenGoesToNoLogin(t *testing.T) {
 	for i := 1; i <= 50; i++ { // sessions age past 10 h by iteration 41
 		b.sample(i, "M1", boot, 0.95, "u", boot)
 	}
-	t2 := MainResults(b.d, DefaultForgottenThreshold)
+	t2 := All(b.d, Options{}).Table2
 	if t2.Reclass.Reclassified == 0 {
 		t.Fatal("nothing reclassified")
 	}
@@ -167,7 +167,7 @@ func TestIntervalsSkipReboots(t *testing.T) {
 	b := newBuilder(1, "M1")
 	b.sample(1, "M1", t0, 0.5, "", time.Time{})
 	b.sample(2, "M1", t0.Add(20*time.Minute), 0.5, "", time.Time{}) // rebooted
-	t2 := MainResults(b.d, DefaultForgottenThreshold)
+	t2 := All(b.d, Options{}).Table2
 	if t2.Both.CPUIdlePct != 0 || t2.Both.Samples != 2 {
 		// No valid interval: idle stays at accumulator zero.
 		t.Errorf("reboot-crossing interval used: %+v", t2.Both)
@@ -185,7 +185,7 @@ func TestSessionAgeProfile(t *testing.T) {
 	for i := 1; i <= 48; i++ {
 		b.sample(i, "M2", boot, 0.998, "v", boot)
 	}
-	p := SessionAge(b.d, 24)
+	p := All(b.d, Options{SessionAgeHours: 24}).SessionAge
 	if len(p.Buckets) != 24 {
 		t.Fatalf("buckets = %d", len(p.Buckets))
 	}
@@ -214,7 +214,7 @@ func TestAvailabilitySeries(t *testing.T) {
 	b.sample(1, "M1", boot, 0.9, "", time.Time{})
 	b.sample(1, "M2", boot, 0.9, "u", boot.Add(14*time.Minute))
 	b.sample(2, "M1", boot, 0.9, "", time.Time{})
-	av := Availability(b.d, DefaultForgottenThreshold)
+	av := All(b.d, Options{}).Availability
 	if len(av.Points) != 2 {
 		t.Fatalf("points = %d", len(av.Points))
 	}
@@ -238,7 +238,7 @@ func TestUptimeRatios(t *testing.T) {
 			b.sample(i, "M2", boot, 0.9, "", time.Time{})
 		}
 	}
-	us := UptimeRatios(b.d)
+	us := All(b.d, Options{}).Uptimes
 	if len(us) != 2 {
 		t.Fatalf("ratios = %d", len(us))
 	}
@@ -254,7 +254,7 @@ func TestUptimeRatios(t *testing.T) {
 	if CountAbove(us, 0.6) != 1 || CountAbove(us, 0.4) != 2 {
 		t.Error("CountAbove wrong")
 	}
-	if UptimeRatios(&trace.Dataset{}) != nil {
+	if All(&trace.Dataset{}, Options{}).Uptimes != nil {
 		t.Error("empty dataset should yield nil")
 	}
 }
@@ -277,7 +277,7 @@ func TestUptimeRatiosDuplicateSamples(t *testing.T) {
 			b.sample(i, "M2", boot, 0.9, "", time.Time{})
 		}
 	}
-	us := UptimeRatios(b.d)
+	us := All(b.d, Options{}).Uptimes
 	if len(us) != 2 {
 		t.Fatalf("ratios = %d", len(us))
 	}
@@ -302,15 +302,20 @@ func TestDetectSessions(t *testing.T) {
 	b.sample(2, "M1", boot1, 0.9, "", time.Time{})
 	b.sample(9, "M1", boot2, 0.9, "", time.Time{}) // reboot detected
 	b.sample(10, "M1", boot2, 0.9, "", time.Time{})
-	ss := DetectSessions(b.d)
-	if len(ss) != 2 {
-		t.Fatalf("sessions = %d, want 2", len(ss))
+	// Both detected sessions last 30 minutes: the uptime their last
+	// samples (iterations 2 and 10) report.
+	res := All(b.d, Options{})
+	if st := res.Sessions; st.Count != 2 {
+		t.Fatalf("sessions = %d, want 2", st.Count)
 	}
-	if ss[0].Length != 30*time.Minute { // uptime at iteration 2
-		t.Errorf("session 1 length = %v", ss[0].Length)
+	if got := res.Sessions.Mean; got != 30*time.Minute {
+		t.Errorf("session length = %v", got)
 	}
-	if ss[1].Samples != 2 {
-		t.Errorf("session 2 samples = %d", ss[1].Samples)
+	if res.Sessions.StdDev != 0 {
+		t.Errorf("session length spread = %v", res.Sessions.StdDev)
+	}
+	if res.PowerCycles.DetectedSessions != 2 {
+		t.Errorf("power-cycle view detected %d sessions", res.PowerCycles.DetectedSessions)
 	}
 }
 
@@ -326,7 +331,7 @@ func TestSessionsStats(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		b.sample(i, "M2", boot2, 0.9, "", time.Time{})
 	}
-	st := Sessions(b.d, 96*time.Hour, 24)
+	st := All(b.d, Options{HistCap: 96 * time.Hour, HistBins: 24}).Sessions
 	if st.Count != 2 {
 		t.Fatalf("count = %d", st.Count)
 	}
@@ -351,7 +356,7 @@ func TestPowerCyclesFromSMART(t *testing.T) {
 	s2 := b.sample(96+1, "M1", boot2, 0.9, "", time.Time{})
 	s2.PowerCycles = 109 // 9 cycles after the first sample (+1 for its boot)
 	s2.PowerOnHours = 650
-	pc := PowerCycles(b.d)
+	pc := All(b.d, Options{}).PowerCycles
 	if pc.TotalCycles != 10 {
 		t.Errorf("cycles = %d, want 10", pc.TotalCycles)
 	}
@@ -386,7 +391,7 @@ func TestWeeklyProfilesFill(t *testing.T) {
 		s.MemLoadPct = 55
 		s.SwapLoadPct = 25
 	}
-	w := Weekly(b.d)
+	w := All(b.d, Options{}).Weekly
 	slot, idle := w.MinCPUIdleSlot()
 	if slot < 0 {
 		t.Fatal("no populated slot")
@@ -417,7 +422,7 @@ func TestEquivalenceExact(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		b.sample(i, "M1", boot, 1.0, "", time.Time{})
 	}
-	eq := Equivalence(b.d, true)
+	eq := All(b.d, Options{}).Equivalence
 	if eq.FreeRatio < 0.44 || eq.FreeRatio > 0.5 {
 		t.Errorf("free ratio = %v, want ≈0.5", eq.FreeRatio)
 	}
@@ -449,8 +454,8 @@ func TestEquivalencePerfWeighting(t *testing.T) {
 		})
 		d.Iterations = append(d.Iterations, trace.Iteration{Iter: i, Start: at, Attempted: 2, Responded: 1})
 	}
-	weighted := Equivalence(d, true)
-	unweighted := Equivalence(d, false)
+	weighted := All(d, Options{}).Equivalence
+	unweighted := All(d, Options{UnweightedEquivalence: true}).Equivalence
 	if weighted.TotalRatio < 0.66 || weighted.TotalRatio > 0.75 {
 		t.Errorf("weighted = %v, want ≈0.75", weighted.TotalRatio)
 	}
@@ -463,7 +468,7 @@ func TestEquivalencePerfWeighting(t *testing.T) {
 }
 
 func TestEquivalenceEmpty(t *testing.T) {
-	eq := Equivalence(&trace.Dataset{}, true)
+	eq := All(&trace.Dataset{}, Options{}).Equivalence
 	if eq.TotalRatio != 0 {
 		t.Error("empty dataset equivalence != 0")
 	}
@@ -496,17 +501,19 @@ func TestIdlenessWhen(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		b.sample(i, "M1", boot, 0.999, "", time.Time{})
 	}
-	all := IdlenessWhen(b.d, func(time.Time) bool { return true })
+	w := All(b.d, Options{}).Weekly
+	all := w.IdlenessWhen(func(time.Time) bool { return true })
 	if all.N() != 7 || all.Mean() < 99.8 {
 		t.Errorf("all-hours idleness: %v", all)
 	}
-	none := IdlenessWhen(b.d, func(time.Time) bool { return false })
+	none := w.IdlenessWhen(func(time.Time) bool { return false })
 	if none.N() != 0 {
 		t.Errorf("empty predicate matched %d intervals", none.N())
 	}
-	// Samples sit at :15..2:00, intervals close at :30..2:00; a Before(1h)
-	// window keeps the intervals closing at :30 and :45.
-	firstHour := IdlenessWhen(b.d, func(at time.Time) bool { return at.Before(t0.Add(time.Hour)) })
+	// Samples sit at :15..2:00, intervals close at :30..2:00; a Monday
+	// before-1h window keeps the slots of the intervals closing at :30
+	// and :45.
+	firstHour := w.IdlenessWhen(func(at time.Time) bool { return at.Weekday() == time.Monday && at.Hour() < 1 })
 	if firstHour.N() != 2 {
 		t.Errorf("windowed idleness intervals = %d, want 2", firstHour.N())
 	}

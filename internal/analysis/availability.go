@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"time"
 
 	"winlab/internal/stats"
@@ -17,104 +16,30 @@ type AvailabilityPoint struct {
 }
 
 // AvailabilitySeries is the Figure 3 data: powered-on and user-free
-// machine counts per iteration, with their averages.
+// machine counts per iteration, with their averages. User-free machines
+// are powered-on machines without an occupied session, where sessions
+// older than the forgotten threshold count as non-occupied.
 type AvailabilitySeries struct {
 	Points       []AvailabilityPoint
 	AvgPoweredOn float64 // the paper reports 84.87
 	AvgUserFree  float64 // the paper reports 57.29
 }
 
-// Availability computes the Figure 3 series. User-free machines are
-// powered-on machines without an occupied session, where sessions older
-// than the threshold count as non-occupied (forgotten).
-func Availability(d *trace.Dataset, threshold time.Duration) AvailabilitySeries {
-	type counts struct{ on, free int }
-	byIter := make(map[int]*counts, len(d.Iterations))
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		c := byIter[s.Iter]
-		if c == nil {
-			c = &counts{}
-			byIter[s.Iter] = c
-		}
-		c.on++
-		if !Classify(s, threshold).Occupied() {
-			c.free++
-		}
-	}
-	var series AvailabilitySeries
-	var on, free stats.Running
-	for _, it := range d.Iterations {
-		c := byIter[it.Iter]
-		if c == nil {
-			c = &counts{}
-		}
-		series.Points = append(series.Points, AvailabilityPoint{
-			Iter: it.Iter, Time: it.Start, PoweredOn: c.on, UserFree: c.free,
-		})
-		on.Add(float64(c.on))
-		free.Add(float64(c.free))
-	}
-	series.AvgPoweredOn = on.Mean()
-	series.AvgUserFree = free.Mean()
-	return series
-}
-
 // MachineUptime is one machine's cumulated uptime over the experiment
 // (Figure 4, left): the fraction of probe attempts it answered, and that
-// availability expressed in "nines".
+// availability expressed in "nines". Results.Uptimes lists them in
+// descending ratio order, like the paper's figure.
+//
+// The numerator counts distinct iterations answered, not raw samples, so
+// a trace carrying duplicate samples for one machine in one iteration (a
+// collector retry bug, a careless merge — the invariant checker's
+// KindDuplicateSample) cannot push the ratio above 1. The denominator is
+// per-machine: a partial-lifetime machine (scenario fleet churn) is only
+// attempted during the iterations it was a fleet member for.
 type MachineUptime struct {
 	Machine string
 	Ratio   float64
 	Nines   float64
-}
-
-// UptimeRatios computes the per-machine uptime ratios, sorted in
-// descending order like the paper's Figure 4 (left). Per-machine
-// samples come straight from the index's spans — no per-call counting
-// pass.
-//
-// The numerator counts *distinct iterations answered*, not raw samples:
-// a trace carrying duplicate samples for one machine in one iteration
-// (a collector retry bug, a careless merge) used to inflate the ratio,
-// up to the absurd Ratio > 1 — "more available than always on". The
-// dataset invariant checker flags such traces (KindDuplicateSample);
-// this function now also computes the right answer on them. The spans
-// are time-sorted, so deduplication is one adjacent comparison per
-// sample.
-//
-// The denominator is per-machine: a partial-lifetime machine (scenario
-// fleet churn) is only "attempted" during the iterations it was a fleet
-// member for, so a replacement that joined halfway through is not
-// charged the probes that predate it. Full-lifetime machines keep the
-// classic denominator, the full iteration count.
-func UptimeRatios(d *trace.Dataset) []MachineUptime {
-	if len(d.Iterations) == 0 {
-		return nil
-	}
-	idx := d.Index()
-	out := make([]MachineUptime, 0, len(d.Machines))
-	for _, m := range d.Machines {
-		ss := idx.Samples(m.ID)
-		answered := 0
-		for i := range ss {
-			if i == 0 || ss[i].Iter != ss[i-1].Iter {
-				answered++
-			}
-		}
-		attempts := machineAttempts(&m, d.Iterations)
-		ratio := 0.0
-		if attempts > 0 {
-			ratio = float64(answered) / float64(attempts)
-		}
-		out = append(out, MachineUptime{
-			Machine: m.ID,
-			Ratio:   ratio,
-			Nines:   stats.Nines(ratio),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
-	return out
 }
 
 // machineAttempts returns how many of the trace's iterations the machine

@@ -1,12 +1,5 @@
 package analysis
 
-import (
-	"time"
-
-	"winlab/internal/stats"
-	"winlab/internal/trace"
-)
-
 // CapacityReport quantifies the paper's concluding claims about harvestable
 // memory and disk: "memory idleness is also noticeable especially in
 // machines fitted with 512 MB", "free space storage among monitored
@@ -24,74 +17,4 @@ type CapacityReport struct {
 
 	// Availability context: capacity is only harvestable while powered.
 	AvgPoweredMachines float64
-}
-
-// Capacity computes the memory/disk idleness report.
-func Capacity(d *trace.Dataset) CapacityReport {
-	ramByID := make(map[string]int, len(d.Machines))
-	for _, m := range d.Machines {
-		ramByID[m.ID] = m.RAMMB
-	}
-	var freeRAM, freeDisk stats.Running
-	classAcc := map[int]*stats.Running{}
-	perIter := map[int]*struct {
-		ramMB  float64
-		diskGB float64
-		on     int
-	}{}
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		ram := ramByID[s.Machine]
-		freeMB := float64(ram) * (100 - float64(s.MemLoadPct)) / 100
-		freeRAM.Add(freeMB)
-		freeDisk.Add(s.FreeDiskGB)
-		if acc := classAcc[ram]; acc == nil {
-			classAcc[ram] = &stats.Running{}
-		}
-		classAcc[ram].Add(freeMB)
-		it := perIter[s.Iter]
-		if it == nil {
-			it = &struct {
-				ramMB  float64
-				diskGB float64
-				on     int
-			}{}
-			perIter[s.Iter] = it
-		}
-		it.ramMB += freeMB
-		it.diskGB += s.FreeDiskGB
-		it.on++
-	}
-	var iterRAM, iterDisk, iterOn stats.Running
-	for _, it := range d.Iterations {
-		acc := perIter[it.Iter]
-		if acc == nil {
-			iterRAM.Add(0)
-			iterDisk.Add(0)
-			iterOn.Add(0)
-			continue
-		}
-		iterRAM.Add(acc.ramMB)
-		iterDisk.Add(acc.diskGB)
-		iterOn.Add(float64(acc.on))
-	}
-	rep := CapacityReport{
-		AvgFreeRAMMBPerMachine:  freeRAM.Mean(),
-		FleetFreeRAMGB:          iterRAM.Mean() / 1024,
-		FreeRAMByClass:          map[int]float64{},
-		AvgFreeDiskGBPerMachine: freeDisk.Mean(),
-		FleetFreeDiskTB:         iterDisk.Mean() / 1024,
-		AvgPoweredMachines:      iterOn.Mean(),
-	}
-	for ram, acc := range classAcc {
-		rep.FreeRAMByClass[ram] = acc.Mean()
-	}
-	return rep
-}
-
-// UnusedMemoryPct returns the paper's headline "unused memory averaging
-// 42.1%": 100 minus the overall mean RAM load.
-func UnusedMemoryPct(d *trace.Dataset, threshold time.Duration) float64 {
-	t2 := MainResults(d, threshold)
-	return 100 - t2.Both.RAMLoadPct
 }

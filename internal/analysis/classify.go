@@ -2,11 +2,15 @@
 // monitoring trace: the forgotten-session reclassification (§4.2), the
 // main results table (Table 2), the availability and stability analyses
 // (Figures 3 and 4, §5.2), the weekly distributions (Figure 5) and the
-// cluster-equivalence ratio (Figure 6, §5.4).
+// cluster-equivalence ratio (Figure 6, §5.4), plus the hour-of-week
+// heatmaps the query layer serves.
 //
-// Everything here consumes only trace.Dataset — the collected samples and
-// per-iteration bookkeeping — never simulator internals, so the same code
-// analyses a trace captured from live agents.
+// One engine computes all of them in a single pass (allstream.go). Its
+// sources are an in-memory trace (All), a TBv1 cursor (AllStream) and the
+// unmerged segments of a sharded run (AllSegments). Everything here
+// consumes only the collected samples, catalogue and per-iteration
+// bookkeeping — never simulator internals — so the same code analyses a
+// trace captured from live agents.
 package analysis
 
 import (
@@ -60,26 +64,11 @@ func (c Class) String() string {
 	}
 }
 
-// ReclassifyStats reports the §4.2 numbers: how many raw login samples
-// there were and how many of them the threshold reclassified.
+// ReclassifyStats reports the §4.2 numbers (Table2.Reclass): how many raw
+// login samples there were and how many of them the threshold
+// reclassified.
 type ReclassifyStats struct {
 	Threshold       time.Duration
 	RawLoginSamples int // samples with an open session (277,513 in the paper)
 	Reclassified    int // of those, session age ≥ threshold (87,830)
-}
-
-// Reclassify computes the reclassification statistics for a dataset.
-func Reclassify(d *trace.Dataset, threshold time.Duration) ReclassifyStats {
-	st := ReclassifyStats{Threshold: threshold}
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		if !s.HasSession() {
-			continue
-		}
-		st.RawLoginSamples++
-		if Classify(s, threshold) == Forgotten {
-			st.Reclassified++
-		}
-	}
-	return st
 }

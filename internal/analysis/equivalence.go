@@ -15,6 +15,13 @@ import (
 // powered-off machines contribute nothing. "Occupied" means an open
 // interactive session at sample time (raw, unreclassified — an abandoned
 // but open session is still usable idleness on an occupied machine).
+// Machines without NBench index metadata are skipped;
+// Options.UnweightedEquivalence forces every weight to 1 (the ablation).
+//
+// On traces with partial-lifetime machines (scenario fleet churn) the
+// dedicated-cluster denominator is per-iteration: the comparison cluster
+// at any instant is the fleet that existed at that instant. Full-lifetime
+// traces keep the classic static denominator.
 type EquivalenceResult struct {
 	// Means over all iterations.
 	OccupiedRatio float64 // the paper reports 0.26
@@ -25,81 +32,6 @@ type EquivalenceResult struct {
 	Weekly         stats.WeeklyProfile
 	WeeklyOccupied stats.WeeklyProfile
 	WeeklyFree     stats.WeeklyProfile
-}
-
-// Equivalence computes the cluster-equivalence ratio of a trace. Machines
-// with no NBench index metadata are skipped. Unweighted (perf index forced
-// to 1 for every machine) behaviour is available via the normalize flag,
-// which the ablation bench uses to quantify how much index-weighting
-// matters.
-// For traces with partial-lifetime machines (scenario fleet churn) the
-// dedicated-cluster denominator is per-iteration: the comparison cluster
-// at any instant is the fleet that existed at that instant, so a machine
-// contributes to the denominator only while it is a fleet member.
-// Full-lifetime traces keep the classic static denominator.
-func Equivalence(d *trace.Dataset, normalize bool) EquivalenceResult {
-	perf := make(map[string]float64, len(d.Machines))
-	var totalPerf float64
-	partial := false
-	for _, m := range d.Machines {
-		p := m.PerfIndex()
-		if !normalize {
-			p = 1
-		}
-		perf[m.ID] = p
-		totalPerf += p
-		partial = partial || m.PartialLifetime()
-	}
-	var res EquivalenceResult
-	if totalPerf == 0 {
-		return res
-	}
-
-	type slotSum struct{ occ, free float64 }
-	sums := make(map[int]*slotSum, len(d.Iterations))
-	for _, iv := range d.Index().Intervals(2 * d.Period) {
-		p, ok := perf[iv.B.Machine]
-		if !ok {
-			continue
-		}
-		ss := sums[iv.B.Iter]
-		if ss == nil {
-			ss = &slotSum{}
-			sums[iv.B.Iter] = ss
-		}
-		contrib := iv.CPUIdlePct() / 100 * p
-		if iv.B.HasSession() {
-			ss.occ += contrib
-		} else {
-			ss.free += contrib
-		}
-	}
-
-	var occ, free stats.Running
-	for _, it := range d.Iterations {
-		ss := sums[it.Iter]
-		if ss == nil {
-			ss = &slotSum{}
-		}
-		denom := totalPerf
-		if partial {
-			denom = activePerf(d.Machines, perf, it.Iter)
-			if denom == 0 {
-				continue // no fleet at this instant; nothing to compare against
-			}
-		}
-		o := ss.occ / denom
-		f := ss.free / denom
-		occ.Add(o)
-		free.Add(f)
-		res.WeeklyOccupied.Add(it.Start, o)
-		res.WeeklyFree.Add(it.Start, f)
-		res.Weekly.Add(it.Start, o+f)
-	}
-	res.OccupiedRatio = occ.Mean()
-	res.FreeRatio = free.Mean()
-	res.TotalRatio = res.OccupiedRatio + res.FreeRatio
-	return res
 }
 
 // activePerf sums the perf weights of the machines that were fleet

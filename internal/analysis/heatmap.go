@@ -3,6 +3,7 @@ package analysis
 import (
 	"time"
 
+	"winlab/internal/stats"
 	"winlab/internal/trace"
 )
 
@@ -24,53 +25,28 @@ type MachineHeat struct {
 // HeatmapData bundles the hour-of-week heatmaps the query layer serves:
 // the fleet-level mean user-free machine count per cell (the harvest
 // windows of Figure 3, FreeMachineHeat) and the per-machine availability
-// grid.
+// grid. Machines appear in catalogue order; a machine with no samples
+// gets an all-zero row. A cell's denominator is the number of iterations
+// whose start fell in it, and its numerator counts distinct iterations
+// answered, the same duplicate-sample correction MachineUptime applies.
 type HeatmapData struct {
 	IterationsPerCell []int     // probe iterations that fell in each cell
 	FreeMachines      []float64 // mean user-free machines per cell
 	Machines          []MachineHeat
 }
 
-// heatCell maps a time to its hour-of-week cell (Monday 00:00 is cell 0).
-func heatCell(t time.Time) int {
-	day := (int(t.Weekday()) + 6) % 7
-	return day*24 + t.Hour()
-}
+// heatCell maps a time to its hour-of-week cell (Monday 00:00 is cell 0):
+// four 15-minute weekly-profile slots per cell.
+func heatCell(t time.Time) int { return stats.WeekSlot(t) / 4 }
 
-// Heatmap computes the hour-of-week heatmaps. Machines appear in catalog
-// order; a machine with no samples gets an all-zero row. The per-cell
-// denominator is the number of iterations whose start fell in the cell,
-// and the numerator deduplicates to distinct iterations answered, the
-// same correction UptimeRatios applies.
+// Heatmap computes the hour-of-week heatmaps with the given forgotten
+// threshold (it decides which machines count as user-free). It runs the
+// whole engine pass and returns one field of it; callers that need more
+// than the heatmap should call All once.
 func Heatmap(d *trace.Dataset, threshold time.Duration) *HeatmapData {
-	idx := d.Index()
-	iters := make([]int, HeatHours)
-	for _, it := range d.Iterations {
-		iters[heatCell(it.Start)]++
-	}
-	hd := &HeatmapData{
-		IterationsPerCell: iters,
-		FreeMachines:      FreeMachineHeat(Availability(d, threshold)),
-		Machines:          make([]MachineHeat, 0, len(d.Machines)),
-	}
-	for _, m := range d.Machines {
-		ss := idx.Samples(m.ID)
-		counts := make([]int, HeatHours)
-		for i := range ss {
-			if i > 0 && ss[i].Iter == ss[i-1].Iter {
-				continue // duplicate sample for one iteration
-			}
-			counts[heatCell(ss[i].Time)]++
-		}
-		up := make([]float64, HeatHours)
-		for c := range up {
-			if iters[c] > 0 {
-				up[c] = float64(counts[c]) / float64(iters[c])
-			}
-		}
-		hd.Machines = append(hd.Machines, MachineHeat{Machine: m.ID, Lab: m.Lab, Uptime: up})
-	}
-	return hd
+	o := Options{}.withDefaults()
+	o.Threshold = threshold
+	return allFrozen(d, o).Heatmap
 }
 
 // UptimeHistogram bins the per-machine uptime ratios into equal-width

@@ -16,7 +16,7 @@ func TestHeatmap(t *testing.T) {
 	b.sample(4, "m1", boot, 0.9, "", time.Time{})
 	b.sample(96, "m1", boot, 0.9, "", time.Time{})
 
-	hd := Heatmap(b.d, DefaultForgottenThreshold)
+	hd := All(b.d, Options{}).Heatmap
 	if len(hd.Machines) != 2 {
 		t.Fatalf("machines = %d, want 2", len(hd.Machines))
 	}
@@ -52,7 +52,7 @@ func TestHeatmapDuplicateSampleDedup(t *testing.T) {
 	b.sample(0, "m1", boot, 0.9, "", time.Time{})
 	// Duplicate sample for the same iteration must not double-count.
 	b.sample(0, "m1", boot, 0.9, "", time.Time{})
-	hd := Heatmap(b.d, DefaultForgottenThreshold)
+	hd := All(b.d, Options{}).Heatmap
 	if got := hd.Machines[0].Uptime[0]; got != 1 {
 		t.Errorf("uptime with duplicate sample = %v, want 1", got)
 	}

@@ -1,13 +1,5 @@
 package analysis
 
-import (
-	"sort"
-	"time"
-
-	"winlab/internal/stats"
-	"winlab/internal/trace"
-)
-
 // LabUsage is one laboratory's usage summary: how often its machines were
 // up, how often occupied, and its resource idleness. The paper aggregates
 // over the whole institution; the per-lab view exposes the structure the
@@ -22,74 +14,4 @@ type LabUsage struct {
 	RAMLoadPct           float64
 	FreeRAMMBPerMachine  float64 // average unused memory per powered machine
 	FreeDiskGBPerMachine float64
-}
-
-// ByLab computes per-laboratory usage with the given forgotten-session
-// threshold. Labs are returned in name order.
-func ByLab(d *trace.Dataset, threshold time.Duration) []LabUsage {
-	type acc struct {
-		machines map[string]bool
-		samples  int
-		occupied int
-		ram      stats.Running
-		freeRAM  stats.Running
-		freeDisk stats.Running
-		cpu      stats.Running
-	}
-	accs := map[string]*acc{}
-	get := func(lb string) *acc {
-		a := accs[lb]
-		if a == nil {
-			a = &acc{machines: map[string]bool{}}
-			accs[lb] = a
-		}
-		return a
-	}
-	ramByID := make(map[string]int, len(d.Machines))
-	labOf := make(map[string]string, len(d.Machines))
-	// Per-lab probe attempts: full-lifetime machines are attempted every
-	// iteration, partial-lifetime machines (fleet churn) only while they
-	// are members — identical to iterations × machines on static fleets.
-	labAttempts := make(map[string]int, 8)
-	for _, m := range d.Machines {
-		ramByID[m.ID] = m.RAMMB
-		labOf[m.ID] = m.Lab
-		get(m.Lab).machines[m.ID] = true
-		labAttempts[m.Lab] += machineAttempts(&m, d.Iterations)
-	}
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		a := get(s.Lab)
-		a.samples++
-		if Classify(s, threshold).Occupied() {
-			a.occupied++
-		}
-		a.ram.Add(float64(s.MemLoadPct))
-		if ram := ramByID[s.Machine]; ram > 0 {
-			a.freeRAM.Add(float64(ram) * (100 - float64(s.MemLoadPct)) / 100)
-		}
-		a.freeDisk.Add(s.FreeDiskGB)
-	}
-	for _, iv := range d.Index().Intervals(2 * d.Period) {
-		get(labOf[iv.B.Machine]).cpu.Add(iv.CPUIdlePct())
-	}
-
-	out := make([]LabUsage, 0, len(accs))
-	for lb, a := range accs {
-		u := LabUsage{
-			Lab:                  lb,
-			Machines:             len(a.machines),
-			CPUIdlePct:           a.cpu.Mean(),
-			RAMLoadPct:           a.ram.Mean(),
-			FreeRAMMBPerMachine:  a.freeRAM.Mean(),
-			FreeDiskGBPerMachine: a.freeDisk.Mean(),
-		}
-		if attempts := labAttempts[lb]; attempts > 0 {
-			u.UptimePct = 100 * float64(a.samples) / float64(attempts)
-			u.OccupiedPct = 100 * float64(a.occupied) / float64(attempts)
-		}
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lab < out[j].Lab })
-	return out
 }

@@ -48,7 +48,7 @@ func twoLabDataset() *trace.Dataset {
 }
 
 func TestByLab(t *testing.T) {
-	us := ByLab(twoLabDataset(), DefaultForgottenThreshold)
+	us := All(twoLabDataset(), Options{}).Labs
 	if len(us) != 2 {
 		t.Fatalf("labs = %d", len(us))
 	}
@@ -71,11 +71,13 @@ func TestByLab(t *testing.T) {
 	if slow.OccupiedPct != 0 {
 		t.Errorf("slow occupied = %v", slow.OccupiedPct)
 	}
-	if fast.RAMLoadPct != 50 { // mean of 60 and 40
+	// All accumulates in index (machine-sorted) order, so the means below
+	// get float-rounding slack in the last bits.
+	if !approxEq(fast.RAMLoadPct, 50) { // mean of 60 and 40
 		t.Errorf("fast ram = %v", fast.RAMLoadPct)
 	}
 	// Free RAM: F1 204.8 MB, F2 307.2 → mean 256.
-	if fast.FreeRAMMBPerMachine != 256 {
+	if !approxEq(fast.FreeRAMMBPerMachine, 256) {
 		t.Errorf("fast free RAM = %v", fast.FreeRAMMBPerMachine)
 	}
 	if slow.FreeDiskGBPerMachine != 5.5 {
@@ -88,7 +90,7 @@ func TestByLab(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	c := Capacity(twoLabDataset())
+	c := All(twoLabDataset(), Options{}).Capacity
 	// Per-sample free RAM: 8×204.8 + 8×307.2 + 4×32 over 20 samples = 211.2.
 	if c.AvgFreeRAMMBPerMachine < 211 || c.AvgFreeRAMMBPerMachine > 212 {
 		t.Errorf("avg free RAM = %v", c.AvgFreeRAMMBPerMachine)
@@ -96,7 +98,7 @@ func TestCapacity(t *testing.T) {
 	if v := c.FreeRAMByClass[128]; v != 32 {
 		t.Errorf("128MB class free = %v", v)
 	}
-	if v := c.FreeRAMByClass[512]; v != 256 {
+	if v := c.FreeRAMByClass[512]; !approxEq(v, 256) { // machine-sorted accumulation: last-bit slack
 		t.Errorf("512MB class free = %v", v)
 	}
 	// Simultaneous fleet free RAM: iterations 1–4 have all three machines
@@ -115,10 +117,11 @@ func TestCapacity(t *testing.T) {
 }
 
 func TestUnusedMemoryPct(t *testing.T) {
-	// Overall RAM load mean: (8×60 + 8×40 + 4×75) / 20 = 55. The running
-	// mean is accumulated in index (machine-sorted) order, so allow
-	// float-rounding slack in the last bits.
-	got := UnusedMemoryPct(twoLabDataset(), DefaultForgottenThreshold)
+	// Overall RAM load mean: (8×60 + 8×40 + 4×75) / 20 = 55, so the
+	// unused-memory headline is 45%. The running mean is accumulated in
+	// index (machine-sorted) order, so allow float-rounding slack in the
+	// last bits.
+	got := 100 - All(twoLabDataset(), Options{}).Table2.Both.RAMLoadPct
 	if got < 45-1e-9 || got > 45+1e-9 {
 		t.Errorf("unused memory = %v, want 45", got)
 	}

@@ -1,14 +1,12 @@
 package analysis
 
-import (
-	"time"
-
-	"winlab/internal/stats"
-	"winlab/internal/trace"
-)
+import "time"
 
 // PowerCycleStats reproduces §5.2.2: machine stability seen through the
-// SMART counters instead of the sampling methodology.
+// SMART counters instead of the sampling methodology. Per machine, the
+// cycles in the monitoring window are the difference between the SMART
+// cycle counter of its last and first samples, plus one: the boot that
+// produced the first sample is itself a cycle the difference misses.
 type PowerCycleStats struct {
 	// Monitoring window (first to last sample of each machine).
 	TotalCycles      int64   // the paper reports 13,871
@@ -29,56 +27,4 @@ type PowerCycleStats struct {
 	// end of the experiment (6.46 h, σ 4.78 h in the paper).
 	LifetimePerCycle   time.Duration
 	LifetimePerCycleSD time.Duration
-}
-
-// PowerCycles computes the SMART-based stability statistics.
-//
-// Per machine, the number of cycles in the monitoring window is the
-// difference between the SMART cycle counter of the last and first
-// samples, plus one: the boot that produced the first sample is itself a
-// cycle that the difference misses.
-func PowerCycles(d *trace.Dataset) PowerCycleStats {
-	idx := d.Index()
-	days := idx.Days()
-
-	var st PowerCycleStats
-	var perMach, perCycle, lifetime stats.Running
-	idx.EachMachine(func(id string, ss []trace.Sample) {
-		if len(ss) == 0 {
-			return
-		}
-		first, last := &ss[0], &ss[len(ss)-1]
-		cycles := last.PowerCycles - first.PowerCycles + 1
-		if cycles < 1 {
-			cycles = 1
-		}
-		st.TotalCycles += cycles
-		perMach.Add(float64(cycles))
-
-		// Powered-on hours accumulated during the window. The first
-		// sample's uptime predates the counter difference, so add it back
-		// (in whole hours the SMART attribute would have counted).
-		hours := float64(last.PowerOnHours-first.PowerOnHours) + first.Uptime.Hours()
-		if hours > 0 {
-			perCycle.Add(hours / float64(cycles))
-		}
-
-		if last.PowerCycles > 0 {
-			lifetime.Add(float64(last.PowerOnHours) / float64(last.PowerCycles))
-		}
-	})
-	st.AvgPerMachine = perMach.Mean()
-	st.SDPerMachine = perMach.StdDev()
-	if days > 0 {
-		st.CyclesPerDay = perMach.Mean() / days
-	}
-	st.DetectedSessions = len(DetectSessions(d))
-	if st.DetectedSessions > 0 {
-		st.UndetectedRatio = float64(st.TotalCycles)/float64(st.DetectedSessions) - 1
-	}
-	st.UptimePerCycle = time.Duration(perCycle.Mean() * float64(time.Hour))
-	st.UptimePerCycleSD = time.Duration(perCycle.StdDev() * float64(time.Hour))
-	st.LifetimePerCycle = time.Duration(lifetime.Mean() * float64(time.Hour))
-	st.LifetimePerCycleSD = time.Duration(lifetime.StdDev() * float64(time.Hour))
-	return st
 }

@@ -1,12 +1,5 @@
 package analysis
 
-import (
-	"time"
-
-	"winlab/internal/stats"
-	"winlab/internal/trace"
-)
-
 // AgeBucket aggregates login samples whose session age falls in
 // [Hour, Hour+1) hours: the paper's Figure 2.
 type AgeBucket struct {
@@ -19,42 +12,11 @@ type AgeBucket struct {
 // interactive session and reports the average CPU idleness per one-hour
 // bucket. The paper uses this profile to pick the forgotten-session
 // threshold: the first bucket with ≥99% average idleness marks sessions
-// that are open but unattended.
+// that are open but unattended. Idleness comes from the intervals whose
+// closing sample has a session; ages at or beyond the profile's depth
+// (Options.SessionAgeHours) fold into the last bucket.
 type SessionAgeProfile struct {
 	Buckets []AgeBucket
-}
-
-// SessionAge computes the Figure 2 profile. maxHours bounds the profile
-// (ages at or beyond it are folded into the last bucket); the paper plots
-// about 24 hours.
-func SessionAge(d *trace.Dataset, maxHours int) SessionAgeProfile {
-	if maxHours <= 0 {
-		maxHours = 24
-	}
-	accs := make([]stats.Running, maxHours)
-	maxGap := 2 * d.Period
-	for _, iv := range d.Index().Intervals(maxGap) {
-		if !iv.B.HasSession() {
-			continue
-		}
-		h := int(iv.B.SessionAge() / time.Hour)
-		if h < 0 {
-			continue
-		}
-		if h >= maxHours {
-			h = maxHours - 1
-		}
-		accs[h].Add(iv.CPUIdlePct())
-	}
-	p := SessionAgeProfile{Buckets: make([]AgeBucket, maxHours)}
-	for h := range accs {
-		p.Buckets[h] = AgeBucket{
-			Hour:       h,
-			Samples:    accs[h].N(),
-			CPUIdlePct: accs[h].Mean(),
-		}
-	}
-	return p
 }
 
 // FirstBucketAtOrAbove returns the first bucket hour whose average CPU

@@ -4,25 +4,16 @@ import (
 	"time"
 
 	"winlab/internal/stats"
-	"winlab/internal/trace"
 )
 
-// DetectedSession is one machine session (boot → shutdown) as seen by the
-// sampling methodology: a maximal run of consecutive same-boot samples.
-// Its length is the uptime reported by the last sample of the run, which
-// systematically underestimates the true length by up to one period — the
-// same bias the paper's methodology has.
-type DetectedSession struct {
-	Machine  string
-	BootTime time.Time
-	First    time.Time // first sample of the run
-	Last     time.Time // last sample of the run
-	Length   time.Duration
-	Samples  int
-}
-
 // SessionStats summarises the detected machine sessions (§5.2.1 and the
-// right plot of Figure 4).
+// right plot of Figure 4). A detected session is a maximal run of one
+// machine's consecutive same-boot samples; its length is the uptime the
+// run's last sample reports, which underestimates the true length by up
+// to one period — the same bias the paper's methodology has. Reboots
+// entirely between two samples merge into one detected session, so a
+// 15-minute period loses the very short cycles only SMART counters
+// reveal (PowerCycleStats.UndetectedRatio).
 type SessionStats struct {
 	Count  int
 	Mean   time.Duration // the paper reports 15 h 55 m
@@ -38,78 +29,4 @@ type SessionStats struct {
 	// (87.93%).
 	ShortFraction       float64
 	ShortUptimeFraction float64
-}
-
-// DetectSessions extracts the machine sessions visible to the sampling
-// methodology. Note that reboots happening entirely between two samples
-// are merged into one detected session when the machine's uptime at the
-// next sample is larger than the gap (only one reboot is detectable per
-// gap, §5.2.1) — with a 15-minute period this loses the very short cycles
-// that only SMART counters reveal.
-func DetectSessions(d *trace.Dataset) []DetectedSession {
-	var out []DetectedSession
-	d.Index().EachMachine(func(id string, ss []trace.Sample) {
-		var cur *DetectedSession
-		for i := range ss {
-			s := &ss[i]
-			if cur != nil && trace.SameBoot(&trace.Sample{BootTime: cur.BootTime}, s) {
-				cur.Last = s.Time
-				cur.Length = s.Uptime
-				cur.Samples++
-				continue
-			}
-			if cur != nil {
-				out = append(out, *cur)
-			}
-			cur = &DetectedSession{
-				Machine:  s.Machine,
-				BootTime: s.BootTime,
-				First:    s.Time,
-				Last:     s.Time,
-				Length:   s.Uptime,
-				Samples:  1,
-			}
-		}
-		if cur != nil {
-			out = append(out, *cur)
-		}
-	})
-	return out
-}
-
-// Sessions computes the §5.2.1 statistics with the given histogram cap
-// (the paper uses 96 h with 24 four-hour bins).
-func Sessions(d *trace.Dataset, histCap time.Duration, bins int) SessionStats {
-	sessions := DetectSessions(d)
-	if histCap <= 0 {
-		histCap = 96 * time.Hour
-	}
-	if bins <= 0 {
-		bins = 24
-	}
-	st := SessionStats{
-		Hist:    stats.NewHistogram(0, histCap.Hours(), bins),
-		HistCap: histCap,
-	}
-	var lengths stats.Running
-	var uptimeAll, uptimeShort float64
-	for _, s := range sessions {
-		h := s.Length.Hours()
-		lengths.Add(h)
-		st.Hist.Add(h)
-		uptimeAll += h
-		if s.Length <= histCap {
-			uptimeShort += h
-		}
-	}
-	st.Count = len(sessions)
-	st.Mean = time.Duration(lengths.Mean() * float64(time.Hour))
-	st.StdDev = time.Duration(lengths.StdDev() * float64(time.Hour))
-	if st.Count > 0 {
-		st.ShortFraction = st.Hist.InRangeFraction()
-	}
-	if uptimeAll > 0 {
-		st.ShortUptimeFraction = uptimeShort / uptimeAll
-	}
-	return st
 }

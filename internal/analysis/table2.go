@@ -44,6 +44,19 @@ type table2Acc struct {
 	recv    stats.Running
 }
 
+func (a *table2Acc) addSample(s *trace.Sample) {
+	a.samples++
+	a.ram.Add(float64(s.MemLoadPct))
+	a.swap.Add(float64(s.SwapLoadPct))
+	a.disk.Add(s.UsedDiskGB())
+}
+
+func (a *table2Acc) addInterval(idle, sent, recv float64) {
+	a.cpuIdle.Add(idle)
+	a.sent.Add(sent)
+	a.recv.Add(recv)
+}
+
 func (a *table2Acc) column(attempts int) Column {
 	c := Column{
 		Samples:     a.samples,
@@ -62,7 +75,8 @@ func (a *table2Acc) column(attempts int) Column {
 	return c
 }
 
-// MainResults computes Table 2. Samples are classified with the forgotten
+// MainResults computes Table 2 with the given forgotten threshold; a zero
+// threshold disables reclassification. Samples are classified with the
 // threshold: Forgotten samples are counted in the No-login column, exactly
 // as §4.2 prescribes ("we consider samples reporting an interactive
 // user-session equal or above than 10 hours as being captured on
@@ -72,43 +86,11 @@ func (a *table2Acc) column(attempts int) Column {
 // network rates come from consecutive same-boot sample pairs, classified
 // by the later sample of the pair. Interval metrics skip pairs separated
 // by more than twice the sampling period (collector outages).
+//
+// It runs the whole engine pass and returns one field of it; callers that
+// need more than Table 2 should call All once.
 func MainResults(d *trace.Dataset, threshold time.Duration) Table2 {
-	idx := d.Index()
-	var no, with, both table2Acc
-
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		acc := &no
-		if Classify(s, threshold).Occupied() {
-			acc = &with
-		}
-		for _, a := range []*table2Acc{acc, &both} {
-			a.samples++
-			a.ram.Add(float64(s.MemLoadPct))
-			a.swap.Add(float64(s.SwapLoadPct))
-			a.disk.Add(s.UsedDiskGB())
-		}
-	}
-
-	maxGap := 2 * d.Period
-	for _, iv := range idx.Intervals(maxGap) {
-		acc := &no
-		if Classify(iv.B, threshold).Occupied() {
-			acc = &with
-		}
-		for _, a := range []*table2Acc{acc, &both} {
-			a.cpuIdle.Add(iv.CPUIdlePct())
-			a.sent.Add(iv.SentBps())
-			a.recv.Add(iv.RecvBps())
-		}
-	}
-
-	attempts := idx.Attempts()
-	return Table2{
-		Threshold: threshold,
-		Reclass:   Reclassify(d, threshold),
-		NoLogin:   no.column(attempts),
-		WithLogin: with.column(attempts),
-		Both:      both.column(attempts),
-	}
+	o := Options{}.withDefaults()
+	o.Threshold = threshold
+	return allFrozen(d, o).Table2
 }

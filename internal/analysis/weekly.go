@@ -4,36 +4,19 @@ import (
 	"time"
 
 	"winlab/internal/stats"
-	"winlab/internal/trace"
 )
 
 // WeeklyProfiles is the Figure 5 data: the weekly distribution (15-minute
 // slots, Monday-first) of CPU idleness, memory and swap load, and network
-// rates.
+// rates. Sample-level metrics (memory, swap) aggregate by sample slot;
+// interval metrics (CPU idleness, network rates) by the slot of the
+// closing sample.
 type WeeklyProfiles struct {
 	CPUIdlePct stats.WeeklyProfile
 	RAMLoadPct stats.WeeklyProfile
 	SwapLoad   stats.WeeklyProfile
 	SentBps    stats.WeeklyProfile
 	RecvBps    stats.WeeklyProfile
-}
-
-// Weekly computes the Figure 5 weekly distributions. Sample-level metrics
-// (memory, swap) aggregate by sample slot; interval metrics (CPU idleness,
-// network rates) aggregate by the slot of the closing sample.
-func Weekly(d *trace.Dataset) *WeeklyProfiles {
-	w := &WeeklyProfiles{}
-	for i := range d.Samples {
-		s := &d.Samples[i]
-		w.RAMLoadPct.Add(s.Time, float64(s.MemLoadPct))
-		w.SwapLoad.Add(s.Time, float64(s.SwapLoadPct))
-	}
-	for _, iv := range d.Index().Intervals(2 * d.Period) {
-		w.CPUIdlePct.Add(iv.B.Time, iv.CPUIdlePct())
-		w.SentBps.Add(iv.B.Time, iv.SentBps())
-		w.RecvBps.Add(iv.B.Time, iv.RecvBps())
-	}
-	return w
 }
 
 // MinCPUIdleSlot returns the weekly slot with the lowest mean CPU idleness
@@ -65,15 +48,19 @@ func SlotClock(slot int) (hour, minute int) {
 	return q / 4, (q % 4) * 15
 }
 
-// IdlenessWhen returns the CPU-idleness statistics over the intervals
-// whose closing sample satisfies pred — e.g. "labs closed" hours. The
-// paper's §5.3 observation that absolute idleness concentrates in nights
-// and weekends is the comparison IdlenessWhen(closed) vs IdlenessWhen(open).
-func IdlenessWhen(d *trace.Dataset, pred func(time.Time) bool) stats.Running {
+// IdlenessWhen returns the CPU-idleness statistics over the weekly slots
+// whose start satisfies pred — e.g. "labs closed" hours. The paper's
+// §5.3 observation that absolute idleness concentrates in nights and
+// weekends is the comparison IdlenessWhen(closed) vs IdlenessWhen(open).
+// pred sees each slot's start in one reference week (UTC, Monday
+// 2001-01-01), so it must depend only on the UTC weekday and time of day
+// at 15-minute resolution, as a lab calendar does.
+func (w *WeeklyProfiles) IdlenessWhen(pred func(time.Time) bool) stats.Running {
+	week := time.Date(2001, time.January, 1, 0, 0, 0, 0, time.UTC)
 	var r stats.Running
-	for _, iv := range d.Index().Intervals(2 * d.Period) {
-		if pred(iv.B.Time) {
-			r.Add(iv.CPUIdlePct())
+	for i := range w.CPUIdlePct.Slots {
+		if pred(week.Add(stats.SlotTime(i))) {
+			r = r.Merge(w.CPUIdlePct.Slots[i])
 		}
 	}
 	return r

@@ -63,9 +63,8 @@ type Report struct {
 }
 
 // Analyze runs the full analysis pipeline on a trace. The paper's tables
-// and figures are computed by the parallel driver (analysis.All) over one
-// shared frozen index — identical artefacts to the serial per-function
-// calls, one sort and one interval pairing instead of ten.
+// and figures come from one pass of the analysis engine (analysis.All)
+// over the frozen trace.
 func Analyze(d *trace.Dataset) *Report {
 	a := analysis.All(d, analysis.Options{})
 	r := &Report{
@@ -109,7 +108,7 @@ func AnalyzeResult(res *Result) *Report {
 // dataset, so Survival is nil in a streamed report and Render skips
 // that section.
 func AnalyzeStream(path string, workers int) (*Report, error) {
-	a, err := allStreamAny(path, workers)
+	a, err := StreamResults(path, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -127,11 +126,12 @@ func AnalyzeStream(path string, workers int) (*Report, error) {
 	}, nil
 }
 
-// allStreamAny streams either a TBv1 trace file or a segment manifest.
-// Manifests are written as uncompressed JSON, so a leading '{' is the
-// same content sniff trace.ReadAny keys on — cheap and unambiguous
-// against TBv1 magic and the gzip header.
-func allStreamAny(path string, workers int) (*analysis.Results, error) {
+// StreamResults runs the analysis engine out-of-core over either a TBv1
+// trace file (plain or gzipped; workers as in AnalyzeStream) or a
+// segment manifest. Manifests are written as uncompressed JSON, so a
+// leading '{' is the same content sniff trace.ReadAny keys on — cheap
+// and unambiguous against TBv1 magic and the gzip header.
+func StreamResults(path string, workers int) (*analysis.Results, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -21,12 +21,8 @@ func TestCalibrationHeadline(t *testing.T) {
 	}
 	d := res.Dataset
 
-	t2 := analysis.MainResults(d, analysis.DefaultForgottenThreshold)
-	av := analysis.Availability(d, analysis.DefaultForgottenThreshold)
-	sess := analysis.Sessions(d, 96*time.Hour, 24)
-	pc := analysis.PowerCycles(d)
-	eq := analysis.Equivalence(d, true)
-	age := analysis.SessionAge(d, 24)
+	a := analysis.All(d, analysis.Options{})
+	t2, av, sess, pc, eq, age := a.Table2, a.Availability, a.Sessions, a.PowerCycles, a.Equivalence, a.SessionAge
 
 	attempts := d.Attempts()
 	t.Logf("iterations=%d (paper 6883), attempts=%d, samples=%d (paper 583653)",
@@ -49,7 +45,7 @@ func TestCalibrationHeadline(t *testing.T) {
 		t2.NoLogin.RecvBps, t2.WithLogin.RecvBps, t2.Both.RecvBps)
 	t.Logf("fig3: avg powered=%.1f (paper 84.87) user-free=%.1f (paper 57.29)",
 		av.AvgPoweredOn, av.AvgUserFree)
-	ups := analysis.UptimeRatios(d)
+	ups := a.Uptimes
 	t.Logf("fig4: machines >0.5=%d (paper ~30) >0.8=%d (<10) >0.9=%d (0)",
 		analysis.CountAbove(ups, 0.5), analysis.CountAbove(ups, 0.8), analysis.CountAbove(ups, 0.9))
 	t.Logf("sessions: n=%d (paper 10688) mean=%s (15h55m) sd=%s (26.65h) short=%.1f%%/%.1f%% (98.7/87.93)",
@@ -77,7 +73,7 @@ func TestCalibrationHeadline(t *testing.T) {
 	// Figure 5 shape: the Tuesday-afternoon CPU-hog class must dent the
 	// weekly idleness curve (paper: below 91%), and idleness while the labs
 	// are closed must exceed idleness while they are open (§5.3).
-	weekly := analysis.Weekly(d)
+	weekly := a.Weekly
 	slot, dip := weekly.MinCPUIdleSlot()
 	if wd := analysis.SlotWeekday(slot); wd != time.Tuesday {
 		t.Errorf("weekly idleness minimum on %v, want Tuesday (CPU-hog class)", wd)
@@ -86,8 +82,8 @@ func TestCalibrationHeadline(t *testing.T) {
 		t.Errorf("Tuesday dip only reaches %.1f%%, want <93%% (paper: <91%%)", dip)
 	}
 	cal := res.Model.Calendar()
-	closedIdle := analysis.IdlenessWhen(d, func(at time.Time) bool { return !cal.IsOpen(at) })
-	openIdle := analysis.IdlenessWhen(d, func(at time.Time) bool { return cal.IsOpen(at) })
+	closedIdle := weekly.IdlenessWhen(func(at time.Time) bool { return !cal.IsOpen(at) })
+	openIdle := weekly.IdlenessWhen(func(at time.Time) bool { return cal.IsOpen(at) })
 	t.Logf("idleness closed=%.2f%% open=%.2f%% (5.3: nights/weekends near 100)",
 		closedIdle.Mean(), openIdle.Mean())
 	if closedIdle.Mean() <= openIdle.Mean() {

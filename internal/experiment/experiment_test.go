@@ -290,8 +290,8 @@ func TestShorterPeriodDetectsMoreSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	gt := Truth(r15)
-	n15 := len(analysis.DetectSessions(r15.Dataset))
-	n5 := len(analysis.DetectSessions(r5.Dataset))
+	n15 := analysis.All(r15.Dataset, analysis.Options{}).Sessions.Count
+	n5 := analysis.All(r5.Dataset, analysis.Options{}).Sessions.Count
 	if n5 < n15 {
 		t.Errorf("5-minute sampling detected fewer sessions (%d) than 15-minute (%d)", n5, n15)
 	}

@@ -1,16 +1,19 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"winlab/internal/analysis"
 	"winlab/internal/anomaly"
 	"winlab/internal/trace"
+	"winlab/internal/trace/stream"
 )
 
 var t0 = time.Date(2003, 10, 6, 0, 0, 0, 0, time.UTC) // a Monday
@@ -233,8 +236,8 @@ func TestHeadRequest(t *testing.T) {
 }
 
 // TestStreamModeServesResultsWithoutDataset publishes pre-computed
-// results (the AllStream path): every endpoint works except the heatmap,
-// which needs the raw samples and reports 404.
+// results (the AllStream path): every endpoint answers, the heatmap
+// included — the engine computes it in the same pass as everything else.
 func TestStreamModeServesResultsWithoutDataset(t *testing.T) {
 	ds := testDataset(6, 96)
 	res := analysis.All(ds, analysis.Options{})
@@ -247,12 +250,56 @@ func TestStreamModeServesResultsWithoutDataset(t *testing.T) {
 	for _, path := range allPaths {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		want := 200
-		if path == "/api/heatmap" {
-			want = 404
+		if rec.Code != 200 {
+			t.Fatalf("%s in stream mode: status %d, want 200", path, rec.Code)
 		}
-		if rec.Code != want {
-			t.Fatalf("%s in stream mode: status %d, want %d", path, rec.Code, want)
+	}
+}
+
+// TestStreamModeMatchesDatasetMode: one trace published as a dataset and
+// as AllStream results over its TBv1 encoding serves the same per-lab,
+// per-machine, heatmap and uptime payloads; only the Meta block (whose
+// fingerprint digests the dataset in one mode and the Info in the other)
+// may differ.
+func TestStreamModeMatchesDatasetMode(t *testing.T) {
+	ds := testDataset(6, 96)
+	ds.Freeze()
+	var tb bytes.Buffer
+	if err := trace.WriteBinary(&tb, ds); err != nil {
+		t.Fatal(err)
+	}
+	c, err := stream.New(bytes.NewReader(tb.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.AllStream(c, analysis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	byDataset := NewStore(analysis.Options{})
+	byDataset.Publish(ds)
+	byResults := NewStore(analysis.Options{})
+	byResults.PublishResults(res, Info{Start: c.Start(), End: c.End(), Period: c.Period()})
+
+	payload := func(st *Store, path string) map[string]any {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		NewHandler(Config{Store: st}).ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		delete(body, "meta")
+		return body
+	}
+	for _, path := range []string{"/api/labs", "/api/machines", "/api/heatmap", "/api/uptimes"} {
+		want, got := payload(byDataset, path), payload(byResults, path)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: stream-mode payload differs from dataset mode:\n dataset: %v\n  stream: %v", path, want, got)
 		}
 	}
 }

@@ -179,7 +179,7 @@ func TestConcurrentCommitVsReaderSnapshot(t *testing.T) {
 			}
 		}
 		wantFP := fingerprintHex(prefix.Index().Fingerprint())
-		wantAvg := analysis.Availability(prefix, analysis.DefaultForgottenThreshold).AvgPoweredOn
+		wantAvg := analysis.All(prefix, analysis.Options{}).Availability.AvgPoweredOn
 		for _, o := range os {
 			if o.fingerprint != wantFP {
 				t.Fatalf("epoch %d: observed fingerprint %s, prefix has %s (torn snapshot)", epoch, o.fingerprint, wantFP)

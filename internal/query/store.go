@@ -8,11 +8,12 @@
 //     Publishing a new dataset (or pre-computed results) advances the
 //     epoch and swaps the pointer; readers never take a lock.
 //
-//   - A Snapshot owns an immutable dataset clone (or pre-computed
-//     analysis.Results). Its aggregates — one analysis.All pass, the
-//     heatmaps, the Meta block, the ETag — are built lazily exactly once
-//     (sync.Once), so the cold cost is one analysis pass per epoch no
-//     matter how many requests race in.
+//   - A Snapshot owns either an immutable dataset clone, analysed on
+//     first use by one analysis.All pass, or pre-computed
+//     analysis.Results. Either way its aggregates — the results, the
+//     Meta block, the ETag — are built from results plus an Info lazily
+//     exactly once (sync.Once), so the cold cost is at most one analysis
+//     pass per epoch no matter how many requests race in.
 //
 //   - Each Snapshot carries a per-endpoint response cache: the first
 //     request for an endpoint encodes its JSON body with the hand-rolled
@@ -54,10 +55,10 @@ const (
 	numEndpoints
 )
 
-// Info describes a dataset that is not materialized in memory — the
+// Info describes the trace behind published results: PublishResults
+// callers fill it from the stream header and cursor statistics (the
 // streaming case, where analysis.AllStream consumed a TBv1 file and only
-// the Results survive. PublishResults callers fill it from the stream
-// header and cursor statistics.
+// the Results survive); Publish takes it from the dataset.
 type Info struct {
 	Fingerprint uint64 // 0 means derive one from the counts below
 	Start, End  time.Time
@@ -71,9 +72,8 @@ type Info struct {
 // datasets, the HTTP handler reads the current snapshot. All methods are
 // safe for concurrent use; Current is a single atomic load.
 type Store struct {
-	opts      analysis.Options
-	threshold time.Duration
-	bins      int
+	opts analysis.Options
+	bins int
 
 	mu    sync.Mutex // serializes publishers only
 	epoch atomic.Uint64
@@ -83,18 +83,14 @@ type Store struct {
 // NewStore returns a Store that analyses published datasets with opts.
 // Zero opts reproduce the paper's parameters.
 func NewStore(opts analysis.Options) *Store {
-	threshold := opts.Threshold
-	if threshold == 0 {
-		threshold = analysis.DefaultForgottenThreshold
-	}
-	return &Store{opts: opts, threshold: threshold, bins: 20}
+	return &Store{opts: opts, bins: 20}
 }
 
 // Publish installs ds as the new current snapshot and returns its epoch.
 // The caller transfers ownership: ds must not be mutated afterwards
 // (ddc.DatasetSink.SnapshotEvery publishes clones, which satisfies this
 // by construction). Publishing is cheap — analysis is deferred to the
-// first reader that needs it.
+// first reader that needs it, which then releases the dataset.
 func (st *Store) Publish(ds *trace.Dataset) uint64 {
 	if ds == nil {
 		return st.epoch.Load()
@@ -102,14 +98,14 @@ func (st *Store) Publish(ds *trace.Dataset) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.epoch.Add(1)
-	st.cur.Store(&Snapshot{epoch: e, ds: ds, opts: st.opts, threshold: st.threshold, bins: st.bins})
+	st.cur.Store(&Snapshot{epoch: e, ds: ds, opts: st.opts, bins: st.bins})
 	return e
 }
 
 // PublishResults installs pre-computed analysis results (the out-of-core
-// path: analysis.AllStream over a TBv1 file). No dataset is retained, so
-// the heatmap endpoint — which needs per-sample timestamps — reports the
-// aggregate as unavailable.
+// path: analysis.AllStream over a TBv1 file). Every endpoint serves from
+// them exactly as from a published dataset; zero Info counts are derived
+// from the results.
 func (st *Store) PublishResults(res *analysis.Results, info Info) uint64 {
 	if res == nil {
 		return st.epoch.Load()
@@ -117,7 +113,7 @@ func (st *Store) PublishResults(res *analysis.Results, info Info) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.epoch.Add(1)
-	st.cur.Store(&Snapshot{epoch: e, res: res, info: info, opts: st.opts, threshold: st.threshold, bins: st.bins})
+	st.cur.Store(&Snapshot{epoch: e, res: res, info: info, opts: st.opts, bins: st.bins})
 	return e
 }
 
@@ -131,13 +127,12 @@ func (st *Store) Epoch() uint64 { return st.epoch.Load() }
 // from it. All derived state is built exactly once; afterwards every
 // access is read-only and lock-free.
 type Snapshot struct {
-	epoch     uint64
-	ds        *trace.Dataset    // nil in stream mode
-	res       *analysis.Results // pre-set in stream mode, else built lazily
-	info      Info              // stream mode only
-	opts      analysis.Options
-	threshold time.Duration
-	bins      int
+	epoch uint64
+	ds    *trace.Dataset    // Publish: analysed by build, then released
+	res   *analysis.Results // PublishResults, or what build derived from ds
+	info  Info
+	opts  analysis.Options
+	bins  int
 
 	once  sync.Once
 	agg   atomic.Pointer[aggregates]
@@ -153,8 +148,7 @@ type aggregates struct {
 	etag    string   // strong validator: "<epoch>-<hex fingerprint>"
 	etagHdr []string // the ETag as a ready-made header value slice
 	res     *analysis.Results
-	heat    *analysis.HeatmapData // nil in stream mode
-	labOf   map[string]string     // machine → lab; empty in stream mode
+	labOf   map[string]string // machine → lab, from the heatmap's catalogue rows
 }
 
 // Aggregates returns the snapshot's materialized aggregates, computing
@@ -172,51 +166,49 @@ func (s *Snapshot) Aggregates() *aggregates {
 }
 
 func (s *Snapshot) build() {
-	a := &aggregates{}
-	if s.ds != nil {
-		idx := s.ds.Index() // freezes: one sort, shared by everything below
-		fp := idx.Fingerprint()
-		a.res = analysis.All(s.ds, s.opts)
-		a.heat = analysis.Heatmap(s.ds, s.threshold)
-		a.labOf = make(map[string]string, len(s.ds.Machines))
-		for _, m := range s.ds.Machines {
-			a.labOf[m.ID] = m.Lab
+	if ds := s.ds; ds != nil {
+		idx := ds.Index() // freezes: the one sort the analysis pass reads
+		s.res = analysis.All(ds, s.opts)
+		s.info = Info{
+			Fingerprint: idx.Fingerprint(),
+			Start:       ds.Start,
+			End:         ds.End,
+			Period:      ds.Period,
+			Iterations:  len(ds.Iterations),
+			Samples:     len(ds.Samples),
+			Machines:    len(ds.Machines),
 		}
-		a.meta = Meta{
-			Epoch:       s.epoch,
-			Fingerprint: fingerprintHex(fp),
-			Start:       s.ds.Start,
-			End:         s.ds.End,
-			PeriodSec:   s.ds.Period.Seconds(),
-			Iterations:  len(s.ds.Iterations),
-			Samples:     len(s.ds.Samples),
-			Machines:    len(s.ds.Machines),
-		}
-	} else {
-		a.res = s.res
-		info := s.info
-		if info.Iterations == 0 {
-			info.Iterations = len(a.res.Availability.Points)
-		}
-		if info.Samples == 0 {
-			info.Samples = a.res.Table2.Both.Samples
-		}
-		if info.Machines == 0 {
-			info.Machines = len(a.res.Uptimes)
-		}
-		fp := info.Fingerprint
-		if fp == 0 {
-			fp = infoFingerprint(info)
-		}
-		a.meta = Meta{
-			Epoch:       s.epoch,
-			Fingerprint: fingerprintHex(fp),
-			Start:       info.Start,
-			End:         info.End,
-			PeriodSec:   info.Period.Seconds(),
-			Iterations:  info.Iterations,
-			Samples:     info.Samples,
-			Machines:    info.Machines,
+		s.ds = nil
+	}
+	a := &aggregates{res: s.res}
+	info := s.info
+	if info.Iterations == 0 {
+		info.Iterations = len(a.res.Availability.Points)
+	}
+	if info.Samples == 0 {
+		info.Samples = a.res.Table2.Both.Samples
+	}
+	if info.Machines == 0 {
+		info.Machines = len(a.res.Uptimes)
+	}
+	fp := info.Fingerprint
+	if fp == 0 {
+		fp = infoFingerprint(info)
+	}
+	a.meta = Meta{
+		Epoch:       s.epoch,
+		Fingerprint: fingerprintHex(fp),
+		Start:       info.Start,
+		End:         info.End,
+		PeriodSec:   info.Period.Seconds(),
+		Iterations:  info.Iterations,
+		Samples:     info.Samples,
+		Machines:    info.Machines,
+	}
+	if hm := a.res.Heatmap; hm != nil {
+		a.labOf = make(map[string]string, len(hm.Machines))
+		for _, m := range hm.Machines {
+			a.labOf[m.Machine] = m.Lab
 		}
 	}
 	a.etag = `"` + strconv.FormatUint(s.epoch, 10) + "-" + a.meta.Fingerprint + `"`
@@ -254,7 +246,7 @@ func infoFingerprint(info Info) uint64 {
 
 // body returns the cached encoded response for endpoint ep, encoding it
 // on first use. A nil return means the aggregate is unavailable in this
-// snapshot (heatmap in stream mode). Concurrent first requests may race
+// snapshot (results published without a heatmap or weekly profiles). Concurrent first requests may race
 // to encode; the CAS keeps the cache single-valued and the losers' work
 // is identical bytes.
 func (s *Snapshot) body(ep int) []byte {
@@ -368,16 +360,17 @@ func (s *Snapshot) encode(ep int) []byte {
 		return appendUptimes(nil, u)
 
 	case epHeatmap:
-		if a.heat == nil {
+		hm := res.Heatmap
+		if hm == nil {
 			return nil
 		}
 		h := &Heatmap{
 			Meta:         a.meta,
 			Hours:        analysis.HeatHours,
-			FreeMachines: a.heat.FreeMachines,
-			Machines:     make([]MachineHeatRow, len(a.heat.Machines)),
+			FreeMachines: hm.FreeMachines,
+			Machines:     make([]MachineHeatRow, len(hm.Machines)),
 		}
-		for i, m := range a.heat.Machines {
+		for i, m := range hm.Machines {
 			h.Machines[i] = MachineHeatRow{ID: m.Machine, Lab: m.Lab, Uptime: m.Uptime}
 		}
 		return appendHeatmap(nil, h)

@@ -48,9 +48,9 @@ func Measure(d *trace.Dataset) (Metrics, error) {
 	if len(d.Machines) == 0 || len(d.Iterations) == 0 {
 		return m, fmt.Errorf("scenario: cannot measure an empty dataset")
 	}
-	av := analysis.Availability(d, analysis.DefaultForgottenThreshold)
-	m.Availability = meanActiveFraction(d, av)
-	m.Equivalence = analysis.Equivalence(d, true).TotalRatio
+	a := analysis.All(d, analysis.Options{})
+	m.Availability = meanActiveFraction(d, a.Availability)
+	m.Equivalence = a.Equivalence.TotalRatio
 	hv, err := harvest.Run(d, harvest.Config{TaskWork: 1, Checkpoint: time.Hour, Policy: harvest.FreeOnly})
 	if err != nil {
 		return m, err

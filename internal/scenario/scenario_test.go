@@ -139,15 +139,15 @@ func approx(a, b float64) bool {
 // TestParseRejects: malformed scenarios fail at the door.
 func TestParseRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":   `{"name":"x","phaes":[]}`,
-		"no name":         `{"days":5}`,
-		"bad metric":      `{"name":"x","claims":[{"metric":"uptime","direction":"up"}]}`,
-		"bad direction":   `{"name":"x","claims":[{"metric":"availability","direction":"sideways"}]}`,
-		"bad location":    `{"name":"x","calendars":{"L01":{"location":"Mars/Olympus"}}}`,
-		"leave<=join":     `{"name":"x","lifecycle":[{"machine":"L01-M01","join_day":5,"leave_day":5}]}`,
-		"extra sans lab":  `{"name":"x","extras":[{"id":"S1","ram_mb":512,"disk_gb":10,"int_index":30,"fp_index":30}]}`,
-		"negative phase":  `{"name":"x","phases":[{"start_day":-1}]}`,
-		"bad cal hours":   `{"name":"x","calendars":{"L01":{"open_hour":8,"night_close":9,"sat_close_hour":21}}}`,
+		"unknown field":  `{"name":"x","phaes":[]}`,
+		"no name":        `{"days":5}`,
+		"bad metric":     `{"name":"x","claims":[{"metric":"uptime","direction":"up"}]}`,
+		"bad direction":  `{"name":"x","claims":[{"metric":"availability","direction":"sideways"}]}`,
+		"bad location":   `{"name":"x","calendars":{"L01":{"location":"Mars/Olympus"}}}`,
+		"leave<=join":    `{"name":"x","lifecycle":[{"machine":"L01-M01","join_day":5,"leave_day":5}]}`,
+		"extra sans lab": `{"name":"x","extras":[{"id":"S1","ram_mb":512,"disk_gb":10,"int_index":30,"fp_index":30}]}`,
+		"negative phase": `{"name":"x","phases":[{"start_day":-1}]}`,
+		"bad cal hours":  `{"name":"x","calendars":{"L01":{"open_hour":8,"night_close":9,"sat_close_hour":21}}}`,
 	}
 	for label, src := range cases {
 		if _, err := Parse([]byte(src)); err == nil {
@@ -278,7 +278,7 @@ func TestChurnEndToEnd(t *testing.T) {
 
 	// Per-machine denominators: no machine exceeds ratio 1, and the
 	// late joiner's denominator is its membership, not the whole trace.
-	ups := analysis.UptimeRatios(d)
+	ups := analysis.All(d, analysis.Options{}).Uptimes
 	for _, u := range ups {
 		if u.Ratio < 0 || u.Ratio > 1 {
 			t.Errorf("%s: uptime ratio %g out of [0,1]", u.Machine, u.Ratio)

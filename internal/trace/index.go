@@ -2,25 +2,19 @@ package trace
 
 import (
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Index is the shared, immutable view over a frozen Dataset that every
 // analysis consumer reads from: per-machine contiguous sample spans over
 // the machine/time-sorted sample slice, interned machine IDs in sorted
-// order, precomputed same-boot interval pairs keyed by max-gap, and the
-// cached Attempts/Days aggregates.
+// order, and the cached Attempts/Days aggregates.
 //
-// The paper's artefacts (Table 2, Figures 2–6, the harvest and predictor
-// extensions) all derive from the same two expensive passes — sorting the
-// samples per machine and pairing consecutive same-boot samples. Before
-// the index, every consumer repeated both passes per call
-// (Dataset.ByMachine re-sorted and rebuilt its map each time); the index
-// performs them once per dataset, which is what makes the parallel
-// analysis driver (analysis.All) cheap and deterministic: every worker
-// reads the same frozen spans and the same cached interval slices.
+// Sorting the samples per machine is the one expensive pass every
+// consumer of a trace needs; the index performs it once per dataset, and
+// the spans it hands out are the order analysis.All feeds its single
+// accumulator pass in — the same machine-contiguous order a TBv1 file
+// written from the frozen dataset streams in.
 //
 // An Index is safe for concurrent use. The slices it returns are shared,
 // not copies — treat them as read-only.
@@ -46,14 +40,9 @@ type Index struct {
 	fingerprint uint64
 
 	// stale is set by Dataset.InvalidateIndex: the dataset's sample
-	// fields were edited in place, so every cached derived slice (the
-	// interval pairs in particular) may describe values that no longer
-	// exist. The fingerprint cannot see in-place edits — this flag is how
-	// the read paths learn about them.
+	// fields were edited in place. The fingerprint cannot see in-place
+	// edits — this flag is how Valid learns about them.
 	stale atomic.Bool
-
-	mu    sync.RWMutex
-	pairs map[time.Duration][]Interval // maxGap → same-boot pairs, machine order
 }
 
 // span is one machine's contiguous sample range in the sorted slice.
@@ -90,9 +79,7 @@ func (d *Dataset) Index() *Index {
 // fields in place (structural changes are detected automatically).
 //
 // The dropped index is also marked stale, so a consumer still holding a
-// reference to it (handed out before the edit) cannot observe cached
-// derived data — its Intervals calls transparently delegate to the
-// dataset's fresh index instead of serving pre-edit pairs.
+// reference to it (handed out before the edit) sees Valid report false.
 func (d *Dataset) InvalidateIndex() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
@@ -112,7 +99,6 @@ func (d *Dataset) freezeLocked() *Index {
 		machinesLen: len(d.Machines),
 		byID:        make(map[string]int),
 		info:        make(map[string]*MachineInfo, len(d.Machines)),
-		pairs:       make(map[time.Duration][]Interval),
 	}
 	if len(d.Samples) > 0 {
 		ix.samplesPtr = &d.Samples[0]
@@ -247,56 +233,3 @@ func (ix *Index) Attempts() int { return ix.attempts }
 
 // Days returns the cached experiment length in (fractional) days.
 func (ix *Index) Days() float64 { return ix.days }
-
-// Intervals returns all consecutive same-boot sample pairs whose gap is
-// at most maxGap (zero keeps everything), in machine-sorted then time
-// order. The slice is computed once per distinct maxGap and cached;
-// callers must treat it as read-only.
-func (ix *Index) Intervals(maxGap time.Duration) []Interval {
-	// Staleness re-check on the read path: if the dataset was edited in
-	// place (InvalidateIndex) or structurally mutated since this index
-	// froze, the cached pairs point at pre-edit values. Delegate to the
-	// dataset's current index — Dataset.Index() rebuilds as needed — so a
-	// held stale handle can never serve stale intervals.
-	if ix.stale.Load() || !ix.valid() {
-		if cur := ix.ds.Index(); cur != ix {
-			return cur.Intervals(maxGap)
-		}
-	}
-	ix.mu.RLock()
-	ivs, ok := ix.pairs[maxGap]
-	ix.mu.RUnlock()
-	if ok {
-		return ivs
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ivs, ok := ix.pairs[maxGap]; ok {
-		return ivs
-	}
-	ivs = ix.buildIntervals(maxGap)
-	ix.pairs[maxGap] = ivs
-	return ivs
-}
-
-// buildIntervals pairs consecutive same-boot samples per machine; the
-// caller holds ix.mu.
-func (ix *Index) buildIntervals(maxGap time.Duration) []Interval {
-	samples := ix.ds.Samples
-	// Pre-size from the densest prior pairing (or the worst case) to avoid
-	// growth copies on the first build.
-	out := make([]Interval, 0, len(samples))
-	for _, sp := range ix.spans {
-		for i := sp.lo + 1; i < sp.hi; i++ {
-			a, b := &samples[i-1], &samples[i]
-			if !SameBoot(a, b) {
-				continue
-			}
-			if maxGap > 0 && b.Time.Sub(a.Time) > maxGap {
-				continue
-			}
-			out = append(out, Interval{A: a, B: b})
-		}
-	}
-	return out
-}

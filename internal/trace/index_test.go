@@ -44,46 +44,22 @@ func TestIndexSpansAndOrder(t *testing.T) {
 	}
 }
 
-func TestIndexIntervalsCachedAndShared(t *testing.T) {
-	d := newDataset()
-	ix := d.Index()
-	a := ix.Intervals(0)
-	b := ix.Intervals(0)
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("Intervals not cached (distinct slices returned)")
-	}
-	// Distinct maxGap keys are cached independently.
-	g := ix.Intervals(30 * time.Minute)
-	if len(g) >= len(a) {
-		t.Fatalf("maxGap filter dropped nothing: %d vs %d", len(g), len(a))
-	}
-	if &g[0] != &ix.Intervals(30*time.Minute)[0] {
-		t.Error("second maxGap key not cached")
-	}
-	// The shim returns the same cache.
-	if s := d.Intervals(0); &s[0] != &a[0] {
-		t.Error("Dataset.Intervals shim does not reuse the index cache")
-	}
-}
-
 // TestIndexSecondPassAllocFree is the allocation regression the index
-// exists for: once frozen, re-deriving intervals and spans must not
-// re-sort or re-pair (zero allocations on the hot read path).
+// exists for: once frozen, re-resolving the index and walking its spans
+// must not re-sort (zero allocations on the hot read path).
 func TestIndexSecondPassAllocFree(t *testing.T) {
 	d := newDataset()
 	d.Freeze()
-	maxGap := 2 * d.Period
-	d.Index().Intervals(maxGap) // warm the pair cache
 	allocs := testing.AllocsPerRun(100, func() {
 		ix := d.Index()
-		ivs := ix.Intervals(maxGap)
-		ss := ix.Samples("M1")
-		if len(ivs) == 0 || len(ss) == 0 {
+		n := 0
+		ix.EachMachine(func(id string, ss []Sample) { n += len(ss) })
+		if n == 0 || len(ix.Samples("M1")) == 0 {
 			t.Fatal("empty derived views")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("second pass allocates: %v allocs/op (index re-sorting or re-pairing?)", allocs)
+		t.Fatalf("second pass allocates: %v allocs/op (index re-sorting?)", allocs)
 	}
 }
 
@@ -123,80 +99,30 @@ func TestInvalidateIndex(t *testing.T) {
 	}
 }
 
-// TestIndexStaleIntervalsNotObservable is the regression test for the
-// stale-cache bug: a consumer holding an Index reference across an
-// in-place edit + InvalidateIndex could keep reading the pre-edit
-// interval pairs out of the handle's cache. The read path now re-checks
-// the staleness flag and fingerprint and delegates to the dataset's
-// fresh index, so the held handle can never serve pre-edit pairs.
-func TestIndexStaleIntervalsNotObservable(t *testing.T) {
-	d := newDataset()
-	ix := d.Index()
-	before := ix.Intervals(0)
-	if len(before) != 3 {
-		t.Fatalf("baseline pairs = %d, want 3", len(before))
-	}
-	if !ix.Valid() {
-		t.Fatal("fresh index reports !Valid()")
-	}
-
-	// In-place edit: M1's middle sample moves to a different boot, which
-	// breaks both same-boot pairs it participated in (3 pairs -> 1).
-	// Samples are machine/time sorted after freeze, so [1] is M1@30min.
-	if d.Samples[1].Machine != "M1" {
-		t.Fatalf("sorted sample order changed: [1] is %s", d.Samples[1].Machine)
-	}
-	d.Samples[1].BootTime = d.Samples[1].Time.Add(-time.Minute)
-	d.Samples[1].Uptime = time.Minute
-	d.InvalidateIndex()
-
-	if ix.Valid() {
-		t.Error("edited-under index still reports Valid()")
-	}
-	fresh := d.Index()
-	if fresh == ix {
-		t.Fatal("InvalidateIndex did not drop the cached index")
-	}
-	if !fresh.Valid() {
-		t.Error("rebuilt index reports !Valid()")
-	}
-	want := fresh.Intervals(0)
-	if len(want) != 1 {
-		t.Fatalf("post-edit pairs = %d, want 1", len(want))
-	}
-	// The held stale handle must answer with the fresh pairs, not its
-	// own pre-edit cache.
-	got := ix.Intervals(0)
-	if len(got) != len(want) {
-		t.Fatalf("stale handle served %d pairs, fresh index has %d", len(got), len(want))
-	}
-	if &got[0] != &want[0] {
-		t.Error("stale handle did not delegate to the fresh index cache")
-	}
-}
-
 // TestIndexStaleHandleConcurrentReaders exercises the staleness check
 // under the race detector: after an in-place edit lands, many readers
-// hammer the *stale* handle's Intervals/Valid concurrently while others
-// re-freeze through Dataset.Index(). The atomic staleness flag and the
-// delegation path must be race-clean and must only ever surface
-// post-edit pairs.
+// hammer the *stale* handle's Valid concurrently while others re-freeze
+// through Dataset.Index(). The atomic staleness flag must be race-clean,
+// the stale handle must never report Valid, and every re-frozen index
+// must see the edited sample.
 func TestIndexStaleHandleConcurrentReaders(t *testing.T) {
 	d := newDataset()
 	stale := d.Index()
-	if n := len(stale.Intervals(0)); n != 3 {
-		t.Fatalf("baseline pairs = %d, want 3", n)
+	if !stale.Valid() {
+		t.Fatal("fresh index reports !Valid()")
 	}
 
-	// Publish the edit before any reader starts (edits between Intervals
-	// calls, not concurrent with them — concurrent in-place edits of
-	// sample fields are a real data race and out of contract).
-	d.Samples[1].BootTime = d.Samples[1].Time.Add(-time.Minute)
+	// Publish the edit before any reader starts (edits between reads,
+	// not concurrent with them — concurrent in-place edits of sample
+	// fields are a real data race and out of contract). Samples are
+	// machine/time sorted after freeze, so [1] is M1@30min.
+	edited := d.Samples[1].Time.Add(-time.Minute)
+	d.Samples[1].BootTime = edited
 	d.Samples[1].Uptime = time.Minute
 	d.InvalidateIndex()
 
 	start := make(chan struct{})
-	done := make(chan int, 16)
+	done := make(chan bool, 16)
 	for i := 0; i < 16; i++ {
 		handle := stale
 		if i%2 == 1 {
@@ -204,24 +130,22 @@ func TestIndexStaleHandleConcurrentReaders(t *testing.T) {
 		}
 		go func(h *Index) {
 			<-start
-			worst := 3
+			ok := true
 			for j := 0; j < 100; j++ {
-				ix := h
-				if ix == nil {
-					ix = d.Index()
+				if h != nil {
+					ok = ok && !h.Valid()
+					continue
 				}
-				if n := len(ix.Intervals(0)); n < worst {
-					worst = n
-				}
-				_ = ix.Valid()
+				ix := d.Index()
+				ok = ok && ix.Valid() && ix.Samples("M1")[1].BootTime.Equal(edited)
 			}
-			done <- worst
+			done <- ok
 		}(handle)
 	}
 	close(start)
 	for i := 0; i < 16; i++ {
-		if worst := <-done; worst != 1 {
-			t.Errorf("reader observed %d pairs, want 1 (stale cache leaked)", worst)
+		if !<-done {
+			t.Error("a reader observed a stale index as current")
 		}
 	}
 	if stale.Valid() {
@@ -237,8 +161,6 @@ func TestIndexConcurrentReaders(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
 				ix := d.Index()
-				_ = ix.Intervals(2 * d.Period)
-				_ = ix.Intervals(0)
 				ix.EachMachine(func(id string, ss []Sample) {})
 				_ = ix.Attempts()
 			}

@@ -275,25 +275,6 @@ func samplesOrdered(s []Sample) bool {
 	return true
 }
 
-// ByMachine groups the samples per machine, preserving time order. It is
-// a compatibility shim over the frozen Index (freezing the dataset on
-// first use): the per-machine pointer slices are rebuilt on every call,
-// so hot paths should use Index().Samples / EachMachine instead, which
-// return shared subslices without allocating.
-func (d *Dataset) ByMachine() map[string][]*Sample {
-	ix := d.Index()
-	out := make(map[string][]*Sample, len(ix.ids))
-	for n, id := range ix.ids {
-		sp := ix.spans[n]
-		ptrs := make([]*Sample, sp.hi-sp.lo)
-		for j := range ptrs {
-			ptrs[j] = &d.Samples[sp.lo+j]
-		}
-		out[id] = ptrs
-	}
-	return out
-}
-
 // Interval is a pair of consecutive samples of the same machine within the
 // same boot (no reboot in between). The paper computes CPU idleness and
 // network rates over such intervals (§4.2): cumulative counters make the
@@ -342,26 +323,14 @@ func counterBps(a, b uint64, dt time.Duration) float64 {
 // SameBoot reports whether two samples belong to the same machine session.
 // Boot timestamps within one second are considered equal (the probe prints
 // whole seconds).
-func SameBoot(a, b *Sample) bool {
-	d := b.BootTime.Sub(a.BootTime)
+func SameBoot(a, b *Sample) bool { return SameBootTime(a.BootTime, b.BootTime) }
+
+// SameBootTime is SameBoot on bare boot timestamps, for callers that keep
+// a session's boot time rather than its first sample.
+func SameBootTime(a, b time.Time) bool {
+	d := b.Sub(a)
 	if d < 0 {
 		d = -d
 	}
 	return d <= time.Second
-}
-
-// Intervals extracts all consecutive same-boot sample pairs, per machine.
-// maxGap drops pairs separated by more than that duration (collector
-// outages would otherwise create misleadingly long intervals); a zero
-// maxGap keeps everything.
-//
-// It is a shim over the frozen Index: the pairs are computed once per
-// distinct maxGap and cached, and the returned slice is that shared cache
-// — treat it as read-only. Pairs are ordered by machine (sorted) then
-// time, so repeated calls are deterministic (the pre-index implementation
-// followed map iteration order, which made the floating-point
-// accumulation order — and the last bits of every derived mean — vary
-// from run to run).
-func (d *Dataset) Intervals(maxGap time.Duration) []Interval {
-	return d.Index().Intervals(maxGap)
 }

@@ -132,47 +132,6 @@ func newDataset() *Dataset {
 	return d
 }
 
-func TestIntervals(t *testing.T) {
-	d := newDataset()
-	ivs := d.Intervals(0)
-	if len(ivs) != 3 { // M1: 2 pairs same boot; M2: 1 pair
-		t.Fatalf("intervals = %d, want 3", len(ivs))
-	}
-	// With a gap cap, M2's outage-spanning pair drops.
-	ivs = d.Intervals(30 * time.Minute)
-	if len(ivs) != 2 {
-		t.Fatalf("capped intervals = %d, want 2", len(ivs))
-	}
-	for _, iv := range ivs {
-		if iv.A.Machine != iv.B.Machine {
-			t.Error("cross-machine interval")
-		}
-		if !iv.B.Time.After(iv.A.Time) {
-			t.Error("unordered interval")
-		}
-	}
-}
-
-func TestByMachineSorts(t *testing.T) {
-	d := newDataset()
-	// Shuffle sample order.
-	d.Samples[0], d.Samples[5] = d.Samples[5], d.Samples[0]
-	by := d.ByMachine()
-	if len(by) != 2 {
-		t.Fatalf("machines = %d", len(by))
-	}
-	for id, ss := range by {
-		for i := 1; i < len(ss); i++ {
-			if ss[i].Time.Before(ss[i-1].Time) {
-				t.Errorf("%s samples unsorted", id)
-			}
-		}
-	}
-	if len(by["M1"]) != 4 || len(by["M2"]) != 2 {
-		t.Errorf("per-machine counts: %d/%d", len(by["M1"]), len(by["M2"]))
-	}
-}
-
 func TestDatasetHelpers(t *testing.T) {
 	d := newDataset()
 	if d.Attempts() != 4 {

@@ -10,13 +10,11 @@
 //   - CSV write→read→write byte stability, and Dataset→TBv1→Dataset
 //     identity (the binary codec is lossless by design);
 //   - trace.ReadAny format sniffing agreeing with the explicit readers;
-//   - analysis.All with Workers=1 (the exact serial path) vs a parallel
-//     pool, bit-identical across all ten artefacts;
-//   - the out-of-core path (PR 6): the stream cursor reproducing
-//     ReadBinary sample for sample, sequential analysis.AllStream
-//     bit-identical to analysis.All, and the sharded parallel
-//     AllStream within a documented relative tolerance (counts exact,
-//     merged floats ≤ streamTol);
+//   - the analysis engine's sources: the stream cursor reproducing
+//     ReadBinary sample for sample, sequential analysis.AllStream over
+//     the TBv1 encoding bit-identical to analysis.All over the dataset,
+//     and the sharded parallel AllStream within a documented relative
+//     tolerance (counts exact, merged floats ≤ streamTol);
 //   - the collector: experiment.Run with Shards=4 reproducing the
 //     one-shard (serial) dataset and stats exactly — also with the
 //     labelled anomaly scenarios injected, where the fault wrapper's
@@ -96,9 +94,7 @@ func Suite(cfg Config) []Failure {
 	add("trace/tbv1-roundtrip", diffTBRoundTrip(serial.Dataset))
 	add("trace/readany-sniff", diffReadAny(serial.Dataset))
 
-	r1 := analysis.All(serial.Dataset, analysis.Options{Workers: 1})
-	rN := analysis.All(serial.Dataset, analysis.Options{Workers: cfg.Workers})
-	add("analysis/serial-vs-parallel", check.FirstDiff(r1, rN))
+	r1 := analysis.All(serial.Dataset, analysis.Options{})
 
 	// Streaming arms. analysis.All froze the dataset above, so a TBv1
 	// encoding taken now is canonical (machine-contiguous) — the order
