@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench profile profile-grid ledger fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
+.PHONY: build test verify bench profile profile-grid ledger abpair fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
 
 # Benchmark knobs: BENCHTIME=1x bounds CI cost (each benchmark runs once);
 # drop it locally for steadier numbers. The JSON summary (env block plus
@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 22
+PR ?= 33
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -79,9 +79,29 @@ profile-grid:
 ledger:
 	bash tools/pipebench/run.sh -runs 3 -trace 1 -label PR$(PR) -o bench/ledger/PR$(PR).json
 
+# abpair is the paired A/B claim: pipebench --workload runs of ABREV (A, a git
+# worktree under .bench_build/parent; ABTREE names an existing checkout
+# instead) against the working tree (B), A/B/B/A over ABPAIRS unseen
+# seeds plus one A/A block, per workload. It writes the pairs, per-side
+# medians and quartiles, wins and an exact sign-test p-value to
+# bench/ledger/PR$(PR)-ab.json. A perf claim cites this file. With the
+# default ABREV=HEAD on a clean tree it is the self-test: every workload
+# must come out unchanged. Ten live_publish pairs take ≈10 minutes.
+ABREV ?= HEAD
+ABTREE ?=
+ABWORKLOADS ?= live_publish
+ABPAIRS ?= 10
+ABSEED ?= 9001
+ABSECONDS ?= 20
+
+abpair:
+	$(GO) run ./tools/abpair -rev $(ABREV) -tree '$(ABTREE)' -workloads $(ABWORKLOADS) \
+	    -pairs $(ABPAIRS) -seed $(ABSEED) -seconds $(ABSECONDS) -o bench/ledger/PR$(PR)-ab.json
+
 # fuzz smoke-runs the codec fuzzers (probe report parser, fixed-point
 # float formatter, TBv1 trace reader, format sniffer, segment merge
-# against its oracle) for $(FUZZTIME) each. The committed corpora under
+# against its oracle) and the /api/events parameters for $(FUZZTIME)
+# each. The committed corpora under
 # testdata/fuzz replay on every plain `go test` run; this target
 # explores new inputs.
 fuzz:
@@ -90,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzServeEvents$$' -fuzztime $(FUZZTIME)
 
 # Trace doctor knobs: which sim seeds the differential suite replays and
 # how many simulated days per seed (the full paper run is 77 days; 7 is

@@ -346,7 +346,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ddcd:", err)
 			os.Exit(1)
 		}
-		defer qsrv.Close()
+		defer func() {
+			if err := qsrv.Drain(); err != nil {
+				fmt.Fprintln(os.Stderr, "ddcd: query server shutdown:", err)
+			}
+		}()
 		fmt.Fprintf(os.Stderr, "ddcd: query API on %s/api/epoch (epoch %d)\n", qsrv.URL(), st.Epoch())
 		if *queryHold > 0 {
 			time.Sleep(*queryHold)

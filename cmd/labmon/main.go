@@ -223,7 +223,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "labmon:", err)
 			os.Exit(1)
 		}
-		defer qsrv.Close()
+		defer func() {
+			if err := qsrv.Drain(); err != nil {
+				fmt.Fprintln(os.Stderr, "labmon: query server shutdown:", err)
+			}
+		}()
 		fmt.Fprintf(os.Stderr, "labmon: query API on %s/api/epoch\n", qsrv.URL())
 	}
 

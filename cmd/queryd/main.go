@@ -23,7 +23,9 @@
 //
 // The telemetry surface (/metrics, /vars, /healthz, /debug/pprof/) is
 // mounted next to /api/*. -hold exits after the given duration (smoke
-// tests); the default serves until interrupted.
+// tests); the default serves until SIGINT or SIGTERM. Either way the
+// server then stops accepting connections and lets requests already in
+// flight finish, for up to query.DrainTimeout.
 //
 // Usage:
 //
@@ -92,7 +94,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "queryd:", err)
 		os.Exit(1)
 	}
-	defer srv.Close()
+	defer func() {
+		if err := srv.Drain(); err != nil {
+			fmt.Fprintln(os.Stderr, "queryd: shutdown:", err)
+		}
+	}()
 	fmt.Fprintf(os.Stderr, "queryd: query API on %s/api/epoch (telemetry on /metrics)\n", srv.URL())
 
 	switch {

@@ -121,24 +121,36 @@ func newIterIndex(iterations []trace.Iteration) iterIndex {
 		keys[i] = iterations[i].Iter
 	}
 	slices.Sort(keys)
-	x := iterIndex{keys: slices.Compact(keys)}
-	if len(x.keys) == 0 {
-		return x
-	}
-	x.lo = x.keys[0]
-	// A dense table only when it stays within a small multiple of the
-	// log's own length (collector outages leave a few gaps); a sparser
-	// log is searched instead.
-	if span := uint64(x.keys[len(x.keys)-1]) - uint64(x.lo); span < 4*uint64(len(x.keys)) {
-		x.pos = make([]int, span+1)
-		for i := range x.pos {
-			x.pos[i] = -1
-		}
-		for k, it := range x.keys {
-			x.pos[it-x.lo] = k
-		}
-	}
+	var x iterIndex
+	x.push(slices.Compact(keys))
 	return x
+}
+
+// push appends ascending keys, all above the last key. A dense table is
+// kept only while it stays within a small multiple of the log's own
+// length (collector outages leave a few gaps); a sparser log is searched
+// instead. Either way only logged iterations ever size it.
+func (x *iterIndex) push(keys []int) {
+	if len(keys) == 0 {
+		return
+	}
+	first := len(x.keys)
+	x.keys = append(x.keys, keys...)
+	x.lo = x.keys[0]
+	span := uint64(x.keys[len(x.keys)-1]) - uint64(x.lo)
+	if span >= 4*uint64(len(x.keys)) {
+		x.pos = nil
+		return
+	}
+	if x.pos == nil { // dense from here on: build the table whole
+		x.pos, first = make([]int, 0, span+1), 0
+	}
+	for uint64(len(x.pos)) <= span {
+		x.pos = append(x.pos, -1)
+	}
+	for k := first; k < len(x.keys); k++ {
+		x.pos[x.keys[k]-x.lo] = k
+	}
 }
 
 // of returns iter's position, or -1 when the log does not contain it.
@@ -153,6 +165,30 @@ func (x *iterIndex) of(iter int) int {
 		return k
 	}
 	return -1
+}
+
+// extend indexes the iteration numbers of newly logged records and
+// returns how many were new. Positions already handed out never move,
+// which needs an ascending log: a record numbered below the last key and
+// not already indexed would shift them, so extend then reports false and
+// changes nothing.
+func (x *iterIndex) extend(iterations []trace.Iteration) (added int, ok bool) {
+	var keys []int
+	last, have := 0, len(x.keys) > 0
+	if have {
+		last = x.keys[len(x.keys)-1]
+	}
+	for i := range iterations {
+		switch it := iterations[i].Iter; {
+		case !have || it > last:
+			keys = append(keys, it)
+			last, have = it, true
+		case it < last && x.of(it) < 0:
+			return 0, false
+		}
+	}
+	x.push(keys)
+	return len(keys), true
 }
 
 // streamAcc is the analysis engine: one shard's worth of single-pass
@@ -187,12 +223,9 @@ type streamAcc struct {
 	iterIdx iterIndex
 	iters   []iterSum
 
-	// §5.2.1 detected sessions.
-	sessCount   int
-	sessLengths stats.Running
-	sessHist    *stats.Histogram
-	uptimeAll   float64
-	uptimeShort float64
+	// §5.2.1 detected sessions, closed ones only (finalize closes the
+	// open ones on a copy).
+	sess sessAcc
 
 	// Figure 5 weekly profiles.
 	weekly WeeklyProfiles
@@ -222,7 +255,7 @@ func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.M
 		perf:      make(map[string]float64, len(machines)),
 		age:       make([]stats.Running, opts.SessionAgeHours),
 		iterIdx:   newIterIndex(iterations),
-		sessHist:  stats.NewHistogram(0, opts.HistCap.Hours(), opts.HistBins),
+		sess:      sessAcc{hist: stats.NewHistogram(0, opts.HistCap.Hours(), opts.HistBins)},
 		labs:      make(map[string]*labAcc),
 		capClass:  make(map[int]*stats.Running),
 	}
@@ -293,12 +326,13 @@ func (a *streamAcc) newMachine(id string, first *trace.Sample) *machState {
 func (a *streamAcc) finish() { a.closeSession(a.curM) }
 
 // addSample folds one sample; prev is the machine's previous sample, or
-// nil for its first.
-func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) {
+// nil for its first. It returns the sample's iteration position, -1 when
+// the iteration log does not contain its Iter.
+func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 	cl := Classify(s, a.threshold)
 	occupied := cl.Occupied()
 	slot := stats.WeekSlot(s.Time)
-	k := a.iterIdx.of(s.Iter)
+	k = a.iterIdx.of(s.Iter)
 
 	// Interval pairing against the machine's previous sample: adjacent
 	// same-boot samples at most 2×period apart.
@@ -380,6 +414,7 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) {
 	a.capRAM.Add(freeMB)
 	a.capDisk.Add(s.FreeDiskGB)
 	m.capClass.Add(freeMB)
+	return k
 }
 
 // addInterval folds the interval closing at iv.B, which addSample has
@@ -446,13 +481,27 @@ func (a *streamAcc) closeSession(m *machState) {
 		return
 	}
 	m.sessOpen = false
-	h := m.sessLen.Hours()
-	a.sessCount++
-	a.sessLengths.Add(h)
-	a.sessHist.Add(h)
-	a.uptimeAll += h
-	if m.sessLen <= a.histCap {
-		a.uptimeShort += h
+	a.sess.add(m.sessLen, a.histCap)
+}
+
+// sessAcc is the §5.2.1 detected-session aggregate.
+type sessAcc struct {
+	count       int
+	lengths     stats.Running
+	hist        *stats.Histogram
+	uptimeAll   float64
+	uptimeShort float64
+}
+
+// add records one finished session of length l.
+func (s *sessAcc) add(l, histCap time.Duration) {
+	h := l.Hours()
+	s.count++
+	s.lengths.Add(h)
+	s.hist.Add(h)
+	s.uptimeAll += h
+	if l <= histCap {
+		s.uptimeShort += h
 	}
 }
 
@@ -501,11 +550,11 @@ func fold(shards []*streamAcc) *streamAcc {
 			x.diskGB += y.diskGB
 		}
 
-		a.sessCount += b.sessCount
-		a.sessLengths = a.sessLengths.Merge(b.sessLengths)
-		a.sessHist.Merge(b.sessHist)
-		a.uptimeAll += b.uptimeAll
-		a.uptimeShort += b.uptimeShort
+		a.sess.count += b.sess.count
+		a.sess.lengths = a.sess.lengths.Merge(b.sess.lengths)
+		a.sess.hist.Merge(b.sess.hist)
+		a.sess.uptimeAll += b.sess.uptimeAll
+		a.sess.uptimeShort += b.sess.uptimeShort
 
 		a.weekly.CPUIdlePct.Merge(&b.weekly.CPUIdlePct)
 		a.weekly.RAMLoadPct.Merge(&b.weekly.RAMLoadPct)
@@ -541,8 +590,27 @@ func fold(shards []*streamAcc) *streamAcc {
 // order for per-iteration series, catalogue order for uptime ratios and
 // heatmap rows, sorted-machine order for the SMART statistics, sorted
 // lab names).
+//
+// It leaves the engine as it found it, so a resident engine (Live) can
+// finalize after every epoch and go on folding: sessions still open are
+// closed on a copy of the session aggregate, in sorted machine order
+// (after finish, as in All, none are), and the Results share no storage
+// with the engine.
 func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.Iteration) *Results {
 	res := &Results{}
+
+	ids := make([]string, 0, len(a.mach))
+	for id := range a.mach {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	sess := a.sess
+	sess.hist = a.sess.hist.Clone()
+	for _, id := range ids {
+		if m := a.mach[id]; m.sessOpen {
+			sess.add(m.sessLen, a.histCap)
+		}
+	}
 
 	attempts := 0
 	for _, it := range iterations {
@@ -614,25 +682,20 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 
 	// §5.2.1 sessions.
 	res.Sessions = SessionStats{
-		Count:   a.sessCount,
-		Mean:    time.Duration(a.sessLengths.Mean() * float64(time.Hour)),
-		StdDev:  time.Duration(a.sessLengths.StdDev() * float64(time.Hour)),
-		Hist:    a.sessHist,
+		Count:   sess.count,
+		Mean:    time.Duration(sess.lengths.Mean() * float64(time.Hour)),
+		StdDev:  time.Duration(sess.lengths.StdDev() * float64(time.Hour)),
+		Hist:    sess.hist,
 		HistCap: a.histCap,
 	}
-	if a.sessCount > 0 {
-		res.Sessions.ShortFraction = a.sessHist.InRangeFraction()
+	if sess.count > 0 {
+		res.Sessions.ShortFraction = sess.hist.InRangeFraction()
 	}
-	if a.uptimeAll > 0 {
-		res.Sessions.ShortUptimeFraction = a.uptimeShort / a.uptimeAll
+	if sess.uptimeAll > 0 {
+		res.Sessions.ShortUptimeFraction = sess.uptimeShort / sess.uptimeAll
 	}
 
 	// §5.2.2 power cycles, in sorted machine order.
-	ids := make([]string, 0, len(a.mach))
-	for id := range a.mach {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var pc PowerCycleStats
 	var perMach, perCycle, lifetime stats.Running
 	for _, id := range ids {
@@ -660,7 +723,7 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	if days := a.end.Sub(a.start).Hours() / 24; days > 0 {
 		pc.CyclesPerDay = perMach.Mean() / days
 	}
-	pc.DetectedSessions = a.sessCount
+	pc.DetectedSessions = sess.count
 	if pc.DetectedSessions > 0 {
 		pc.UndetectedRatio = float64(pc.TotalCycles)/float64(pc.DetectedSessions) - 1
 	}
@@ -671,7 +734,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	res.PowerCycles = pc
 
 	// Figure 5.
-	res.Weekly = &a.weekly
+	weekly := a.weekly
+	res.Weekly = &weekly
 
 	// Figure 6, iteration-log order; zero result when no machine has
 	// index metadata. On fleet-churn traces the denominator is the
@@ -714,17 +778,27 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	// every iteration, partial-lifetime machines only while members.
 	labMachines := make(map[string]map[string]bool)
 	labAttempts := make(map[string]int)
+	names := make([]string, 0, len(a.labs))
+	for lb := range a.labs {
+		names = append(names, lb)
+	}
 	for i := range machines {
 		m := &machines[i]
 		if labMachines[m.Lab] == nil {
 			labMachines[m.Lab] = make(map[string]bool)
-			a.lab(m.Lab) // ensure the lab appears in the output
+			if a.labs[m.Lab] == nil {
+				names = append(names, m.Lab) // the lab appears in the output
+			}
 		}
 		labMachines[m.Lab][m.ID] = true
 		labAttempts[m.Lab] += machineAttempts(m, iterations)
 	}
-	labs := make([]LabUsage, 0, len(a.labs))
-	for lb, l := range a.labs {
+	labs := make([]LabUsage, 0, len(names))
+	for _, lb := range names {
+		l := a.labs[lb]
+		if l == nil {
+			l = &labAcc{}
+		}
 		u := LabUsage{
 			Lab:                  lb,
 			Machines:             len(labMachines[lb]),

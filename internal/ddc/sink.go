@@ -210,30 +210,17 @@ func (s *DatasetSink) reserveLocked(last time.Time) {
 	d.Samples = grown
 }
 
-// CloneDataset deep-copies the accumulated dataset under the sink lock:
-// the copy shares no slice storage with the live dataset, so the caller
-// can freeze, analyse and serve it while the collector keeps committing.
-// Sample/iteration/machine structs are copied by value (their string
-// fields are immutable). The clone's samples are in commit order, not
-// machine-sorted — freezing the clone sorts them, exactly as for a live
-// dataset.
+// CloneDataset deep-copies the accumulated dataset under the sink lock
+// (trace.Dataset.ClonePrefix): the copy shares no slice storage with the
+// live dataset, so the caller can freeze, analyse and serve it while the
+// collector keeps committing. The clone's samples are in commit order,
+// not machine-sorted — freezing the clone sorts them, exactly as for a
+// live dataset — and it carries the lineage stamp that lets a consumer
+// take only what a later clone adds (trace.Dataset.Since).
 func (s *DatasetSink) CloneDataset() *trace.Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cloneLocked()
-}
-
-// cloneLocked is CloneDataset with the sink lock already held (the
-// SnapshotEvery tap runs under it).
-func (s *DatasetSink) cloneLocked() *trace.Dataset {
-	return &trace.Dataset{
-		Start:      s.d.Start,
-		End:        s.d.End,
-		Period:     s.d.Period,
-		Machines:   append([]trace.MachineInfo(nil), s.d.Machines...),
-		Iterations: append([]trace.Iteration(nil), s.d.Iterations...),
-		Samples:    append([]trace.Sample(nil), s.d.Samples...),
-	}
+	return s.d.ClonePrefix()
 }
 
 // SnapshotEvery registers a commit-path tap that clones the accumulated
@@ -245,8 +232,11 @@ func (s *DatasetSink) cloneLocked() *trace.Dataset {
 // copy-on-publish half of the query layer's snapshot isolation.
 //
 // fn runs on the collector's iteration goroutine while the sink lock is
-// held: hand the clone off (publish a pointer, send on a channel) and
-// return; do not analyse it inline. The returned detach removes the tap.
+// held, so it must stay O(what the epoch added): query.Store.Publish
+// qualifies — it folds only the clone's tail since the previous clone
+// (trace.Dataset.Since) into its resident analysis engine — but a full
+// analysis of the clone does not; hand that off instead. The returned
+// detach removes the tap.
 func (s *DatasetSink) SnapshotEvery(every int, fn func(*trace.Dataset)) (detach func()) {
 	if s == nil || fn == nil {
 		return func() {}
@@ -260,7 +250,7 @@ func (s *DatasetSink) SnapshotEvery(every int, fn func(*trace.Dataset)) (detach 
 		if n%every != 0 {
 			return
 		}
-		fn(s.cloneLocked())
+		fn(s.d.ClonePrefix())
 	})
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -41,8 +42,13 @@ type Server struct {
 	ln  net.Listener
 }
 
+// DrainTimeout is how long the commands give Shutdown to let in-flight
+// requests finish before the remaining connections are cut.
+const DrainTimeout = 5 * time.Second
+
 // Serve binds addr (":0" for an ephemeral port) and serves handler in a
-// background goroutine.
+// background goroutine. Keep-alive connections idle for IdleTimeout are
+// closed, so a client that walks away does not pin a connection.
 func Serve(addr string, handler http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -51,6 +57,7 @@ func Serve(addr string, handler http.Handler) (*Server, error) {
 	srv := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       60 * time.Second,
 	}
 	s := &Server{srv: srv, ln: ln}
 	go func() { _ = srv.Serve(ln) }()
@@ -63,5 +70,24 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close stops the server immediately.
+// Close stops the server immediately, dropping in-flight requests.
 func (s *Server) Close() error { return s.srv.Close() }
+
+// Shutdown stops the server gracefully: the listener closes at once (new
+// connections are refused), idle connections close, and requests already
+// in a handler run to completion. If ctx ends first, the connections
+// still open are closed and ctx's error is returned.
+func (s *Server) Shutdown(ctx context.Context) error {
+	err := s.srv.Shutdown(ctx)
+	if err != nil {
+		_ = s.srv.Close()
+	}
+	return err
+}
+
+// Drain is Shutdown bounded by DrainTimeout, for a command's exit path.
+func (s *Server) Drain() error {
+	ctx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
+	defer cancel()
+	return s.Shutdown(ctx)
+}

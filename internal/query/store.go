@@ -8,12 +8,19 @@
 //     Publishing a new dataset (or pre-computed results) advances the
 //     epoch and swaps the pointer; readers never take a lock.
 //
-//   - A Snapshot owns either an immutable dataset clone, analysed on
-//     first use by one analysis.All pass, or pre-computed
-//     analysis.Results. Either way its aggregates — the results, the
-//     Meta block, the ETag — are built from results plus an Info lazily
-//     exactly once (sync.Once), so the cold cost is at most one analysis
-//     pass per epoch no matter how many requests race in.
+//   - A live collector publishes stamped prefix clones of one growing
+//     trace (ddc.DatasetSink.SnapshotEvery). The Store keeps one
+//     resident analysis engine (analysis.Live) across those epochs:
+//     Publish folds only what the clone added since the previous one
+//     (trace.Dataset.Since) and finalizes at once, so a publish costs
+//     O(new samples + machines + iterations) and the snapshot holds
+//     Results, never the clone. Any other dataset — a trace file, a
+//     final frozen trace — is held by its snapshot and analysed by one
+//     analysis.All pass on first use. Either way the aggregates — the
+//     results, the Meta block, the ETag — are built from results plus
+//     an Info lazily exactly once (sync.Once), so the cold cost is at
+//     most one analysis pass per epoch no matter how many requests race
+//     in.
 //
 //   - Each Snapshot carries a per-endpoint response cache: the first
 //     request for an endpoint encodes its JSON body with the hand-rolled
@@ -78,6 +85,12 @@ type Store struct {
 	mu    sync.Mutex // serializes publishers only
 	epoch atomic.Uint64
 	cur   atomic.Pointer[Snapshot]
+
+	// The resident engine and the clone cut it has absorbed, written by
+	// publishers under mu; nil and the zero Mark when the last publish
+	// was not a stamped clone.
+	live *analysis.Live
+	mark trace.Mark
 }
 
 // NewStore returns a Store that analyses published datasets with opts.
@@ -89,17 +102,62 @@ func NewStore(opts analysis.Options) *Store {
 // Publish installs ds as the new current snapshot and returns its epoch.
 // The caller transfers ownership: ds must not be mutated afterwards
 // (ddc.DatasetSink.SnapshotEvery publishes clones, which satisfies this
-// by construction). Publishing is cheap — analysis is deferred to the
-// first reader that needs it, which then releases the dataset.
+// by construction).
+//
+// A stamped clone (trace.Dataset.ClonePrefix) is analysed inline by the
+// Store's resident engine: when it continues the previous publish's
+// clone — same origin, nothing reordered in between — only its tail is
+// folded; otherwise the engine restarts from the whole clone. Either
+// way the snapshot keeps the Results and an Info carrying the frozen
+// index's exact fingerprint, not ds. Any other dataset is kept by its
+// snapshot and analysed by the first reader that needs it, which then
+// releases it.
 func (st *Store) Publish(ds *trace.Dataset) uint64 {
 	if ds == nil {
 		return st.epoch.Load()
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e := st.epoch.Add(1)
-	st.cur.Store(&Snapshot{epoch: e, ds: ds, opts: st.opts, bins: st.bins})
-	return e
+	snap := &Snapshot{opts: st.opts, bins: st.bins}
+	if res, info, ok := st.advance(ds); ok {
+		snap.res, snap.info = res, info
+	} else {
+		snap.ds = ds
+	}
+	snap.epoch = st.epoch.Add(1)
+	st.cur.Store(snap)
+	return snap.epoch
+}
+
+// advance brings the resident engine up to ds and finalizes it; ok is
+// false when ds is not a stamped clone or the engine cannot analyse it
+// exactly (analysis.Live.Add), and ds then takes the deferred path. The
+// caller holds st.mu.
+func (st *Store) advance(ds *trace.Dataset) (*analysis.Results, Info, bool) {
+	mark, stamped := ds.Mark()
+	if !stamped {
+		st.live, st.mark = nil, trace.Mark{}
+		return nil, Info{}, false
+	}
+	samples, iterations, cont := ds.Since(st.mark)
+	if !cont || !st.live.Add(iterations, samples) {
+		st.live = analysis.NewLive(ds.Start, ds.End, ds.Period, ds.Machines, st.opts)
+		if !st.live.Add(ds.Iterations, ds.Samples) {
+			st.live, st.mark = nil, trace.Mark{}
+			return nil, Info{}, false
+		}
+	}
+	st.mark = mark
+	first, last := st.live.Bounds()
+	return st.live.Results(), Info{
+		Fingerprint: trace.FingerprintBounds(ds, first, last),
+		Start:       ds.Start,
+		End:         ds.End,
+		Period:      ds.Period,
+		Iterations:  len(ds.Iterations),
+		Samples:     len(ds.Samples),
+		Machines:    len(ds.Machines),
+	}, true
 }
 
 // PublishResults installs pre-computed analysis results (the out-of-core
@@ -112,6 +170,7 @@ func (st *Store) PublishResults(res *analysis.Results, info Info) uint64 {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.live, st.mark = nil, trace.Mark{}
 	e := st.epoch.Add(1)
 	st.cur.Store(&Snapshot{epoch: e, res: res, info: info, opts: st.opts, bins: st.bins})
 	return e
@@ -128,8 +187,8 @@ func (st *Store) Epoch() uint64 { return st.epoch.Load() }
 // access is read-only and lock-free.
 type Snapshot struct {
 	epoch uint64
-	ds    *trace.Dataset    // Publish: analysed by build, then released
-	res   *analysis.Results // PublishResults, or what build derived from ds
+	ds    *trace.Dataset    // Publish of an unstamped dataset: analysed by build, then released
+	res   *analysis.Results // PublishResults, the resident engine's, or what build derived from ds
 	info  Info
 	opts  analysis.Options
 	bins  int

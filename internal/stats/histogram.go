@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -48,6 +49,13 @@ func (h *Histogram) Add(x float64) {
 		}
 		h.Counts[i]++
 	}
+}
+
+// Clone returns an independent copy of h.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.Counts = slices.Clone(h.Counts)
+	return &c
 }
 
 // Merge adds o's counts into h. The histograms must have identical

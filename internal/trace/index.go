@@ -79,10 +79,13 @@ func (d *Dataset) Index() *Index {
 // fields in place (structural changes are detected automatically).
 //
 // The dropped index is also marked stale, so a consumer still holding a
-// reference to it (handed out before the edit) sees Valid report false.
+// reference to it (handed out before the edit) sees Valid report false,
+// and copies cut before the edit are no longer continued by later ones
+// (see Since).
 func (d *Dataset) InvalidateIndex() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
+	d.gen++
 	if ix := d.idx.Load(); ix != nil {
 		ix.stale.Store(true)
 	}
@@ -129,6 +132,20 @@ func (d *Dataset) freezeLocked() *Index {
 // fingerprintLocked digests the dataset's identity at freeze time; the
 // caller holds d.idxMu and the samples are already machine/time-sorted.
 func fingerprintLocked(d *Dataset) uint64 {
+	if n := len(d.Samples); n > 0 {
+		return FingerprintBounds(d, &d.Samples[0], &d.Samples[n-1])
+	}
+	return FingerprintBounds(d, nil, nil)
+}
+
+// FingerprintBounds is the digest Index.Fingerprint reports for d once
+// frozen, computed from d's header and the first and last samples of its
+// (machine, time) order without sorting anything: first is the earliest
+// sample of the smallest machine ID, last the latest of the largest (nil
+// for both when d has no samples). A consumer that tracks those two
+// samples as d grows — the query layer's resident analysis engine — names
+// each epoch exactly as freezing it would.
+func FingerprintBounds(d *Dataset, first, last *Sample) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	u64 := func(v uint64) {
@@ -144,13 +161,13 @@ func fingerprintLocked(d *Dataset) uint64 {
 	u64(uint64(d.End.UnixNano()))
 	u64(uint64(d.Period))
 	if n := len(d.Iterations); n > 0 {
-		last := d.Iterations[n-1]
-		u64(uint64(last.Iter))
-		u64(uint64(last.Start.UnixNano()))
-		u64(uint64(last.Responded))
+		it := d.Iterations[n-1]
+		u64(uint64(it.Iter))
+		u64(uint64(it.Start.UnixNano()))
+		u64(uint64(it.Responded))
 	}
-	if n := len(d.Samples); n > 0 {
-		for _, s := range []*Sample{&d.Samples[0], &d.Samples[n-1]} {
+	if first != nil && last != nil {
+		for _, s := range []*Sample{first, last} {
 			_, _ = h.Write([]byte(s.Machine))
 			u64(uint64(s.Iter))
 			u64(uint64(s.Time.UnixNano()))

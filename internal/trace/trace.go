@@ -147,6 +147,14 @@ type Dataset struct {
 	// index.go.
 	idxMu sync.Mutex
 	idx   atomic.Pointer[Index]
+
+	// Lineage (lineage.go), guarded by idxMu: lineID names the dataset
+	// once it has been cloned from, gen counts the in-place reorders and
+	// edits (SortSamples, Freeze, InvalidateIndex) that break a clone's
+	// continuation, and stamp is what ClonePrefix recorded on a copy.
+	lineID uint64
+	gen    uint64
+	stamp  Mark
 }
 
 // MachineByID returns the metadata for one machine, or nil.
@@ -181,7 +189,8 @@ func (d *Dataset) Days() float64 {
 // from a file or already frozen is in order. Both cases are linear: one
 // scan recognises an ordered slice and returns, otherwise the samples are
 // bucketed by machine and permuted in place (see sortSamplesLocked).
-// Freeze calls it once.
+// Freeze calls it once. Either way it ends every stamped clone's
+// continuation (see Since): a later copy no longer extends an earlier one.
 func (d *Dataset) SortSamples() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
@@ -199,6 +208,7 @@ func (d *Dataset) SortSamples() {
 // order (hand-built or merged input) gets a stable sort by time. Indexes
 // are uint32: 2³² samples would be 890 GB resident.
 func (d *Dataset) sortSamplesLocked() {
+	d.gen++
 	s := d.Samples
 	if samplesOrdered(s) {
 		return
