@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 33
+PR ?= 36
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -26,8 +26,10 @@ test:
 # detector (the collector's engine → shard hand-off and the concurrent
 # WallCollector paths are exercised by it). tools/pipebench is its own
 # module — root ./... cannot see it — and it compiles against the
-# ddc/experiment API, so it is vetted and tested here too.
+# ddc/experiment API, so it is vetted and tested here too. Every .go
+# file must be gofmt-clean.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) vet -C tools/pipebench ./...
@@ -100,7 +102,9 @@ abpair:
 
 # fuzz smoke-runs the codec fuzzers (probe report parser, fixed-point
 # float formatter, TBv1 trace reader, format sniffer, segment merge
-# against its oracle) and the /api/events parameters for $(FUZZTIME)
+# against its oracle), the analysis engine's integer time kernel against
+# its time.Time oracles (week slot, time difference, boot match and
+# interval formulas) and the /api/events parameters for $(FUZZTIME)
 # each. The committed corpora under
 # testdata/fuzz replay on every plain `go test` run; this target
 # explores new inputs.
@@ -110,6 +114,8 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzWeekSlot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTimeSub$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzServeEvents$$' -fuzztime $(FUZZTIME)
 
 # Trace doctor knobs: which sim seeds the differential suite replays and

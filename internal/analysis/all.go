@@ -38,6 +38,12 @@ type Options struct {
 // Results bundles every table and figure the paper derives from a trace —
 // the same artefacts core.Analyze renders — plus the hour-of-week heatmaps
 // the query layer serves.
+//
+// Results are shared and read-only. All records the Results it returns
+// on the frozen index it read (see Recorded), and every later consumer
+// of that epoch — a query.Store publish of the same dataset, another
+// Recorded call — is handed the same pointer, with every slice, map and
+// profile behind it. Copy before modifying anything.
 type Results struct {
 	Table2       Table2
 	SessionAge   SessionAgeProfile
@@ -75,13 +81,19 @@ func (o Options) withDefaults() Options {
 // time-sorted span is fed in sorted machine order — exactly the order a
 // TBv1 file written from the frozen dataset streams in, which is why
 // AllStream with one worker reproduces All bit for bit.
+//
+// All always runs the pass, and then records it on the frozen index (see
+// Recorded), so the epoch's later consumers need not run it again. The
+// returned Results are shared: treat them as read-only.
 func All(d *trace.Dataset, opts Options) *Results {
 	return allFrozen(d, opts.withDefaults())
 }
 
 // allFrozen is All with opts already resolved, so MainResults and Heatmap
-// can pass a zero threshold through (reclassification disabled).
+// can pass a zero threshold through (reclassification disabled). It
+// records the pass under those options.
 func allFrozen(d *trace.Dataset, opts Options) *Results {
+	opts.Workers = 0 // the pass is the same for any Workers
 	idx := d.Index()
 	acc := newStreamAcc(d.Start, d.End, d.Period, d.Machines, d.Iterations, opts)
 	idx.EachMachine(func(id string, ss []trace.Sample) {
@@ -90,5 +102,30 @@ func allFrozen(d *trace.Dataset, opts Options) *Results {
 		_ = acc.addRun(id, ss)
 	})
 	acc.finish()
-	return acc.finalize(d.Machines, d.Iterations)
+	res := acc.finalize(d.Machines, d.Iterations)
+	idx.SetMemo(&recordedPass{opts: opts, res: res})
+	return res
+}
+
+// recordedPass is an engine pass recorded on the frozen index it read:
+// its resolved options and its Results.
+type recordedPass struct {
+	opts Options
+	res  *Results
+}
+
+// Recorded returns the Results of the engine pass that All, MainResults
+// or Heatmap last recorded on ix, when that pass ran with opts (resolved
+// as All resolves them; Workers does not matter); otherwise nil. The
+// record lives and dies with the index — InvalidateIndex, SortSamples and
+// structural changes drop it — so a non-nil answer is the epoch's pass.
+// The Results are shared: treat them as read-only.
+func Recorded(ix *trace.Index, opts Options) *Results {
+	p, _ := ix.Memo().(*recordedPass)
+	opts = opts.withDefaults()
+	opts.Workers = 0
+	if p == nil || p.opts != opts {
+		return nil
+	}
+	return p.res
 }

@@ -329,7 +329,8 @@ func (a *streamAcc) finish() { a.closeSession(a.curM) }
 // nil for its first. It returns the sample's iteration position, -1 when
 // the iteration log does not contain its Iter.
 func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
-	cl := Classify(s, a.threshold)
+	age := s.SessionAge()
+	cl := classifyAge(s, age, a.threshold)
 	occupied := cl.Occupied()
 	slot := stats.WeekSlot(s.Time)
 	k = a.iterIdx.of(s.Iter)
@@ -337,8 +338,8 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 	// Interval pairing against the machine's previous sample: adjacent
 	// same-boot samples at most 2×period apart.
 	if prev != nil && trace.SameBoot(prev, s) {
-		if gap := s.Time.Sub(prev.Time); a.maxGap <= 0 || gap <= a.maxGap {
-			a.addInterval(m, trace.Interval{A: prev, B: s}, occupied, slot, k)
+		if dt := trace.TimeSub(s.Time, prev.Time); a.maxGap <= 0 || dt <= a.maxGap {
+			a.addInterval(m, prev, s, dt, age, occupied, slot, k)
 		}
 	}
 
@@ -417,13 +418,13 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 	return k
 }
 
-// addInterval folds the interval closing at iv.B, which addSample has
-// already classified, slotted and indexed.
-func (a *streamAcc) addInterval(m *machState, iv trace.Interval, occupied bool, slot, k int) {
-	idle := iv.CPUIdlePct()
-	sent := iv.SentBps()
-	recv := iv.RecvBps()
-	s := iv.B
+// addInterval folds the interval from prev to s, of length dt, which
+// addSample has already classified, slotted and indexed; age is s's
+// session age. The formulas are trace.Interval's, fed the one dt.
+func (a *streamAcc) addInterval(m *machState, prev, s *trace.Sample, dt, age time.Duration, occupied bool, slot, k int) {
+	idle := trace.IdlePct(prev.CPUIdle, s.CPUIdle, dt)
+	sent := trace.CounterBps(prev.SentBytes, s.SentBytes, dt)
+	recv := trace.CounterBps(prev.RecvBytes, s.RecvBytes, dt)
 
 	// Table 2 interval-level metrics, classified by the closing sample.
 	col := &a.t2no
@@ -435,7 +436,7 @@ func (a *streamAcc) addInterval(m *machState, iv trace.Interval, occupied bool, 
 
 	// Figure 2: idleness by session age.
 	if s.HasSession() {
-		if h := int(s.SessionAge() / time.Hour); h >= 0 {
+		if h := int(age / time.Hour); h >= 0 {
 			if h >= a.ageMax {
 				h = a.ageMax - 1
 			}

@@ -26,7 +26,7 @@ func (md *Model) arrivalTick(eng *sim.Engine) {
 	if t.Weekday() == time.Saturday {
 		rate *= md.cfg.SaturdayFactor
 	}
-	rate *= md.arrivalFactor(t) // ×1 exactly unless an overlay is set
+	rate *= md.arrivalFactor(t)        // ×1 exactly unless an overlay is set
 	n := md.arrivals.Poisson(rate / 4) // per 15-minute tick
 	for i := 0; i < n; i++ {
 		// Arrivals land uniformly inside the tick.

@@ -34,13 +34,13 @@ const (
 	MetricIterationDuration = "ddc_iteration_duration_seconds"
 
 	// TCP transport (TCPExecutor).
-	MetricTCPDials          = "tcp_dials_total"
-	MetricTCPDialErrors     = "tcp_dial_errors_total"
-	MetricTCPBytesRead      = "tcp_probe_bytes_read_total"
-	MetricTCPBytesWritten   = "tcp_probe_bytes_written_total"
-	MetricTCPInflight       = "tcp_probes_inflight"
-	MetricTCPDialDuration   = "tcp_dial_duration_seconds"
-	MetricTCPProbeDuration  = "tcp_probe_duration_seconds"
+	MetricTCPDials         = "tcp_dials_total"
+	MetricTCPDialErrors    = "tcp_dial_errors_total"
+	MetricTCPBytesRead     = "tcp_probe_bytes_read_total"
+	MetricTCPBytesWritten  = "tcp_probe_bytes_written_total"
+	MetricTCPInflight      = "tcp_probes_inflight"
+	MetricTCPDialDuration  = "tcp_dial_duration_seconds"
+	MetricTCPProbeDuration = "tcp_probe_duration_seconds"
 
 	// Probe agent (Agent).
 	MetricAgentConns        = "agent_conns_total"
@@ -62,12 +62,12 @@ const (
 // zero value (all-nil handles) is the telemetry-off state: every method
 // call no-ops without a branch at the call site.
 type collectorTelemetry struct {
-	iterations, iterationsSkipped         *telemetry.Counter
-	probes, retries, samples              *telemetry.Counter
-	breakerSkips, breakerOpens, failures  *telemetry.Counter
-	breakerOpenMachines, probesInflight   *telemetry.Gauge
-	probeDuration, iterationDuration      *telemetry.Histogram
-	spans                                 *telemetry.SpanRecorder
+	iterations, iterationsSkipped        *telemetry.Counter
+	probes, retries, samples             *telemetry.Counter
+	breakerSkips, breakerOpens, failures *telemetry.Counter
+	breakerOpenMachines, probesInflight  *telemetry.Gauge
+	probeDuration, iterationDuration     *telemetry.Histogram
+	spans                                *telemetry.SpanRecorder
 }
 
 // newCollectorTelemetry resolves the collector's handles once per run. A
@@ -117,9 +117,9 @@ func (t *collectorTelemetry) span(machine string, iter, attempt int, lat time.Du
 // transportTelemetry holds the TCP transport's resolved handles; the zero
 // value is telemetry-off.
 type transportTelemetry struct {
-	dials, dialErrors         *telemetry.Counter
-	bytesRead, bytesWritten   *telemetry.Counter
-	inflight                  *telemetry.Gauge
+	dials, dialErrors           *telemetry.Counter
+	bytesRead, bytesWritten     *telemetry.Counter
+	inflight                    *telemetry.Gauge
 	dialDuration, probeDuration *telemetry.Histogram
 }
 

@@ -360,7 +360,7 @@ func (s *staticExec) ExecContext(context.Context, string) ([]byte, error) {
 // errExec always fails with a fixed error.
 type errExec struct{ err error }
 
-func (e *errExec) Exec(string) ([]byte, error)                        { return nil, e.err }
+func (e *errExec) Exec(string) ([]byte, error)                         { return nil, e.err }
 func (e *errExec) ExecContext(context.Context, string) ([]byte, error) { return nil, e.err }
 
 // TestNilTelemetryAllocFree is the acceptance guard for the uninstrumented

@@ -102,8 +102,8 @@ func TestAppendRenderGolden(t *testing.T) {
 // TestAppendRenderGoldenEdgeCases covers shapes the fleet never produces.
 func TestAppendRenderGoldenEdgeCases(t *testing.T) {
 	base := machine.Snapshot{
-		Time:     time.Date(2003, 10, 6, 10, 15, 0, 0, time.UTC),
-		ID:       "X", Lab: "L",
+		Time: time.Date(2003, 10, 6, 10, 15, 0, 0, time.UTC),
+		ID:   "X", Lab: "L",
 		BootTime: time.Date(2003, 10, 6, 9, 0, 0, 0, time.UTC),
 	}
 	cases := []func(*machine.Snapshot){

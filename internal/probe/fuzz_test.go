@@ -14,13 +14,13 @@ import (
 func FuzzParseBytes(f *testing.F) {
 	full := Render(demoSnapshot())
 	f.Add(append([]byte(nil), full...))
-	f.Add(full[:len(full)/2])                         // truncated mid-report
-	f.Add([]byte(""))                                 // empty
-	f.Add([]byte("NOTAPROBE/9\nmachine: x\n"))        // wrong magic
-	f.Add([]byte(Version + "\nmachine L01\n"))        // missing colon
-	f.Add([]byte(Version + "\nmachine: x\n"))         // missing mandatory keys
+	f.Add(full[:len(full)/2])                                    // truncated mid-report
+	f.Add([]byte(""))                                            // empty
+	f.Add([]byte("NOTAPROBE/9\nmachine: x\n"))                   // wrong magic
+	f.Add([]byte(Version + "\nmachine L01\n"))                   // missing colon
+	f.Add([]byte(Version + "\nmachine: x\n"))                    // missing mandatory keys
 	f.Add([]byte(Version + "\ncpu.mhz: 99999999999999999999\n")) // overflow
-	f.Add([]byte(Version + "\nuptime.sec: 1e309\n"))  // float overflow
+	f.Add([]byte(Version + "\nuptime.sec: 1e309\n"))             // float overflow
 	f.Add([]byte(Version + "\nnet.4294967295.mac: a\n net.00.mac : b\n"))
 	f.Add([]byte(Version + "\ntime: 2003-02-30T10:15:00Z\n")) // bad calendar day
 	f.Add(bytes.Repeat([]byte(Version+"\n"), 2))

@@ -15,12 +15,14 @@
 //     (trace.Dataset.Since) and finalizes at once, so a publish costs
 //     O(new samples + machines + iterations) and the snapshot holds
 //     Results, never the clone. Any other dataset — a trace file, a
-//     final frozen trace — is held by its snapshot and analysed by one
-//     analysis.All pass on first use. Either way the aggregates — the
-//     results, the Meta block, the ETag — are built from results plus
-//     an Info lazily exactly once (sync.Once), so the cold cost is at
-//     most one analysis pass per epoch no matter how many requests race
-//     in.
+//     final frozen trace — is held by its snapshot until first use. If
+//     the caller already analysed it (analysis.All or MainResults, which
+//     record their pass on the frozen index), that pass is served;
+//     otherwise one analysis.All pass runs. Either way the aggregates —
+//     the results, the Meta block, the ETag — are built from results
+//     plus an Info lazily exactly once (sync.Once), so the cold cost is
+//     at most one analysis pass per epoch, counting the caller's own,
+//     no matter how many requests race in.
 //
 //   - Each Snapshot carries a per-endpoint response cache: the first
 //     request for an endpoint encodes its JSON body with the hand-rolled
@@ -110,8 +112,12 @@ func NewStore(opts analysis.Options) *Store {
 // folded; otherwise the engine restarts from the whole clone. Either
 // way the snapshot keeps the Results and an Info carrying the frozen
 // index's exact fingerprint, not ds. Any other dataset is kept by its
-// snapshot and analysed by the first reader that needs it, which then
-// releases it.
+// snapshot until the first reader needs it, which then releases it: the
+// reader takes the engine pass recorded on ds's frozen index under the
+// Store's options (analysis.Recorded) when there is one, and runs
+// analysis.All otherwise. After editing sample fields in place before
+// publishing, call ds.InvalidateIndex, which drops a recorded pass along
+// with the index.
 func (st *Store) Publish(ds *trace.Dataset) uint64 {
 	if ds == nil {
 		return st.epoch.Load()
@@ -227,7 +233,11 @@ func (s *Snapshot) Aggregates() *aggregates {
 func (s *Snapshot) build() {
 	if ds := s.ds; ds != nil {
 		idx := ds.Index() // freezes: the one sort the analysis pass reads
-		s.res = analysis.All(ds, s.opts)
+		// A caller that analysed ds before publishing it (analysis.All,
+		// MainResults) left the pass on the index; take it.
+		if s.res = analysis.Recorded(idx, s.opts); s.res == nil {
+			s.res = analysis.All(ds, s.opts)
+		}
 		s.info = Info{
 			Fingerprint: idx.Fingerprint(),
 			Start:       ds.Start,

@@ -9,6 +9,12 @@ const SlotsPerWeek = 7 * 24 * 4
 // SlotDuration is the width of one weekly-profile slot.
 const SlotDuration = 15 * time.Minute
 
+const (
+	secondsPerDay  = 24 * 60 * 60
+	secondsPerWeek = 7 * secondsPerDay
+	secondsPerSlot = int64(SlotDuration / time.Second)
+)
+
 // WeeklyProfile accumulates observations keyed by their position within the
 // week (15-minute resolution, week starting Monday 00:00) and reports the
 // per-slot mean. It reproduces the aggregation behind the paper's weekly
@@ -19,7 +25,23 @@ type WeeklyProfile struct {
 
 // WeekSlot maps a time to its 15-minute slot index within the week.
 // Slot 0 is Monday 00:00–00:15, matching the paper's Monday-labelled x axes.
+//
+// For a UTC instant — every decoded trace time — the slot is its Unix
+// seconds' offset into the week over the slot width, two integer
+// divisions. Any other location keeps the calendar path, because its
+// own wall clock (offset, daylight saving) decides the slot; so do UTC
+// instants beyond ±2⁶² s, where the offset arithmetic could wrap.
 func WeekSlot(t time.Time) int {
+	if t.Location() == time.UTC {
+		if sec := t.Unix(); sec > -1<<62 && sec < 1<<62 {
+			// 1970-01-01 was a Thursday, three days past a Monday 00:00.
+			w := (sec + 3*secondsPerDay) % secondsPerWeek
+			if w < 0 {
+				w += secondsPerWeek
+			}
+			return int(w / secondsPerSlot)
+		}
+	}
 	wd := int(t.Weekday()) // Sunday = 0
 	day := (wd + 6) % 7    // Monday = 0
 	return day*24*4 + t.Hour()*4 + t.Minute()/15

@@ -161,9 +161,9 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		// 2^60 with no sample bytes behind it.
 		"lying count": append(append([]byte{}, valid[:5]...),
 			0x00, 0x00, 0x00, 0x00, // start/end times: zero deltas
-			0x00, // period
-			0x00, // machines
-			0x00, // iterations
+			0x00,                                                  // period
+			0x00,                                                  // machines
+			0x00,                                                  // iterations
 			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10), // huge sample count
 		"trailing data": append(append([]byte{}, valid...), 0x00),
 	}

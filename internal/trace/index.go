@@ -43,6 +43,10 @@ type Index struct {
 	// fields were edited in place. The fingerprint cannot see in-place
 	// edits — this flag is how Valid learns about them.
 	stale atomic.Bool
+
+	// memo is the value a consumer derived from this frozen index and
+	// recorded on it (see Memo).
+	memo atomic.Pointer[any]
 }
 
 // span is one machine's contiguous sample range in the sorted slice.
@@ -75,8 +79,9 @@ func (d *Dataset) Index() *Index {
 	return d.freezeLocked()
 }
 
-// InvalidateIndex drops the cached index. Use after mutating sample
-// fields in place (structural changes are detected automatically).
+// InvalidateIndex drops the cached index, and with it the value recorded
+// on it (see Index.Memo). Use after mutating sample fields in place
+// (structural changes are detected automatically).
 //
 // The dropped index is also marked stale, so a consumer still holding a
 // reference to it (handed out before the edit) sees Valid report false,
@@ -86,6 +91,12 @@ func (d *Dataset) InvalidateIndex() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
 	d.gen++
+	d.dropIndexLocked()
+}
+
+// dropIndexLocked marks the cached index stale and drops it; the caller
+// holds d.idxMu.
+func (d *Dataset) dropIndexLocked() {
 	if ix := d.idx.Load(); ix != nil {
 		ix.stale.Store(true)
 	}
@@ -210,6 +221,23 @@ func (ix *Index) valid() bool {
 	}
 	return len(d.Samples) == 0 || ix.samplesPtr == &d.Samples[0]
 }
+
+// Memo returns the value recorded on the index by SetMemo, or nil.
+func (ix *Index) Memo() any {
+	if p := ix.memo.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetMemo records one value derived from this frozen index — the
+// analysis engine records its pass here, so a later consumer of the same
+// epoch need not repeat it. The slot holds one value (the last recorded)
+// and lives and dies with the index: InvalidateIndex, SortSamples and any
+// structural change that makes Dataset.Index rebuild leave it behind with
+// the old index. Safe for concurrent use; the value is shared, so treat
+// it as read-only.
+func (ix *Index) SetMemo(v any) { ix.memo.Store(&v) }
 
 // Dataset returns the indexed dataset.
 func (ix *Index) Dataset() *Dataset { return ix.ds }

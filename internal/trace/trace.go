@@ -46,7 +46,7 @@ func (s *Sample) SessionAge() time.Duration {
 	if !s.HasSession() {
 		return 0
 	}
-	return s.Time.Sub(s.SessionStart)
+	return TimeSub(s.Time, s.SessionStart)
 }
 
 // UsedDiskGB returns the occupied disk space.
@@ -190,11 +190,14 @@ func (d *Dataset) Days() float64 {
 // scan recognises an ordered slice and returns, otherwise the samples are
 // bucketed by machine and permuted in place (see sortSamplesLocked).
 // Freeze calls it once. Either way it ends every stamped clone's
-// continuation (see Since): a later copy no longer extends an earlier one.
+// continuation (see Since): a later copy no longer extends an earlier one,
+// and, like InvalidateIndex, it drops the cached index and what was
+// recorded on it.
 func (d *Dataset) SortSamples() {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
 	d.sortSamplesLocked()
+	d.dropIndexLocked()
 }
 
 // sortSamplesLocked is a counting sort on the machine ID followed by a
@@ -294,15 +297,31 @@ type Interval struct {
 }
 
 // Duration returns the interval length.
-func (iv Interval) Duration() time.Duration { return iv.B.Time.Sub(iv.A.Time) }
+func (iv Interval) Duration() time.Duration { return TimeSub(iv.B.Time, iv.A.Time) }
 
 // CPUIdlePct returns the average CPU idleness percentage over the interval.
-func (iv Interval) CPUIdlePct() float64 {
-	dt := iv.Duration()
+func (iv Interval) CPUIdlePct() float64 { return IdlePct(iv.A.CPUIdle, iv.B.CPUIdle, iv.Duration()) }
+
+// SentBps and RecvBps return the average network rates over the interval in
+// bits per second.
+func (iv Interval) SentBps() float64 {
+	return CounterBps(iv.A.SentBytes, iv.B.SentBytes, iv.Duration())
+}
+
+// RecvBps returns the average receive rate over the interval in bps.
+func (iv Interval) RecvBps() float64 {
+	return CounterBps(iv.A.RecvBytes, iv.B.RecvBytes, iv.Duration())
+}
+
+// IdlePct is the CPU idleness formula of an interval of length dt whose
+// cumulative idle counter went from a to b, clamped to [0, 100]. The
+// analysis engine, which computes dt once per interval, calls it
+// directly.
+func IdlePct(a, b, dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	p := 100 * float64(iv.B.CPUIdle-iv.A.CPUIdle) / float64(dt)
+	p := 100 * float64(b-a) / float64(dt)
 	if p < 0 {
 		return 0
 	}
@@ -312,18 +331,10 @@ func (iv Interval) CPUIdlePct() float64 {
 	return p
 }
 
-// SentBps and RecvBps return the average network rates over the interval in
-// bits per second.
-func (iv Interval) SentBps() float64 {
-	return counterBps(iv.A.SentBytes, iv.B.SentBytes, iv.Duration())
-}
-
-// RecvBps returns the average receive rate over the interval in bps.
-func (iv Interval) RecvBps() float64 {
-	return counterBps(iv.A.RecvBytes, iv.B.RecvBytes, iv.Duration())
-}
-
-func counterBps(a, b uint64, dt time.Duration) float64 {
+// CounterBps is the network-rate formula: the bits per second of a byte
+// counter that went from a to b over dt; zero for an empty interval or a
+// counter that went backwards.
+func CounterBps(a, b uint64, dt time.Duration) float64 {
 	if dt <= 0 || b < a {
 		return 0
 	}
@@ -338,9 +349,43 @@ func SameBoot(a, b *Sample) bool { return SameBootTime(a.BootTime, b.BootTime) }
 // SameBootTime is SameBoot on bare boot timestamps, for callers that keep
 // a session's boot time rather than its first sample.
 func SameBootTime(a, b time.Time) bool {
-	d := b.Sub(a)
+	d := TimeSub(b, a)
 	if d < 0 {
 		d = -d
 	}
 	return d <= time.Second
+}
+
+// TimeSub's integer path covers Unix seconds within ±2⁶² (±146 billion
+// years), where neither the seconds nor their difference wrap, and
+// differences below 2³² s (136 years), where seconds × 10⁹ plus the
+// nanosecond difference cannot overflow a Duration either.
+const (
+	maxFastUnix = 1 << 62
+	maxFastSub  = 1 << 32
+)
+
+// TimeSub returns t.Sub(u), bit for bit, from the two instants' Unix
+// seconds and nanoseconds. time.Time.Sub checks every result for
+// overflow with an Add and an Equal; trace instants are UTC, decoded
+// from Unix nanoseconds and decades apart at most, so TimeSub does the
+// subtraction alone. It falls back to Sub whenever the answer could
+// differ: an instant that carries a monotonic clock reading (Sub then
+// subtracts those when both do), Unix seconds beyond ±2⁶², or instants
+// 2³² s or more apart (Sub then saturates). t != t.UTC() is the cheap test for the first case —
+// UTC strips the reading — and it also sends instants in any other
+// location to Sub, which is exact for them too.
+func TimeSub(t, u time.Time) time.Duration {
+	if t != t.UTC() || u != u.UTC() {
+		return t.Sub(u)
+	}
+	tu, uu := t.Unix(), u.Unix()
+	if tu <= -maxFastUnix || tu >= maxFastUnix || uu <= -maxFastUnix || uu >= maxFastUnix {
+		return t.Sub(u)
+	}
+	ds := tu - uu
+	if ds >= maxFastSub || ds <= -maxFastSub {
+		return t.Sub(u)
+	}
+	return time.Duration(ds)*time.Second + time.Duration(t.Nanosecond()-u.Nanosecond())
 }
