@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 36
+PR ?= 37
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -100,17 +100,19 @@ abpair:
 	$(GO) run ./tools/abpair -rev $(ABREV) -tree '$(ABTREE)' -workloads $(ABWORKLOADS) \
 	    -pairs $(ABPAIRS) -seed $(ABSEED) -seconds $(ABSECONDS) -o bench/ledger/PR$(PR)-ab.json
 
-# fuzz smoke-runs the codec fuzzers (probe report parser, fixed-point
-# float formatter, TBv1 trace reader, format sniffer, segment merge
-# against its oracle), the analysis engine's integer time kernel against
-# its time.Time oracles (week slot, time difference, boot match and
-# interval formulas) and the /api/events parameters for $(FUZZTIME)
-# each. The committed corpora under
+# fuzz smoke-runs the codec fuzzers (probe report parser against its
+# oracle, memo warm, fixed-point float formatter, TBv1 trace reader,
+# format sniffer, segment merge against its oracle), the simulation
+# engine's event order against its container/heap oracle, the analysis
+# engine's integer time kernel against its time.Time oracles (week slot,
+# time difference, boot match and interval formulas) and the /api/events
+# parameters for $(FUZZTIME) each. The committed corpora under
 # testdata/fuzz replay on every plain `go test` run; this target
 # explores new inputs.
 fuzz:
 	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzParseBytes$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/probe/ -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)

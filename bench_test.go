@@ -256,9 +256,8 @@ func BenchmarkProbeRender(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeRenderAlloc is the convenience probe.Render wrapper
-// (fresh buffer per call) — the pre-pooling behaviour, kept for
-// comparison against BenchmarkProbeRender.
+// BenchmarkProbeRenderAlloc renders into a fresh buffer per call — the
+// pre-pooling behaviour, kept for comparison against BenchmarkProbeRender.
 func BenchmarkProbeRenderAlloc(b *testing.B) {
 	fleet := lab.BuildPaperFleet(1)
 	m := fleet.Machines[0]
@@ -268,29 +267,38 @@ func BenchmarkProbeRenderAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := probe.Render(sn); len(out) == 0 {
+		if out := probe.AppendRender(nil, sn); len(out) == 0 {
 			b.Fatal("empty report")
 		}
 	}
 }
 
 // BenchmarkProbeParse measures the coordinator-side parse path with a
-// reused Parser — the in-place byte codec with string interning that the
-// sink runs per report (0 allocs/op in steady state).
+// reused Parser — the in-place byte codec with string interning (0
+// allocs/op in steady state) — without a target, and with one, as the
+// sink parses: the machine ID taken from the collector and the static
+// block replayed from the memo.
 func BenchmarkProbeParse(b *testing.B) {
 	fleet := lab.BuildPaperFleet(1)
 	m := fleet.Machines[0]
 	at := time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
 	m.PowerOn(at)
 	sn, _ := m.Snapshot(at.Add(time.Hour))
-	out := probe.Render(sn)
-	p := probe.NewParser()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ParseBytes(out); err != nil {
-			b.Fatal(err)
+	out := probe.AppendRender(nil, sn)
+	for _, target := range []string{"", sn.ID} {
+		name := "target"
+		if target == "" {
+			name = "no-target"
 		}
+		b.Run(name, func(b *testing.B) {
+			p := probe.NewParser()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.ParseTarget(target, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

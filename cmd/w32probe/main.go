@@ -72,7 +72,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "w32probe:", err)
 			os.Exit(1)
 		}
-		os.Stdout.Write(probe.Render(sn))
+		os.Stdout.Write(probe.AppendRender(nil, sn))
 		return
 	}
 
@@ -109,5 +109,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "w32probe: machine unreachable")
 		os.Exit(1)
 	}
-	os.Stdout.Write(probe.Render(sn))
+	os.Stdout.Write(probe.AppendRender(nil, sn))
 }

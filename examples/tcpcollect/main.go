@@ -104,11 +104,12 @@ func main() {
 		Retry: ddc.RetryPolicy{MaxAttempts: 1 + *retries, BaseBackoff: 5 * time.Millisecond, Jitter: 0.5, Seed: *seed},
 	}
 	withUser := 0
+	parser := probe.NewParser()
 	coll.Post = func(iter int, id string, out []byte, err error) {
 		if err != nil {
 			return
 		}
-		sn, perr := probe.Parse(out)
+		sn, perr := parser.ParseTarget(id, out)
 		if perr != nil {
 			log.Fatalf("bad report from %s: %v", id, perr)
 		}

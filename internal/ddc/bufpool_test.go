@@ -33,7 +33,7 @@ func TestPoisonOnPutDestroysAliases(t *testing.T) {
 	rb := getReportBuf()
 	rb.b = probe.AppendRender(rb.b, sn)
 	alias := rb.b // the illegal retention a buggy hook would commit
-	if _, err := probe.ParseBytes(alias); err != nil {
+	if _, err := probe.NewParser().ParseBytes(alias); err != nil {
 		t.Fatalf("rendered report does not parse: %v", err)
 	}
 
@@ -43,7 +43,7 @@ func TestPoisonOnPutDestroysAliases(t *testing.T) {
 			t.Fatalf("alias[%d] = %#x after put, want %#x (buffer not poisoned)", i, c, poisonByte)
 		}
 	}
-	if _, err := probe.ParseBytes(alias); err == nil {
+	if _, err := probe.NewParser().ParseBytes(alias); err == nil {
 		t.Error("poisoned bytes parsed as a valid report")
 	}
 
@@ -55,7 +55,7 @@ func TestPoisonOnPutDestroysAliases(t *testing.T) {
 	if bytes.IndexByte(out, poisonByte) >= 0 {
 		t.Error("fresh rendering contains poison bytes")
 	}
-	if _, err := probe.ParseBytes(out); err != nil {
+	if _, err := probe.NewParser().ParseBytes(out); err != nil {
 		t.Errorf("re-rendered report does not parse: %v", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestCollectionRetainsNothing(t *testing.T) {
 		t.Fatal("no reports captured")
 	}
 	for i, c := range got {
-		if _, err := probe.ParseBytes(c.copy); err != nil {
+		if _, err := probe.NewParser().ParseBytes(c.copy); err != nil {
 			t.Errorf("report %d: honest copy corrupted: %v", i, err)
 		}
 		if bytes.IndexByte(c.alias, poisonByte) < 0 {

@@ -83,13 +83,13 @@ func TestSinkCheckFlagsCorruptReports(t *testing.T) {
 		FreeDiskGB: 30, PowerCycles: 4, PowerOnHours: 100,
 		SentBytes: 1000, RecvBytes: 2000,
 	}
-	sink.Post(0, "M1", probe.Render(sn), nil)
+	sink.Post(0, "M1", probe.AppendRender(nil, sn), nil)
 	sink.OnIteration(IterationInfo{Iter: 0, Start: t0, End: t0.Add(10 * time.Second), Attempted: 1, Responded: 1})
 
 	// Same boot, but uptime went backwards.
 	sn.Time = t0.Add(15*time.Minute + 5*time.Second)
 	sn.Uptime = 30 * time.Minute
-	sink.Post(1, "M1", probe.Render(sn), nil)
+	sink.Post(1, "M1", probe.AppendRender(nil, sn), nil)
 	// And an iteration record claiming three responses for one sample.
 	sink.OnIteration(IterationInfo{Iter: 1, Start: t0.Add(15 * time.Minute), End: t0.Add(16 * time.Minute), Attempted: 3, Responded: 3})
 
@@ -119,7 +119,7 @@ func TestSinkCheckFlagsCorruptReports(t *testing.T) {
 	before := sc.Report().Total
 	sn.Time = t0.Add(30*time.Minute + 5*time.Second)
 	sn.Uptime = time.Minute // would be another regression
-	sink.Post(2, "M1", probe.Render(sn), nil)
+	sink.Post(2, "M1", probe.AppendRender(nil, sn), nil)
 	if got := sc.Report().Total; got != before {
 		t.Errorf("violations grew to %d after Detach (was %d)", got, before)
 	}
@@ -162,7 +162,7 @@ func TestSinkCheckDetachedAllocFree(t *testing.T) {
 
 	m := newMachine("M1")
 	m.PowerOn(t0)
-	report := probe.Render(mustSnapshot(t, m, t0.Add(10*time.Minute)))
+	report := probe.AppendRender(nil, mustSnapshot(t, m, t0.Add(10*time.Minute)))
 	iter := 0
 	if allocs := testing.AllocsPerRun(200, func() {
 		sink.Post(iter, "M1", report, nil)

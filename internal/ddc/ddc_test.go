@@ -226,7 +226,7 @@ func TestDirectExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := probe.Parse(out)
+	sn, err := probe.NewParser().ParseBytes(out)
 	if err != nil {
 		t.Fatalf("direct executor produced unparseable output: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestDatasetSink(t *testing.T) {
 	sn, _ := m.Snapshot(t0.Add(5 * time.Minute))
 	sink := NewDatasetSink(t0, t0.AddDate(0, 0, 1), 15*time.Minute, nil)
 
-	sink.Post(0, "M1", probe.Render(sn), nil)
+	sink.Post(0, "M1", probe.AppendRender(nil, sn), nil)
 	sink.Post(0, "M2", nil, ErrUnreachable) // failures produce no sample
 	sink.Post(0, "M3", []byte("garbage"), nil)
 	sink.OnIteration(IterationInfo{Iter: 0, Start: t0, Attempted: 3, Responded: 1})

@@ -267,7 +267,7 @@ func TestShardedCollectorMatchesSerial(t *testing.T) {
 func TestParseErrorsBookedPerIteration(t *testing.T) {
 	m := newMachine("M1")
 	m.PowerOn(t0)
-	good := probe.Render(mustSnapshot(t, m, t0.Add(5*time.Minute)))
+	good := probe.AppendRender(nil, mustSnapshot(t, m, t0.Add(5*time.Minute)))
 
 	end := t0.Add(16 * time.Minute) // iterations at 0 and 15
 	run := func(parts [][]string) []*DatasetSink {

@@ -107,7 +107,7 @@ func TestSinkTapDetach(t *testing.T) {
 	sink := NewDatasetSink(t0, t0.Add(time.Hour), 15*time.Minute, nil)
 	m := newMachine("M1")
 	m.PowerOn(t0)
-	report := probe.Render(mustSnapshot(t, m, t0.Add(10*time.Minute)))
+	report := probe.AppendRender(nil, mustSnapshot(t, m, t0.Add(10*time.Minute)))
 
 	var calls []string
 	tap := func(name string) func(*trace.Sample) {
@@ -149,7 +149,7 @@ func TestSinkTapEmptyAllocFree(t *testing.T) {
 
 	m := newMachine("M1")
 	m.PowerOn(t0)
-	report := probe.Render(mustSnapshot(t, m, t0.Add(10*time.Minute)))
+	report := probe.AppendRender(nil, mustSnapshot(t, m, t0.Add(10*time.Minute)))
 	if allocs := testing.AllocsPerRun(200, func() {
 		sink.Post(0, "M1", report, nil)
 	}); allocs != 0 {
@@ -174,7 +174,7 @@ func BenchmarkSinkCommitWithDetectors(b *testing.B) {
 	if !ok {
 		b.Fatal("machine unreachable")
 	}
-	report := probe.Render(sn)
+	report := probe.AppendRender(nil, sn)
 	func() {
 		sink.mu.Lock()
 		defer sink.mu.Unlock()

@@ -63,7 +63,7 @@ func TestTCPProbeSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := probe.Parse(out)
+	sn, err := probe.NewParser().ParseBytes(out)
 	if err != nil {
 		t.Fatalf("unparseable report over TCP: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestTCPConcurrentProbes(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := probe.Parse(out); err != nil {
+			if _, err := probe.NewParser().ParseBytes(out); err != nil {
 				errs <- err
 			}
 		}()
@@ -289,7 +289,7 @@ func TestTCPUnframedReplyRejected(t *testing.T) {
 	m := newMachine("M1")
 	m.PowerOn(t0)
 	sn, _ := m.Snapshot(t0.Add(time.Hour))
-	report := probe.Render(sn)
+	report := probe.AppendRender(nil, sn)
 	addr := rawProbeServer(t, func(c net.Conn) {
 		_, _ = c.Write(report)
 	})

@@ -149,11 +149,11 @@ func TestSinkParseErrorTelemetry(t *testing.T) {
 	sn, _ := m.Snapshot(start.Add(5 * time.Minute))
 
 	// Iteration 0: one good report, one malformed.
-	sink.Post(0, "M1", probe.Render(sn), nil)
+	sink.Post(0, "M1", probe.AppendRender(nil, sn), nil)
 	sink.Post(0, "M2", []byte("not a probe report"), nil)
 	sink.OnIteration(IterationInfo{Iter: 0, Start: start, End: start.Add(2 * time.Minute), Attempted: 2, Responded: 2})
 	// Iteration 1: all good.
-	sink.Post(1, "M1", probe.Render(sn), nil)
+	sink.Post(1, "M1", probe.AppendRender(nil, sn), nil)
 	sink.OnIteration(IterationInfo{Iter: 1, Start: start.Add(15 * time.Minute), Attempted: 2, Responded: 1})
 
 	err := sink.LastParseError()

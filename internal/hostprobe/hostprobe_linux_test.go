@@ -36,7 +36,7 @@ func TestSnapshotLiveHost(t *testing.T) {
 		t.Error("boot time in the future")
 	}
 	// The live snapshot must survive the probe wire format.
-	back, err := probe.Parse(probe.Render(sn))
+	back, err := probe.NewParser().ParseBytes(probe.AppendRender(nil, sn))
 	if err != nil {
 		t.Fatalf("live snapshot unparseable: %v", err)
 	}

@@ -3,16 +3,45 @@ package probe
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+
+	"winlab/internal/machine"
 )
 
-// FuzzParseBytes hammers the in-place parser with arbitrary input:
-// malformed reports must return an error, never panic, and a report that
-// parses must be a renderable fixed point (Render∘Parse idempotent).
+// sameParse fails t unless a parse result equals the oracle's: the same
+// snapshot (partial on error), and the same error line and message.
+func sameParse(t *testing.T, what string, got machine.Snapshot, err error, want machine.Snapshot, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: error %v, oracle %v", what, err, werr)
+	}
+	if err != nil {
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Fatalf("%s: error is %T, want *ParseError", what, err)
+		}
+		if wpe := werr.(*ParseError); *pe != *wpe {
+			t.Fatalf("%s: error %q, oracle %q", what, err, werr)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: snapshot differs from the oracle's:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// FuzzParseBytes is differential: on arbitrary input the predictive
+// parser must return what the oracle parser (parse_oracle_test.go)
+// returns — snapshot, error line and message — both without a target and
+// through one warm parser with a target, whose memo holds the canonical
+// report's static block before each input and the input's own after it,
+// so mutated static blocks meet both a memo hit and a miss. A report that
+// parses must also be a renderable fixed point (Render∘Parse idempotent).
 // `make fuzz` runs this with -fuzz for a bounded time; under plain `go
 // test` the seed corpus still executes.
 func FuzzParseBytes(f *testing.F) {
-	full := Render(demoSnapshot())
+	demo := demoSnapshot()
+	full := Render(demo)
 	f.Add(append([]byte(nil), full...))
 	f.Add(full[:len(full)/2])                                    // truncated mid-report
 	f.Add([]byte(""))                                            // empty
@@ -24,25 +53,34 @@ func FuzzParseBytes(f *testing.F) {
 	f.Add([]byte(Version + "\nnet.4294967295.mac: a\n net.00.mac : b\n"))
 	f.Add([]byte(Version + "\ntime: 2003-02-30T10:15:00Z\n")) // bad calendar day
 	f.Add(bytes.Repeat([]byte(Version+"\n"), 2))
+	static := full[bytes.Index(full, []byte("os: ")):bytes.Index(full, []byte("disk.0.smart"))]
+	f.Add(bytes.Replace(full, []byte("mem.total.mb: 512"), []byte("mem.total.mb: 1024"), 1)) // hardware refresh
+	f.Add(bytes.Replace(full, []byte("net.1.mac"), []byte("net.0.mac"), 1))                  // duplicate MAC index
+	f.Add(append(append([]byte(nil), full...), static...))                                   // static block twice
+	f.Add(bytes.Replace(full, []byte("\nos: "), []byte("\nnet.5.mac: X\nos: "), 1))          // a MAC before the block
+	f.Add(append(append([]byte(nil), full...), "net.9.mac: Y\n"...))                         // a MAC after it
+	f.Add(bytes.Replace(full, []byte("machine: "+demo.ID), []byte("machine: other"), 1))     // report names another machine
+	f.Add([]byte(strings.Replace(string(full), "time: 2003-10-06T10:15:00Z", "time: 2000-02-29T23:59:59Z", 1)))
+	f.Add(bytes.TrimSuffix(full[:bytes.Index(full, []byte("disk.0.smart"))], []byte("\n"))) // block without its newline
 
 	p := NewParser()
+	warm := NewParser()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, err := p.ParseBytes(data)
-		sn2, err2 := ParseBytes(data) // pooled entry point agrees
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("Parser (%v) and ParseBytes (%v) disagree on error", err, err2)
+		want, werr := newOracleParser().ParseBytes(data)
+		got, err := p.ParseBytes(data)
+		sameParse(t, "ParseBytes", got, err, want, werr)
+		if _, err := warm.ParseTarget(demo.ID, full); err != nil {
+			t.Fatal(err)
 		}
+		got, err = warm.ParseTarget(demo.ID, data)
+		sameParse(t, "ParseTarget after the canonical block", got, err, want, werr)
+		got, err = warm.ParseTarget(demo.ID, data)
+		sameParse(t, "ParseTarget after its own block", got, err, want, werr)
 		if err != nil {
-			if _, ok := err.(*ParseError); !ok {
-				t.Fatalf("error is %T, want *ParseError", err)
-			}
 			return
 		}
-		if !reflect.DeepEqual(sn, sn2) {
-			t.Fatalf("Parser and ParseBytes disagree:\n%+v\n%+v", sn, sn2)
-		}
 		// A successful parse must be stable under a render/parse cycle.
-		rendered := AppendRender(nil, sn)
+		rendered := AppendRender(nil, got)
 		again, err := p.ParseBytes(rendered)
 		if err != nil {
 			t.Fatalf("re-parse of rendered snapshot failed: %v\nreport: %q", err, rendered)

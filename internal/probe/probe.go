@@ -8,15 +8,13 @@
 // keeps the boundary between fleet and collector honest: the analysis can
 // never peek at simulator internals.
 //
-// Render and Parse are convenience wrappers; the hot collection paths use
-// the allocation-free AppendRender / Parser.ParseBytes codec in codec.go.
+// The codec is in codec.go: AppendRender appends a report to a buffer, and
+// a Parser decodes reports in place.
 package probe
 
 import (
 	"fmt"
 	"time"
-
-	"winlab/internal/machine"
 )
 
 // Version identifies the report format.
@@ -24,12 +22,6 @@ const Version = "W32PROBE/1.0"
 
 // timeLayout is the timestamp format used in reports.
 const timeLayout = time.RFC3339
-
-// Render writes the probe report for a snapshot into a fresh buffer. Hot
-// paths should call AppendRender with a reused buffer instead.
-func Render(s machine.Snapshot) []byte {
-	return AppendRender(make([]byte, 0, 640), s)
-}
 
 // ParseError describes a malformed probe report.
 type ParseError struct {
@@ -39,12 +31,4 @@ type ParseError struct {
 
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("probe: parse error at line %d: %s", e.Line, e.Msg)
-}
-
-// Parse decodes a probe report back into a snapshot. Unknown keys are
-// ignored so the format can grow; missing mandatory keys are an error.
-// It delegates to the in-place byte parser through a pooled Parser — the
-// input is sliced, not copied, and is not retained after the call.
-func Parse(data []byte) (machine.Snapshot, error) {
-	return ParseBytes(data)
 }

@@ -12,6 +12,12 @@ import (
 
 var t0 = time.Date(2003, 10, 6, 10, 15, 0, 0, time.UTC)
 
+// Render and Parse are the one-shot forms of the codec the tests in this
+// package use: a report in a fresh buffer, a parse by a fresh Parser.
+func Render(s machine.Snapshot) []byte { return AppendRender(make([]byte, 0, 640), s) }
+
+func Parse(data []byte) (machine.Snapshot, error) { return NewParser().ParseBytes(data) }
+
 func demoSnapshot() machine.Snapshot {
 	return machine.Snapshot{
 		Time:         t0,

@@ -159,8 +159,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	hit := s.cache[ep].Load() != nil
-	b := s.body(ep)
-	if b == nil { // aggregate unavailable in this snapshot (stream-mode heatmap)
+	c := s.body(ep)
+	if c == nil { // aggregate unavailable in this snapshot (stream-mode heatmap)
 		http.NotFound(w, r)
 		return
 	}
@@ -170,12 +170,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.misses.Inc()
 	}
 	hdr["Content-Type"] = jsonCT
+	hdr["Content-Length"] = c.clen
 	hdr["Etag"] = a.etagHdr
 	hdr["Cache-Control"] = noCacheCC
 	if r.Method == http.MethodHead {
 		w.WriteHeader(http.StatusOK)
 	} else {
-		w.Write(b)
+		w.Write(c.b)
 	}
 	h.latency.Observe(time.Since(start))
 }

@@ -120,3 +120,43 @@ func FuzzServeEvents(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotBodiesCarryContentLength: over a real connection every
+// snapshot endpoint answers GET with a Content-Length equal to its body,
+// not a chunked body, and HEAD with the same length and no body.
+func TestSnapshotBodiesCarryContentLength(t *testing.T) {
+	h, _ := testHandler(t, nil)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	n := 0
+	for _, path := range allPaths {
+		if path == "/api/events" {
+			continue // built per request, not a cached snapshot body
+		}
+		n++
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("GET %s: status %d, transfer encoding %v, Content-Length %d for a %d-byte body",
+				path, resp.StatusCode, resp.TransferEncoding, resp.ContentLength, len(body))
+		}
+		resp, err = http.Head(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("HEAD %s: status %d, Content-Length %d, want %d", path, resp.StatusCode, resp.ContentLength, len(body))
+		}
+	}
+	if n != 9 {
+		t.Fatalf("checked %d snapshot endpoints, want 9", n)
+	}
+}

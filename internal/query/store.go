@@ -201,7 +201,16 @@ type Snapshot struct {
 
 	once  sync.Once
 	agg   atomic.Pointer[aggregates]
-	cache [numEndpoints]atomic.Pointer[[]byte]
+	cache [numEndpoints]atomic.Pointer[cachedBody]
+}
+
+// cachedBody is one endpoint's encoded response with its Content-Length
+// as a ready-made header value slice, so that a cache hit sends a sized
+// body (not a chunked one, and HEAD reports the length) without
+// formatting a number.
+type cachedBody struct {
+	b    []byte
+	clen []string
 }
 
 // Epoch returns the snapshot's epoch.
@@ -318,18 +327,19 @@ func infoFingerprint(info Info) uint64 {
 // snapshot (results published without a heatmap or weekly profiles). Concurrent first requests may race
 // to encode; the CAS keeps the cache single-valued and the losers' work
 // is identical bytes.
-func (s *Snapshot) body(ep int) []byte {
-	if p := s.cache[ep].Load(); p != nil {
-		return *p
+func (s *Snapshot) body(ep int) *cachedBody {
+	if c := s.cache[ep].Load(); c != nil {
+		return c
 	}
 	b := s.encode(ep)
 	if b == nil {
 		return nil
 	}
-	if s.cache[ep].CompareAndSwap(nil, &b) {
-		return b
+	c := &cachedBody{b: b, clen: []string{strconv.Itoa(len(b))}}
+	if s.cache[ep].CompareAndSwap(nil, c) {
+		return c
 	}
-	return *s.cache[ep].Load()
+	return s.cache[ep].Load()
 }
 
 func (s *Snapshot) encode(ep int) []byte {

@@ -1,10 +1,19 @@
 // Package sim implements the discrete-event simulation engine that drives
 // the fleet of simulated laboratory machines.
 //
-// The engine is deliberately minimal: a virtual clock, a binary-heap event
+// The engine is deliberately minimal: a virtual clock, a 4-ary-heap event
 // queue with stable FIFO ordering for simultaneous events, and helpers for
 // recurring events. Machines and the behaviour model schedule closures; the
 // DDC collector schedules its 15-minute probing iterations the same way.
+//
+// The heap is written out for *Event rather than run through
+// container/heap: no interface calls, and each event carries its instant
+// as an int64 key (UnixNano) next to its sequence number, so ordering two
+// events is two integer compares. Four children per node halve the depth
+// of a binary heap, which is what a pop of a model event pays for. An
+// instant whose UnixNano does not exist (before 1678 or after 2262) keys
+// as the int64 extreme on its side, and two such events fall back to
+// comparing their time.Time.
 //
 // The earliest pending event is held in a front slot outside the heap. A
 // serial chain — an event whose handler schedules its successor a moment
@@ -15,8 +24,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -27,8 +36,9 @@ type Event struct {
 	Name string // for tracing/debugging
 	Fn   func(*Engine)
 
-	seq int // tiebreaker: FIFO among simultaneous events
-	pos int // heap index + 1, or one of the states below
+	key int64 // At as the heap compares it: see timeKey
+	seq int   // tiebreaker: FIFO among simultaneous events
+	pos int   // heap index + 1, or one of the states below
 }
 
 // Event.pos states other than a heap position. Idle is the zero value, so
@@ -42,33 +52,89 @@ const (
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.pos == posCancelled }
 
+// timeKey is t.UnixNano() when that is exact, and otherwise the int64
+// extreme on t's side of the representable range — so keys order as
+// instants do, and equal keys at an extreme are the only ones that need
+// their time.Time compared.
+func timeKey(t time.Time) int64 {
+	switch sec := t.Unix(); {
+	case sec < math.MinInt64/int64(time.Second):
+		return math.MinInt64
+	case sec >= math.MaxInt64/int64(time.Second):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// before is the engine's total order: (At, seq).
+func before(a, b *Event) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if (a.key == math.MinInt64 || a.key == math.MaxInt64) && !a.At.Equal(b.At) {
+		return a.At.Before(b.At)
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of events under before; each event's
+// pos is its index + 1.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].At.Equal(q[j].At) {
-		return q[i].At.Before(q[j].At)
+func (q eventQueue) up(i int, ev *Event) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		pe := q[parent]
+		if !before(ev, pe) {
+			break
+		}
+		q[i], pe.pos = pe, i+1
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	q[i], ev.pos = ev, i+1
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].pos = i + 1
-	q[j].pos = j + 1
+
+// down sifts ev down from index i and reports whether it moved.
+func (q eventQueue) down(i int, ev *Event) bool {
+	i0, n := i, len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, me := c, q[c]
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if before(q[j], me) {
+				m, me = j, q[j]
+			}
+		}
+		if !before(me, ev) {
+			break
+		}
+		q[i], me.pos = me, i+1
+		i = m
+	}
+	q[i], ev.pos = ev, i+1
+	return i > i0
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	*q = append(*q, e)
-	e.pos = len(*q)
+
+func (q *eventQueue) push(ev *Event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
-func (q *eventQueue) Pop() any {
+
+// remove takes out the event at index i.
+func (q *eventQueue) remove(i int) *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.pos = posIdle
-	*q = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*q = old[:n]
+	if i < n && !q.down(i, last) {
+		q.up(i, last)
+	}
+	ev.pos = posIdle
+	return ev
 }
 
 // Engine is a discrete-event simulator with a virtual clock.
@@ -126,14 +192,14 @@ func (e *Engine) schedule(ev *Event, t time.Time) {
 	if t.Before(e.now) {
 		panic(fmt.Sprintf("sim: event %q scheduled at %s before now %s", ev.Name, t, e.now))
 	}
-	ev.At, ev.seq = t, e.seq
+	ev.At, ev.key, ev.seq = t, timeKey(t), e.seq
 	e.seq++
-	if next := e.peek(); next != nil && !t.Before(next.At) {
-		heap.Push(&e.queue, ev)
+	if next := e.peek(); next != nil && !before(ev, next) {
+		e.queue.push(ev)
 		return
 	}
 	if e.front != nil {
-		heap.Push(&e.queue, e.front)
+		e.queue.push(e.front)
 	}
 	e.front, ev.pos = ev, posFront
 }
@@ -181,7 +247,7 @@ func (e *Engine) Cancel(ev *Event) {
 	case ev == nil:
 		return
 	case ev.pos > 0:
-		heap.Remove(&e.queue, ev.pos-1)
+		e.queue.remove(ev.pos - 1)
 	case ev.pos == posFront:
 		e.front = nil
 	default:
@@ -197,7 +263,7 @@ func (e *Engine) Step() bool {
 	case ev != nil:
 		e.front, ev.pos = nil, posIdle
 	case len(e.queue) > 0:
-		ev = heap.Pop(&e.queue).(*Event)
+		ev = e.queue.remove(0)
 	default:
 		return false
 	}

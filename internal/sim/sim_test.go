@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -385,5 +387,25 @@ func TestProbeChainStaysOutOfHeap(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("one chain step allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestHeapOrdersInstantsWithoutUnixNano: past 2262 an instant has no
+// exact UnixNano, every such event keys as math.MaxInt64, and the heap
+// must still fire them by time, then FIFO.
+func TestHeapOrdersInstantsWithoutUnixNano(t *testing.T) {
+	e := New(t0)
+	far := t0.Add(math.MaxInt64)
+	offsets := []time.Duration{5, 3, 9, 3, 0, 7, 1, 9, 2}
+	var got []int
+	for i, off := range offsets {
+		i := i
+		e.At(far.Add(off*time.Second), strconv.Itoa(i), func(*Engine) { got = append(got, i) })
+	}
+	e.At(t0.Add(time.Second), "near", func(*Engine) { got = append(got, -1) })
+	e.Run()
+	want := []int{-1, 4, 6, 8, 1, 3, 0, 5, 2, 7}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
 	}
 }
