@@ -128,20 +128,21 @@ DOCTORDAYS ?= 7
 
 # doctor is the validation gate: for every seed it re-runs the repo's
 # equivalence claims (one vs four collector shards, clean and
-# fault-injected; CSV/TBv1 round trips; the analysis engine fed from a
+# fault-injected; TBv1 round trips; the analysis engine fed from a
 # dataset, a TBv1 stream and unmerged segments)
-# and invariant-checks the collected trace in both formats; then the
-# negative leg writes the corrupted-fixture corpus and asserts -check
-# flags every fixture (and does not flag the clean one).
+# and invariant-checks the collected trace as plain and gzipped TBv1
+# files; then the negative leg writes the corrupted-fixture corpus as
+# TBv1 and asserts -check flags every fixture (and does not flag the
+# clean one).
 doctor:
 	$(GO) run ./tools/tracedoctor -selftest -seeds $(DOCTORSEEDS) -days $(DOCTORDAYS)
 	@dir=$$(mktemp -d); \
 	trap 'rm -rf $$dir' EXIT; \
 	$(GO) run ./tools/tracedoctor -write-corpus $$dir >/dev/null || exit 1; \
-	$(GO) run ./tools/tracedoctor -check $$dir/clean.csv >/dev/null \
+	$(GO) run ./tools/tracedoctor -check $$dir/clean.tb >/dev/null \
 	    || { echo "doctor: clean fixture flagged"; exit 1; }; \
-	for f in $$dir/*.csv; do \
-	    case $$f in */clean.csv) continue;; esac; \
+	for f in $$dir/*.tb; do \
+	    case $$f in */clean.tb) continue;; esac; \
 	    if $(GO) run ./tools/tracedoctor -check $$f >/dev/null 2>&1; then \
 	        echo "doctor: undetected corruption in $$f"; exit 1; \
 	    fi; \

@@ -336,55 +336,16 @@ func BenchmarkCollection(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceWrite measures trace serialisation throughput.
-func BenchmarkTraceWrite(b *testing.B) {
-	res := dataset(b)
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := trace.WriteFile(dir+"/t.csv", res.Dataset); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceRead measures trace parsing throughput.
-func BenchmarkTraceRead(b *testing.B) {
-	res := dataset(b)
-	dir := b.TempDir()
-	if err := trace.WriteFile(dir+"/t.csv", res.Dataset); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ReadFile(dir + "/t.csv"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceWriteTB measures TBv1 binary serialisation throughput
-// and reports the on-disk size relative to the CSV encoding of the same
-// dataset (the ISSUE target is ≤40%).
+// BenchmarkTraceWriteTB measures TBv1 binary serialisation throughput.
 func BenchmarkTraceWriteTB(b *testing.B) {
 	res := dataset(b)
 	dir := b.TempDir()
-	if err := trace.WriteFile(dir+"/t.csv", res.Dataset); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := trace.WriteFile(dir+"/t.tb", res.Dataset); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	csvInfo, err1 := os.Stat(dir + "/t.csv")
-	tbInfo, err2 := os.Stat(dir + "/t.tb")
-	if err1 != nil || err2 != nil {
-		b.Fatal(err1, err2)
-	}
-	b.ReportMetric(100*float64(tbInfo.Size())/float64(csvInfo.Size()), "size_%_of_csv")
 }
 
 // BenchmarkTraceReadTB measures TBv1 binary parsing throughput (via the

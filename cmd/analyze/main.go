@@ -3,14 +3,13 @@
 //
 // Usage:
 //
-//	analyze [-csvdir dir] trace.csv
+//	analyze [-csvdir dir] trace.tb[.gz]
 //	analyze -stream [-workers N] trace.tb[.gz]
 //
 // -stream analyses the trace out-of-core: samples are decoded and
 // folded into single-pass accumulators without ever materialising the
-// dataset, so memory stays flat regardless of trace size. It requires
-// the TBv1 binary format (convert CSV traces with tracecat first) and
-// skips the survival-predictor section, which needs random access.
+// dataset, so memory stays flat regardless of trace size. It skips the
+// survival-predictor section, which needs random access.
 // A segment manifest from a sharded run (labmon -shards -segments) is
 // accepted in place of a trace file — the unmerged segments stream
 // straight into the accumulators, one goroutine per segment, no
@@ -29,11 +28,11 @@ import (
 func main() {
 	csvDir := flag.String("csvdir", "", "export figure CSVs into this directory")
 	paper := flag.Bool("paper", false, "append the paper-vs-measured comparison table")
-	streaming := flag.Bool("stream", false, "analyse out-of-core (TBv1 traces only; constant memory)")
+	streaming := flag.Bool("stream", false, "analyse out-of-core (constant memory)")
 	workers := flag.Int("workers", 1, "with -stream: machine-sharded analysis width (1 = exact sequential)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: analyze [-csvdir dir] [-stream [-workers N]] trace.{csv,tb}[.gz]")
+		fmt.Fprintln(os.Stderr, "usage: analyze [-csvdir dir] [-stream [-workers N]] trace.tb[.gz]")
 		os.Exit(2)
 	}
 	var rep *core.Report

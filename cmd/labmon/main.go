@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	labmon [-seed N] [-days N] [-scenario name|file.json] [-period 15m] [-shards N] [-segments dir] [-trace out.csv[.gz]|out.tb[.gz]] [-trace-format auto|csv|tbv1] [-csvdir dir] [-quiet]
+//	labmon [-seed N] [-days N] [-scenario name|file.json] [-period 15m] [-shards N] [-segments dir] [-trace out.tb[.gz]] [-csvdir dir] [-quiet]
 //	       [-replicate N] [-metrics-addr 127.0.0.1:9090] [-trace-out spans.jsonl] [-events-out events.jsonl]
 //
 // With -scenario the run plays a bundled scenario (regime shifts, fleet
@@ -107,11 +107,10 @@ func main() {
 		days      = flag.Int("days", 77, "experiment length in days (overrides the scenario's own)")
 		scen      = flag.String("scenario", "", "apply a scenario before running: a bundled name ("+strings.Join(scenario.Names(), ", ")+") or a JSON file")
 		period    = flag.Duration("period", 15*time.Minute, "sampling period")
-		traceOut  = flag.String("trace", "", "write the collected trace to this file")
+		traceOut  = flag.String("trace", "", "write the collected trace to this TBv1 file (a trailing .gz adds gzip)")
 		csvDir    = flag.String("csvdir", "", "export figure CSVs into this directory")
 		quiet     = flag.Bool("quiet", false, "suppress the text report")
 		reps      = flag.Int("replicate", 0, "run N independent seeds and report mean ± sd")
-		traceFmt  = flag.String("trace-format", "auto", "trace file format: auto (by extension), csv, or tbv1 (binary)")
 		shards    = flag.Int("shards", 0, "partition the fleet across N coordinator shards (lab-aligned; the merged trace is identical to an unsharded run)")
 		segDir    = flag.String("segments", "", "with -shards: also write the per-shard TBv1 segment files plus manifest into this directory")
 		metrics   = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /vars, /spans, /events, /healthz, /debug/pprof/) on this address")
@@ -276,12 +275,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		format, err := trace.ParseFormat(*traceFmt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "labmon:", err)
-			os.Exit(1)
-		}
-		if err := trace.WriteFileFormat(*traceOut, res.Dataset, format); err != nil {
+		if err := trace.WriteFile(*traceOut, res.Dataset); err != nil {
 			fmt.Fprintln(os.Stderr, "labmon: writing trace:", err)
 			os.Exit(1)
 		}

@@ -6,7 +6,8 @@
 //
 // Data sources (exactly one):
 //
-//	-trace FILE    load a collected trace (CSV or TBv1, plain or gzipped)
+//	-trace FILE    load a collected TBv1 trace (plain or gzipped) or a
+//	               segment manifest
 //	-stream FILE   stream a TBv1 trace or segment manifest out-of-core
 //	               (bounded memory)
 //	-sim-days N    simulate the paper's fleet for N days in-process,
@@ -54,7 +55,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "serve the query API on this address (use :0 for an ephemeral port)")
-		traceIn   = flag.String("trace", "", "serve this collected trace file (CSV or TBv1, plain or gzipped)")
+		traceIn   = flag.String("trace", "", "serve this collected TBv1 trace (plain or gzipped) or segment manifest")
 		streamIn  = flag.String("stream", "", "stream this TBv1 trace or segment manifest out-of-core (bounded memory)")
 		simDays   = flag.Int("sim-days", 0, "simulate the paper's fleet for N days and serve the trace")
 		seed      = flag.Int64("seed", 1, "simulation seed (with -sim-days)")
@@ -103,13 +104,7 @@ func main() {
 
 	switch {
 	case *traceIn != "":
-		f, err := os.Open(*traceIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "queryd:", err)
-			os.Exit(1)
-		}
-		ds, err := trace.ReadAny(f)
-		f.Close()
+		ds, err := trace.ReadFile(*traceIn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "queryd: reading %s: %v\n", *traceIn, err)
 			os.Exit(1)

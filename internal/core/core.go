@@ -129,7 +129,7 @@ func AnalyzeStream(path string, workers int) (*Report, error) {
 // StreamResults runs the analysis engine out-of-core over either a TBv1
 // trace file (plain or gzipped; workers as in AnalyzeStream) or a
 // segment manifest. Manifests are written as uncompressed JSON, so a
-// leading '{' is the same content sniff trace.ReadAny keys on — cheap
+// leading '{' is the same content sniff trace.ReadFile keys on — cheap
 // and unambiguous against TBv1 magic and the gzip header.
 func StreamResults(path string, workers int) (*analysis.Results, error) {
 	f, err := os.Open(path)

@@ -14,12 +14,10 @@ import (
 
 // TBv1 — the winlab binary trace format.
 //
-// CSV is the archival interchange format; TBv1 is the storage format for
-// traces that are written once and re-analysed many times (Grid'5000-style
-// year-in-the-life platform logs). It encodes the same Dataset loss-free
-// in ≲1/3 of the bytes and reads/writes several times faster, because it
-// never materialises intermediate []string records and exploits the shape
-// of monitoring data: per-machine streams of slowly-changing counters.
+// TBv1 is the one trace format: traces are written once and re-analysed
+// many times (Grid'5000-style year-in-the-life platform logs). It encodes
+// a Dataset loss-free and compactly because it exploits the shape of
+// monitoring data: per-machine streams of slowly-changing counters.
 //
 // Layout (all integers are varints unless noted):
 //
@@ -775,7 +773,7 @@ func newBinaryCursor(br *bufio.Reader) (*BinaryCursor, error) {
 	c.period = time.Duration(dec.varint("period"))
 
 	nM := dec.uvarint("machine count")
-	if dec.err == nil && nM > 0 { // n==0 keeps the slice nil, like the CSV reader
+	if dec.err == nil && nM > 0 { // n==0 keeps the slice nil
 		c.machines = make([]MachineInfo, 0, clampPrealloc(nM))
 	}
 	for i := uint64(0); i < nM && dec.err == nil; i++ {
@@ -937,16 +935,14 @@ func (c *BinaryCursor) Next(s *Sample) (bool, error) {
 // detection never ran (stdin, pipes, misnamed files).
 var gzipMagic = []byte{0x1f, 0x8b}
 
-// ReadAny deserialises a dataset in either format, sniffing the content:
-// a stream opening with the TBv1 magic decodes as binary, a gzip stream
-// is transparently decompressed and re-sniffed, anything else parses as
-// CSV. Existing consumers switch to ReadAny (via ReadFile) and load both
-// transparently.
+// ReadAny deserialises a TBv1 dataset, sniffing the content: a stream
+// opening with the TBv1 magic decodes as binary, and a gzip stream is
+// transparently decompressed and re-sniffed. Anything else is "not a
+// TBv1 stream" — a segment manifest included (ReadFile loads those).
 //
-// Edge cases get addressed errors instead of the CSV reader's generic
-// complaint: an empty stream reports itself as empty, and a stream that
-// ends inside the four-byte TBv1 magic (a truncated binary trace —
-// nothing CSV ever starts with 'W') reports the truncation.
+// Edge cases get addressed errors: an empty stream reports itself as
+// empty, and a stream that ends inside the four-byte TBv1 magic (a
+// truncated binary trace) reports the truncation.
 func ReadAny(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, ioBufSize)
 	head, err := br.Peek(len(magicTB))
@@ -956,8 +952,7 @@ func ReadAny(r io.Reader) (*Dataset, error) {
 	case bytes.HasPrefix(head, gzipMagic):
 		// Compressed stream: decompress and sniff the payload again (a
 		// .tb.gz read without extension hints lands here). gzip members
-		// never open with 'H' or 'W', so this cannot shadow either
-		// uncompressed format.
+		// never open with 'W', so this cannot shadow TBv1.
 		gz, gerr := gzip.NewReader(br)
 		if gerr != nil {
 			return nil, fmt.Errorf("trace: gzip stream: %w", gerr)
@@ -971,20 +966,8 @@ func ReadAny(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	case err != nil && len(head) < len(magicTB) && bytes.HasPrefix(magicTB, head):
 		// Short stream that is a proper prefix of the TBv1 magic: a
-		// truncated binary trace, not a CSV (whose header starts "H,").
+		// truncated binary trace.
 		return nil, fmt.Errorf("trace: truncated TBv1 stream (%d bytes)", len(head))
-	case len(head) > 0 && head[0] == '{':
-		// A segment manifest (JSON object; CSV starts "H," and TBv1 with
-		// 'W'). Relative segment paths resolve against the working
-		// directory here — ReadFile resolves against the manifest's own
-		// directory, which is what file-based consumers want.
-		m, merr := decodeManifest(br)
-		if merr != nil {
-			return nil, merr
-		}
-		return readManifestDataset(m, ".")
 	}
-	// Read re-wraps in a bufio of the same size; bufio.NewReaderSize
-	// returns br itself, so no data is lost and nothing is re-buffered.
-	return Read(br)
+	return nil, fmt.Errorf("trace: not a TBv1 stream (starts %q)", head)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -69,79 +70,65 @@ func TestBinaryRoundTripFixture(t *testing.T) {
 	}
 }
 
-// TestReadAnySniffs: both formats load through the same entry point.
+// TestReadAnySniffs: plain and gzipped TBv1 load through the same entry
+// point, and the bytes of anything else are refused.
 func TestReadAnySniffs(t *testing.T) {
 	d := newDataset()
-	var csvBuf bytes.Buffer
-	if err := Write(&csvBuf, d); err != nil {
+	raw := binBytes(t, d)
+	var zbuf bytes.Buffer
+	if err := encodeStream(&zbuf, d, true); err != nil {
 		t.Fatal(err)
 	}
-	for name, raw := range map[string][]byte{"csv": csvBuf.Bytes(), "tbv1": binBytes(t, d)} {
-		got, err := ReadAny(bytes.NewReader(raw))
+	for name, b := range map[string][]byte{"tbv1": raw, "tbv1-gzip": zbuf.Bytes()} {
+		got, err := ReadAny(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		requireDatasetsEqual(t, got, d)
 	}
+	if _, err := ReadAny(strings.NewReader("H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\n")); err == nil ||
+		!strings.Contains(err.Error(), "not a TBv1 stream") {
+		t.Errorf("CSV bytes: err = %v, want \"not a TBv1 stream\"", err)
+	}
 }
 
-// TestWriteFileFormats: extension-driven format selection, explicit
-// overrides, gzip stacking, and sniffing on the way back in.
+// TestWriteFileFormats: every extension writes TBv1, a trailing ".gz"
+// adds gzip, and an unknown Format is refused before any file exists.
 func TestWriteFileFormats(t *testing.T) {
 	d := newDataset()
 	dir := t.TempDir()
-	cases := []struct {
-		name   string
-		format Format
-		binary bool
-	}{
-		{"trace.csv", FormatAuto, false},
-		{"trace.tb", FormatAuto, true},
-		{"trace.tbv1.gz", FormatAuto, true},
-		{"trace.dat", FormatTB, true},
-		{"trace.tb.but-csv", FormatCSV, false},
-	}
-	for _, tc := range cases {
-		path := filepath.Join(dir, tc.name)
-		if err := WriteFileFormat(path, d, tc.format); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	for _, name := range []string{"trace.tb", "trace.tbv1.gz", "trace.dat", "trace.csv", "trace.CSV.GZ"} {
+		path := filepath.Join(dir, name)
+		if err := WriteFileFormat(path, d, FormatTB); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		got, err := ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: read: %v", tc.name, err)
+			t.Fatalf("%s: read: %v", name, err)
 		}
 		requireDatasetsEqual(t, got, d)
-		// Verify the on-disk format really is what the name promised
-		// (gz paths are checked through ReadFile only: the compressed
-		// stream hides the inner magic).
+		// The on-disk bytes must be what the name promised (gz paths
+		// hide the inner magic, which ReadFile above already decoded).
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.HasSuffix(tc.name, ".gz") {
+		if gzipPath(name) {
 			if len(raw) == 0 || raw[0] != 0x1f {
-				t.Errorf("%s: not gzip-compressed", tc.name)
+				t.Errorf("%s: not gzip-compressed", name)
 			}
-			continue
-		}
-		if isBin := bytes.HasPrefix(raw, magicTB); isBin != tc.binary {
-			t.Errorf("%s: binary=%v, want %v", tc.name, isBin, tc.binary)
+		} else if !bytes.HasPrefix(raw, magicTB) {
+			t.Errorf("%s: not TBv1", name)
 		}
 	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{
-		"auto": FormatAuto, "": FormatAuto, "csv": FormatCSV,
-		"tbv1": FormatTB, "TB": FormatTB, "binary": FormatTB,
-	} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", in, got, err, want)
+	for _, f := range []Format{0, FormatTB + 1} {
+		path := filepath.Join(dir, fmt.Sprintf("unknown-%d.tb", f))
+		if err := WriteFileFormat(path, d, f); err == nil {
+			t.Errorf("format %d accepted", f)
 		}
-	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("ParseFormat accepted xml")
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("format %d: file created (stat err %v)", f, err)
+		}
 	}
 }
 

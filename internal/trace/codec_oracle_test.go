@@ -352,7 +352,7 @@ func newOracleCursor(br *bufio.Reader) (*oracleCursor, error) {
 	c.period = time.Duration(dec.varint("period"))
 
 	nM := dec.uvarint("machine count")
-	if dec.err == nil && nM > 0 { // n==0 keeps the slice nil, like the CSV reader
+	if dec.err == nil && nM > 0 { // n==0 keeps the slice nil
 		c.machines = make([]MachineInfo, 0, clampPrealloc(nM))
 	}
 	for i := uint64(0); i < nM && dec.err == nil; i++ {

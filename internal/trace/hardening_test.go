@@ -168,9 +168,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestEncodeStreamErrorPropagation drives every encode branch (CSV and
-// TBv1, plain and gzipped) into a writer that fails at several offsets
-// — including 0, so gzip's own header write fails, and a limit large
+// TestEncodeStreamErrorPropagation drives both encode branches (TBv1
+// plain and gzipped) into a writer that fails at several offsets —
+// including 0, so gzip's own header write fails, and a limit large
 // enough that only the final Flush/Close can observe the error. Every
 // combination must surface a non-nil error to the caller; a lost error
 // here means a silently truncated trace file.
@@ -178,31 +178,18 @@ func TestEncodeStreamErrorPropagation(t *testing.T) {
 	d := newDataset()
 	d.Samples = append(d.Samples, FromSnapshot(9, snapshotFixture()))
 
-	// Find the full encoded sizes so "fail at the last byte" offsets can
-	// be derived rather than guessed.
-	sizes := map[string]int{}
-	for _, f := range []Format{FormatCSV, FormatTB} {
-		for _, gz := range []bool{false, true} {
-			var buf bytes.Buffer
-			if err := encodeStream(&buf, d, f, gz); err != nil {
-				t.Fatalf("clean encode %v gz=%v: %v", f, gz, err)
-			}
-			sizes[fmt.Sprintf("%d/%v", f, gz)] = buf.Len()
+	for _, gz := range []bool{false, true} {
+		// The full encoded size, so "fail at the last byte" offsets can
+		// be derived rather than guessed.
+		var buf bytes.Buffer
+		if err := encodeStream(&buf, d, gz); err != nil {
+			t.Fatalf("clean encode gz=%v: %v", gz, err)
 		}
-	}
-
-	for _, f := range []Format{FormatCSV, FormatTB} {
-		for _, gz := range []bool{false, true} {
-			full := sizes[fmt.Sprintf("%d/%v", f, gz)]
-			for _, limit := range []int{0, 1, 7, full / 2, full - 1} {
-				if limit >= full {
-					continue
-				}
-				w := &failWriter{limit: limit}
-				err := encodeStream(w, d, f, gz)
-				if err == nil {
-					t.Errorf("format=%v gz=%v limit=%d/%d: write failure swallowed", f, gz, limit, full)
-				}
+		full := buf.Len()
+		for _, limit := range []int{0, 1, 7, full / 2, full - 1} {
+			w := &failWriter{limit: limit}
+			if err := encodeStream(w, d, gz); err == nil {
+				t.Errorf("gz=%v limit=%d/%d: write failure swallowed", gz, limit, full)
 			}
 		}
 	}

@@ -269,8 +269,7 @@ func (ix *Index) EachMachine(fn func(id string, ss []Sample)) {
 	}
 }
 
-// Machine returns the static metadata for one machine, or nil — the O(1)
-// replacement for Dataset.MachineByID's linear scan.
+// Machine returns the static metadata for one machine, or nil.
 func (ix *Index) Machine(id string) *MachineInfo { return ix.info[id] }
 
 // Attempts returns the cached total number of probe attempts.

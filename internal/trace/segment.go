@@ -19,7 +19,7 @@ import (
 // Segmented traces. A sharded collector run leaves K independent TBv1
 // segment files — one (or several, time-chunked) per coordinator shard —
 // plus a JSON manifest describing them. The manifest is itself a valid
-// trace "file": ReadFile/ReadAny sniff the leading '{' and materialise
+// trace "file": ReadFile sniffs the leading '{' and materialises
 // the merged dataset, and MergeSegments compacts the segments into one
 // canonical TBv1 trace by k-way-merging the per-machine sample streams
 // without ever materialising a shard (each segment is consumed through a

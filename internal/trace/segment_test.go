@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -105,6 +106,39 @@ func TestSegmentsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(viaFile.Samples, want.Samples) || !reflect.DeepEqual(viaFile.Machines, want.Machines) {
 		t.Error("ReadFile(manifest) differs from MergeSharded")
+	}
+}
+
+// TestReadAnyRefusesManifest: ReadFile is the only reader of segment
+// manifests. The manifest here names its segments by absolute path, so
+// its bytes would resolve from any working directory; ReadFile loads it
+// and ReadAny still refuses it.
+func TestReadAnyRefusesManifest(t *testing.T) {
+	dir := t.TempDir()
+	mpath, err := WriteSegments(dir, "run", shardFixture(3, []string{"01-a"}, []string{"02-a"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range m.SegmentPaths(dir) {
+		m.Segments[i].Path = p
+	}
+	abs := filepath.Join(dir, "abs.manifest.json")
+	if err := WriteManifest(abs, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(abs); err != nil {
+		t.Fatalf("ReadFile(manifest): %v", err)
+	}
+	raw, err := os.ReadFile(abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadAny(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "not a TBv1 stream") {
+		t.Errorf("ReadAny(manifest) = %v, want \"not a TBv1 stream\"", err)
 	}
 }
 

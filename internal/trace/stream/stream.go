@@ -71,8 +71,7 @@ type Cursor struct {
 
 // New opens a cursor over r. The content is sniffed like trace.ReadAny:
 // a gzip stream is transparently decompressed and re-sniffed; anything
-// that is not TBv1 after decompression is an error (CSV traces have no
-// streamable framing — convert them with tracecat first).
+// that is not TBv1 after decompression is an error.
 func New(r io.Reader) (*Cursor, error) {
 	return newCursor(r, nil)
 }
@@ -106,9 +105,6 @@ func newCursor(r io.Reader, closers []io.Closer) (*Cursor, error) {
 	}
 	bc, err := trace.NewBinaryCursor(br)
 	if err != nil {
-		if len(head) > 0 && head[0] == 'H' {
-			return nil, fmt.Errorf("stream: input looks like a CSV trace; streaming needs TBv1 (%w)", err)
-		}
 		return nil, err
 	}
 	return &Cursor{bc: bc, RunLimit: DefaultRunLimit, closers: closers}, nil

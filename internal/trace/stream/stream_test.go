@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -180,17 +181,20 @@ func TestMixedNextAndNextRun(t *testing.T) {
 }
 
 // TestOpenSniffsGzip: Open must handle plain and gzipped files
-// identically, and reject CSV with a pointed error.
+// identically, and reject a file that is not TBv1.
 func TestOpenSniffsGzip(t *testing.T) {
 	_, d := fixtureTB(t)
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "t.tb")
 	zipped := filepath.Join(dir, "t.tb.gz")
-	csv := filepath.Join(dir, "t.csv")
-	for _, p := range []string{plain, zipped, csv} {
+	for _, p := range []string{plain, zipped} {
 		if err := trace.WriteFile(p, d); err != nil {
 			t.Fatal(err)
 		}
+	}
+	csv := filepath.Join(dir, "t.csv")
+	if err := os.WriteFile(csv, []byte("H,winlab-trace-1,2003-10-06T08:00:00Z,2003-10-07T08:00:00Z,900\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	var first []trace.Sample
 	for _, p := range []string{plain, zipped} {
@@ -210,8 +214,8 @@ func TestOpenSniffsGzip(t *testing.T) {
 			t.Fatalf("gzip path decoded %d samples, plain %d", len(got), len(first))
 		}
 	}
-	if _, err := stream.Open(csv); err == nil || !strings.Contains(err.Error(), "CSV") {
-		t.Errorf("Open(csv) = %v, want a CSV-specific error", err)
+	if _, err := stream.Open(csv); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Open(csv) = %v, want a bad-magic error", err)
 	}
 }
 

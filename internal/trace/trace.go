@@ -79,23 +79,14 @@ func FromSnapshot(iter int, sn machine.Snapshot) Sample {
 type Iteration struct {
 	Iter      int
 	Start     time.Time
-	End       time.Time // sweep end; zero in traces written before v1.1
+	End       time.Time // sweep end; zero when not recorded
 	Attempted int
 	Responded int
 
 	// ParseErrors counts reports of this iteration that were received but
 	// did not parse — machines that responded with garbage rather than
-	// not at all (zero in traces written before v1.1).
+	// not at all.
 	ParseErrors int
-}
-
-// Elapsed returns the iteration's sweep duration, or zero when End is
-// unset (legacy traces).
-func (it Iteration) Elapsed() time.Duration {
-	if it.Start.IsZero() || it.End.IsZero() {
-		return 0
-	}
-	return it.End.Sub(it.Start)
 }
 
 // MachineInfo is the static per-machine metadata the analysis needs
@@ -155,16 +146,6 @@ type Dataset struct {
 	lineID uint64
 	gen    uint64
 	stamp  Mark
-}
-
-// MachineByID returns the metadata for one machine, or nil.
-func (d *Dataset) MachineByID(id string) *MachineInfo {
-	for i := range d.Machines {
-		if d.Machines[i].ID == id {
-			return &d.Machines[i]
-		}
-	}
-	return nil
 }
 
 // Attempts returns the total number of probe attempts.

@@ -140,9 +140,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if d.Days() != 1 {
 		t.Errorf("Days = %v", d.Days())
 	}
-	if d.MachineByID("M2") == nil || d.MachineByID("nope") != nil {
-		t.Error("MachineByID")
-	}
 	if got := d.Machines[0].PerfIndex(); got != 31.8 {
 		t.Errorf("PerfIndex = %v", got)
 	}

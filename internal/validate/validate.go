@@ -7,9 +7,8 @@
 // diffing down to the first divergent field via check.FirstDiff /
 // check.DiffDatasets instead of a bare reflect.DeepEqual boolean:
 //
-//   - CSV write→read→write byte stability, and Dataset→TBv1→Dataset
-//     identity (the binary codec is lossless by design);
-//   - trace.ReadAny format sniffing agreeing with the explicit readers;
+//   - Dataset→TBv1→Dataset identity through trace.ReadAny's content
+//     sniffing (the codec is lossless by design);
 //   - the analysis engine's sources: the stream cursor reproducing
 //     ReadBinary sample for sample, sequential analysis.AllStream over
 //     the TBv1 encoding bit-identical to analysis.All over the dataset,
@@ -90,9 +89,7 @@ func Suite(cfg Config) []Failure {
 		return append(fails, Failure{Check: "collect/serial", Detail: err.Error()})
 	}
 
-	add("trace/csv-write-read-write", diffCSVRoundTrip(serial.Dataset))
 	add("trace/tbv1-roundtrip", diffTBRoundTrip(serial.Dataset))
-	add("trace/readany-sniff", diffReadAny(serial.Dataset))
 
 	r1 := analysis.All(serial.Dataset, analysis.Options{})
 
@@ -315,71 +312,18 @@ func diffInjected(cfg Config) string {
 	return ""
 }
 
-// diffCSVRoundTrip asserts write→read→write is byte-stable: the textual
-// format is lossy against the in-memory dataset (%.3f floats), but one
-// read/write cycle must be a fixed point.
-func diffCSVRoundTrip(ds *trace.Dataset) string {
-	var b1 bytes.Buffer
-	if err := trace.Write(&b1, ds); err != nil {
-		return "write: " + err.Error()
-	}
-	ds2, err := trace.Read(bytes.NewReader(b1.Bytes()))
-	if err != nil {
-		return "read back: " + err.Error()
-	}
-	var b2 bytes.Buffer
-	if err := trace.Write(&b2, ds2); err != nil {
-		return "re-write: " + err.Error()
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		return fmt.Sprintf("CSV not byte-stable after a read/write cycle: first divergence at byte %d (sizes %d vs %d)",
-			firstByteDiff(b1.Bytes(), b2.Bytes()), b1.Len(), b2.Len())
-	}
-	return ""
-}
-
-// diffTBRoundTrip asserts Dataset→TBv1→Dataset is the identity.
+// diffTBRoundTrip asserts Dataset→TBv1→Dataset is the identity, read
+// back through the content-sniffing front door.
 func diffTBRoundTrip(ds *trace.Dataset) string {
 	var b bytes.Buffer
 	if err := trace.WriteBinary(&b, ds); err != nil {
 		return "write: " + err.Error()
 	}
-	ds2, err := trace.ReadBinary(bytes.NewReader(b.Bytes()))
+	ds2, err := trace.ReadAny(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		return "read back: " + err.Error()
 	}
 	return check.DiffDatasets(ds, ds2)
-}
-
-// diffReadAny asserts the content-sniffing reader agrees with the
-// explicit CSV and TBv1 readers on the same bytes.
-func diffReadAny(ds *trace.Dataset) string {
-	var csv, tb bytes.Buffer
-	if err := trace.Write(&csv, ds); err != nil {
-		return "write csv: " + err.Error()
-	}
-	if err := trace.WriteBinary(&tb, ds); err != nil {
-		return "write tbv1: " + err.Error()
-	}
-	want, err := trace.Read(bytes.NewReader(csv.Bytes()))
-	if err != nil {
-		return "csv read: " + err.Error()
-	}
-	got, err := trace.ReadAny(bytes.NewReader(csv.Bytes()))
-	if err != nil {
-		return "readany(csv): " + err.Error()
-	}
-	if d := check.DiffDatasets(want, got); d != "" {
-		return "readany(csv) " + d
-	}
-	got, err = trace.ReadAny(bytes.NewReader(tb.Bytes()))
-	if err != nil {
-		return "readany(tbv1): " + err.Error()
-	}
-	if d := check.DiffDatasets(ds, got); d != "" {
-		return "readany(tbv1) " + d
-	}
-	return ""
 }
 
 func firstByteDiff(a, b []byte) int {

@@ -1,38 +1,38 @@
-// Command traceconv converts trace files between the CSV text format and
-// the TBv1 binary format (internal/trace). The input format is sniffed
-// from the file content — CSV, TBv1, gzipped or not, all load the same
-// way — and the output format follows the destination extension
-// (".tb"/".tbv1" → TBv1, else CSV; a trailing ".gz" adds gzip) unless
-// -format forces it.
+// Command traceconv rewrites a trace file as TBv1, exports it as CSV
+// for reading by eye or in a spreadsheet, or compacts a sharded run's
+// segments into one trace. The input is sniffed from the file content —
+// a TBv1 trace, gzipped or not, or a segment manifest. The output is
+// TBv1 unless its name ends in ".csv" or ".csv.gz": then it is the CSV
+// export, which is write-only (nothing reads it back). A trailing ".gz"
+// adds gzip either way.
 //
-// It prints the before/after file sizes so the compression win of the
-// binary format is visible at a glance:
+// It prints the before/after file sizes (here a 3-day labmon trace):
 //
-//	$ traceconv trace.csv trace.tb
-//	traceconv: trace.csv (89.6 MB) -> trace.tb (25.9 MB), 28.9% of input
+//	$ traceconv t.tb t.tb.gz
+//	traceconv: t.tb (836.3 KB) -> t.tb.gz (397.8 KB), 47.6% of input
 //
 // Usage:
 //
-//	traceconv [-format auto|csv|tbv1] [-check] <in> <out>
+//	traceconv [-check] <in> <out.tb[.gz]|out.csv[.gz]>
 //	traceconv -merge [-check] <run.manifest.json> <out.tb[.gz]>
 //
-// With -check the tool re-reads the file it just wrote and verifies the
-// dataset survived the conversion unchanged (machine, iteration and
-// sample counts, experiment bounds), turning a conversion into a
-// self-validating migration step.
+// With -check the tool re-reads the TBv1 file it just wrote and verifies
+// the dataset survived unchanged (machine, iteration and sample counts,
+// experiment bounds). A CSV export cannot be checked, so -check refuses
+// one.
 //
 // With -merge the input is a segment manifest from a sharded collection
 // run (labmon -shards -segments, or the ddcd shards); the segments are
 // compacted into one canonical TBv1 trace with the streaming k-way
 // merger — constant memory, no shard is ever materialised — so the tool
-// handles grid-scale segment sets. The output is always TBv1 (".gz"
-// adds gzip); merging to CSV is refused.
+// handles grid-scale segment sets. The output is always TBv1.
 package main
 
 import (
 	"compress/gzip"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,12 +56,50 @@ func human(n int64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
+// gzipName reports whether an output name asks for gzip (".gz", any case).
+func gzipName(path string) bool {
+	return strings.HasSuffix(strings.ToLower(path), ".gz")
+}
+
+// csvName reports whether an output name asks for the CSV export
+// (".csv" before an optional ".gz", any case).
+func csvName(path string) bool {
+	return strings.HasSuffix(strings.TrimSuffix(strings.ToLower(path), ".gz"), ".csv")
+}
+
+// create writes the file at path through write, gzip-compressed when the
+// name ends in ".gz". A failed write removes the partial file.
+func create(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	var w io.Writer = f
+	var gz *gzip.Writer
+	if gzipName(path) {
+		gz = gzip.NewWriter(f)
+		w = gz
+	}
+	err = write(w)
+	if gz != nil {
+		if cerr := gz.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
 func main() {
-	formatFlag := flag.String("format", "auto", "output format: auto (by extension), csv, or tbv1")
-	check := flag.Bool("check", false, "re-read the output and verify the dataset round-tripped")
+	check := flag.Bool("check", false, "re-read the TBv1 output and verify the dataset round-tripped")
 	merge := flag.Bool("merge", false, "treat <in> as a segment manifest and stream-compact its segments into <out> (TBv1)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: traceconv [-format auto|csv|tbv1] [-check] <in> <out>")
+		fmt.Fprintln(os.Stderr, "usage: traceconv [-check] <in> <out.tb[.gz]|out.csv[.gz]>")
 		fmt.Fprintln(os.Stderr, "       traceconv -merge [-check] <run.manifest.json> <out.tb[.gz]>")
 		flag.PrintDefaults()
 	}
@@ -72,19 +110,23 @@ func main() {
 	}
 	in, out := flag.Arg(0), flag.Arg(1)
 
-	format, err := trace.ParseFormat(*formatFlag)
-	if err != nil {
-		fail(err)
+	if csvName(out) && (*merge || *check) {
+		fail(fmt.Errorf("%s: the CSV export cannot be merged into or checked; write .tb[.gz]", out))
 	}
 	if *merge {
-		mergeSegments(in, out, format, *check)
+		mergeSegments(in, out, *check)
 		return
 	}
 	d, err := trace.ReadFile(in)
 	if err != nil {
 		fail(fmt.Errorf("reading %s: %w", in, err))
 	}
-	if err := trace.WriteFileFormat(out, d, format); err != nil {
+	if csvName(out) {
+		err = create(out, func(w io.Writer) error { return writeCSV(w, d) })
+	} else {
+		err = trace.WriteFile(out, d)
+	}
+	if err != nil {
 		fail(fmt.Errorf("writing %s: %w", out, err))
 	}
 
@@ -122,38 +164,15 @@ func main() {
 }
 
 // mergeSegments stream-compacts the manifest's segment files into out.
-func mergeSegments(in, out string, format trace.Format, check bool) {
-	if format == trace.FormatCSV {
-		fail(fmt.Errorf("-merge writes TBv1 (the compactor streams the binary format); drop -format csv"))
-	}
+func mergeSegments(in, out string, check bool) {
 	m, err := trace.ReadManifest(in)
 	if err != nil {
 		fail(fmt.Errorf("reading %s: %w", in, err))
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		fail(err)
-	}
-	var w interface {
-		Write([]byte) (int, error)
-	} = f
-	var gz *gzip.Writer
-	if strings.HasSuffix(out, ".gz") {
-		gz = gzip.NewWriter(f)
-		w = gz
-	}
-	if err := trace.MergeSegments(w, m, filepath.Dir(in)); err != nil {
-		f.Close()
-		os.Remove(out)
+	if err := create(out, func(w io.Writer) error {
+		return trace.MergeSegments(w, m, filepath.Dir(in))
+	}); err != nil {
 		fail(fmt.Errorf("merging %s: %w", in, err))
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		fail(err)
 	}
 
 	if check {

@@ -2,8 +2,8 @@
 // dataset invariant checker (internal/trace/check) over trace files,
 // diffs two traces down to the first divergent field, and re-runs the
 // repo's pipeline equivalence claims (internal/validate) as a self-test.
-// Input files load through trace.ReadFile, so CSV and TBv1 — gzipped or
-// not — all work unannounced.
+// Input files load through trace.ReadFile: TBv1 traces, gzipped or not,
+// and segment manifests.
 //
 // Usage:
 //
@@ -22,15 +22,14 @@
 //	-diff      load both traces and report the first divergent field
 //	           with coordinates, or "identical".
 //	-write-corpus  materialise the checker's corrupted-fixture corpus
-//	           (one trace per invariant class, plus clean.csv) into a
+//	           (one TBv1 trace per invariant class, plus clean.tb) into a
 //	           directory — `make doctor` checks them and demands a
 //	           non-zero exit on every corrupted one.
 //	-selftest  run the differential validation suite per seed (one vs
-//	           four collector shards, clean and fault-injected,
-//	           CSV/TBv1 round-trips, serial vs parallel analysis),
-//	           then write+reload+check each seed's trace in both CSV and
-//	           TBv1 (gzipped) through real files — the `make doctor`
-//	           entry point.
+//	           four collector shards, clean and fault-injected, TBv1
+//	           round trips, serial vs parallel analysis), then
+//	           write+reload+check each seed's trace as plain and gzipped
+//	           TBv1 through real files — the `make doctor` entry point.
 //
 // Options:
 //
@@ -150,7 +149,7 @@ func diffFiles(a, b string) int {
 }
 
 // runSelftest runs the differential suite per seed, then pushes each
-// seed's collected trace through real CSV and TBv1 files (gzipped) and
+// seed's collected trace through real TBv1 files, plain and gzipped, and
 // re-checks the reload.
 func runSelftest(seedList string, days, workers int, opts check.Options) int {
 	seeds, err := parseSeeds(seedList)
@@ -175,12 +174,12 @@ func runSelftest(seedList string, days, workers int, opts check.Options) int {
 			continue
 		}
 		// File-level round trips: the suite validated in-memory codecs;
-		// this leg validates the file paths (extension routing, gzip).
+		// this leg validates the file paths (gzip by extension).
 		res, err := validate.Run(validate.Config{Seed: seed, Days: days})
 		if err != nil {
 			fail(err)
 		}
-		for _, name := range []string{"trace.csv.gz", "trace.tb.gz"} {
+		for _, name := range []string{"trace.tb", "trace.tb.gz"} {
 			path := filepath.Join(tmp, fmt.Sprintf("seed%d-%s", seed, name))
 			if err := trace.WriteFile(path, res.Dataset); err != nil {
 				fail(fmt.Errorf("writing %s: %w", path, err))
@@ -203,13 +202,13 @@ func runSelftest(seedList string, days, workers int, opts check.Options) int {
 	return exit
 }
 
-// writeCorpus materialises the checker's fixture corpus: clean.csv plus
-// one corrupted trace per serialisable invariant fixture.
+// writeCorpus materialises the checker's fixture corpus as TBv1 files:
+// clean.tb plus one corrupted trace per serialisable invariant fixture.
 func writeCorpus(dir string) int {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fail(err)
 	}
-	cleanPath := filepath.Join(dir, "clean.csv")
+	cleanPath := filepath.Join(dir, "clean.tb")
 	if err := trace.WriteFile(cleanPath, check.CleanFixture()); err != nil {
 		fail(fmt.Errorf("writing %s: %w", cleanPath, err))
 	}
@@ -218,13 +217,13 @@ func writeCorpus(dir string) int {
 		if !fx.Serializable {
 			continue
 		}
-		path := filepath.Join(dir, fx.Name+".csv")
+		path := filepath.Join(dir, fx.Name+".tb")
 		if err := trace.WriteFile(path, fx.Dataset); err != nil {
 			fail(fmt.Errorf("writing %s: %w", path, err))
 		}
 		n++
 	}
-	fmt.Printf("wrote clean.csv and %d corrupted fixtures to %s\n", n, dir)
+	fmt.Printf("wrote clean.tb and %d corrupted fixtures to %s\n", n, dir)
 	return 0
 }
 

@@ -25,11 +25,11 @@ func TestCheckFilesCorpus(t *testing.T) {
 		t.Fatalf("corpus holds %d files", len(entries))
 	}
 	opts := check.Options{Limit: 5}
-	if got := checkFiles([]string{filepath.Join(dir, "clean.csv")}, opts); got != 0 {
-		t.Errorf("checkFiles(clean.csv) = %d, want 0", got)
+	if got := checkFiles([]string{filepath.Join(dir, "clean.tb")}, opts); got != 0 {
+		t.Errorf("checkFiles(clean.tb) = %d, want 0", got)
 	}
 	for _, e := range entries {
-		if e.Name() == "clean.csv" {
+		if e.Name() == "clean.tb" {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
@@ -41,8 +41,8 @@ func TestCheckFilesCorpus(t *testing.T) {
 
 func TestDiffFiles(t *testing.T) {
 	dir := t.TempDir()
-	a := filepath.Join(dir, "a.csv")
-	b := filepath.Join(dir, "b.tb.gz") // other format: diff is format-agnostic
+	a := filepath.Join(dir, "a.tb")
+	b := filepath.Join(dir, "b.tb.gz") // gzipped: diff compares datasets, not bytes
 	ds := check.CleanFixture()
 	if err := trace.WriteFile(a, ds); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestDiffFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := diffFiles(a, b); got != 0 {
-		t.Errorf("diffFiles(identical across formats) = %d, want 0", got)
+		t.Errorf("diffFiles(identical, one gzipped) = %d, want 0", got)
 	}
 	ds.Samples[0].Uptime += 1e9
 	if err := trace.WriteFile(b, ds); err != nil {
