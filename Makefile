@@ -10,7 +10,7 @@ GO ?= go
 # comparisons; set PR to the pull request being measured. Distinct from
 # BENCH_PR9.json, the queryload macro curve.
 BENCHTIME ?= 1x
-PR ?= 37
+PR ?= 39
 BENCHJSON ?= BENCH_PR$(PR)_micro.json
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
@@ -86,9 +86,12 @@ ledger:
 # instead) against the working tree (B), A/B/B/A over ABPAIRS unseen
 # seeds plus one A/A block, per workload. It writes the pairs, per-side
 # medians and quartiles, wins and an exact sign-test p-value to
-# bench/ledger/PR$(PR)-ab.json. A perf claim cites this file. With the
-# default ABREV=HEAD on a clean tree it is the self-test: every workload
-# must come out unchanged. Ten live_publish pairs take ≈10 minutes.
+# bench/ledger/PR$(PR)-ab.json. Each side's pipebench is built once and
+# exec'd directly, so every pair also carries the run's CPU per attempt
+# and peak RSS (informative: same verdict, no gate). A perf claim cites
+# this file. With the default ABREV=HEAD on a clean tree it is the
+# self-test: every metric of every workload must come out unchanged.
+# Ten live_publish pairs take ≈10 minutes.
 ABREV ?= HEAD
 ABTREE ?=
 ABWORKLOADS ?= live_publish

@@ -228,32 +228,33 @@ func (s *DatasetSink) reserveLocked(last time.Time) {
 	d.Samples = grown
 }
 
-// CloneDataset deep-copies the accumulated dataset under the sink lock
-// (trace.Dataset.ClonePrefix): the copy shares no slice storage with the
-// live dataset, so the caller can freeze, analyse and serve it while the
-// collector keeps committing. The clone's samples are in commit order,
-// not machine-sorted — freezing the clone sorts them, exactly as for a
-// live dataset — and it carries the lineage stamp that lets a consumer
-// take only what a later clone adds (trace.Dataset.Since).
+// CloneDataset returns a view of the accumulated dataset, cut under the
+// sink lock (trace.Dataset.ClonePrefix): it copies no sample, and it
+// stays the prefix it was cut from while the collector keeps committing,
+// so the caller can freeze, analyse and serve it — read-only; freezing a
+// view sorts a copy, not the sink's storage. The view's samples are in
+// commit order, not machine-sorted, and it carries the lineage stamp that
+// lets a consumer take only what a later view adds (trace.Dataset.Since).
 func (s *DatasetSink) CloneDataset() *trace.Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.d.ClonePrefix()
 }
 
-// SnapshotEvery registers a commit-path tap that clones the accumulated
-// dataset after every k-th booked iteration (every ≤ 1 means every
-// iteration) and hands the clone to fn. The clone is taken under the sink
-// lock at an iteration boundary — all of that iteration's samples are
-// committed, none of the next iteration's are — so each published dataset
-// is exactly the committed prefix through its last iteration record: the
-// copy-on-publish half of the query layer's snapshot isolation.
+// SnapshotEvery registers a commit-path tap that hands fn a view of the
+// accumulated dataset (CloneDataset's) after every k-th booked iteration
+// (every ≤ 1 means every iteration). The view is cut under the sink lock
+// at an iteration boundary — all of that iteration's samples are
+// committed, none of the next iteration's are — so each published
+// dataset is exactly the committed prefix through its last iteration
+// record, and stays so: the publish half of the query layer's snapshot
+// isolation, at a cost that does not grow with the prefix.
 //
 // fn runs on the collector's iteration goroutine while the sink lock is
 // held, so it must stay O(what the epoch added): query.Store.Publish
-// qualifies — it folds only the clone's tail since the previous clone
+// qualifies — it folds only the view's tail since the previous view
 // (trace.Dataset.Since) into its resident analysis engine — but a full
-// analysis of the clone does not; hand that off instead. The returned
+// analysis of the view does not; hand that off instead. The returned
 // detach removes the tap.
 func (s *DatasetSink) SnapshotEvery(every int, fn func(*trace.Dataset)) (detach func()) {
 	if s == nil || fn == nil {
@@ -272,11 +273,17 @@ func (s *DatasetSink) SnapshotEvery(every int, fn func(*trace.Dataset)) (detach 
 	})
 }
 
-// Dataset returns the collected dataset. The last parse error, if any, is
-// returned so callers cannot silently analyse a corrupted trace.
+// Dataset returns the collected dataset, which the caller then owns and
+// may sort or edit. If the sink ever cut a view (CloneDataset,
+// SnapshotEvery), the dataset's storage first moves to arrays of its own
+// (trace.Dataset.Unshare), so nothing the caller does reaches a view
+// already handed out; a run that cut none pays nothing. The last parse
+// error, if any, is returned so callers cannot silently analyse a
+// corrupted trace.
 func (s *DatasetSink) Dataset() (*trace.Dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.d.Unshare()
 	return s.d, s.lastErr
 }
 

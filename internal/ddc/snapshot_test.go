@@ -1,6 +1,8 @@
 package ddc
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,5 +91,42 @@ func TestSnapshotEveryPublishesCommittedPrefixes(t *testing.T) {
 			t.Fatal("snapshot shares sample storage with the live dataset")
 		}
 		final.Samples[0] = before
+	}
+}
+
+// TestSnapshotEveryCopiesNothing: a publish hands out a view of the
+// sink's storage, so what it allocates does not grow with the committed
+// prefix — a deep copy of the 50,000 samples below would be ≈10 MB.
+func TestSnapshotEveryCopiesNothing(t *testing.T) {
+	const iters, perIter = 100, 500
+	period := 15 * time.Minute
+	s := NewDatasetSink(t0, t0.Add(4*iters*period), period, nil)
+	var view *trace.Dataset
+	detach := s.SnapshotEvery(1, func(ds *trace.Dataset) { view = ds })
+	defer detach()
+	sizes := make([]int, iters)
+	for i := range sizes {
+		sizes[i] = perIter
+	}
+	feed(s, 0, sizes)
+	// Room for the measured iteration records, so that what is measured
+	// is the publish and not the iteration log's own growth.
+	s.mu.Lock()
+	s.d.Iterations = slices.Grow(s.d.Iterations, 8)
+	s.mu.Unlock()
+
+	var before, after runtime.MemStats
+	for k := 0; k < 3; k++ {
+		// An empty iteration: nothing is committed, the sample slice has
+		// room (reserveLocked), so the boundary's only work is the publish.
+		runtime.ReadMemStats(&before)
+		feed(s, iters+k, []int{0})
+		runtime.ReadMemStats(&after)
+		if n := len(view.Samples); n != iters*perIter {
+			t.Fatalf("publish %d: view holds %d samples, want %d", k, n, iters*perIter)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 4096 {
+			t.Fatalf("publish %d of a %d-sample prefix allocated %d bytes, want ≤ 4096", k, iters*perIter, b)
+		}
 	}
 }

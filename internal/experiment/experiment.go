@@ -99,14 +99,15 @@ type Config struct {
 	ExtraMachines []lab.Extra
 	Lifecycle     []behavior.Lifecycle
 
-	// SnapshotEvery > 0 publishes a deep clone of the accumulated dataset
-	// to OnSnapshot every that many completed iterations — the feed for
-	// the query service's snapshot store (query.Store.Publish). Clones
-	// are cut under the sink lock at iteration boundaries, so each one
-	// is an exact committed prefix of the final trace. OnSnapshot runs
-	// on the collector's shard goroutine, not the engine's. Requires
-	// OnSnapshot; incompatible with Shards > 1 (there is no single sink
-	// whose prefix would be the fleet-wide trace).
+	// SnapshotEvery > 0 publishes a read-only view of the accumulated
+	// dataset (ddc.DatasetSink.SnapshotEvery; no samples are copied) to
+	// OnSnapshot every that many completed iterations — the feed for the
+	// query service's snapshot store (query.Store.Publish). Views are cut
+	// under the sink lock at iteration boundaries, so each one is an
+	// exact committed prefix of the final trace, and stays one.
+	// OnSnapshot runs on the collector's shard goroutine, not the
+	// engine's. Requires OnSnapshot; incompatible with Shards > 1 (there
+	// is no single sink whose prefix would be the fleet-wide trace).
 	SnapshotEvery int
 	OnSnapshot    func(*trace.Dataset)
 }

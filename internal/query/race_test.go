@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"winlab/internal/machine"
 	"winlab/internal/smart"
 	"winlab/internal/trace"
+	"winlab/internal/trace/check"
 )
 
 // fleetSource serves snapshots for a set of simulated machines.
@@ -193,6 +195,104 @@ func TestConcurrentCommitVsReaderSnapshot(t *testing.T) {
 			if o.avgPoweredOn != wantAvg {
 				t.Fatalf("epoch %d: observed avg_powered_on %v, prefix analysis says %v", epoch, o.avgPoweredOn, wantAvg)
 			}
+		}
+	}
+}
+
+// TestViewsAnalysedWhileCollectorCommits (run it under -race): the
+// OnSnapshot consumer keeps every published view and runs analysis.All
+// on it in another goroutine — freezing, so sorting, the view — while
+// the collector keeps committing into the storage the views were cut
+// from and regrowing it. Machines power on over the run, so the sink's
+// reservation falls short and the array moves under views still held.
+// Every result must be identical to All over a deep copy of the same
+// prefix of the final trace.
+func TestViewsAnalysedWhileCollectorCommits(t *testing.T) {
+	const (
+		nMachines = 8
+		nIters    = 48
+		every     = 3
+	)
+	period := 15 * time.Minute
+
+	src := fleetSource{ms: map[string]*machine.Machine{}}
+	var infos []trace.MachineInfo
+	ids := make([]string, nMachines)
+	for k := range ids {
+		id := string(rune('A' + k))
+		ids[k] = id
+		hw := machine.Hardware{CPUModel: "P4", CPUGHz: 2.4, RAMMB: 256, DiskGB: 40}
+		src.ms[id] = machine.New(id, "L01", hw, smart.NewDisk("D-"+id, 40))
+		infos = append(infos, trace.MachineInfo{ID: id, Lab: "L01", RAMMB: 256, DiskGB: 40, IntIndex: 1, FPIndex: 1})
+	}
+
+	sink := ddc.NewDatasetSink(t0, t0.Add(nIters*period), period, infos)
+	type analysed struct {
+		view *trace.Dataset
+		res  *analysis.Results
+	}
+	views := make(chan *trace.Dataset, nIters)
+	arrays := map[*trace.Sample]bool{} // the backing arrays views were cut from
+	detach := sink.SnapshotEvery(every, func(ds *trace.Dataset) {
+		if len(ds.Samples) > 0 {
+			arrays[&ds.Samples[0]] = true
+		}
+		views <- ds
+	})
+	defer detach()
+	var got []analysed
+	var consumer sync.WaitGroup
+	consumer.Add(1)
+	go func() {
+		defer consumer.Done()
+		for v := range views {
+			got = append(got, analysed{v, analysis.All(v, analysis.Options{})})
+		}
+	}()
+
+	now := t0
+	exec := &ddc.Direct{Source: src, Now: func() time.Time { return now }}
+	for i := 0; i < nIters; i++ {
+		now = t0.Add(time.Duration(i) * period)
+		if i%8 == 0 { // one more machine every eight iterations
+			src.ms[ids[i/8]].PowerOn(now.Add(-time.Minute))
+		}
+		responded := 0
+		for _, id := range ids {
+			out, err := exec.Exec(id)
+			sink.Post(i, id, out, err)
+			if err == nil {
+				responded++
+			}
+		}
+		sink.OnIteration(ddc.IterationInfo{
+			Iter: i, Start: now, End: now.Add(time.Minute),
+			Attempted: nMachines, Responded: responded,
+		})
+	}
+	close(views)
+	consumer.Wait()
+
+	final, err := sink.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != nIters/every {
+		t.Fatalf("analysed %d views, want %d", len(got), nIters/every)
+	}
+	if len(arrays) < 2 {
+		t.Fatalf("views were cut from %d backing array(s); the run must regrow the sink's storage", len(arrays))
+	}
+	for e, g := range got {
+		k := (e + 1) * every
+		prefix := &trace.Dataset{
+			Start: final.Start, End: final.End, Period: final.Period,
+			Machines:   slices.Clone(final.Machines),
+			Iterations: slices.Clone(final.Iterations[:k]),
+			Samples:    slices.Clone(final.Samples[:len(g.view.Samples)]),
+		}
+		if d := check.FirstDiff(g.res, analysis.All(prefix, analysis.Options{})); d != "" {
+			t.Fatalf("view %d (%d iterations): All differs from All over a deep copy: %s", e, k, d)
 		}
 	}
 }

@@ -8,13 +8,13 @@
 //     Publishing a new dataset (or pre-computed results) advances the
 //     epoch and swaps the pointer; readers never take a lock.
 //
-//   - A live collector publishes stamped prefix clones of one growing
+//   - A live collector publishes stamped prefix views of one growing
 //     trace (ddc.DatasetSink.SnapshotEvery). The Store keeps one
 //     resident analysis engine (analysis.Live) across those epochs:
-//     Publish folds only what the clone added since the previous one
+//     Publish folds only what the view added since the previous one
 //     (trace.Dataset.Since) and finalizes at once, so a publish costs
 //     O(new samples + machines + iterations) and the snapshot holds
-//     Results, never the clone. Any other dataset — a trace file, a
+//     Results, never the view. Any other dataset — a trace file, a
 //     final frozen trace — is held by its snapshot until first use. If
 //     the caller already analysed it (analysis.All or MainResults, which
 //     record their pass on the frozen index), that pass is served;
@@ -88,9 +88,9 @@ type Store struct {
 	epoch atomic.Uint64
 	cur   atomic.Pointer[Snapshot]
 
-	// The resident engine and the clone cut it has absorbed, written by
+	// The resident engine and the view cut it has absorbed, written by
 	// publishers under mu; nil and the zero Mark when the last publish
-	// was not a stamped clone.
+	// was not a stamped view.
 	live *analysis.Live
 	mark trace.Mark
 }
@@ -102,14 +102,14 @@ func NewStore(opts analysis.Options) *Store {
 }
 
 // Publish installs ds as the new current snapshot and returns its epoch.
-// The caller transfers ownership: ds must not be mutated afterwards
-// (ddc.DatasetSink.SnapshotEvery publishes clones, which satisfies this
-// by construction).
+// ds is read-only from then on: the caller must not mutate it
+// afterwards. ddc.DatasetSink.SnapshotEvery publishes views of its
+// append-only storage, which no writer touches (trace.Dataset.ClonePrefix).
 //
-// A stamped clone (trace.Dataset.ClonePrefix) is analysed inline by the
+// A stamped view (trace.Dataset.ClonePrefix) is analysed inline by the
 // Store's resident engine: when it continues the previous publish's
-// clone — same origin, nothing reordered in between — only its tail is
-// folded; otherwise the engine restarts from the whole clone. Either
+// view — same origin, nothing reordered in between — only its tail is
+// folded; otherwise the engine restarts from the whole view. Either
 // way the snapshot keeps the Results and an Info carrying the frozen
 // index's exact fingerprint, not ds. Any other dataset is kept by its
 // snapshot until the first reader needs it, which then releases it: the
@@ -136,7 +136,7 @@ func (st *Store) Publish(ds *trace.Dataset) uint64 {
 }
 
 // advance brings the resident engine up to ds and finalizes it; ok is
-// false when ds is not a stamped clone or the engine cannot analyse it
+// false when ds is not a stamped view or the engine cannot analyse it
 // exactly (analysis.Live.Add), and ds then takes the deferred path. The
 // caller holds st.mu.
 func (st *Store) advance(ds *trace.Dataset) (*analysis.Results, Info, bool) {

@@ -1,11 +1,14 @@
 package trace
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
-// Mark is a stamped clone's place in its origin's history: which dataset
+// Mark is a stamped view's place in its origin's history: which dataset
 // it was cut from, the origin's generation at the cut, and how many
 // samples, iterations and machines the cut held. ClonePrefix stamps every
-// copy it makes; Since compares two stamps. The zero Mark names no cut,
+// view it cuts; Since compares two stamps. The zero Mark names no cut,
 // and no dataset continues it.
 type Mark struct {
 	origin     uint64 // the origin's lineage ID; 0 for an unstamped dataset
@@ -19,16 +22,25 @@ type Mark struct {
 // names its origin without holding a pointer to it.
 var lineIDs atomic.Uint64
 
-// ClonePrefix deep-copies d: the copy shares no slice storage with d, so
-// its owner can freeze, analyse and serve it while d keeps growing.
-// Sample, iteration and machine structs are copied by value (their
-// string fields are immutable), in d's current order — a collector's
-// dataset is in commit order, and so is the copy.
+// ClonePrefix returns a view of d's current prefix: a dataset whose
+// Samples, Iterations and Machines are d's own slices cut to their
+// current lengths and capacities (s[:n:n]). It copies no sample, so it
+// costs the same at any length. The view stays what it was when cut
+// while d keeps growing, because nothing writes an index a view covers
+// (DESIGN.md §13.1): d's appends land past every view's length or, once
+// d's capacity runs out, in a new array; a view's own append always
+// reallocates (its capacity is its length); and an in-place reorder of
+// either side (SortSamples, Freeze) first moves that side's samples into
+// a fresh array. Both d and the view are marked as sharing storage for
+// that reason, until Unshare gives d storage of its own. A view is
+// read-only otherwise: edit fields in place only on a dataset nobody
+// else holds a view of or into. Samples are in d's current order — a
+// collector's dataset is in commit order, and so is the view.
 //
-// The copy carries a stamp (see Mark): d's identity, d's generation and
-// the copy's own lengths. A later ClonePrefix of the same d, taken
+// The view carries a stamp (see Mark): d's identity, d's generation and
+// the view's own lengths. A later ClonePrefix of the same d, taken
 // before anything reorders or edits d in place, continues the earlier
-// copy: Since hands out exactly the samples and iterations d appended in
+// view: Since hands out exactly the samples and iterations d appended in
 // between.
 func (d *Dataset) ClonePrefix() *Dataset {
 	d.idxMu.Lock()
@@ -36,26 +48,41 @@ func (d *Dataset) ClonePrefix() *Dataset {
 	if d.lineID == 0 {
 		d.lineID = lineIDs.Add(1)
 	}
+	d.shared = true
+	n, k, m := len(d.Samples), len(d.Iterations), len(d.Machines)
 	return &Dataset{
 		Start:      d.Start,
 		End:        d.End,
 		Period:     d.Period,
-		Machines:   append([]MachineInfo(nil), d.Machines...),
-		Iterations: append([]Iteration(nil), d.Iterations...),
-		Samples:    append([]Sample(nil), d.Samples...),
-		stamp: Mark{
-			origin:     d.lineID,
-			gen:        d.gen,
-			samples:    len(d.Samples),
-			iterations: len(d.Iterations),
-			machines:   len(d.Machines),
-		},
+		Machines:   d.Machines[:m:m],
+		Iterations: d.Iterations[:k:k],
+		Samples:    d.Samples[:n:n],
+		shared:     true,
+		stamp:      Mark{origin: d.lineID, gen: d.gen, samples: n, iterations: k, machines: m},
 	}
+}
+
+// Unshare gives d slices of its own if ClonePrefix ever cut a view of d,
+// or d is such a view: Samples, Iterations and Machines are copied to
+// fresh arrays, after which d's owner may edit them in place without
+// reaching into any view. Contents, order, the stamp and the lineage are
+// unchanged, so views cut before still continue into views cut after.
+// A dataset that never shared storage is left as it is, at no cost.
+func (d *Dataset) Unshare() {
+	d.idxMu.Lock()
+	defer d.idxMu.Unlock()
+	if !d.shared {
+		return
+	}
+	d.Samples = slices.Clone(d.Samples)
+	d.Iterations = slices.Clone(d.Iterations)
+	d.Machines = slices.Clone(d.Machines)
+	d.shared = false
 }
 
 // Mark returns the stamp ClonePrefix put on d, and whether d still is the
 // prefix it names. ok is false for a dataset no ClonePrefix made, and for
-// a copy that was since sorted, frozen, invalidated or resized.
+// a view that was since sorted, frozen, invalidated or resized.
 func (d *Dataset) Mark() (Mark, bool) {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
@@ -63,11 +90,12 @@ func (d *Dataset) Mark() (Mark, bool) {
 }
 
 // Since returns the samples and iteration records d holds beyond the cut
-// m names: the tails its origin appended between the two copies. It
-// answers only when d is an intact stamped copy (see Mark) of the same
+// m names: the tails its origin appended between the two cuts. It
+// answers only when d is an intact stamped view (see Mark) of the same
 // origin as m, at the same generation, with the same catalogue, and at
 // least as long; otherwise ok is false and d must be taken whole. The
-// tails are subslices of d (shared storage; do not mutate).
+// tails are subslices of d, and so of d's origin (shared storage; do not
+// mutate).
 func (d *Dataset) Since(m Mark) (samples []Sample, iterations []Iteration, ok bool) {
 	d.idxMu.Lock()
 	defer d.idxMu.Unlock()
@@ -79,7 +107,7 @@ func (d *Dataset) Since(m Mark) (samples []Sample, iterations []Iteration, ok bo
 	return d.Samples[m.samples:], d.Iterations[m.iterations:], true
 }
 
-// intactLocked reports whether d is a stamped copy that nothing has
+// intactLocked reports whether d is a stamped view that nothing has
 // reordered, edited or resized since ClonePrefix made it; the caller
 // holds d.idxMu.
 func (d *Dataset) intactLocked() bool {

@@ -10,9 +10,24 @@
 //
 // A is built from `git worktree add .bench_build/parent REV` (removed
 // afterwards), or from DIR when -tree names an existing checkout of REV.
-// Both sides run through their own tools/pipebench/run.sh, from their own
-// root. A metric moved when the sign test gives p ≤ 0.05 and the median
-// moved by more than A's interquartile range; otherwise it is unchanged.
+// Each side's pipebench is built once, from that side's own
+// tools/pipebench, into its .bench_build/pipebench (where its run.sh
+// puts it), and every run execs that binary from the side's root, so a
+// run's resource usage is the benchmark's alone, not a go build's. The
+// build is -trimpath: two checkouts of the same source give the same
+// bytes wherever they sit, so a self-test compares one program with
+// itself.
+//
+// Besides BENCHMARK.json's end-to-end metrics, every pair carries two
+// informative ones read from the finished process (os.ProcessState):
+// cpu_us_per_attempt, its user+system CPU (pipebench's phase children
+// included) over the result line's attempted count, and peak_rss_mb, the
+// largest resident set of the run or any one of its phase children
+// (Linux reports Maxrss in KB). They get the same verdict and inform a
+// claim; the BENCHMARK.json bounds stay the gate.
+//
+// A metric moved when the sign test gives p ≤ 0.05 and the median moved
+// by more than A's interquartile range; otherwise it is unchanged.
 // Whether the move also exceeds the metric's BENCHMARK.json bound is
 // recorded beside the verdict.
 // Run from the repository root (make abpair).
@@ -29,12 +44,21 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 )
 
 type metricDecl struct {
-	Name   string  `json:"name"`
-	Better string  `json:"better"`
-	Bound  float64 `json:"bound"`
+	Name        string  `json:"name"`
+	Better      string  `json:"better"`
+	Bound       float64 `json:"bound"`
+	Informative bool    `json:"-"`
+}
+
+// processMetrics are the paired metrics read from the process itself;
+// they have no BENCHMARK.json bound and gate nothing.
+var processMetrics = []metricDecl{
+	{Name: "cpu_us_per_attempt", Better: "lower", Informative: true},
+	{Name: "peak_rss_mb", Better: "lower", Informative: true},
 }
 
 type pair struct {
@@ -60,6 +84,7 @@ type metricResult struct {
 	A           side    `json:"a"`
 	B           side    `json:"b"`
 	MedianDelta float64 `json:"median_delta_pct"`
+	Informative bool    `json:"informative"`  // read from the process, not a BENCHMARK.json metric
 	BeyondBound bool    `json:"beyond_bound"` // |median delta| > BENCHMARK.json's bound
 	Wins        int     `json:"wins"`         // pairs where B is better
 	Losses      int     `json:"losses"`
@@ -106,6 +131,15 @@ func run(rev, tree string, workloads []string, pairs int, seed0 int64, seconds f
 		defer exec.Command("git", "worktree", "remove", "--force", tree).Run()
 	}
 	dirs := map[byte]string{'A': tree, 'B': "."}
+	bins := map[byte]string{}
+	for s, dir := range dirs {
+		bin, err := build(dir)
+		if err != nil {
+			return err
+		}
+		bins[s] = bin
+	}
+	metrics := append(decl.EndToEnd, processMetrics...)
 
 	var results []metricResult
 	for _, w := range workloads {
@@ -115,27 +149,29 @@ func run(rev, tree string, workloads []string, pairs int, seed0 int64, seconds f
 			order := []string{"AB", "BA"}[i%2]
 			got := map[byte]map[string]float64{}
 			for _, s := range []byte(order) {
-				m, err := runOnce(dirs[s], w, seed, seconds)
+				m, err := runOnce(bins[s], dirs[s], w, seed, seconds)
 				if err != nil {
 					return err
 				}
 				got[s] = m
 			}
-			for _, d := range decl.EndToEnd {
+			for _, d := range metrics {
 				a, b := got['A'][d.Name], got['B'][d.Name]
 				runs[d.Name] = append(runs[d.Name], pair{Seed: seed, Order: order, A: a, B: b, Delta: pct(a, b)})
 			}
-			fmt.Fprintf(os.Stderr, "abpair: %s seed %d %s: us_per_sample A %.3f B %.3f\n", w, seed, order, got['A']["us_per_sample"], got['B']["us_per_sample"])
+			fmt.Fprintf(os.Stderr, "abpair: %s seed %d %s: us_per_sample A %.3f B %.3f, cpu_us_per_attempt A %.3f B %.3f, peak_rss_mb A %.0f B %.0f\n",
+				w, seed, order, got['A']["us_per_sample"], got['B']["us_per_sample"],
+				got['A']["cpu_us_per_attempt"], got['B']["cpu_us_per_attempt"], got['A']["peak_rss_mb"], got['B']["peak_rss_mb"])
 		}
 		var aa [2]map[string]float64 // side A twice: the noise floor
 		for i := range aa {
-			m, err := runOnce(dirs['A'], w, seed0+int64(pairs), seconds)
+			m, err := runOnce(bins['A'], dirs['A'], w, seed0+int64(pairs), seconds)
 			if err != nil {
 				return err
 			}
 			aa[i] = m
 		}
-		for _, d := range decl.EndToEnd {
+		for _, d := range metrics {
 			r := summarize(w, d, runs[d.Name])
 			a1, a2 := aa[0][d.Name], aa[1][d.Name]
 			r.AA = pair{Seed: seed0 + int64(pairs), Order: "AA", A: a1, B: a2, Delta: pct(a1, a2)}
@@ -151,10 +187,27 @@ func run(rev, tree string, workloads []string, pairs int, seed0 int64, seconds f
 	return os.WriteFile(out, append(b, '\n'), 0o644)
 }
 
-// runOnce runs pipebench once on one workload in dir and returns its
-// end-to-end metrics (the JSON object on the last line of its output).
-func runOnce(dir, workload string, seed int64, seconds float64) (map[string]float64, error) {
-	cmd := exec.Command("bash", "tools/pipebench/run.sh", "--workload", workload,
+// build compiles dir's own pipebench once into dir/.bench_build/pipebench
+// and returns the binary's absolute path.
+func build(dir string) (string, error) {
+	bin, err := filepath.Abs(filepath.Join(dir, ".bench_build", "pipebench"))
+	if err != nil {
+		return "", err
+	}
+	cmd := exec.Command("go", "build", "-trimpath", "-o", bin, ".")
+	cmd.Dir = filepath.Join(dir, "tools", "pipebench")
+	cmd.Env = append(os.Environ(), "GOFLAGS=-buildvcs=false", "GOTOOLCHAIN=local")
+	if b, err := cmd.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("%s: build pipebench: %v: %s", dir, err, b)
+	}
+	return bin, nil
+}
+
+// runOnce runs bin once on one workload from dir and returns its
+// end-to-end metrics (the JSON object on the last line of its output)
+// and the two process metrics.
+func runOnce(bin, dir, workload string, seed int64, seconds float64) (map[string]float64, error) {
+	cmd := exec.Command(bin, "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds))
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
@@ -164,26 +217,32 @@ func runOnce(dir, workload string, seed int64, seconds float64) (map[string]floa
 	}
 	lines := bytes.Split(bytes.TrimSpace(stdout), []byte("\n"))
 	var res struct {
-		Correct bool `json:"correct"`
-		Metrics map[string]struct {
+		Correct   bool  `json:"correct"`
+		Attempted int64 `json:"attempted"`
+		Metrics   map[string]struct {
 			Value float64 `json:"value"`
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
 		return nil, fmt.Errorf("%s: %s seed %d: result line: %w", dir, workload, seed, err)
 	}
-	if !res.Correct {
-		return nil, fmt.Errorf("%s: %s seed %d: run reported incorrect", dir, workload, seed)
+	if !res.Correct || res.Attempted <= 0 {
+		return nil, fmt.Errorf("%s: %s seed %d: run reported incorrect or attempted nothing", dir, workload, seed)
 	}
 	m := map[string]float64{}
 	for k, v := range res.Metrics {
 		m[k] = v.Value
 	}
+	ps := cmd.ProcessState
+	m["cpu_us_per_attempt"] = float64((ps.UserTime() + ps.SystemTime()).Microseconds()) / float64(res.Attempted)
+	if ru, ok := ps.SysUsage().(*syscall.Rusage); ok {
+		m["peak_rss_mb"] = float64(ru.Maxrss) / 1024
+	}
 	return m, nil
 }
 
 func summarize(workload string, d metricDecl, ps []pair) metricResult {
-	r := metricResult{Workload: workload, Metric: d.Name, Better: d.Better, Pairs: ps}
+	r := metricResult{Workload: workload, Metric: d.Name, Better: d.Better, Pairs: ps, Informative: d.Informative}
 	var as, bs []float64
 	for _, p := range ps {
 		as, bs = append(as, p.A), append(bs, p.B)
@@ -198,7 +257,7 @@ func summarize(workload string, d metricDecl, ps []pair) metricResult {
 	}
 	r.A, r.B = quartiles(as), quartiles(bs)
 	r.MedianDelta = pct(r.A.Median, r.B.Median)
-	r.BeyondBound = math.Abs(r.MedianDelta) > 100*d.Bound
+	r.BeyondBound = !d.Informative && math.Abs(r.MedianDelta) > 100*d.Bound
 	r.SignTestP = signTest(r.Wins, r.Losses)
 	r.Verdict = "unchanged"
 	if r.SignTestP <= 0.05 && math.Abs(r.B.Median-r.A.Median) > r.A.IQR {

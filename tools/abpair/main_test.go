@@ -32,6 +32,10 @@ func TestSummarizeVerdicts(t *testing.T) {
 	if r := summarize("w", lower, faster); r.Verdict != "improved" || r.Wins != 10 {
 		t.Errorf("30 %% faster: %s with %d wins, want improved with 10", r.Verdict, r.Wins)
 	}
+	if r := summarize("w", processMetrics[0], faster); r.Verdict != "improved" || !r.Informative || r.BeyondBound {
+		t.Errorf("informative metric 30 %% lower: %s, informative %v, beyond bound %v; want improved, true, false",
+			r.Verdict, r.Informative, r.BeyondBound)
+	}
 	if q := quartiles([]float64{4, 1, 3, 2, 5}); q.Median != 3 || q.Q1 != 2 || q.Q3 != 4 || q.IQR != 2 {
 		t.Errorf("quartiles = %+v", q)
 	}
