@@ -5,13 +5,11 @@ GO ?= go
 .PHONY: build test verify bench profile profile-grid ledger abpair fuzz telemetry-demo doctor stream-smoke anomaly gridscale serve-smoke scenarios scenario-longhaul
 
 # Benchmark knobs: BENCHTIME=1x bounds CI cost (each benchmark runs once);
-# drop it locally for steadier numbers. The JSON summary (env block plus
-# name → ns/op, B/op, allocs/op) lands in $(BENCHJSON) for before/after
-# comparisons; set PR to the pull request being measured. Distinct from
-# BENCH_PR9.json, the queryload macro curve.
+# drop it locally for steadier numbers. make bench prints go test's own
+# benchmark lines (name, ns/op, B/op, allocs/op). Set PR to the pull
+# request being measured (make ledger, make abpair).
 BENCHTIME ?= 1x
-PR ?= 39
-BENCHJSON ?= BENCH_PR$(PR)_micro.json
+PR ?= 40
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s
@@ -36,8 +34,7 @@ verify:
 	$(GO) test -C tools/pipebench ./...
 
 bench:
-	$(GO) test -bench . -benchmem -count 1 -benchtime $(BENCHTIME) -timeout 30m \
-	    | $(GO) run ./tools/benchjson -o $(BENCHJSON)
+	$(GO) test -bench . -benchmem -count 1 -benchtime $(BENCHTIME) -timeout 30m
 
 # profile answers "where does the paper's run go?": the 77-day, seed-1
 # experiment.Run once under the CPU profiler, then the cumulative top of

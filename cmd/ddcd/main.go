@@ -41,6 +41,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -271,7 +272,6 @@ func main() {
 			Cfg:          ddc.Config{Machines: part, Period: *period},
 			Exec:         collExec,
 			Post:         sink.Post,
-			Prepare:      sink.Prepare, // parse on the probing worker, commit in machine order
 			Workers:      *workers,
 			ProbeTimeout: *ptimeout,
 			Retry:        ddc.RetryPolicy{MaxAttempts: 1 + *retries, Jitter: 0.5, Seed: *seed},
@@ -290,7 +290,7 @@ func main() {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			shardStats[s], shardErrs[s] = colls[s].Run(*iters, nil)
+			shardStats[s], shardErrs[s] = colls[s].Run(context.Background(), *iters)
 		}(s)
 	}
 	wg.Wait()
@@ -300,7 +300,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	stats := sumWallStats(shardStats)
+	stats := ddc.SumShardStats(shardStats)
 	shardDS := make([]*trace.Dataset, len(parts))
 	for s, sink := range sinks {
 		d, err := sink.Dataset()
@@ -356,32 +356,6 @@ func main() {
 			time.Sleep(*queryHold)
 		}
 	}
-}
-
-// sumWallStats folds per-shard wall-collector stats into one fleet-wide
-// view: additive counters sum, per-machine health maps union (machine
-// sets are disjoint across shards). Iterations/Skipped are per-shard
-// coordinator counts and agree across shards, so they come from the
-// first.
-func sumWallStats(shards []ddc.Stats) ddc.Stats {
-	if len(shards) == 1 {
-		return shards[0]
-	}
-	var out ddc.Stats
-	out.Iterations = shards[0].Iterations
-	out.Skipped = shards[0].Skipped
-	out.Machines = map[string]ddc.MachineHealth{}
-	for _, s := range shards {
-		out.Attempts += s.Attempts
-		out.Samples += s.Samples
-		out.Retries += s.Retries
-		out.BreakerSkipped += s.BreakerSkipped
-		out.BreakerOpens += s.BreakerOpens
-		for id, h := range s.Machines {
-			out.Machines[id] = h
-		}
-	}
-	return out
 }
 
 // unhealthyMachines lists machines the collector currently distrusts, in

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,7 @@ func main() {
 	if *addr != "" {
 		exec := ddc.NewTCPExecutor()
 		exec.Register(*id, *addr)
-		out, err := exec.Exec(*id)
+		out, err := exec.Exec(context.Background(), nil, *id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "w32probe:", err)
 			os.Exit(1)

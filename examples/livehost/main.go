@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -67,7 +68,7 @@ func main() {
 	coll.OnIteration = sink.OnIteration
 
 	fmt.Fprintf(os.Stderr, "collecting %d samples of this host, %s apart...\n", iters, period)
-	if _, err := coll.Run(iters, nil); err != nil {
+	if _, err := coll.Run(context.Background(), iters); err != nil {
 		log.Fatal(err)
 	}
 	ds, err := sink.Dataset()

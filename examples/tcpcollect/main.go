@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -123,7 +124,7 @@ func main() {
 			info.Probes, info.Retries)
 		withUser = 0
 	}
-	st, err := coll.Run(3, nil)
+	st, err := coll.Run(context.Background(), 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 //
 // Ownership rule: a buffer obtained from the pool is owned by exactly
 // one goroutine until putReportBuf returns it. Report slices handed to
-// PostCollect/PrepareCollect alias the buffer and die when the hook
-// returns — see the PostCollect lifetime contract in ddc.go.
+// PostCollect alias the buffer and die when the hook returns — see the
+// PostCollect lifetime contract in ddc.go.
 
 // reportBufCap seeds new pool buffers with enough capacity for a typical
 // W32Probe report (~600 bytes) without a growth copy.

@@ -13,9 +13,8 @@ import (
 
 // TestMain turns on buffer poisoning for the whole package run: every
 // report buffer returned to the pool is destroyed on put, so any test
-// path that illegally retains a report slice past its PostCollect /
-// PrepareCollect hook reads 0xDB garbage and fails loudly instead of
-// passing by luck. Production keeps PoisonBuffers off.
+// path that illegally retains a report slice past its PostCollect hook
+// reads 0xDB garbage and fails loudly instead of passing by luck. Production keeps PoisonBuffers off.
 func TestMain(m *testing.M) {
 	PoisonBuffers = true
 	os.Exit(m.Run())

@@ -26,34 +26,19 @@ var ErrUnreachable = errors.New("ddc: machine unreachable")
 // down.
 var ErrBreakerOpen = fmt.Errorf("%w: breaker open, probe skipped", ErrUnreachable)
 
-// Executor runs the probe binary on a remote machine and returns its
-// standard output.
+// Executor runs the probe binary on a remote machine and captures its
+// standard output: Exec appends the report to dst and returns the
+// extended slice, allocating only when dst lacks capacity. On error it
+// returns nil and dst is unchanged. Executors honour ctx's cancellation
+// and deadline as far as their transport allows; an in-process probe is
+// instantaneous and may ignore it.
+//
+// Collectors reuse one buffer per worker or batch, which is what makes
+// the steady-state collection loop allocation-free — so the returned
+// bytes alias dst, and the caller must fully consume them (parse, copy,
+// hash) before reusing the buffer. PostCollect inherits the same rule.
 type Executor interface {
-	Exec(machineID string) (stdout []byte, err error)
-}
-
-// ContextExecutor is an Executor whose probes honour context cancellation
-// and deadlines — the context-aware variant the hardened collector uses to
-// enforce per-probe deadlines. Executors that do not implement it are
-// driven through plain Exec and cannot be cancelled mid-probe.
-type ContextExecutor interface {
-	Executor
-	ExecContext(ctx context.Context, machineID string) (stdout []byte, err error)
-}
-
-// AppendExecutor is an Executor that can render the probe report into a
-// caller-supplied buffer: ExecAppend appends the report to dst and
-// returns the extended slice, allocating only when dst lacks capacity.
-// Collectors that drive this path reuse one buffer per worker, which is
-// what makes the steady-state collection loop allocation-free — but it
-// changes the lifetime contract: the returned bytes alias dst, so the
-// caller must fully consume them (parse, copy, hash) before reusing the
-// buffer. The PostCollect/PrepareCollect hooks inherit the same rule:
-// stdout passed to them is only valid for the duration of the call when
-// the collector pools buffers.
-type AppendExecutor interface {
-	Executor
-	ExecAppend(dst []byte, machineID string) (stdout []byte, err error)
+	Exec(ctx context.Context, dst []byte, machineID string) ([]byte, error)
 }
 
 // AtExecutor is the executor shape for sources that can defer the probe
@@ -73,52 +58,17 @@ type AtExecutor interface {
 // collector's chain, and calling the job performs the remaining pure
 // work — it appends the report to dst and returns the extended slice.
 // Jobs are independent and safe to run concurrently with one another.
-// The same aliasing rule as ExecAppend applies.
+// The same aliasing rule as Executor.Exec applies.
 type AppendProbeJob func(dst []byte) []byte
-
-// PrepareCollect is the two-phase variant of PostCollect for sinks that
-// can split their per-probe work into a pure parse phase and a mutating
-// commit phase. The function itself may be called concurrently across a
-// single iteration's probes (it must only touch the arguments and
-// synchronised state); the commit closures it returns are invoked
-// serially in machine order, exactly like plain PostCollect calls, so
-// sink state mutates in the same deterministic order either way.
-type PrepareCollect func(iter int, machineID string, stdout []byte, err error) (commit func())
-
-// execProbe runs one probe through e, using the context-aware path when
-// the executor supports it.
-func execProbe(ctx context.Context, e Executor, machineID string) ([]byte, error) {
-	if ce, ok := e.(ContextExecutor); ok {
-		return ce.ExecContext(ctx, machineID)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, machineID, err)
-	}
-	return e.Exec(machineID)
-}
-
-// execAppend runs one probe through e and appends its report to dst,
-// using the executor's own append path when it has one. dst is returned
-// extended on success and must be considered unchanged on error.
-func execAppend(e Executor, dst []byte, machineID string) ([]byte, error) {
-	if ae, ok := e.(AppendExecutor); ok {
-		return ae.ExecAppend(dst, machineID)
-	}
-	out, err := e.Exec(machineID)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, out...), nil
-}
 
 // PostCollect is the coordinator-side hook run after every probe attempt,
 // successful or not — the paper's "post-collecting code". stdout is nil
 // when err is non-nil.
 //
 // Lifetime: stdout is only guaranteed valid for the duration of the call.
-// Collectors driving an AppendExecutor reuse the underlying buffer for
-// the next probe, so hooks must parse or copy, never retain the slice
-// (DatasetSink parses immediately and retains nothing).
+// Collectors reuse the underlying buffer for the next probe, so hooks
+// must parse or copy, never retain the slice (DatasetSink parses
+// immediately and retains nothing).
 type PostCollect func(iter int, machineID string, stdout []byte, err error)
 
 // IterationInfo describes one finished collector iteration, including the

@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -54,15 +55,15 @@ type fakeExec struct {
 	payload func(id string) []byte
 }
 
-func (f *fakeExec) Exec(id string) ([]byte, error) {
+func (f *fakeExec) Exec(_ context.Context, dst []byte, id string) ([]byte, error) {
 	f.calls = append(f.calls, id)
 	if !f.up[id] {
 		return nil, ErrUnreachable
 	}
 	if f.payload != nil {
-		return f.payload(id), nil
+		return append(dst, f.payload(id)...), nil
 	}
-	return []byte("data:" + id), nil
+	return append(dst, "data:"+id...), nil
 }
 
 // oneShard describes the paper's serial coordinator: a ShardedCollector
@@ -222,7 +223,7 @@ func TestDirectExecutor(t *testing.T) {
 	now := t0.Add(10 * time.Minute)
 	d := &Direct{Source: memSource{m}, Now: func() time.Time { return now }}
 
-	out, err := d.Exec("M1")
+	out, err := d.Exec(context.Background(), nil, "M1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +235,12 @@ func TestDirectExecutor(t *testing.T) {
 		t.Errorf("parsed %+v", sn)
 	}
 
-	if _, err := d.Exec("M2"); !errors.Is(err, ErrUnreachable) {
+	if _, err := d.Exec(context.Background(), nil, "M2"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("unknown machine error = %v", err)
 	}
 	m.PowerOff(now)
 	now = now.Add(time.Minute)
-	if _, err := d.Exec("M1"); !errors.Is(err, ErrUnreachable) {
+	if _, err := d.Exec(context.Background(), nil, "M1"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("powered-off machine error = %v", err)
 	}
 }

@@ -24,28 +24,20 @@ type Direct struct {
 	Now    func() time.Time
 }
 
-// Exec renders the probe report for the machine, or ErrUnreachable.
-func (d *Direct) Exec(machineID string) ([]byte, error) {
-	return d.ExecAppend(make([]byte, 0, 640), machineID)
+// Exec implements Executor: the report is rendered into dst, so a
+// collector reusing one buffer probes without allocating. The probe is
+// in-process and instantaneous, so ctx is not consulted.
+func (d *Direct) Exec(_ context.Context, dst []byte, machineID string) ([]byte, error) {
+	return d.ExecAppend(dst, machineID)
 }
 
-// ExecAppend implements AppendExecutor: the report is rendered into dst,
-// so a collector reusing one buffer probes without allocating.
+// ExecAppend is Exec without a context.
 func (d *Direct) ExecAppend(dst []byte, machineID string) ([]byte, error) {
 	sn, ok := d.Source.Snapshot(machineID, d.Now())
 	if !ok {
 		return nil, ErrUnreachable
 	}
 	return probe.AppendReport(dst, &sn), nil
-}
-
-// ExecContext implements ContextExecutor. The probe itself is in-process
-// and instantaneous, so only up-front cancellation is observed.
-func (d *Direct) ExecContext(ctx context.Context, machineID string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, ErrUnreachable
-	}
-	return d.Exec(machineID)
 }
 
 // PureSource is a StateSource whose snapshots are pure functions of
@@ -73,8 +65,8 @@ type PureDirect struct {
 }
 
 // Exec implements Executor for serial use of the same source.
-func (d *PureDirect) Exec(machineID string) ([]byte, error) {
-	return (&Direct{Source: d.Source, Now: d.Now}).Exec(machineID)
+func (d *PureDirect) Exec(ctx context.Context, dst []byte, machineID string) ([]byte, error) {
+	return (&Direct{Source: d.Source, Now: d.Now}).Exec(ctx, dst, machineID)
 }
 
 // BeginAppendAt implements AtExecutor. If the source breaks the purity

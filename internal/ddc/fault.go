@@ -31,12 +31,10 @@ type FaultExecutor struct {
 	// machines — the chronically slow agent the per-probe deadline is
 	// meant to bound.
 	SlowMachines map[string]time.Duration
-	// DownMachines are hard-down: every probe fails with ErrUnreachable.
-	// This is the breaker's target scenario.
-	DownMachines map[string]bool
-	// DownFn, when set, is consulted in addition to DownMachines on every
-	// attempt — the hook for *scheduled* unreachability, where the down
-	// set changes over (simulated) time: injected availability collapses
+	// DownFn, when set, is consulted on every attempt: a machine it
+	// reports down is hard-down for that attempt — every probe fails
+	// with ErrUnreachable, the breaker's target scenario. The down set
+	// may change over (simulated) time: injected availability collapses
 	// close over the experiment clock and flip whole labs here. Called
 	// under the executor's mutex; keep it fast and non-reentrant.
 	DownFn func(machineID string) bool
@@ -72,7 +70,7 @@ func (f *FaultExecutor) decide(machineID string) (transient bool, delay time.Dur
 		f.src = rng.Derive(f.Seed, "ddc-fault")
 	}
 	f.stats.Calls++
-	if f.DownMachines[machineID] || (f.DownFn != nil && f.DownFn(machineID)) {
+	if f.DownFn != nil && f.DownFn(machineID) {
 		f.stats.DownDenied++
 		return false, 0, true
 	}
@@ -86,11 +84,6 @@ func (f *FaultExecutor) decide(machineID string) (transient bool, delay time.Dur
 	}
 	delay += f.SlowMachines[machineID]
 	return false, delay, false
-}
-
-// Exec implements Executor.
-func (f *FaultExecutor) Exec(machineID string) ([]byte, error) {
-	return f.ExecContext(context.Background(), machineID)
 }
 
 // inject applies the attempt's fault plan: it returns the injected
@@ -114,20 +107,12 @@ func (f *FaultExecutor) inject(ctx context.Context, machineID string) error {
 	return nil
 }
 
-// ExecContext implements ContextExecutor.
-func (f *FaultExecutor) ExecContext(ctx context.Context, machineID string) ([]byte, error) {
+// Exec implements Executor: it applies the attempt's fault plan, then
+// runs the inner executor into the same dst, so an injected run keeps
+// the pooled-buffer collection loop.
+func (f *FaultExecutor) Exec(ctx context.Context, dst []byte, machineID string) ([]byte, error) {
 	if err := f.inject(ctx, machineID); err != nil {
 		return nil, err
 	}
-	return execProbe(ctx, f.Inner, machineID)
-}
-
-// ExecAppend implements AppendExecutor by delegating to the inner
-// executor's append path, so an injected run keeps the pooled-buffer
-// collection loop.
-func (f *FaultExecutor) ExecAppend(dst []byte, machineID string) ([]byte, error) {
-	if err := f.inject(context.Background(), machineID); err != nil {
-		return nil, err
-	}
-	return execAppend(f.Inner, dst, machineID)
+	return f.Inner.Exec(ctx, dst, machineID)
 }

@@ -3,8 +3,11 @@ package ddc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"winlab/internal/probe"
 )
 
 func TestFaultExecutorDeterministic(t *testing.T) {
@@ -16,7 +19,7 @@ func TestFaultExecutorDeterministic(t *testing.T) {
 		}
 		outcomes := make([]bool, 0, 200)
 		for i := 0; i < 200; i++ {
-			_, err := fx.Exec("M")
+			_, err := fx.Exec(context.Background(), nil, "M")
 			outcomes = append(outcomes, err == nil)
 		}
 		return outcomes, fx.Stats()
@@ -51,13 +54,13 @@ func TestFaultExecutorDeterministic(t *testing.T) {
 
 func TestFaultExecutorHardDown(t *testing.T) {
 	fx := &FaultExecutor{
-		Inner:        &fakeExec{up: map[string]bool{"M1": true, "M2": true}},
-		DownMachines: map[string]bool{"M2": true},
+		Inner:  &fakeExec{up: map[string]bool{"M1": true, "M2": true}},
+		DownFn: func(id string) bool { return id == "M2" },
 	}
-	if _, err := fx.Exec("M1"); err != nil {
+	if _, err := fx.Exec(context.Background(), nil, "M1"); err != nil {
 		t.Errorf("healthy machine failed: %v", err)
 	}
-	if _, err := fx.Exec("M2"); !errors.Is(err, ErrUnreachable) {
+	if _, err := fx.Exec(context.Background(), nil, "M2"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("hard-down machine err = %v", err)
 	}
 	if st := fx.Stats(); st.DownDenied != 1 {
@@ -72,7 +75,7 @@ func TestFaultExecutorLatencySpike(t *testing.T) {
 		SpikeLatency:  30 * time.Millisecond,
 	}
 	start := time.Now()
-	if _, err := fx.Exec("M"); err != nil {
+	if _, err := fx.Exec(context.Background(), nil, "M"); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el < 30*time.Millisecond {
@@ -87,7 +90,7 @@ func TestFaultExecutorLatencySpike(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	if _, err := fx.ExecContext(ctx, "M"); !errors.Is(err, ErrUnreachable) {
+	if _, err := fx.Exec(ctx, nil, "M"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("cancelled spike err = %v", err)
 	}
 	if el := time.Since(start); el > 25*time.Millisecond {
@@ -95,40 +98,48 @@ func TestFaultExecutorLatencySpike(t *testing.T) {
 	}
 }
 
-// TestFaultExecutorExecAppend: the append path draws the same fault
-// stream as Exec, appends the inner report after what dst already holds
-// — through the inner executor's own append path when it has one — and
-// leaves dst alone on an injected failure.
+// TestFaultExecutorExecAppend holds every Executor to the one Exec
+// contract: the report is appended after what dst already holds, and an
+// unreachable machine yields nil with an error wrapping ErrUnreachable,
+// leaving dst unchanged. FaultExecutor appends through its inner
+// executor; M2 is down for every row (injected for FaultExecutor).
 func TestFaultExecutorExecAppend(t *testing.T) {
-	m := newMachine("M1")
-	m.PowerOn(t0)
-	now := t0.Add(10 * time.Minute)
-	inners := map[string]Executor{
-		"append inner": &Direct{Source: memSource{m}, Now: func() time.Time { return now }},
-		"plain inner":  &fakeExec{up: map[string]bool{"M1": true}},
+	now := func() time.Time { return t0.Add(10 * time.Minute) }
+	src := pureFake{down: map[string]bool{"M2": true}}
+	_, tcp, cleanup := newTCPFixture(t)
+	defer cleanup()
+	execs := []struct {
+		name string
+		exec Executor
+	}{
+		{"Direct", &Direct{Source: src, Now: now}},
+		{"PureDirect", &PureDirect{Source: src, Now: now}},
+		{"FaultExecutor", &FaultExecutor{
+			Inner:  &Direct{Source: pureFake{}, Now: now},
+			DownFn: func(id string) bool { return id == "M2" },
+		}},
+		{"TCPExecutor", tcp},
 	}
-	for name, inner := range inners {
-		viaExec := &FaultExecutor{Inner: inner, TransientFailP: 0.4, Seed: 5}
-		viaAppend := &FaultExecutor{Inner: inner, TransientFailP: 0.4, Seed: 5}
-		prefix := []byte("earlier report|")
-		for i := 0; i < 50; i++ {
-			want, werr := viaExec.Exec("M1")
-			got, gerr := viaAppend.ExecAppend(prefix, "M1")
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s, call %d: Exec err %v, ExecAppend err %v", name, i, werr, gerr)
-			}
-			if gerr != nil {
-				if got != nil || !errors.Is(gerr, ErrUnreachable) {
-					t.Fatalf("%s, call %d: injected failure returned %q, %v", name, i, got, gerr)
-				}
-				continue
-			}
-			if string(got) != string(prefix)+string(want) {
-				t.Fatalf("%s, call %d: ExecAppend = %q, want prefix + %q", name, i, got, want)
-			}
+	const prefix = "earlier report|"
+	for _, tc := range execs {
+		dst := append(make([]byte, 0, 2048), prefix...)
+		got, err := tc.exec.Exec(context.Background(), dst, "M1")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if viaExec.Stats() != viaAppend.Stats() || viaAppend.Stats().Transients == 0 {
-			t.Errorf("%s: fault stats diverge or inert: %+v vs %+v", name, viaExec.Stats(), viaAppend.Stats())
+		if !strings.HasPrefix(string(got), prefix) {
+			t.Fatalf("%s: Exec dropped the dst prefix: %q", tc.name, got)
+		}
+		if sn, err := probe.NewParser().ParseBytes(got[len(prefix):]); err != nil || sn.ID != "M1" {
+			t.Errorf("%s: appended report parses to %q, %v", tc.name, sn.ID, err)
+		}
+
+		got, err = tc.exec.Exec(context.Background(), dst, "M2")
+		if got != nil || !errors.Is(err, ErrUnreachable) {
+			t.Errorf("%s: unreachable machine returned %q, %v", tc.name, got, err)
+		}
+		if string(dst) != prefix {
+			t.Errorf("%s: failed Exec changed dst to %q", tc.name, dst)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"winlab/internal/machine"
 	"winlab/internal/probe"
+	"winlab/internal/trace"
 )
 
 // memoFleet is an n-machine fleet of distinct hardware — every serial and
@@ -107,62 +109,104 @@ func TestSinkParseAllocFreeAtGridScale(t *testing.T) {
 	}
 }
 
-// TestConcurrentPrepareWithMemo drives DatasetSink.Prepare the way ddcd's
-// probing workers do — concurrently, commits replayed in machine order —
-// over iterations whose static blocks hit the memo, change (a hardware
-// refresh) and hit again. The dataset must equal the serial Post path's;
-// under -race (make verify) this is the memo's data-race check.
-func TestConcurrentPrepareWithMemo(t *testing.T) {
+// TestWallCollectorWorkersKeepTrace: probing workers change when a probe
+// runs, not what the sink records. WallCollector with 1 and with 4
+// workers, Direct over a memoFleet whose static blocks hit the sink's
+// memo, change (a hardware refresh) and hit again, into DatasetSink.Post:
+// the samples must be identical, and the iteration records identical
+// apart from their wall-clock Start/End.
+func TestWallCollectorWorkersKeepTrace(t *testing.T) {
 	f := newMemoFleet(300)
-	end := t0.Add(6 * 15 * time.Minute)
-	serial := NewDatasetSink(t0, end, 15*time.Minute, nil)
-	concurrent := NewDatasetSink(t0, end, 15*time.Minute, nil)
-	for iter := 0; iter < 5; iter++ {
-		at := t0.Add(time.Duration(iter) * 15 * time.Minute)
-		reports := make([][]byte, len(f.ids))
-		for i := range f.ids {
-			sn := f.snapshot(i, at)
-			if iter >= 2 && i%3 == 0 {
-				sn.RAMMB = 1024 // refreshed hardware: a memo miss, then new hits
-			}
-			reports[i] = probe.AppendRender(nil, sn)
-			serial.Post(iter, f.ids[i], reports[i], nil)
-		}
-		commits := make([]func(), len(f.ids))
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(f.ids); i += 4 {
-					commits[i] = concurrent.Prepare(iter, f.ids[i], reports[i], nil)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, c := range commits {
-			c()
-		}
-		info := IterationInfo{Iter: iter, Start: at, End: at, Attempted: len(f.ids), Responded: len(f.ids)}
-		serial.OnIteration(info)
-		concurrent.OnIteration(info)
+	src := memoSource{f: f, idx: make(map[string]int, len(f.ids))}
+	for i, id := range f.ids {
+		src.idx[id] = i
 	}
-	want, err := serial.Dataset()
-	if err != nil {
-		t.Fatal(err)
+	const iters = 5
+	end := t0.Add(iters * 15 * time.Minute)
+	run := func(workers int) *trace.Dataset {
+		at := t0
+		sink := NewDatasetSink(t0, end, 15*time.Minute, nil)
+		coll := &WallCollector{
+			Cfg:     Config{Machines: f.ids, Period: time.Nanosecond},
+			Exec:    &Direct{Source: refreshSource{src, t0.Add(30 * time.Minute)}, Now: func() time.Time { return at }},
+			Post:    sink.Post,
+			Workers: workers,
+			OnIteration: func(info IterationInfo) {
+				sink.OnIteration(info)
+				at = at.Add(15 * time.Minute) // the sweep's workers have all returned
+			},
+		}
+		if _, err := coll.Run(context.Background(), iters); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := sink.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ds.Iterations {
+			ds.Iterations[i].Start, ds.Iterations[i].End = time.Time{}, time.Time{}
+		}
+		return ds
 	}
-	got, err := concurrent.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(want.Samples) {
-		t.Fatalf("%d samples, serial path %d", len(got.Samples), len(want.Samples))
+	want, got := run(1), run(4)
+	if len(want.Samples) != iters*len(f.ids) || len(want.Iterations) != iters {
+		t.Fatalf("degenerate collection: %d samples, %d iterations", len(want.Samples), len(want.Iterations))
 	}
 	for i := range want.Samples {
 		if !reflect.DeepEqual(got.Samples[i], want.Samples[i]) {
-			t.Fatalf("sample %d differs:\n got %+v\nwant %+v", i, got.Samples[i], want.Samples[i])
+			t.Fatalf("sample %d differs with 4 workers:\n got %+v\nwant %+v", i, got.Samples[i], want.Samples[i])
 		}
 	}
+	if !reflect.DeepEqual(got.Iterations, want.Iterations) {
+		t.Errorf("iteration records differ with 4 workers:\n got %+v\nwant %+v", got.Iterations, want.Iterations)
+	}
+}
+
+// TestSinkConcurrentPost: DatasetSink is safe for concurrent use — its
+// one lock covers the parser's memo as well as the dataset. Four
+// goroutines post a memoFleet's reports at once, every static block a
+// memo miss and then a hit; every report must land as one sample. Under
+// -race (make verify) this is the memo's data-race check.
+func TestSinkConcurrentPost(t *testing.T) {
+	f := newMemoFleet(200)
+	sink := NewDatasetSink(t0, t0.Add(time.Hour), 15*time.Minute, nil)
+	const workers, iters = 4, 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; iter < iters; iter++ {
+				at := t0.Add(time.Duration(iter) * 15 * time.Minute)
+				for i := w; i < len(f.ids); i += workers {
+					sink.Post(iter, f.ids[i], probe.AppendRender(nil, f.snapshot(i, at)), nil)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	ds, err := sink.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Samples) != iters*len(f.ids) {
+		t.Errorf("%d samples, want %d", len(ds.Samples), iters*len(f.ids))
+	}
+}
+
+// refreshSource is a memoSource whose every third machine gets new
+// hardware from the instant from on.
+type refreshSource struct {
+	memoSource
+	from time.Time
+}
+
+func (s refreshSource) Snapshot(id string, at time.Time) (machine.Snapshot, bool) {
+	sn, ok := s.memoSource.Snapshot(id, at)
+	if ok && !at.Before(s.from) && s.idx[id]%3 == 0 {
+		sn.RAMMB = 1024
+	}
+	return sn, ok
 }
 
 // memoSource serves a memoFleet's snapshots by machine ID.
@@ -177,40 +221,4 @@ func (s memoSource) Snapshot(id string, at time.Time) (machine.Snapshot, bool) {
 		return machine.Snapshot{}, false
 	}
 	return s.f.snapshot(i, at), true
-}
-
-// BenchmarkWallCollectorPrepare is ddcd's collection path in process: a
-// WallCollector sweeping 1,000 machines with the parse on its probing
-// workers (DatasetSink.Prepare). The probe is an in-process render, so
-// the sink's parse is as large a share of a probe as it gets, which is
-// where workers contending on the sink's one parser would show. One op is
-// one sweep; run it with a fixed -benchtime (e.g. 100x), as the sink keeps
-// every sample.
-func BenchmarkWallCollectorPrepare(b *testing.B) {
-	const n = 1000
-	f := newMemoFleet(n)
-	src := memoSource{f: f, idx: make(map[string]int, n)}
-	for i, id := range f.ids {
-		src.idx[id] = i
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			at := t0
-			sink := NewDatasetSink(t0, t0.AddDate(1, 0, 0), 15*time.Minute, nil)
-			coll := &WallCollector{
-				Cfg:     Config{Machines: f.ids, Period: time.Nanosecond},
-				Exec:    &Direct{Source: src, Now: func() time.Time { return at }},
-				Prepare: sink.Prepare,
-				Workers: workers,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				at = at.Add(15 * time.Minute)
-				if _, err := coll.Run(1, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/probe")
-		})
-	}
 }

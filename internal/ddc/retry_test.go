@@ -3,6 +3,7 @@ package ddc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -63,7 +64,7 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 			Cfg:   Config{Machines: machines, Period: time.Millisecond},
 			Exec:  fx,
 			Retry: retry,
-		}).Run(iters, nil)
+		}).Run(context.Background(), iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,18 +96,20 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 
 // TestBreakerCapsHardDownAttempts checks the circuit breaker's whole point:
 // a machine that is hard-down stops consuming a full retry budget every
-// iteration, while healthy machines are unaffected.
+// iteration, while healthy machines are unaffected. Split across two
+// collectors, the way ddcd shards a fleet, SumShardStats folds the two
+// runs back into the one-collector Stats, per-machine health included.
 func TestBreakerCapsHardDownAttempts(t *testing.T) {
 	const iters = 20
 	var breakerErrs int
-	run := func(br BreakerPolicy) Stats {
+	run := func(br BreakerPolicy, machines ...string) Stats {
 		fx := &FaultExecutor{
-			Inner:        &fakeExec{up: map[string]bool{"M1": true}},
-			DownMachines: map[string]bool{"M2": true},
+			Inner:  &fakeExec{up: map[string]bool{"M1": true}},
+			DownFn: func(id string) bool { return id == "M2" },
 		}
 		breakerErrs = 0
 		st, err := (&WallCollector{
-			Cfg:     Config{Machines: []string{"M1", "M2"}, Period: time.Millisecond},
+			Cfg:     Config{Machines: machines, Period: time.Millisecond},
 			Exec:    fx,
 			Retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
 			Breaker: br,
@@ -115,19 +118,20 @@ func TestBreakerCapsHardDownAttempts(t *testing.T) {
 					breakerErrs++
 				}
 			},
-		}).Run(iters, nil)
+		}).Run(context.Background(), iters)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
 
-	flat := run(BreakerPolicy{})
+	flat := run(BreakerPolicy{}, "M1", "M2")
 	if got := flat.Machines["M2"].Attempts; got != iters*3 {
 		t.Fatalf("no-breaker attempts against M2 = %d, want %d", got, iters*3)
 	}
 
-	st := run(BreakerPolicy{FailThreshold: 2, ProbeEvery: 4})
+	br := BreakerPolicy{FailThreshold: 2, ProbeEvery: 4}
+	st := run(br, "M1", "M2")
 	// Probed at iterations 0 and 1 (opens after the 2nd consecutive
 	// failure), then once every 4: 5, 9, 13, 17 — six probed iterations.
 	m2 := st.Machines["M2"]
@@ -153,17 +157,20 @@ func TestBreakerCapsHardDownAttempts(t *testing.T) {
 	if st.Samples != iters {
 		t.Errorf("samples = %d, want %d (M1 every iteration)", st.Samples, iters)
 	}
+	if got := SumShardStats([]Stats{run(br, "M1"), run(br, "M2")}); !reflect.DeepEqual(got, st) {
+		t.Errorf("SumShardStats of split run != one run:\nsum %+v\none %+v", got, st)
+	}
 }
 
 // recoveringExec fails its first n probes, then succeeds forever.
 type recoveringExec struct{ remaining int }
 
-func (r *recoveringExec) Exec(id string) ([]byte, error) {
+func (r *recoveringExec) Exec(_ context.Context, dst []byte, id string) ([]byte, error) {
 	if r.remaining > 0 {
 		r.remaining--
 		return nil, ErrUnreachable
 	}
-	return []byte("data:" + id), nil
+	return append(dst, "data:"+id...), nil
 }
 
 func TestBreakerClosesOnRecovery(t *testing.T) {
@@ -171,7 +178,7 @@ func TestBreakerClosesOnRecovery(t *testing.T) {
 		Cfg:     Config{Machines: []string{"M1"}, Period: time.Millisecond},
 		Exec:    &recoveringExec{remaining: 4},
 		Breaker: BreakerPolicy{FailThreshold: 2, ProbeEvery: 3},
-	}).Run(14, nil)
+	}).Run(context.Background(), 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +209,7 @@ func TestProbeTimeoutBoundsSlowAgent(t *testing.T) {
 			Cfg:          Config{Machines: []string{"S"}, Period: time.Millisecond},
 			Exec:         fx,
 			ProbeTimeout: timeout,
-		}).Run(2, nil)
+		}).Run(context.Background(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +223,18 @@ func TestProbeTimeoutBoundsSlowAgent(t *testing.T) {
 	}
 }
 
+// TestRunContextCancelled: a context cancelled before Run starts still
+// books the first iteration, but no probe runs — the collector checks
+// the context before every attempt, so even an executor that ignores
+// contexts is never called.
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	fake := &fakeExec{up: map[string]bool{"M1": true}}
 	st, err := (&WallCollector{
 		Cfg:  Config{Machines: []string{"M1"}, Period: time.Hour},
-		Exec: &fakeExec{up: map[string]bool{"M1": true}},
-	}).RunContext(ctx, 5)
+		Exec: fake,
+	}).Run(ctx, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +243,8 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if st.Samples != 0 {
 		t.Errorf("cancelled context still sampled: %+v", st)
+	}
+	if len(fake.calls) != 0 {
+		t.Errorf("cancelled run executed probes %v", fake.calls)
 	}
 }

@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -25,11 +26,11 @@ import (
 //     on the chain and returns a render job; snapshot, render, parse and
 //     commit all run on the shard goroutine;
 //   - any other Executor is executed synchronously on the engine
-//     goroutine at the probe's scheduled instant (through ExecAppend when
-//     it has one) into the iteration batch's report arena, leaving parse
-//     and commit to the shard goroutine. The simulated fleet needs this
-//     (machine.Machine mutates on Snapshot), and it is why injection
-//     composes with sharding: FaultExecutor decides on the chain.
+//     goroutine at the probe's scheduled instant into the iteration
+//     batch's report arena, leaving parse and commit to the shard
+//     goroutine. The simulated fleet needs this (machine.Machine
+//     mutates on Snapshot), and it is why injection composes with
+//     sharding: FaultExecutor decides on the chain.
 //
 // Identity argument (internal/validate's shard arms, the golden digests
 // in internal/experiment): snapshot instants, RNG draw order and
@@ -171,6 +172,12 @@ func (b *shardBatch) report(i int, scratch *reportBuf) []byte {
 	}
 }
 
+// queueDepth bounds how many iterations a shard may lag behind the
+// scheduler before the engine chain blocks on it (backpressure).
+// Irrelevant when ShardedCollector.OnIteration is set, which already
+// barriers every iteration.
+const queueDepth = 2
+
 // ShardedCollector runs the collection loop on a discrete-event engine
 // with the fleet partitioned across shards (architecture and identity
 // argument at the top of this file). Any Executor works; an AtExecutor
@@ -195,12 +202,6 @@ type ShardedCollector struct {
 	// histogram reports the sweep length the paper's sequential
 	// coordinator would have seen. Per-shard numbers live in ShardStats.
 	Telemetry *telemetry.Registry
-
-	// QueueDepth bounds how many iterations a shard may lag behind the
-	// scheduler before the engine chain blocks on it (backpressure).
-	// Zero means 2. Irrelevant when OnIteration is set, which already
-	// barriers every iteration.
-	QueueDepth int
 
 	stats      Stats
 	shardStats []Stats
@@ -235,8 +236,10 @@ func (c *ShardedCollector) ShardStats() []Stats {
 
 // SumShardStats aggregates per-shard statistics into the fleet-wide
 // view: additive counters sum, coordinator-level counters (Iterations,
-// Skipped) are common to all shards and taken from the first. The
-// validate suite asserts SumShardStats(ShardStats()) == Stats().
+// Skipped) are common to all shards and taken from the first, and
+// per-machine health maps union (shards partition the machines). The
+// map stays nil when no shard has one, so the validate suite's
+// SumShardStats(ShardStats()) == Stats() holds.
 func SumShardStats(shards []Stats) Stats {
 	var out Stats
 	if len(shards) == 0 {
@@ -250,6 +253,12 @@ func SumShardStats(shards []Stats) Stats {
 		out.Retries += s.Retries
 		out.BreakerSkipped += s.BreakerSkipped
 		out.BreakerOpens += s.BreakerOpens
+		for id, h := range s.Machines {
+			if out.Machines == nil {
+				out.Machines = make(map[string]MachineHealth)
+			}
+			out.Machines[id] = h
+		}
 	}
 	return out
 }
@@ -289,13 +298,9 @@ func (c *ShardedCollector) Install(eng *sim.Engine, start, end time.Time) error 
 	c.tel = newCollectorTelemetry(c.Telemetry)
 	c.shardStats = make([]Stats, len(c.Shards))
 
-	depth := c.QueueDepth
-	if depth <= 0 {
-		depth = 2
-	}
 	c.chans = make([]chan *shardBatch, len(c.Shards))
 	for s := range c.Shards {
-		ch := make(chan *shardBatch, depth)
+		ch := make(chan *shardBatch, queueDepth)
 		c.chans[s] = ch
 		c.done.Add(1)
 		go c.shardWorker(s, ch)
@@ -385,7 +390,7 @@ func (c *ShardedCollector) probe(b *shardBatch, id string, now time.Time) error 
 		b.jobs = append(b.jobs, job)
 		return err
 	}
-	out, err := execAppend(c.Exec, b.arena.b, id)
+	out, err := c.Exec.Exec(context.Background(), b.arena.b, id)
 	if err == nil {
 		b.arena.b = out
 	}
@@ -417,7 +422,7 @@ func (c *ShardedCollector) account(id string, iter int, err error) time.Duration
 // dispatch hands the iteration's batches to the shard goroutines. With a
 // global OnIteration hook the engine chain waits for every shard to
 // commit (the fleet-wide barrier); otherwise shards may pipeline up to
-// QueueDepth iterations behind the scheduler.
+// queueDepth iterations behind the scheduler.
 func (c *ShardedCollector) dispatch(e *sim.Engine, sw *sweep) {
 	end := e.Now()
 	c.tel.iterationDuration.Observe(end.Sub(sw.start))

@@ -14,20 +14,16 @@ import (
 // DatasetSink is the standard post-collecting code: it parses every probe
 // report and accumulates a trace.Dataset, exactly like the paper's Python
 // post-collect extracted and stored the relevant metrics at the
-// coordinator. It is safe for concurrent use (the TCP collector probes
-// from multiple goroutines when configured to).
+// coordinator. It is safe for concurrent use: one lock serialises every
+// parse and commit (DESIGN.md §8.5).
 //
 // The sink owns one probe.Parser and parses every report with the
 // collector's target (probe.Parser.ParseTarget), so the parser's static-
 // block memo holds one entry per machine the sink collects — the sink's
 // share of the fleet, in fleet order — and lives as long as the sink.
 type DatasetSink struct {
-	mu sync.Mutex
-	d  *trace.Dataset
-
-	// pmu guards parser: parses are serialised per sink, Prepare's
-	// included (DESIGN.md §8.5 has the measurement behind one lock).
-	pmu    sync.Mutex
+	mu     sync.Mutex
+	d      *trace.Dataset
 	parser *probe.Parser
 
 	// ParseErrors counts malformed reports (should stay zero; a non-zero
@@ -48,8 +44,8 @@ type DatasetSink struct {
 	tel sinkTelemetry
 
 	// taps observe every committed sample and iteration record under the
-	// sink lock, in attachment order — the multiplexing point for the
-	// streaming invariant checker (AttachCheck) and the anomaly detectors
+	// sink lock, in attachment order — the multiplexing point for live
+	// validation (a check.Stream) and the anomaly detectors
 	// (anomaly.Detectors via Tap). Empty (the default) keeps the commit
 	// path branch-cheap and allocation-free: ranging an empty slice costs
 	// nothing and commits never allocate on behalf of taps.
@@ -70,6 +66,11 @@ type sinkTap struct {
 // relative order. Attach before collection starts — taps want to see
 // every commit from the first iteration on. Safe on a nil sink (returns
 // a no-op detach).
+//
+// Live validation is one Tap that forwards to a check.Stream built with
+// the sink's bounds: invariant violations surface the moment the
+// collector books the bad data, and the stream's Report is read once
+// collection is done.
 func (s *DatasetSink) Tap(onSample func(*trace.Sample), onIter func(trace.Iteration)) (detach func()) {
 	if s == nil {
 		return func() {}
@@ -111,8 +112,8 @@ func (s *DatasetSink) WithTelemetry(reg *telemetry.Registry) *DatasetSink {
 	return s
 }
 
-// Post is the PostCollect hook: parse and commit in one call. It stays
-// closure-free — the sequential collector calls it once per probe on the
+// Post is the PostCollect hook: parse and commit under the sink lock.
+// It stays closure-free — the collector calls it once per probe on the
 // hot path — and honours the PostCollect lifetime contract: the parser
 // interns or memoises what it keeps, so nothing retains stdout after the
 // call (the collector may reuse the underlying buffer immediately).
@@ -120,37 +121,9 @@ func (s *DatasetSink) Post(iter int, machineID string, stdout []byte, err error)
 	if err != nil {
 		return // unreachable machine: no sample
 	}
-	sn, perr := s.parse(machineID, stdout)
-	s.commit(iter, machineID, &sn, perr)
-}
-
-// parse decodes one report from machineID with the sink's parser.
-func (s *DatasetSink) parse(machineID string, stdout []byte) (machine.Snapshot, error) {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	return s.parser.ParseTarget(machineID, stdout)
-}
-
-// Prepare is the PrepareCollect hook: the report parse runs on the
-// calling goroutine, one at a time per sink (it may be called from many
-// probing workers; parses queue on the sink's parser lock, not on the
-// dataset lock), and the returned commit closure mutates the dataset
-// under the sink lock. Collectors invoke commits serially in machine
-// order, so the accumulated dataset is byte-identical to the single-phase
-// Post path. A nil return means there is nothing to commit (unreachable
-// machine).
-func (s *DatasetSink) Prepare(iter int, machineID string, stdout []byte, err error) func() {
-	if err != nil {
-		return nil // unreachable machine: no sample
-	}
-	sn, perr := s.parse(machineID, stdout)
-	return func() { s.commit(iter, machineID, &sn, perr) }
-}
-
-// commit books one parsed report (or parse failure) into the dataset.
-func (s *DatasetSink) commit(iter int, machineID string, sn *machine.Snapshot, perr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sn, perr := s.parse(machineID, stdout)
 	if perr != nil {
 		s.ParseErrors++
 		s.lastErr = fmt.Errorf("machine %s: %w", machineID, perr)
@@ -165,13 +138,19 @@ func (s *DatasetSink) commit(iter int, machineID string, sn *machine.Snapshot, p
 		}
 		return
 	}
-	s.d.Samples = append(s.d.Samples, trace.FromSnapshot(iter, *sn))
+	s.d.Samples = append(s.d.Samples, trace.FromSnapshot(iter, sn))
 	s.tel.samples.Inc()
 	for _, t := range s.taps {
 		if t.sample != nil {
 			t.sample(&s.d.Samples[len(s.d.Samples)-1])
 		}
 	}
+}
+
+// parse decodes one report from machineID with the sink's parser; the
+// caller holds s.mu.
+func (s *DatasetSink) parse(machineID string, stdout []byte) (machine.Snapshot, error) {
+	return s.parser.ParseTarget(machineID, stdout)
 }
 
 // OnIteration records per-iteration bookkeeping; wire it to the
@@ -285,13 +264,4 @@ func (s *DatasetSink) Dataset() (*trace.Dataset, error) {
 	defer s.mu.Unlock()
 	s.d.Unshare()
 	return s.d, s.lastErr
-}
-
-// LastParseError returns the most recent report parse failure, or nil if
-// every report parsed. It is the live counterpart of the error Dataset
-// returns at the end of a run.
-func (s *DatasetSink) LastParseError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }

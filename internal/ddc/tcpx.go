@@ -1,6 +1,7 @@
 package ddc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -232,15 +233,11 @@ func (t *TCPExecutor) Register(machineID, addr string) {
 	t.addrs[machineID] = addr
 }
 
-// Exec implements Executor.
-func (t *TCPExecutor) Exec(machineID string) ([]byte, error) {
-	return t.ExecContext(context.Background(), machineID)
-}
-
-// ExecContext implements ContextExecutor: the probe is bounded by both the
-// executor's Timeout and ctx's deadline/cancellation, whichever is
-// tighter. All failures wrap ErrUnreachable, like a powered-off host.
-func (t *TCPExecutor) ExecContext(ctx context.Context, machineID string) ([]byte, error) {
+// Exec implements Executor: the probe is bounded by both the executor's
+// Timeout and ctx's deadline/cancellation, whichever is tighter, and the
+// report is appended to dst. All failures wrap ErrUnreachable, like a
+// powered-off host.
+func (t *TCPExecutor) Exec(ctx context.Context, dst []byte, machineID string) ([]byte, error) {
 	t.mu.RLock()
 	addr, ok := t.addrs[machineID]
 	tel := t.tel
@@ -284,10 +281,10 @@ func (t *TCPExecutor) ExecContext(ctx context.Context, machineID string) ([]byte
 	var out []byte
 	if tel.bytesRead != nil {
 		cr := &countingReader{r: conn}
-		out, err = readFramedReport(cr)
+		out, err = readFramedReport(dst, cr)
 		tel.bytesRead.Add(cr.n)
 	} else {
-		out, err = readFramedReport(conn)
+		out, err = readFramedReport(dst, conn)
 	}
 	tel.probeDuration.Observe(time.Since(readStart))
 	if err != nil {
@@ -309,10 +306,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // readFramedReport reads an agent response: an explicit status line ("OK"
-// or "ERR <msg>"), then the report. Any other first line is an error. The
-// bufio wrapper is pooled; the returned report is freshly allocated and
-// owned by the caller.
-func readFramedReport(r io.Reader) ([]byte, error) {
+// or "ERR <msg>"), then the report, which it appends to dst. Any other
+// first line is an error. The bufio wrapper is pooled.
+func readFramedReport(dst []byte, r io.Reader) ([]byte, error) {
 	br := getConnReader(r)
 	defer putConnReader(br)
 	line, err := br.ReadString('\n')
@@ -321,7 +317,11 @@ func readFramedReport(r io.Reader) ([]byte, error) {
 	}
 	switch status := strings.TrimRight(line, "\r\n"); {
 	case status == "OK":
-		return io.ReadAll(br)
+		buf := bytes.NewBuffer(dst)
+		if _, err := buf.ReadFrom(br); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
 	case strings.HasPrefix(status, "ERR "):
 		return nil, fmt.Errorf("%s", strings.TrimPrefix(status, "ERR "))
 	default:
@@ -339,25 +339,17 @@ func readFramedReport(r io.Reader) ([]byte, error) {
 // Unlike the paper's coordinator — which booked every probe timeout as a
 // powered-off machine — the collector can retry transient failures
 // (Retry) and stop hammering hard-down machines (Breaker); ProbeTimeout
-// bounds each probe when the executor is context-aware. Run blocks until
-// the iterations complete or stop is closed.
+// bounds each probe. Run blocks until the iterations complete or its
+// context is cancelled.
 type WallCollector struct {
 	Cfg     Config
 	Exec    Executor
 	Post    PostCollect
 	Workers int // concurrent probes per iteration; ≤1 means sequential
 
-	// Prepare, when set, replaces Post: the parse half of post-collection
-	// runs on the worker that probed the machine, right after its probe,
-	// and the commit closures run serially in machine order in the
-	// sweep's post-pass — same ordering guarantee as Post. Whether
-	// parses run concurrently is the hook's business: DatasetSink's
-	// serialises them on one parser per sink.
-	Prepare PrepareCollect
-
-	// ProbeTimeout is the per-probe deadline, enforced through the
-	// executor's context-aware path when available. Zero means no
-	// collector-side deadline (the executor's own timeout still applies).
+	// ProbeTimeout is the per-probe deadline, passed to the executor as
+	// the attempt context's deadline. Zero means no collector-side
+	// deadline (the executor's own timeout still applies).
 	ProbeTimeout time.Duration
 
 	// Retry bounds per-machine re-execution of failed probes within an
@@ -410,8 +402,7 @@ type probeOutcome struct {
 	out      []byte
 	err      error
 	attempts int
-	skipped  bool   // breaker-open skip: no probe was executed
-	commit   func() // prepared post-collect commit (Prepare sinks only)
+	skipped  bool // breaker-open skip: no probe was executed
 }
 
 // probeWithRetry runs the per-probe attempt loop: deadline, bounded
@@ -437,7 +428,13 @@ func (w *WallCollector) probeWithRetry(ctx context.Context, iter int, id string,
 		if w.ProbeTimeout > 0 {
 			pctx, cancel = context.WithDeadline(ctx, attemptStart.Add(w.ProbeTimeout))
 		}
-		o.out, o.err = execProbe(pctx, w.Exec, id)
+		// An executor may ignore ctx (an in-process probe does), so a
+		// context that is already done fails the attempt here.
+		if err := pctx.Err(); err != nil {
+			o.out, o.err = nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, id, err)
+		} else {
+			o.out, o.err = w.Exec.Exec(pctx, nil, id)
+		}
 		lat := time.Since(attemptStart)
 		timedOut := o.err != nil && pctx.Err() == context.DeadlineExceeded && ctx.Err() == nil
 		if cancel != nil {
@@ -488,15 +485,9 @@ func (w *WallCollector) sweep(ctx context.Context, iter int, st *Stats, states m
 		probeIdx = append(probeIdx, i)
 	}
 
-	// Dispatch the admitted probes, sequentially or across workers. With a
-	// Prepare sink the parse happens here too, on the goroutine that ran
-	// the probe; only the commit is left for the serial post-pass.
+	// Dispatch the admitted probes, sequentially or across workers.
 	probeOne := func(i int) {
 		results[i] = w.probeWithRetry(ctx, iter, w.Cfg.Machines[i], tel)
-		if w.Prepare != nil {
-			r := &results[i]
-			r.commit = w.Prepare(iter, w.Cfg.Machines[i], r.out, r.err)
-		}
 	}
 	if w.Workers <= 1 {
 		for _, i := range probeIdx {
@@ -553,17 +544,7 @@ func (w *WallCollector) sweep(ctx context.Context, iter int, st *Stats, states m
 		if ms.open {
 			info.BreakerOpen++
 		}
-		switch {
-		case r.commit != nil:
-			r.commit()
-		case w.Prepare != nil:
-			// Breaker-skipped machines never reached the dispatch phase;
-			// prepare-and-commit inline (cheap: err is always non-nil here,
-			// and Prepare may return nil when there is nothing to commit).
-			if c := w.Prepare(iter, id, r.out, r.err); c != nil {
-				c()
-			}
-		case w.Post != nil:
+		if w.Post != nil {
 			w.Post(iter, id, r.out, r.err)
 		}
 	}
@@ -572,30 +553,9 @@ func (w *WallCollector) sweep(ctx context.Context, iter int, st *Stats, states m
 }
 
 // Run performs n iterations, sleeping the remainder of each period.
-// A nil stop channel disables early termination.
-func (w *WallCollector) Run(n int, stop <-chan struct{}) (Stats, error) {
-	ctx := context.Background()
-	if stop != nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-stop:
-				cancel()
-			case <-done:
-			}
-		}()
-	}
-	return w.RunContext(ctx, n)
-}
-
-// RunContext is the context-aware collection loop: cancelling ctx stops
-// the run (after the in-flight iteration's bookkeeping) and propagates
-// into in-flight probes when the executor supports contexts.
-func (w *WallCollector) RunContext(ctx context.Context, n int) (st Stats, err error) {
+// Cancelling ctx stops the run (after the in-flight iteration's
+// bookkeeping) and propagates into in-flight probes.
+func (w *WallCollector) Run(ctx context.Context, n int) (st Stats, err error) {
 	if err := w.Cfg.Validate(); err != nil {
 		return Stats{}, err
 	}

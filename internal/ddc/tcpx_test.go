@@ -2,6 +2,7 @@ package ddc
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -59,7 +60,7 @@ func newTCPFixture(t *testing.T) (*lockedSource, *TCPExecutor, func()) {
 func TestTCPProbeSuccess(t *testing.T) {
 	_, exec, cleanup := newTCPFixture(t)
 	defer cleanup()
-	out, err := exec.Exec("M1")
+	out, err := exec.Exec(context.Background(), nil, "M1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestTCPProbeSuccess(t *testing.T) {
 func TestTCPProbeUnreachableMachine(t *testing.T) {
 	_, exec, cleanup := newTCPFixture(t)
 	defer cleanup()
-	_, err := exec.Exec("M2")
+	_, err := exec.Exec(context.Background(), nil, "M2")
 	if !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
@@ -84,7 +85,7 @@ func TestTCPProbeUnreachableMachine(t *testing.T) {
 func TestTCPProbeUnregistered(t *testing.T) {
 	_, exec, cleanup := newTCPFixture(t)
 	defer cleanup()
-	if _, err := exec.Exec("M9"); !errors.Is(err, ErrUnreachable) {
+	if _, err := exec.Exec(context.Background(), nil, "M9"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -100,7 +101,7 @@ func TestTCPProbeDeadAgent(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	exec.Register("M1", addr)
-	if _, err := exec.Exec("M1"); !errors.Is(err, ErrUnreachable) {
+	if _, err := exec.Exec(context.Background(), nil, "M1"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -137,7 +138,7 @@ func TestTCPConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := exec.Exec("M1")
+			out, err := exec.Exec(context.Background(), nil, "M1")
 			if err != nil {
 				errs <- err
 				return
@@ -164,7 +165,7 @@ func TestWallCollectorAgainstTCP(t *testing.T) {
 		Post: sink.Post,
 	}
 	coll.OnIteration = sink.OnIteration
-	st, err := coll.Run(3, nil)
+	st, err := coll.Run(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,29 +184,48 @@ func TestWallCollectorAgainstTCP(t *testing.T) {
 	}
 }
 
+// TestWallCollectorStop: cancelling Run's context stops a TCP run. A
+// context cancelled up front still books the first iteration but
+// samples nothing (TestRunContextCancelled covers an executor that
+// ignores contexts). Cancelled while it sleeps out the period after its
+// first sweep, the run returns at once.
 func TestWallCollectorStop(t *testing.T) {
-	_, exec, cleanup := newTCPFixture(t)
+	_, tcp, cleanup := newTCPFixture(t)
 	defer cleanup()
-	stop := make(chan struct{})
-	close(stop)
-	start := time.Now()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	st, err := (&WallCollector{
 		Cfg:  Config{Machines: []string{"M1"}, Period: time.Hour},
-		Exec: exec,
-	}).Run(5, stop)
+		Exec: tcp,
+	}).Run(cancelled, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Iterations != 1 {
-		t.Errorf("iterations = %d, want 1 (stopped)", st.Iterations)
+	if st.Iterations != 1 || st.Samples != 0 {
+		t.Errorf("cancelled run booked %d iterations, %d samples; want 1, 0", st.Iterations, st.Samples)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	st, err = (&WallCollector{
+		Cfg:         Config{Machines: []string{"M1"}, Period: time.Hour},
+		Exec:        tcp,
+		OnIteration: func(IterationInfo) { time.AfterFunc(20*time.Millisecond, cancel) },
+	}).Run(ctx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iterations != 1 || st.Samples != 1 {
+		t.Errorf("run stopped after one sweep booked %d iterations, %d samples; want 1, 1", st.Iterations, st.Samples)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Error("stop did not interrupt the sleep")
+		t.Error("cancel did not interrupt the sleep")
 	}
 }
 
 func TestWallCollectorBadConfig(t *testing.T) {
-	if _, err := (&WallCollector{Cfg: Config{}}).Run(1, nil); err == nil {
+	if _, err := (&WallCollector{Cfg: Config{}}).Run(context.Background(), 1); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -220,7 +240,7 @@ func TestWallCollectorConcurrentWorkers(t *testing.T) {
 		Post:    sink.Post,
 		Workers: 4,
 	}
-	st, err := coll.Run(2, nil)
+	st, err := coll.Run(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +293,7 @@ func TestTCPAdversarialReportNotMisparsed(t *testing.T) {
 	exec := NewTCPExecutor()
 	exec.Timeout = 2 * time.Second
 	exec.Register("M1", addr)
-	out, err := exec.Exec("M1")
+	out, err := exec.Exec(context.Background(), nil, "M1")
 	if err != nil {
 		t.Fatalf("adversarial report misparsed as failure: %v", err)
 	}
@@ -296,7 +316,7 @@ func TestTCPUnframedReplyRejected(t *testing.T) {
 	exec := NewTCPExecutor()
 	exec.Timeout = 2 * time.Second
 	exec.Register("M1", addr)
-	out, err := exec.Exec("M1")
+	out, err := exec.Exec(context.Background(), nil, "M1")
 	if !errors.Is(err, ErrUnreachable) || out != nil {
 		t.Fatalf("unframed report: out = %q, err = %v, want ErrUnreachable", out, err)
 	}
@@ -309,7 +329,7 @@ func TestTCPUnframedReplyRejected(t *testing.T) {
 		_, _ = io.WriteString(c, "ERR unreachable\n")
 	})
 	exec.Register("M2", addr2)
-	if _, err := exec.Exec("M2"); !errors.Is(err, ErrUnreachable) {
+	if _, err := exec.Exec(context.Background(), nil, "M2"); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("ERR line err = %v", err)
 	}
 }
@@ -360,7 +380,7 @@ func TestAgentCloseNotReportedAsServeError(t *testing.T) {
 	exec := NewTCPExecutor()
 	exec.Timeout = 2 * time.Second
 	exec.Register("M1", addr)
-	if _, err := exec.Exec("M1"); err != nil {
+	if _, err := exec.Exec(context.Background(), nil, "M1"); err != nil {
 		t.Fatalf("probe before close failed: %v", err)
 	}
 	if err := agent.Close(); err != nil {
@@ -390,12 +410,12 @@ type orderedSlowExec struct {
 	up     map[string]bool
 }
 
-func (s *orderedSlowExec) Exec(id string) ([]byte, error) {
+func (s *orderedSlowExec) Exec(_ context.Context, dst []byte, id string) ([]byte, error) {
 	time.Sleep(s.delays[id])
 	if !s.up[id] {
 		return nil, ErrUnreachable
 	}
-	return []byte("report:" + id), nil
+	return append(dst, "report:"+id...), nil
 }
 
 // TestWallCollectorWorkersAccounting pins the concurrent sweep's
@@ -430,7 +450,7 @@ func TestWallCollectorWorkersAccounting(t *testing.T) {
 		OnIteration: func(info IterationInfo) { iterInfos = append(iterInfos, info) },
 	}
 	const iters = 3
-	st, err := coll.Run(iters, nil)
+	st, err := coll.Run(context.Background(), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +487,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 			Cfg:     Config{Machines: []string{"M1", "M2"}, Period: time.Millisecond},
 			Exec:    exec,
 			Workers: workers,
-		}).Run(3, nil)
+		}).Run(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}

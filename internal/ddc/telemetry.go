@@ -52,10 +52,6 @@ const (
 	MetricSinkSamples     = "sink_samples_total"
 	MetricSinkParseErrors = "sink_parse_errors_total"
 	MetricSinkIterations  = "sink_iterations_total"
-
-	// Streaming invariant checker (AttachCheck / SinkCheck).
-	MetricSinkChecked    = "sink_checked_samples_total"
-	MetricSinkViolations = "sink_invariant_violations_total"
 )
 
 // collectorTelemetry holds the collector's resolved metric handles. The

@@ -2,7 +2,6 @@ package ddc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,8 +34,8 @@ func countOutcomes(reg *telemetry.Registry) map[telemetry.Outcome]int {
 func TestSpanOutcomesUnderFaultExecutor(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fx := &FaultExecutor{
-		Inner:        &fakeExec{up: map[string]bool{"M1": true}},
-		DownMachines: map[string]bool{"M2": true},
+		Inner:  &fakeExec{up: map[string]bool{"M1": true}},
+		DownFn: func(id string) bool { return id == "M2" },
 	}
 	const iters = 8
 	st, err := (&WallCollector{
@@ -45,7 +44,7 @@ func TestSpanOutcomesUnderFaultExecutor(t *testing.T) {
 		Retry:     RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond},
 		Breaker:   BreakerPolicy{FailThreshold: 2, ProbeEvery: 3},
 		Telemetry: reg,
-	}).Run(iters, nil)
+	}).Run(context.Background(), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestTimeoutSpanOutcome(t *testing.T) {
 		Exec:         fx,
 		ProbeTimeout: 5 * time.Millisecond,
 		Telemetry:    reg,
-	}).Run(1, nil)
+	}).Run(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +132,15 @@ func TestTimeoutSpanOutcome(t *testing.T) {
 	}
 }
 
-// TestSinkParseErrorTelemetry is the LastParseError regression test: a
-// malformed report must surface through LastParseError, the parse-error
-// counters and a parse_error span, and be booked on the right iteration.
+// TestSinkParseErrorTelemetry: a malformed report must surface through
+// the error Dataset returns, the parse-error counters and a parse_error
+// span, and be booked on the right iteration.
 func TestSinkParseErrorTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	start := time.Date(2026, 8, 6, 8, 0, 0, 0, time.UTC)
 	sink := NewDatasetSink(start, start.Add(time.Hour), 15*time.Minute, nil).WithTelemetry(reg)
 
-	if sink.LastParseError() != nil {
+	if _, err := sink.Dataset(); err != nil {
 		t.Fatal("fresh sink already has a parse error")
 	}
 	m := newMachine("M1")
@@ -156,17 +155,13 @@ func TestSinkParseErrorTelemetry(t *testing.T) {
 	sink.Post(1, "M1", probe.AppendRender(nil, sn), nil)
 	sink.OnIteration(IterationInfo{Iter: 1, Start: start.Add(15 * time.Minute), Attempted: 2, Responded: 1})
 
-	err := sink.LastParseError()
+	ds, err := sink.Dataset()
 	if err == nil {
-		t.Fatal("LastParseError = nil after malformed report")
+		t.Fatal("Dataset() error = nil after malformed report")
 	}
 	if !strings.Contains(err.Error(), "M2") {
-		t.Errorf("LastParseError does not name the machine: %v", err)
+		t.Errorf("parse error does not name the machine: %v", err)
 	}
-	if _, derr := sink.Dataset(); !errors.Is(derr, err) && derr == nil {
-		t.Error("Dataset() no longer surfaces the parse error")
-	}
-	ds, _ := sink.Dataset()
 	if len(ds.Iterations) != 2 {
 		t.Fatalf("iterations = %d", len(ds.Iterations))
 	}
@@ -287,7 +282,7 @@ func TestMetricsMatchStatsEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	const iters = 12
-	st, err := coll.Run(iters, nil)
+	st, err := coll.Run(context.Background(), iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,20 +343,22 @@ func TestMetricsMatchStatsEndToEnd(t *testing.T) {
 	}
 }
 
-// staticExec is the cheapest possible ContextExecutor: no bookkeeping, a
-// preallocated payload.
+// staticExec is the cheapest possible Executor: no bookkeeping, a
+// preallocated payload, returned as is when dst is empty (the collector
+// passes nil), so a probe allocates nothing.
 type staticExec struct{ out []byte }
 
-func (s *staticExec) Exec(string) ([]byte, error) { return s.out, nil }
-func (s *staticExec) ExecContext(context.Context, string) ([]byte, error) {
-	return s.out, nil
+func (s *staticExec) Exec(_ context.Context, dst []byte, _ string) ([]byte, error) {
+	if len(dst) == 0 {
+		return s.out, nil
+	}
+	return append(dst, s.out...), nil
 }
 
 // errExec always fails with a fixed error.
 type errExec struct{ err error }
 
-func (e *errExec) Exec(string) ([]byte, error)                         { return nil, e.err }
-func (e *errExec) ExecContext(context.Context, string) ([]byte, error) { return nil, e.err }
+func (e *errExec) Exec(context.Context, []byte, string) ([]byte, error) { return nil, e.err }
 
 // TestNilTelemetryAllocFree is the acceptance guard for the uninstrumented
 // hot path: with a nil registry the collector's per-probe code allocates
@@ -443,7 +440,7 @@ func TestIterationEndBothCollectors(t *testing.T) {
 		Cfg:         Config{Machines: []string{"M1"}, Period: time.Millisecond},
 		Exec:        &staticExec{out: []byte("x")},
 		OnIteration: func(i IterationInfo) { infos = append(infos, i) },
-	}).Run(3, nil)
+	}).Run(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +513,7 @@ func TestWallCollectorTelemetryWithWorkers(t *testing.T) {
 			Exec:      &staticExec{out: []byte("x")},
 			Workers:   workers,
 			Telemetry: reg,
-		}).Run(6, nil)
+		}).Run(context.Background(), 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"slices"
@@ -136,7 +137,7 @@ func TestConcurrentCommitVsReaderSnapshot(t *testing.T) {
 			if !src.ms[id].Powered() {
 				continue
 			}
-			out, err := exec.Exec(id)
+			out, err := exec.Exec(context.Background(), nil, id)
 			sink.Post(i, id, out, err)
 			if err == nil {
 				responded++
@@ -259,7 +260,7 @@ func TestViewsAnalysedWhileCollectorCommits(t *testing.T) {
 		}
 		responded := 0
 		for _, id := range ids {
-			out, err := exec.Exec(id)
+			out, err := exec.Exec(context.Background(), nil, id)
 			sink.Post(i, id, out, err)
 			if err == nil {
 				responded++

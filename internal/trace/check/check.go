@@ -42,7 +42,8 @@
 //
 // Check validates a complete in-memory dataset (the tracedoctor CLI and
 // `make doctor` path); Stream validates samples one at a time as a
-// collector commits them (the opt-in ddc sink wrapper).
+// collector commits them (a ddc.DatasetSink tap) or as a cursor reads
+// them back.
 package check
 
 import (

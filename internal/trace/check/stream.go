@@ -7,11 +7,12 @@ import (
 )
 
 // Stream validates samples and iteration records incrementally, in the
-// order a collector commits them — the engine behind the opt-in ddc
-// sink wrapper. It keeps one Sample value per machine (the last
-// committed one) and a small pending per-iteration tally; in steady
-// state it performs no per-sample allocation on the clean path
-// (violation messages allocate, but only when something is wrong).
+// order a collector commits them — live validation is one
+// ddc.DatasetSink.Tap that forwards to a Stream. It keeps one Sample
+// value per machine (the last committed one) and a small pending
+// per-iteration tally; in steady state it performs no per-sample
+// allocation on the clean path (violation messages allocate, but only
+// when something is wrong).
 //
 // A Stream checks everything the batch Check does except the
 // index-agreement invariant (there is no frozen index mid-collection)
@@ -22,8 +23,8 @@ import (
 // [Start, End]; Options.NoAlignment disables it for wall-clock
 // collectors that drift off the grid.
 //
-// A Stream is not safe for concurrent use; the ddc sink wrapper calls
-// it under the sink's commit lock.
+// A Stream is not safe for concurrent use; a sink tap calls it under
+// the sink's commit lock.
 type Stream struct {
 	start  time.Time
 	end    time.Time

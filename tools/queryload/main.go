@@ -49,8 +49,8 @@ import (
 	"winlab/internal/query"
 )
 
-// Env mirrors tools/benchjson: absolute throughput numbers are
-// meaningless without the machine they were measured on.
+// Env records the machine the numbers were measured on: absolute
+// throughput numbers are meaningless without it.
 type Env struct {
 	GoMaxProcs int    `json:"go_max_procs"`
 	NumCPU     int    `json:"num_cpu"`
