@@ -9,7 +9,7 @@ GO ?= go
 # benchmark lines (name, ns/op, B/op, allocs/op). Set PR to the pull
 # request being measured (make ledger, make abpair).
 BENCHTIME ?= 1x
-PR ?= 40
+PR ?= 41
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s
@@ -102,7 +102,8 @@ abpair:
 
 # fuzz smoke-runs the codec fuzzers (probe report parser against its
 # oracle, memo warm, fixed-point float formatter, TBv1 trace reader,
-# format sniffer, segment merge against its oracle), the simulation
+# format sniffer, segment merge against its oracle, segment manifest
+# decoder against its own write/read round trip), the simulation
 # engine's event order against its container/heap oracle, the analysis
 # engine's integer time kernel against its time.Time oracles (week slot,
 # time difference, boot match and interval formulas) and the /api/events
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadAny$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzWeekSlot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTimeSub$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzServeEvents$$' -fuzztime $(FUZZTIME)
@@ -232,7 +234,8 @@ QUERYFLOOR ?= 100000
 # then drive the cached hot path with tools/queryload — shedding must
 # hold the served p99 under overload (-saturate) and throughput must
 # clear $(QUERYFLOOR). The latency/throughput curve lands in
-# BENCH_PR9.json (CI uploads it as a non-gating artifact).
+# .bench_build/queryload-curve.json (CI uploads it as a non-gating
+# artifact; DESIGN.md §8.4 keeps PR 9's headline).
 serve-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); bin=$$tmp/queryd; \
@@ -260,9 +263,10 @@ serve-smoke:
 	    esac; \
 	    kill $$pid 2>/dev/null; wait $$pid 2>/dev/null || true; \
 	done; \
+	mkdir -p .bench_build; \
 	$(GO) run ./tools/queryload -sim-days 3 -seed 1 \
 	    -endpoints epoch,summary,availability,heatmap \
-	    -duration 1s -saturate -floor $(QUERYFLOOR) -o BENCH_PR9.json
+	    -duration 1s -saturate -floor $(QUERYFLOOR) -o .bench_build/queryload-curve.json
 
 # telemetry-demo runs the live collector with the metrics endpoint and
 # span trace enabled, scrapes it mid-run, and fails if /metrics or

@@ -30,6 +30,11 @@
 //	     [-metrics-addr 127.0.0.1:9090] [-trace-out spans.jsonl]
 //	     [-events-out events.jsonl]
 //
+// SIGINT or SIGTERM ends the collection early: every shard stops before
+// its next probe, and the iterations committed so far are merged,
+// summarised and served exactly as after a full run (exit status 0). A
+// second signal after that point kills the process as usual.
+//
 // With -shards N the fleet is partitioned across N coordinators running
 // concurrently, each collecting into its own sink over the shared TCP
 // transport. Wall shards run on real clocks and do not share an
@@ -45,8 +50,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"winlab/internal/analysis"
@@ -283,6 +290,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "ddcd: collecting %d iterations over TCP across %d shard(s) (%.0fx accelerated)...\n",
 		*iters, len(parts), *accel)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	shardStats := make([]ddc.Stats, len(parts))
 	shardErrs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -290,10 +298,14 @@ func main() {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			shardStats[s], shardErrs[s] = colls[s].Run(context.Background(), *iters)
+			shardStats[s], shardErrs[s] = colls[s].Run(ctx, *iters)
 		}(s)
 	}
 	wg.Wait()
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "ddcd: interrupted; reporting the iterations committed so far")
+	}
+	stop()
 	for s, err := range shardErrs {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ddcd: shard %d: %v\n", s, err)

@@ -341,8 +341,8 @@ func TestSessionsStats(t *testing.T) {
 	if st.ShortUptimeFraction >= 0.05 {
 		t.Errorf("short uptime fraction = %v (the long session dominates)", st.ShortUptimeFraction)
 	}
-	if st.Hist.Over() != 1 {
-		t.Errorf("histogram over = %d", st.Hist.Over())
+	if got := st.Hist.InRangeFraction(); got != 0.5 { // the long session is past the 96 h cap
+		t.Errorf("histogram in-range fraction = %v, want 0.5", got)
 	}
 }
 
@@ -399,18 +399,16 @@ func TestWeeklyProfilesFill(t *testing.T) {
 	if idle < 96.9 || idle > 97.1 {
 		t.Errorf("min idle = %v, want ≈97", idle)
 	}
-	if got := w.RAMLoadPct.Overall().Mean(); got != 55 {
-		t.Errorf("ram mean = %v", got)
+	for i, r := range w.RAMLoadPct.Slots {
+		if r.N() > 0 && r.Mean() != 55 {
+			t.Errorf("slot %d: ram mean = %v, want 55", i, r.Mean())
+		}
 	}
 	if d := SlotWeekday(0); d != time.Monday {
 		t.Errorf("slot 0 weekday = %v", d)
 	}
 	if d := SlotWeekday(6 * 96); d != time.Sunday {
 		t.Errorf("sunday slot weekday = %v", d)
-	}
-	h, m := SlotClock(96 + 4*13 + 2)
-	if h != 13 || m != 30 {
-		t.Errorf("SlotClock = %d:%02d", h, m)
 	}
 }
 

@@ -19,6 +19,13 @@ import (
 // TestEngineMatchesBatchOracle requires All, MainResults and Heatmap to
 // reproduce these bodies field for field, float bits included.
 
+// Classify classifies one sample under the given forgotten-session
+// threshold, computing its session age on the spot as the oracle bodies
+// below always did.
+func Classify(s *trace.Sample, threshold time.Duration) Class {
+	return classifyAge(s, s.SessionAge(), threshold)
+}
+
 // oracleIntervals pairs consecutive same-boot samples per machine, in
 // machine-sorted then time order, dropping pairs more than maxGap apart
 // (zero keeps everything).

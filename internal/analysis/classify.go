@@ -34,14 +34,9 @@ const (
 	Forgotten              // session open but ≥ threshold old: reclassified
 )
 
-// Classify classifies one sample under the given forgotten-session
+// classifyAge classifies one sample whose session age is already computed
+// (the engine also bins it for Figure 2) under the given forgotten-session
 // threshold. A zero threshold disables reclassification (raw occupancy).
-func Classify(s *trace.Sample, threshold time.Duration) Class {
-	return classifyAge(s, s.SessionAge(), threshold)
-}
-
-// classifyAge is Classify with s's session age already computed (the
-// engine also bins it for Figure 2).
 func classifyAge(s *trace.Sample, age, threshold time.Duration) Class {
 	if !s.HasSession() {
 		return NoLogin

@@ -42,12 +42,6 @@ func SlotWeekday(slot int) time.Weekday {
 	return time.Weekday((day + 1) % 7) // Monday-first → Go's Sunday-first
 }
 
-// SlotClock returns the time-of-day of the start of a weekly slot.
-func SlotClock(slot int) (hour, minute int) {
-	q := slot % 96
-	return q / 4, (q % 4) * 15
-}
-
 // IdlenessWhen returns the CPU-idleness statistics over the weekly slots
 // whose start satisfies pred — e.g. "labs closed" hours. The paper's
 // §5.3 observation that absolute idleness concentrates in nights and

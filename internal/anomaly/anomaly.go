@@ -274,19 +274,6 @@ func (r *Ring) Total() uint64 {
 	return r.total
 }
 
-// Buffered returns the number of events currently held in the ring.
-func (r *Ring) Buffered() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.ring)
-	}
-	return r.next
-}
-
 // WriteErr returns the first JSONL write error, if streaming failed.
 func (r *Ring) WriteErr() error {
 	if r == nil {

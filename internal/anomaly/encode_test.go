@@ -8,6 +8,19 @@ import (
 	"time"
 )
 
+// Buffered returns the number of events currently held in the ring.
+func (r *Ring) Buffered() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.filled {
+		return len(r.ring)
+	}
+	return r.next
+}
+
 // goldenEvents exercises every encoder branch: omitempty fields present
 // and absent, HTML-sensitive and control characters, invalid UTF-8, the
 // U+2028/U+2029 line separators, sub-second timestamps, and float shapes

@@ -14,7 +14,7 @@ import (
 // The hour pattern is interpreted as wall-clock time in Loc (UTC when
 // nil), so a lab in a DST-shifting zone opens at 8 am local year-round.
 // AlwaysOpen describes a room that never closes (a server pool): IsOpen
-// is constantly true and NextClose reports ok=false.
+// is constantly true.
 type Calendar struct {
 	OpenHour     int
 	NightClose   int
@@ -52,29 +52,6 @@ func (c Calendar) IsOpen(t time.Time) bool {
 	default: // Tuesday–Friday
 		return h < c.NightClose || h >= c.OpenHour
 	}
-}
-
-// NextClose returns the next instant at or after t when the labs close
-// (4 am on weekday nights, 9 pm on Saturday) and ok=true. If the labs
-// are closed at t it returns (t, true). A calendar that never closes —
-// AlwaysOpen, or any hour pattern with no closed hour — reports
-// ok=false instead of scanning forever; the scan is bounded to one week
-// of wall-clock hours, which covers every weekly pattern.
-func (c Calendar) NextClose(t time.Time) (time.Time, bool) {
-	if c.AlwaysOpen {
-		return time.Time{}, false
-	}
-	if !c.IsOpen(t) {
-		return t, true
-	}
-	u := wallHour(t.In(c.loc()))
-	for i := 0; i < 8*24; i++ {
-		if !c.IsOpen(u) && u.After(t) {
-			return u, true
-		}
-		u = nextWallHour(u)
-	}
-	return time.Time{}, false
 }
 
 // wallHour truncates t to the start of its wall-clock hour in t's own
@@ -190,25 +167,4 @@ func overlaps(a, b Class) bool {
 	aEnd := a.StartHour + int(a.Duration/time.Hour)
 	bEnd := b.StartHour + int(b.Duration/time.Hour)
 	return a.StartHour < bEnd && b.StartHour < aEnd
-}
-
-// ForLab returns the classes of one lab, in weekly order.
-func (t Timetable) ForLab(lb string) []Class {
-	var out []Class
-	for _, c := range t.Classes {
-		if c.Lab == lb {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// WeeklyLabHours returns the total scheduled class hours per week across
-// all labs, a useful calibration diagnostic.
-func (t Timetable) WeeklyLabHours() float64 {
-	var h float64
-	for _, c := range t.Classes {
-		h += c.Duration.Hours()
-	}
-	return h
 }

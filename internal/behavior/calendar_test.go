@@ -9,6 +9,40 @@ import (
 
 var monday = time.Date(2003, 10, 6, 0, 0, 0, 0, time.UTC) // a Monday
 
+// NextClose returns the next instant at or after t when the labs close
+// (4 am on weekday nights, 9 pm on Saturday) and ok=true. If the labs
+// are closed at t it returns (t, true). A calendar that never closes —
+// AlwaysOpen, or any hour pattern with no closed hour — reports
+// ok=false instead of scanning forever; the scan is bounded to one week
+// of wall-clock hours, which covers every weekly pattern.
+func (c Calendar) NextClose(t time.Time) (time.Time, bool) {
+	if c.AlwaysOpen {
+		return time.Time{}, false
+	}
+	if !c.IsOpen(t) {
+		return t, true
+	}
+	u := wallHour(t.In(c.loc()))
+	for i := 0; i < 8*24; i++ {
+		if !c.IsOpen(u) && u.After(t) {
+			return u, true
+		}
+		u = nextWallHour(u)
+	}
+	return time.Time{}, false
+}
+
+// ForLab returns the classes of one lab, in weekly order.
+func (t Timetable) ForLab(lb string) []Class {
+	var out []Class
+	for _, c := range t.Classes {
+		if c.Lab == lb {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func defaultCal() Calendar {
 	cfg := DefaultConfig(1)
 	return Calendar{OpenHour: cfg.OpenHour, NightClose: cfg.NightClose, SatCloseHour: cfg.SatCloseHour}
@@ -192,8 +226,8 @@ func TestGenerateTimetable(t *testing.T) {
 			}
 		}
 	}
-	if tt.WeeklyLabHours() <= 0 {
-		t.Error("WeeklyLabHours = 0")
+	if len(tt.Classes) == 0 {
+		t.Error("empty timetable")
 	}
 }
 

@@ -137,9 +137,6 @@ func NewModel(cfg Config, fleet *lab.Fleet) *Model {
 	return m
 }
 
-// Timetable exposes the generated weekly timetable (for tests and reports).
-func (md *Model) Timetable() Timetable { return md.tt }
-
 // Calendar exposes the opening-hours calendar.
 func (md *Model) Calendar() Calendar { return md.cal }
 

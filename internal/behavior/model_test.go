@@ -131,7 +131,7 @@ func TestClassOccupiesLab(t *testing.T) {
 	end := monday.AddDate(0, 0, 5)
 	md.Install(eng, monday, end)
 
-	classes := md.Timetable().ForLab("L01")
+	classes := md.tt.ForLab("L01")
 	if len(classes) == 0 {
 		t.Skip("generated timetable has no class for L01 at this seed")
 	}

@@ -214,8 +214,7 @@ func (md *Model) installScenario(eng *sim.Engine, start, end time.Time) {
 
 	// Closing sweeps per lab, found by scanning the lab calendar's
 	// open→closed transitions on wall-clock hour boundaries (DST-safe;
-	// an AlwaysOpen calendar has none, so NextClose's "never closes"
-	// case never schedules a sweep).
+	// an AlwaysOpen calendar has none, so it never schedules a sweep).
 	for _, s := range md.fleet.Specs {
 		cal := md.calFor(s.Name)
 		if cal.AlwaysOpen || md.alwaysOn[s.Name] {

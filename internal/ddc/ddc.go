@@ -90,15 +90,6 @@ type IterationInfo struct {
 	BreakerOpen    int // machines whose breaker is open after the iteration
 }
 
-// Elapsed returns the iteration's sweep duration (End − Start), or zero
-// when either endpoint is unset.
-func (i IterationInfo) Elapsed() time.Duration {
-	if i.Start.IsZero() || i.End.IsZero() {
-		return 0
-	}
-	return i.End.Sub(i.Start)
-}
-
 // IterationFunc is the per-iteration hook shared by both collectors.
 type IterationFunc func(info IterationInfo)
 

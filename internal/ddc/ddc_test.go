@@ -91,7 +91,8 @@ func (o oneShard) run(t *testing.T, eng *sim.Engine, start, end time.Time) *Shar
 	if err := c.Install(eng, start, end); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	c.Finish()
 	return c
 }

@@ -165,7 +165,8 @@ func runShards(t *testing.T, cfg Config, end time.Time, parts [][]string, mkExec
 	if err := r.coll.Install(eng, t0, end); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	r.coll.Finish()
 
 	shardDS := make([]*trace.Dataset, len(sinks))
@@ -286,7 +287,8 @@ func TestParseErrorsBookedPerIteration(t *testing.T) {
 		if err := coll.Install(eng, t0, end); err != nil {
 			t.Fatal(err)
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		coll.Finish()
 		return sinks
 	}

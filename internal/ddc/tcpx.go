@@ -54,11 +54,10 @@ type Agent struct {
 	// reported.
 	OnServeError func(error)
 
-	ln       net.Listener
-	mu       sync.Mutex
-	closed   bool
-	serveErr error
-	wg       sync.WaitGroup
+	ln     net.Listener
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 
 	telOnce sync.Once
 	tel     agentTelemetry
@@ -98,8 +97,8 @@ func (a *Agent) Serve(ln net.Listener) error {
 
 // Listen starts the agent on addr (e.g. "127.0.0.1:0") and serves in a
 // background goroutine. It returns the bound address. If the background
-// Serve fails, the error is recorded (see ServeError) and reported
-// through OnServeError; a clean Close reports nothing.
+// Serve fails, the error is reported through OnServeError; a clean Close
+// reports nothing.
 func (a *Agent) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -111,7 +110,6 @@ func (a *Agent) Listen(addr string) (string, error) {
 			return
 		}
 		a.mu.Lock()
-		a.serveErr = err
 		cb := a.OnServeError
 		a.mu.Unlock()
 		if cb != nil {
@@ -119,13 +117,6 @@ func (a *Agent) Listen(addr string) (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// ServeError returns the error the background Serve exited with, if any.
-func (a *Agent) ServeError() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.serveErr
 }
 
 // Close stops the agent.

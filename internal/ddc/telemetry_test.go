@@ -19,6 +19,15 @@ import (
 )
 
 // countOutcomes tallies the registry's buffered spans by outcome.
+// Elapsed returns the iteration's sweep duration (End − Start), or zero
+// when either endpoint is unset.
+func (i IterationInfo) Elapsed() time.Duration {
+	if i.Start.IsZero() || i.End.IsZero() {
+		return 0
+	}
+	return i.End.Sub(i.Start)
+}
+
 func countOutcomes(reg *telemetry.Registry) map[telemetry.Outcome]int {
 	got := map[telemetry.Outcome]int{}
 	for _, sp := range reg.Spans().Snapshot() {
@@ -275,7 +284,7 @@ func TestMetricsMatchStatsEndToEnd(t *testing.T) {
 	}
 	coll.OnIteration = sink.OnIteration
 
-	srv, err := httpx.Serve("127.0.0.1:0", reg)
+	srv, err := httpx.ServeEvents("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

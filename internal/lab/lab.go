@@ -245,13 +245,3 @@ func (f *Fleet) SpecOf(m *machine.Machine) Spec {
 	}
 	panic("lab: machine " + m.ID + " belongs to unknown lab " + m.Lab)
 }
-
-// TotalPerfIndex returns the sum of combined NBench indexes over the fleet,
-// the denominator of the cluster-equivalence ratio.
-func (f *Fleet) TotalPerfIndex() float64 {
-	var t float64
-	for _, m := range f.Machines {
-		t += m.HW.PerfIndex()
-	}
-	return t
-}

@@ -21,5 +21,4 @@ const (
 	ActOSBackground = "os-background" // services, indexing, the 0.3% baseline
 	ActInteractive  = "interactive"   // the logged-in user's applications
 	ActClass        = "class"         // class exercise (e.g. the Tuesday CPU hog)
-	ActBurst        = "burst"         // short network/CPU burst (download, install)
 )

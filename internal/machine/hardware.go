@@ -17,12 +17,6 @@ type Hardware struct {
 	OS       string // operating system name and version
 }
 
-// PerfIndex returns the combined performance index used by the paper's
-// cluster-equivalence computation: a 50% weight on each of INT and FP.
-func (h Hardware) PerfIndex() float64 {
-	return 0.5*h.IntIndex + 0.5*h.FPIndex
-}
-
 // DefaultSwapMB returns the Windows 2000 default pagefile size for a
 // machine with ramMB of memory (1.5 × RAM).
 func DefaultSwapMB(ramMB int) int { return ramMB * 3 / 2 }

@@ -10,6 +10,21 @@ import (
 
 var t0 = time.Date(2003, 10, 6, 8, 0, 0, 0, time.UTC)
 
+// PerfIndex returns the combined performance index used by the paper's
+// cluster-equivalence computation: a 50% weight on each of INT and FP.
+func (h Hardware) PerfIndex() float64 {
+	return 0.5*h.IntIndex + 0.5*h.FPIndex
+}
+
+// SessionAge returns how long the interactive session had been open at
+// snapshot time, or 0 when there is none.
+func (s Snapshot) SessionAge() time.Duration {
+	if !s.HasSession() {
+		return 0
+	}
+	return s.Time.Sub(s.SessionStart)
+}
+
 func newTestMachine() *Machine {
 	hw := Hardware{
 		CPUModel: "Intel Pentium 4", CPUGHz: 2.4, RAMMB: 512,
@@ -41,11 +56,11 @@ func TestPowerLifecycle(t *testing.T) {
 	if !m.Powered() || !m.BootTime().Equal(t0) {
 		t.Fatal("PowerOn state wrong")
 	}
-	if !m.Disk.Powered() {
+	if m.Disk.PowerCycleCount(t0) != 1 {
 		t.Fatal("disk not powered with machine")
 	}
 	m.PowerOff(t0.Add(3 * time.Hour))
-	if m.Powered() || m.Disk.Powered() {
+	if m.Powered() || m.Disk.PowerOnHours(t0.Add(10*time.Hour)) != 3 {
 		t.Fatal("PowerOff state wrong")
 	}
 	if len(m.PowerLog) != 1 || m.PowerLog[0].Duration() != 3*time.Hour {

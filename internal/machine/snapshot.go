@@ -41,15 +41,6 @@ type Snapshot struct {
 // HasSession reports whether an interactive user was logged in.
 func (s Snapshot) HasSession() bool { return s.SessionUser != "" }
 
-// SessionAge returns how long the interactive session had been open at
-// snapshot time, or 0 when there is none.
-func (s Snapshot) SessionAge() time.Duration {
-	if !s.HasSession() {
-		return 0
-	}
-	return s.Time.Sub(s.SessionStart)
-}
-
 // Snapshot probes the machine at time t. It returns ok=false when the
 // machine is powered off — the remote execution would have timed out.
 func (m *Machine) Snapshot(t time.Time) (Snapshot, bool) {

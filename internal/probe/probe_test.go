@@ -100,9 +100,6 @@ func TestNoSession(t *testing.T) {
 	if got.HasSession() {
 		t.Error("parsed sessionless report has session")
 	}
-	if got.SessionAge() != 0 {
-		t.Error("SessionAge of no session != 0")
-	}
 }
 
 func TestParseErrors(t *testing.T) {

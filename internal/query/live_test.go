@@ -129,7 +129,7 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 		st.Publish(origin.ClonePrefix())
 		s := st.Current()
 		if s.ds != nil {
-			t.Fatalf("epoch %d: a live snapshot holds a *trace.Dataset", s.Epoch())
+			t.Fatalf("epoch %d: a live snapshot holds a *trace.Dataset", s.epoch)
 		}
 		var bodies [numEndpoints][]byte
 		for ep := 0; ep < numEndpoints; ep++ {
@@ -142,11 +142,11 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 	for i, s := range snaps {
 		for ep := 0; ep < numEndpoints; ep++ {
 			if got := s.encode(ep); !bytes.Equal(got, before[i][ep]) {
-				t.Fatalf("epoch %d endpoint %d: re-encoding after %d later publishes changed the body", s.Epoch(), ep, len(snaps)-1-i)
+				t.Fatalf("epoch %d endpoint %d: re-encoding after %d later publishes changed the body", s.epoch, ep, len(snaps)-1-i)
 			}
 		}
 		if got := s.Aggregates().res.Sessions.Hist.Counts; !slices.Equal(got, hists[i]) {
-			t.Fatalf("epoch %d: session histogram changed after later publishes: %v, was %v", s.Epoch(), got, hists[i])
+			t.Fatalf("epoch %d: session histogram changed after later publishes: %v, was %v", s.epoch, got, hists[i])
 		}
 	}
 }

@@ -213,9 +213,6 @@ type cachedBody struct {
 	clen []string
 }
 
-// Epoch returns the snapshot's epoch.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
 // aggregates is the materialized per-epoch state the handler serves from.
 type aggregates struct {
 	meta    Meta

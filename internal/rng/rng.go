@@ -32,12 +32,6 @@ func Derive(seed int64, name string) *Source {
 	return New(seed ^ int64(h.Sum64()))
 }
 
-// Derive creates a child stream of s identified by name, consuming one draw
-// from s to decorrelate children created from identically-named parents.
-func (s *Source) Derive(name string) *Source {
-	return Derive(s.r.Int63(), name)
-}
-
 // Float64 returns a uniform draw in [0,1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
@@ -139,9 +133,4 @@ func (s *Source) Pick(weights []float64) int {
 // Shuffle permutes the n elements using swap, like rand.Shuffle.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	s.r.Shuffle(n, swap)
-}
-
-// Jitter returns x multiplied by a uniform factor in [1-f, 1+f].
-func (s *Source) Jitter(x, f float64) float64 {
-	return x * s.Uniform(1-f, 1+f)
 }

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// Derive creates a child stream of s identified by name, consuming one draw
+// from s to decorrelate children created from identically-named parents.
+func (s *Source) Derive(name string) *Source {
+	return Derive(s.r.Int63(), name)
+}
+
+// Jitter returns x multiplied by a uniform factor in [1-f, 1+f].
+func (s *Source) Jitter(x, f float64) float64 {
+	return x * s.Uniform(1-f, 1+f)
+}
+
 func TestDeterminism(t *testing.T) {
 	a := Derive(42, "stream")
 	b := Derive(42, "stream")

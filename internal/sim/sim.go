@@ -49,9 +49,6 @@ const (
 	posCancelled = -2
 )
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.pos == posCancelled }
-
 // timeKey is t.UnixNano() when that is exact, and otherwise the int64
 // extreme on t's side of the representable range — so keys order as
 // instants do, and equal keys at an extreme are the only ones that need
@@ -142,11 +139,10 @@ type Engine struct {
 	now time.Time
 	// front, when set, fires before everything in queue; when nil the
 	// earliest event is queue[0].
-	front  *Event
-	queue  eventQueue
-	seq    int
-	fired  int64
-	tracer func(*Event)
+	front *Event
+	queue eventQueue
+	seq   int
+	fired int64
 }
 
 // New creates an engine whose clock starts at start.
@@ -159,9 +155,6 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() int64 { return e.fired }
-
-// SetTracer installs a hook invoked before each event fires (nil disables).
-func (e *Engine) SetTracer(fn func(*Event)) { e.tracer = fn }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it
 // indicates a model bug that would silently reorder causality.
@@ -268,9 +261,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.At
-	if e.tracer != nil {
-		e.tracer(ev)
-	}
 	e.fired++
 	ev.Fn(e)
 	return true
@@ -285,18 +275,4 @@ func (e *Engine) RunUntil(end time.Time) {
 	if e.now.Before(end) {
 		e.now = end
 	}
-}
-
-// Run fires events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int {
-	if e.front != nil {
-		return len(e.queue) + 1
-	}
-	return len(e.queue)
 }

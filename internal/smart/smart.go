@@ -66,9 +66,6 @@ func (d *Disk) PowerOff(t time.Time) {
 	d.powered = false
 }
 
-// Powered reports whether the disk is currently spinning.
-func (d *Disk) Powered() bool { return d.powered }
-
 // PowerCycleCount returns SMART attribute 12 as of time t.
 func (d *Disk) PowerCycleCount(t time.Time) int64 { return d.cycles }
 
@@ -85,13 +82,4 @@ func (d *Disk) powerOnDuration(t time.Time) time.Duration {
 		total += t.Sub(d.poweredAt)
 	}
 	return total
-}
-
-// UptimePerCycle returns the lifetime average powered-on duration per power
-// cycle at time t, the paper's §5.2.2 "uptime per power cycle" estimator.
-func (d *Disk) UptimePerCycle(t time.Time) time.Duration {
-	if d.cycles == 0 {
-		return 0
-	}
-	return d.powerOnDuration(t) / time.Duration(d.cycles)
 }

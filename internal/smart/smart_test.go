@@ -8,9 +8,18 @@ import (
 
 var t0 = time.Date(2003, 10, 6, 0, 0, 0, 0, time.UTC)
 
+// UptimePerCycle returns the lifetime average powered-on duration per power
+// cycle at time t, the paper's §5.2.2 "uptime per power cycle" estimator.
+func (d *Disk) UptimePerCycle(t time.Time) time.Duration {
+	if d.cycles == 0 {
+		return 0
+	}
+	return d.powerOnDuration(t) / time.Duration(d.cycles)
+}
+
 func TestNewDiskStartsOff(t *testing.T) {
 	d := NewDisk("X1", 74.5)
-	if d.Powered() {
+	if d.powered {
 		t.Error("new disk is powered")
 	}
 	if d.PowerCycleCount(t0) != 0 || d.PowerOnHours(t0) != 0 {

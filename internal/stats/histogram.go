@@ -11,11 +11,10 @@ import (
 // range are counted in the first/last bin (the paper's Figure 4 right plot
 // truncates at 96 h the same way, reporting the tail mass separately).
 type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int64
-	under   int64 // observations below Lo
-	over    int64 // observations at or above Hi
-	dropped int64 // NaN observations, skipped (see Add)
+	Lo, Hi float64
+	Counts []int64
+	under  int64 // observations below Lo
+	over   int64 // observations at or above Hi
 }
 
 // NewHistogram creates a histogram with n equal-width bins over [lo, hi).
@@ -32,12 +31,11 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 // Add records one observation. ±Inf land in the under/over tallies via
 // the ordinary range comparisons; NaN compares false against both edges
 // and would previously fall through to the bin computation, where
-// int(NaN) produces a huge negative index and a panic — it is counted
-// in Dropped instead, matching Running's skip semantics.
+// int(NaN) produces a huge negative index and a panic — it is skipped
+// instead, matching Running's skip semantics.
 func (h *Histogram) Add(x float64) {
 	switch {
-	case math.IsNaN(x):
-		h.dropped++
+	case math.IsNaN(x): // skipped
 	case x < h.Lo:
 		h.under++
 	case x >= h.Hi:
@@ -73,11 +71,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.under += o.under
 	h.over += o.over
-	h.dropped += o.dropped
 }
-
-// Dropped returns the number of NaN observations that were skipped.
-func (h *Histogram) Dropped() int64 { return h.dropped }
 
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 {
@@ -97,12 +91,6 @@ func (h *Histogram) Total() int64 {
 	}
 	return t
 }
-
-// Under and Over report the out-of-range observation counts.
-func (h *Histogram) Under() int64 { return h.under }
-
-// Over reports the count of observations at or above Hi.
-func (h *Histogram) Over() int64 { return h.over }
 
 // InRangeFraction reports the fraction of all observations that fell inside
 // [Lo, Hi). The paper reports, e.g., that sessions ≤ 96 h are 98.7% of all

@@ -34,8 +34,8 @@ func TestHistogramOutOfRange(t *testing.T) {
 	h.Add(10) // hi is exclusive
 	h.Add(100)
 	h.Add(5)
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Errorf("under=%d over=%d", h.Under(), h.Over())
+	if h.under != 1 || h.over != 2 {
+		t.Errorf("under=%d over=%d", h.under, h.over)
 	}
 	if got := h.InRangeFraction(); got != 0.25 {
 		t.Errorf("InRangeFraction = %v, want 0.25", got)
@@ -77,7 +77,7 @@ func TestHistogramNeverLosesObservations(t *testing.T) {
 			h.Add(x)
 			n++
 		}
-		return h.Total()+h.Under()+h.Over() == n
+		return h.Total()+h.under+h.over == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,5 +1,5 @@
 // Package stats provides the descriptive statistics used throughout the
-// reproduction: streaming mean/variance (Welford), quantiles, histograms,
+// reproduction: streaming mean/variance (Welford), histograms,
 // weekly time profiles and availability "nines".
 //
 // All accumulators are plain values with useful zero states so they can be
@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of float64 observations and reports count,
@@ -19,15 +18,13 @@ import (
 // Non-finite observations (NaN, ±Inf) are skipped, not propagated: in a
 // streaming aggregate there is no way to undo a poisoned mean after the
 // fact, and a single NaN would silently corrupt the whole accumulator
-// (NaN contaminates mean, m2, min and max through every subsequent Add).
+// (NaN contaminates mean and m2 through every subsequent Add).
 // Skipped observations are counted and reported by Dropped so callers
 // can surface data-quality problems instead of losing them.
 type Running struct {
 	n       int64
 	mean    float64
 	m2      float64
-	min     float64
-	max     float64
 	dropped int64
 }
 
@@ -38,35 +35,10 @@ func (r *Running) Add(x float64) {
 		r.dropped++
 		return
 	}
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
-}
-
-// AddN feeds the same observation n times. It is used when collapsing
-// pre-aggregated buckets into a Running without replaying raw samples.
-// Like Add, a non-finite observation is dropped (counted n times).
-func (r *Running) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		r.dropped += n
-		return
-	}
-	other := Running{n: n, mean: x, min: x, max: x}
-	*r = r.Merge(other)
 }
 
 // Merge combines two accumulators as if all their observations had been
@@ -88,8 +60,6 @@ func (r Running) Merge(o Running) Running {
 		n:       n,
 		mean:    mean,
 		m2:      m2,
-		min:     math.Min(r.min, o.min),
-		max:     math.Max(r.max, o.max),
 		dropped: r.dropped + o.dropped,
 	}
 }
@@ -126,89 +96,10 @@ func (r Running) StdDev() float64 { return math.Sqrt(r.Var()) }
 // SampleStdDev returns the sample standard deviation.
 func (r Running) SampleStdDev() float64 { return math.Sqrt(r.SampleVar()) }
 
-// Min returns the smallest observation, or 0 for an empty accumulator.
-func (r Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 for an empty accumulator.
-func (r Running) Max() float64 { return r.max }
-
-// Sum returns the sum of all observations.
-func (r Running) Sum() float64 { return r.mean * float64(r.n) }
-
 // String renders the accumulator as "n=… mean=… sd=…" for debugging.
 func (r Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		r.n, r.Mean(), r.StdDev(), r.min, r.max)
+	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g", r.n, r.Mean(), r.StdDev())
 }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-//
-// Non-finite values are excluded before ranking, matching Running's
-// skip semantics: sort.Float64s places NaNs at arbitrary positions
-// (comparisons with NaN are false), so a single poisoned sample would
-// otherwise shift every order statistic unpredictably, and a ±Inf would
-// pin the extreme quantiles. An input with no finite values returns 0,
-// like an empty one.
-func Quantile(xs []float64, q float64) float64 {
-	s := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s = append(s, x)
-		}
-	}
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Nines converts an availability ratio in [0,1) to "nines":
 // -log10(1-ratio). A 0.9 ratio is 1 nine, 0.99 is 2 nines. Ratios ≥ 1 are

@@ -74,47 +74,3 @@ func (w *WeeklyProfile) Means() []float64 {
 	}
 	return out
 }
-
-// MeanOfMeans averages the per-slot means across slots that received at
-// least one observation. This equal-weights every time-of-week slot, which
-// is how averages read off a weekly-distribution curve are computed.
-func (w *WeeklyProfile) MeanOfMeans() float64 {
-	var sum float64
-	var n int
-	for i := range w.Slots {
-		if w.Slots[i].N() > 0 {
-			sum += w.Slots[i].Mean()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Overall returns the accumulator over all raw observations regardless of
-// slot (sample-weighted rather than slot-weighted).
-func (w *WeeklyProfile) Overall() Running {
-	var r Running
-	for i := range w.Slots {
-		r = r.Merge(w.Slots[i])
-	}
-	return r
-}
-
-// DayHourMeans collapses the profile to 7×24 hourly means, a convenient
-// granularity for ASCII rendering.
-func (w *WeeklyProfile) DayHourMeans() [7][24]float64 {
-	var out [7][24]float64
-	for d := 0; d < 7; d++ {
-		for h := 0; h < 24; h++ {
-			var r Running
-			for q := 0; q < 4; q++ {
-				r = r.Merge(w.Slots[d*96+h*4+q])
-			}
-			out[d][h] = r.Mean()
-		}
-	}
-	return out
-}

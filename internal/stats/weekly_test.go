@@ -62,36 +62,33 @@ func TestWeeklyProfileAggregation(t *testing.T) {
 	if means[tueNoon] != 50 {
 		t.Errorf("tuesday noon mean = %v, want 50", means[tueNoon])
 	}
-	if got := w.MeanOfMeans(); got != 35 {
-		t.Errorf("MeanOfMeans = %v, want 35 (equal slot weights)", got)
-	}
-	overall := w.Overall()
-	if overall.N() != 3 || overall.Mean() != 30 {
-		t.Errorf("Overall = %v", overall)
+	if n := w.Slots[0].N(); n != 2 {
+		t.Errorf("slot 0 holds %d observations, want 2 (one per week)", n)
 	}
 }
 
 func TestWeeklyProfileDayHour(t *testing.T) {
 	var w WeeklyProfile
-	// Fill all four slots of Monday 03:00.
+	// Fill all four slots of Monday 03:00: slots 12–15.
 	for q := 0; q < 4; q++ {
 		w.Add(monday.Add(3*time.Hour+time.Duration(q)*15*time.Minute), float64(q))
 	}
-	dh := w.DayHourMeans()
-	if dh[0][3] != 1.5 {
-		t.Errorf("Monday 03h mean = %v, want 1.5", dh[0][3])
+	means := w.Means()
+	for q := 0; q < 4; q++ {
+		if means[12+q] != float64(q) {
+			t.Errorf("Monday 03:%02d mean = %v, want %d", 15*q, means[12+q], q)
+		}
 	}
-	if dh[6][23] != 0 {
-		t.Errorf("untouched slot mean = %v, want 0", dh[6][23])
+	if means[SlotsPerWeek-1] != 0 {
+		t.Errorf("untouched slot mean = %v, want 0", means[SlotsPerWeek-1])
 	}
 }
 
 func TestWeeklyProfileEmpty(t *testing.T) {
 	var w WeeklyProfile
-	if w.MeanOfMeans() != 0 {
-		t.Error("empty MeanOfMeans != 0")
-	}
-	if w.Overall().N() != 0 {
-		t.Error("empty Overall has observations")
+	for i, m := range w.Means() {
+		if m != 0 || w.Slots[i].N() != 0 {
+			t.Fatalf("empty profile: slot %d has mean %v over %d observations", i, m, w.Slots[i].N())
+		}
 	}
 }

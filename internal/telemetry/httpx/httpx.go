@@ -33,16 +33,11 @@ type EventSource interface {
 	AppendJSON(dst []byte, n int) []byte
 }
 
-// Handler builds the telemetry mux for reg with no event source; the
-// /events endpoint serves an empty array. The registry may be nil, in
-// which case /metrics and /vars serve empty documents (the endpoints
-// stay up so probes of the coordinator itself keep working).
-func Handler(reg *telemetry.Registry) http.Handler {
-	return HandlerEvents(reg, nil)
-}
-
 // HandlerEvents builds the telemetry mux for reg and serves ev's recent
-// events on /events (most recent last; ?n=K limits to the K newest).
+// events on /events (most recent last; ?n=K limits to the K newest). A
+// nil ev serves an empty array there. The registry may be nil, in which
+// case /metrics and /vars serve empty documents (the endpoints stay up
+// so probes of the coordinator itself keep working).
 func HandlerEvents(reg *telemetry.Registry, ev EventSource) http.Handler {
 	mux := http.NewServeMux()
 	Mount(mux, reg, ev)
@@ -104,13 +99,8 @@ func Mount(mux *http.ServeMux, reg *telemetry.Registry, ev EventSource) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Serve binds addr (e.g. "127.0.0.1:9090", ":0" for an ephemeral port)
-// and serves the telemetry endpoints in a background goroutine.
-func Serve(addr string, reg *telemetry.Registry) (*Server, error) {
-	return ServeEvents(addr, reg, nil)
-}
-
-// ServeEvents is Serve with an event source backing /events.
+// ServeEvents binds addr (e.g. "127.0.0.1:9090", ":0" for an ephemeral
+// port) and serves HandlerEvents(reg, ev) in a background goroutine.
 func ServeEvents(addr string, reg *telemetry.Registry, ev EventSource) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

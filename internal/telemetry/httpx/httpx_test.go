@@ -35,7 +35,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Spans().Record(telemetry.Span{Machine: "m01", Iter: 1, Attempt: 1, Outcome: telemetry.OutcomeOK})
 	reg.Spans().Record(telemetry.Span{Machine: "m02", Iter: 1, Attempt: 2, Outcome: telemetry.OutcomeRetry, Err: "x"})
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	srv, err := ServeEvents("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestServerEvents(t *testing.T) {
 		}
 	}
 
-	nilSrv, err := Serve("127.0.0.1:0", reg)
+	nilSrv, err := ServeEvents("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestServerEvents(t *testing.T) {
 }
 
 func TestServerNilRegistry(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
+	srv, err := ServeEvents("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -70,19 +70,6 @@ func newSpanRecorder(capacity int) *SpanRecorder {
 	return &SpanRecorder{ring: make([]Span, capacity)}
 }
 
-// SetCapacity resizes the ring, discarding buffered spans. Intended for
-// setup time, before recording starts.
-func (s *SpanRecorder) SetCapacity(n int) {
-	if s == nil || n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ring = make([]Span, n)
-	s.next = 0
-	s.filled = false
-}
-
 // SetWriter streams every subsequently recorded span to w as one JSON
 // object per line (JSONL). A nil writer turns streaming off. The first
 // write error stops streaming and is retained (see WriteErr); spans keep

@@ -10,6 +10,19 @@ import (
 	"time"
 )
 
+// SetCapacity resizes the ring, discarding buffered spans. Intended for
+// setup time, before recording starts.
+func (s *SpanRecorder) SetCapacity(n int) {
+	if s == nil || n <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ring = make([]Span, n)
+	s.next = 0
+	s.filled = false
+}
+
 func TestSpanRingEviction(t *testing.T) {
 	r := NewRegistry()
 	sp := r.Spans()

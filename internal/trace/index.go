@@ -239,9 +239,6 @@ func (ix *Index) Memo() any {
 // it as read-only.
 func (ix *Index) SetMemo(v any) { ix.memo.Store(&v) }
 
-// Dataset returns the indexed dataset.
-func (ix *Index) Dataset() *Dataset { return ix.ds }
-
 // Machines returns the machine IDs that have at least one sample, in
 // sorted order — the deterministic iteration order every consumer uses
 // (map iteration order would make float accumulation order, and therefore

@@ -181,6 +181,9 @@ func decodeManifest(r io.Reader) (*Manifest, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("trace: segment manifest: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trace: segment manifest: trailing data after the manifest object")
+	}
 	if m.Format != manifestFormat {
 		return nil, fmt.Errorf("trace: segment manifest: unsupported format %q (want %q)", m.Format, manifestFormat)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -356,4 +357,79 @@ func TestWriteSegmentsGzip(t *testing.T) {
 	if !reflect.DeepEqual(got.Samples, want.Samples) {
 		t.Error("gzip segment merge differs")
 	}
+}
+
+// TestManifestRejectsTrailingData: a manifest is one JSON object and
+// nothing after it but whitespace, as the TBv1 reader refuses trailing
+// data after the sample block. Both manifest readers (ReadManifest and
+// ReadFile's sniffed path) share the check.
+func TestManifestRejectsTrailingData(t *testing.T) {
+	const valid = `{"format":"winlab-segments-1","period_ns":900000000000}`
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"clean", valid, true},
+		{"trailing whitespace", valid + " \n\t\n", true},
+		{"second object", valid + `{"format":"other"}`, false},
+		{"second object and garbage", valid + `{"format":"other"} garbage`, false},
+		{"garbage", valid + " garbage", false},
+		{"stray brace", valid + "}", false},
+		{"number", valid + " 1", false},
+	} {
+		path := filepath.Join(dir, "m.manifest.json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadManifest(path)
+		_, ferr := ReadFile(path)
+		if tc.ok {
+			// The manifest names no segments, so ReadFile goes on to fail
+			// for that; only the trailing-data verdict is under test.
+			if err != nil || ferr != nil && strings.Contains(ferr.Error(), "trailing data") {
+				t.Errorf("%s: ReadManifest %v, ReadFile %v; want the manifest accepted", tc.name, err, ferr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s: ReadManifest error %v, want trailing data", tc.name, err)
+		}
+		if ferr == nil || !strings.Contains(ferr.Error(), "trailing data") {
+			t.Errorf("%s: ReadFile error %v, want trailing data", tc.name, ferr)
+		}
+	}
+}
+
+// FuzzDecodeManifest: for any input the manifest decoder either fails or
+// returns a manifest that WriteManifest → ReadManifest reproduces
+// unchanged (compared by its JSON encoding, so times compare by instant
+// and offset rather than by *time.Location pointer).
+func FuzzDecodeManifest(f *testing.F) {
+	f.Add([]byte(`{"format":"winlab-segments-1","period_ns":900000000000}`))
+	f.Add([]byte(`{"format":"winlab-segments-1","start":"2003-10-06T00:00:00Z","end":"2003-10-07T00:00:00+01:00",` +
+		`"period_ns":900000000000,"segments":[{"path":"run-000.tb","shard":0,"machines":2,"samples":96,` +
+		`"iterations":96,"first_iter":0,"last_iter":95}]}` + "\n"))
+	f.Add([]byte(`{"format":"winlab-segments-1","period_ns":900000000000}{"format":"other"} garbage`))
+	f.Add([]byte(`{"FORMAT":"winlab-segments-1","period_ns":1,"segments":[],"segments":null}`))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeManifest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		path := filepath.Join(dir, "fuzz.manifest.json")
+		if err := WriteManifest(path, m); err != nil {
+			t.Fatalf("WriteManifest of an accepted manifest: %v", err)
+		}
+		back, err := ReadManifest(path)
+		if err != nil {
+			t.Fatalf("ReadManifest of a written manifest: %v", err)
+		}
+		want, _ := json.Marshal(m)
+		got, _ := json.Marshal(back)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round trip changed the manifest:\n got %s\nwant %s", got, want)
+		}
+	})
 }

@@ -25,6 +25,9 @@
 //     freshly written segment set, the shard-aware readers
 //     (trace.ReadFile on a manifest, analysis.AllSegments over unmerged
 //     segments) agreeing with the in-memory reference;
+//   - the metamorphic week shift (ROADMAP item 17, R1): analysing the
+//     trace with every instant moved by one week gives the reference
+//     Results with every instant moved by one week, and nothing else;
 //   - and, finally, the invariant checker itself over the collected
 //     dataset — a differential suite is pointless if both arms agree on
 //     corrupt data.
@@ -34,6 +37,9 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
+	"time"
 
 	"winlab/internal/analysis"
 	"winlab/internal/ddc"
@@ -121,6 +127,8 @@ func Suite(cfg Config) []Failure {
 		add("shard/stats-sum", check.FirstDiff(sharded.Collector, ddc.SumShardStats(sharded.ShardStats)))
 		diffShardSegments(serial, sharded, r1, add)
 	}
+
+	add("metamorph/week-shift", diffShifted(serial.Dataset, r1, weekShift))
 
 	// Shards×Inject: the fault decision is made on the scheduling chain,
 	// so an injected run is as partition-independent as a clean one.
@@ -337,4 +345,75 @@ func firstByteDiff(a, b []byte) int {
 		}
 	}
 	return n
+}
+
+// weekShift is R1's offset: whole weeks, so in a UTC trace every instant
+// keeps its weekday, its time of day and its week slot.
+const weekShift = 7 * 24 * time.Hour
+
+// diffShifted is the metamorphic shift relation (R1 with d = weekShift).
+// Every artefact of the paper is a function of durations and of the time
+// of week, so analysing a copy of ds with every instant moved by d must
+// give want with every instant moved by d: shifting the copy's Results
+// back leaves nothing for FirstDiff to find, float bits included. It
+// catches any dependence on absolute time, such as a wall-clock read or
+// an epoch-anchored bucket; weekly-periodic or relative arithmetic is
+// invisible to it. Zero times stay zero both ways.
+func diffShifted(ds *trace.Dataset, want *analysis.Results, d time.Duration) string {
+	shifted := &trace.Dataset{
+		Start:      shiftTime(ds.Start, d),
+		End:        shiftTime(ds.End, d),
+		Period:     ds.Period,
+		Machines:   slices.Clone(ds.Machines),
+		Iterations: slices.Clone(ds.Iterations),
+		Samples:    slices.Clone(ds.Samples),
+	}
+	for i := range shifted.Iterations {
+		it := &shifted.Iterations[i]
+		it.Start, it.End = shiftTime(it.Start, d), shiftTime(it.End, d)
+	}
+	for i := range shifted.Samples {
+		s := &shifted.Samples[i]
+		s.Time, s.BootTime, s.SessionStart = shiftTime(s.Time, d), shiftTime(s.BootTime, d), shiftTime(s.SessionStart, d)
+	}
+	got := analysis.All(shifted, analysis.Options{})
+	shiftTimes(reflect.ValueOf(got), -d)
+	return check.FirstDiff(want, got)
+}
+
+func shiftTime(t time.Time, d time.Duration) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	return t.Add(d)
+}
+
+var timeType = reflect.TypeOf(time.Time{})
+
+// shiftTimes moves every non-zero time.Time reachable from v through
+// pointers, exported struct fields, slices and arrays by d. Storage two
+// paths share would move twice, and R1 would report it.
+func shiftTimes(v reflect.Value, d time.Duration) {
+	if v.Type() == timeType {
+		if v.CanSet() {
+			v.Set(reflect.ValueOf(shiftTime(v.Interface().(time.Time), d)))
+		}
+		return
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			shiftTimes(v.Elem(), d)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				shiftTimes(v.Field(i), d)
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			shiftTimes(v.Index(i), d)
+		}
+	}
 }

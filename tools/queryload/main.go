@@ -26,7 +26,7 @@
 //	queryload [-inproc] [-sim-days 7] [-seed 1] [-url http://host:port]
 //	          [-endpoints epoch,summary,availability] [-conns N]
 //	          [-duration 2s] [-rate 0] [-saturate] [-floor 0]
-//	          [-o BENCH_PR9.json]
+//	          [-o curve.json]
 package main
 
 import (
