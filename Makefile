@@ -9,7 +9,7 @@ GO ?= go
 # benchmark lines (name, ns/op, B/op, allocs/op). Set PR to the pull
 # request being measured (make ledger, make abpair).
 BENCHTIME ?= 1x
-PR ?= 41
+PR ?= 43
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s

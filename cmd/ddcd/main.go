@@ -59,8 +59,8 @@ import (
 	"winlab/internal/analysis"
 	"winlab/internal/anomaly"
 	"winlab/internal/behavior"
-	"winlab/internal/core"
 	"winlab/internal/ddc"
+	"winlab/internal/experiment"
 	"winlab/internal/lab"
 	"winlab/internal/machine"
 	"winlab/internal/query"
@@ -191,7 +191,7 @@ func main() {
 	fleet := lab.Build(specs, *seed, lab.DefaultDiskLife())
 	// Start mid-morning on a Monday so the accelerated demo window covers
 	// live classroom hours rather than the closed night.
-	start := core.DefaultConfig(*seed).Start.Add(10 * time.Hour)
+	start := experiment.Default(*seed).Start.Add(10 * time.Hour)
 	eng := sim.New(start)
 	model := behavior.NewModel(behavior.DefaultConfig(*seed), fleet)
 	model.Install(eng, start, start.AddDate(0, 0, 365))

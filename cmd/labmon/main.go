@@ -45,6 +45,7 @@ import (
 	"winlab/internal/analysis"
 	"winlab/internal/anomaly"
 	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/query"
 	"winlab/internal/report"
 	"winlab/internal/scenario"
@@ -56,7 +57,7 @@ import (
 
 // replicate runs the n consecutive seeds starting at cfg.Seed and writes
 // mean ± sd of the headline metrics to w, progress to log.
-func replicate(w, log io.Writer, cfg core.Config, n int) error {
+func replicate(w, log io.Writer, cfg experiment.Config, n int) error {
 	metrics := map[string]*stats.Running{}
 	order := []string{}
 	add := func(name string, v float64) {
@@ -72,7 +73,7 @@ func replicate(w, log io.Writer, cfg core.Config, n int) error {
 		run := cfg
 		run.Seed = cfg.Seed + int64(i)
 		run.Behavior.Seed = run.Seed
-		res, err := core.RunExperiment(run)
+		res, err := experiment.Run(run)
 		if err != nil {
 			return err
 		}
@@ -122,7 +123,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig(*seed)
+	cfg := experiment.Default(*seed)
 	cfg.Days = *days
 	if *scen != "" {
 		sc, err := scenario.Resolve(*scen)
@@ -247,7 +248,7 @@ func main() {
 			return n
 		}(), cfg.Days, *seed)
 	start := time.Now()
-	res, err := core.RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "labmon:", err)
 		os.Exit(1)

@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 )
 
 // TestReplicateWalksConsecutiveSeeds: -seed 1 -replicate 3 must run seeds
 // 1, 2 and 3, each derived from the base seed rather than from the
 // previous replication's.
 func TestReplicateWalksConsecutiveSeeds(t *testing.T) {
-	cfg := core.DefaultConfig(1)
+	cfg := experiment.Default(1)
 	cfg.Days = 1
 	var out, log bytes.Buffer
 	if err := replicate(&out, &log, cfg, 3); err != nil {

@@ -47,6 +47,7 @@ import (
 	"winlab/internal/analysis"
 	"winlab/internal/anomaly"
 	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/query"
 	"winlab/internal/telemetry"
 	"winlab/internal/trace"
@@ -62,7 +63,7 @@ func main() {
 		period    = flag.Duration("period", 15*time.Minute, "sampling period (with -sim-days)")
 		pubEvery  = flag.Int("publish-every", 96, "with -sim-days: publish a snapshot every N collector iterations (0 = only the final trace)")
 		eventsIn  = flag.String("events", "", "replay this anomaly event JSONL file into /api/events")
-		workers   = flag.Int("workers", 0, "analysis workers (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "with -stream: analysis workers sharding a TBv1 trace by machine (0 or 1 = one worker, the exact pass; ignored for manifests)")
 		inflight  = flag.Int("max-inflight", 0, "admission gate: max concurrent requests (0 = unlimited)")
 		queueLen  = flag.Int("max-queue", 256, "admission gate: max queued requests")
 		queueWait = flag.Duration("queue-timeout", 50*time.Millisecond, "admission gate: max queue wait before shedding")
@@ -133,7 +134,7 @@ func main() {
 			*streamIn, st.Epoch())
 
 	case *simDays > 0:
-		cfg := core.DefaultConfig(*seed)
+		cfg := experiment.Default(*seed)
 		cfg.Days = *simDays
 		cfg.Period = *period
 		if *pubEvery > 0 {
@@ -141,7 +142,7 @@ func main() {
 			cfg.OnSnapshot = func(ds *trace.Dataset) { st.Publish(ds) }
 		}
 		fmt.Fprintf(os.Stderr, "queryd: simulating %d days (seed %d)...\n", *simDays, *seed)
-		res, err := core.RunExperiment(cfg)
+		res, err := experiment.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "queryd:", err)
 			os.Exit(1)

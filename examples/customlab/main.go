@@ -13,7 +13,7 @@ import (
 	"os"
 
 	"winlab/internal/analysis"
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/lab"
 	"winlab/internal/report"
 )
@@ -28,7 +28,7 @@ func main() {
 			RAMMB: 256, DiskGB: 40, IntIndex: 20, FPIndex: 17, BaseImgGB: 12},
 	}
 
-	cfg := core.DefaultConfig(99)
+	cfg := experiment.Default(99)
 	cfg.Days = 14
 	cfg.Labs = custom
 	// Behaviour tweaks: these labs close on Saturdays and host CPU-heavier
@@ -40,7 +40,7 @@ func main() {
 	// The OS/app memory model is keyed by RAM size; the custom fleet uses
 	// the same 512/256 MB classes so the defaults apply unchanged.
 
-	res, err := core.RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,17 +14,17 @@ import (
 	"time"
 
 	"winlab/internal/analysis"
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/harvest"
 	"winlab/internal/report"
 )
 
 func main() {
-	cfg := core.DefaultConfig(7)
+	cfg := experiment.Default(7)
 	cfg.Days = 21 // three weeks is plenty for stable yield numbers
 
 	fmt.Fprintln(os.Stderr, "simulating 21 days of monitoring...")
-	res, err := core.RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

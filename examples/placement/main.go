@@ -14,7 +14,7 @@ import (
 	"os"
 	"time"
 
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/harvest"
 	"winlab/internal/predictor"
 	"winlab/internal/report"
@@ -22,10 +22,10 @@ import (
 )
 
 func main() {
-	cfg := core.DefaultConfig(11)
+	cfg := experiment.Default(11)
 	cfg.Days = 21
 	fmt.Fprintln(os.Stderr, "simulating 21 days of monitoring...")
-	res, err := core.RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"winlab/internal/analysis"
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/report"
 )
 
@@ -19,10 +19,10 @@ func main() {
 	// Start from the paper's configuration and shrink it: 7 days instead
 	// of 77. Everything else — the 169-machine fleet, the 15-minute
 	// probing, the behaviour model — stays as in the paper.
-	cfg := core.DefaultConfig(42)
+	cfg := experiment.Default(42)
 	cfg.Days = 7
 
-	res, err := core.RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

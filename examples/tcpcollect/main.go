@@ -22,8 +22,8 @@ import (
 	"time"
 
 	"winlab/internal/behavior"
-	"winlab/internal/core"
 	"winlab/internal/ddc"
+	"winlab/internal/experiment"
 	"winlab/internal/lab"
 	"winlab/internal/machine"
 	"winlab/internal/probe"
@@ -65,7 +65,7 @@ func main() {
 
 	specs := lab.PaperCatalog()[:2] // two labs, 32 machines
 	fleet := lab.Build(specs, *seed, lab.DefaultDiskLife())
-	start := core.DefaultConfig(*seed).Start.Add(9 * time.Hour) // Monday 09:00
+	start := experiment.Default(*seed).Start.Add(9 * time.Hour) // Monday 09:00
 	eng := sim.New(start)
 	behavior.NewModel(behavior.DefaultConfig(*seed), fleet).Install(eng, start, start.AddDate(0, 0, 30))
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,6 +110,32 @@ func TestAllStreamMatchesAll(t *testing.T) {
 		if diff := check.FirstDiff(want, got); diff != "" {
 			t.Errorf("RunLimit=%d: AllStream diverges from All: %s", limit, diff)
 		}
+	}
+}
+
+// TestAllStreamRejectsReappearingMachine: a stream in which a machine
+// reappears after another machine's run is refused, with the same
+// error for one worker as for two (both take the pooled path).
+func TestAllStreamRejectsReappearingMachine(t *testing.T) {
+	d := streamFixture() // commit order: iteration-major, not frozen
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, workers := range []int{1, 2} {
+		c, err := stream.New(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = AllStream(c, Options{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "stream: not machine-contiguous") {
+			t.Fatalf("Workers=%d: AllStream error = %v, want the contiguity refusal", workers, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("one worker says %q, two say %q", msgs[0], msgs[1])
 	}
 }
 

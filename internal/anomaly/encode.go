@@ -6,12 +6,6 @@ import (
 	"winlab/internal/jsonx"
 )
 
-// AppendEventJSON appends one event encoded exactly as encoding/json
-// would — the exported face of appendEventJSON, for consumers (the query
-// layer's event history) that embed events inside their own hand-rolled
-// documents without re-deriving the pinned encoding.
-func AppendEventJSON(dst []byte, e Event) []byte { return appendEventJSON(dst, e) }
-
 // appendEventJSON appends one event encoded exactly as encoding/json
 // would (field order, omitempty machine/lab/detail, HTML-safe string
 // escaping, RFC3339Nano time, shortest-round-trip floats) — the same

@@ -1,7 +1,7 @@
-// Package core is the public face of the reproduction: one-call entry
-// points to run the paper's 77-day monitoring experiment, analyse a trace
-// (collected or loaded from disk) into every table and figure of the
-// paper, and render the results.
+// Package core is the reporting face of the reproduction: one-call entry
+// points to analyse a trace — collected by experiment.Run (the paper's
+// 77-day monitoring experiment) or loaded from disk — into every table
+// and figure of the paper, and to render the results.
 //
 // The layering mirrors the paper's methodology:
 //
@@ -11,8 +11,9 @@
 //	trace                                     — the collected samples
 //	analysis                                  — §4–§5 results
 //
-// Downstream code (cmd/*, examples/*) should need nothing but this package
-// plus the analysis/report types it returns.
+// Downstream code (cmd/*, examples/*) runs the experiment with package
+// experiment and needs nothing else but this package plus the
+// analysis/report types it returns.
 package core
 
 import (
@@ -30,19 +31,6 @@ import (
 	"winlab/internal/trace"
 	"winlab/internal/trace/stream"
 )
-
-// Config is the experiment configuration; see experiment.Config.
-type Config = experiment.Config
-
-// Result is a finished experiment; see experiment.Result.
-type Result = experiment.Result
-
-// DefaultConfig returns the configuration reproducing the paper's setup:
-// 169 machines in 11 labs, 77 days, 15-minute sampling.
-func DefaultConfig(seed int64) Config { return experiment.Default(seed) }
-
-// RunExperiment simulates the fleet and collects the monitoring trace.
-func RunExperiment(cfg Config) (*Result, error) { return experiment.Run(cfg) }
 
 // Report bundles every analysis of the paper's evaluation section.
 type Report struct {
@@ -86,7 +74,7 @@ func Analyze(d *trace.Dataset) *Report {
 
 // AnalyzeResult analyses an experiment result, attaching the catalogue so
 // Table 1 can be rendered too.
-func AnalyzeResult(res *Result) *Report {
+func AnalyzeResult(res *experiment.Result) *Report {
 	r := Analyze(res.Dataset)
 	r.Labs = res.Config.Labs
 	return r
@@ -95,9 +83,10 @@ func AnalyzeResult(res *Result) *Report {
 // AnalyzeStream computes the same report out-of-core: it streams a
 // TBv1 trace file (plain or gzipped) through analysis.AllStream, so
 // peak memory is bounded by the accumulator state, not the trace size.
-// workers ≤ 1 is the exact sequential path, bit-identical to Analyze's
-// artefacts on a canonical trace; workers > 1 shards by machine (counts
-// exact, merged floats within documented epsilon).
+// workers ≤ 1 (0 included) means one worker, the exact pass,
+// bit-identical to Analyze's artefacts on a canonical trace; workers > 1
+// shards by machine (counts exact, merged floats within documented
+// epsilon).
 //
 // A segment manifest (labmon -shards -segments) is accepted in place of
 // a trace file: the unmerged segments feed the accumulators directly
@@ -127,10 +116,11 @@ func AnalyzeStream(path string, workers int) (*Report, error) {
 }
 
 // StreamResults runs the analysis engine out-of-core over either a TBv1
-// trace file (plain or gzipped; workers as in AnalyzeStream) or a
-// segment manifest. Manifests are written as uncompressed JSON, so a
-// leading '{' is the same content sniff trace.ReadFile keys on — cheap
-// and unambiguous against TBv1 magic and the gzip header.
+// trace file (plain or gzipped; workers as in AnalyzeStream, so 0 is
+// the exact one-worker pass, not GOMAXPROCS) or a segment manifest,
+// which ignores workers. Manifests are written as uncompressed JSON, so
+// a leading '{' is the same content sniff trace.ReadFile keys on —
+// cheap and unambiguous against TBv1 magic and the gzip header.
 func StreamResults(path string, workers int) (*analysis.Results, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -6,13 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"winlab/internal/experiment"
 )
 
-func runShort(t *testing.T) *Result {
+func runShort(t *testing.T) *experiment.Result {
 	t.Helper()
-	cfg := DefaultConfig(1)
+	cfg := experiment.Default(1)
 	cfg.Days = 3
-	res, err := RunExperiment(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		"<script>alert('x') && y</script>",
 		"line\u2028sep\u2029arators", "\u2027 and \u202a are not escaped",
 		"café 世界 \U0001f600", "invalid \xff\xfe utf8 \xc3", "del \x7f",
+		"ctrl \x00\x01\x1f", "utf8 héllo 世界 ✓", "sótão\n", "mixed\x7f",
 	}
 	for c := 0; c < 0x20; c++ {
 		cases = append(cases, "ctl"+string(rune(c))+"x")
@@ -46,6 +47,8 @@ func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
 		1e-6, 9.999999e-7, 1e-7, 2.5e-5, 2.5e-05, 1.5e-10, 1e-100, 5e-324,
 		1e20, 999999999999999900000, 1e21, 1.5e21, 1e22, 1e100, math.MaxFloat64,
 		-1e-7, -1e21, float64(float32(0.1)),
+		0.5, 1e-5, 9.999e-7, 2.5e-20, 123456789012345678901.0, -2.5e-7, -0.0001,
+		math.Pi, 84.87, 0.512345678901,
 	}
 	for _, f := range cases {
 		if got, want := string(AppendFloat(nil, f)), marshal(t, f); got != want {

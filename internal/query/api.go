@@ -60,6 +60,7 @@ type Handler struct {
 	misses      *telemetry.Counter
 	notModified *telemetry.Counter
 	shedCount   *telemetry.Counter
+	errCount    *telemetry.Counter
 	inflight    *telemetry.Gauge
 	latency     *telemetry.Histogram
 }
@@ -81,6 +82,7 @@ func NewHandler(cfg Config) *Handler {
 		h.misses = r.Counter("query_cache_misses_total")
 		h.notModified = r.Counter("query_not_modified_total")
 		h.shedCount = r.Counter("query_shed_total")
+		h.errCount = r.Counter("query_errors_total")
 		h.inflight = r.Gauge("query_inflight")
 		h.latency = r.Histogram("query_latency_seconds", nil)
 	}
@@ -159,7 +161,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	hit := s.cache[ep].Load() != nil
-	c := s.body(ep)
+	c, err := s.body(ep)
+	if err != nil {
+		h.failed(w, err)
+		return
+	}
 	if c == nil { // aggregate unavailable in this snapshot (stream-mode heatmap)
 		http.NotFound(w, r)
 		return
@@ -179,6 +185,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Write(c.b)
 	}
 	h.latency.Observe(time.Since(start))
+}
+
+// failed answers 500 for a document that could not be encoded: the
+// results hold a value JSON cannot carry (NaN, ±Inf).
+func (h *Handler) failed(w http.ResponseWriter, err error) {
+	h.errCount.Inc()
+	http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 }
 
 // etagMatch reports whether an If-None-Match header value matches the
@@ -223,7 +236,11 @@ func (h *Handler) serveEvents(w http.ResponseWriter, r *http.Request) {
 			max = n
 		}
 	}
-	b := h.events.AppendJSON(nil, sinceEpoch, sinceTime, max)
+	b, err := h.events.encode(sinceEpoch, sinceTime, max)
+	if err != nil {
+		h.failed(w, err)
+		return
+	}
 	w.Header()["Content-Type"] = jsonCT
 	w.Write(b)
 	h.latency.Observe(time.Since(start))

@@ -8,10 +8,11 @@ import (
 
 // The response DTOs mirror the analysis artefacts in wire-friendly form:
 // flat fields, snake_case keys, unix-second timestamps in dense series.
-// Every DTO has a matching hand-rolled append encoder in encode.go that
-// is pinned byte-identical to encoding/json by the golden tests — the
-// struct tags here are the contract the golden tests marshal against,
-// not what the hot path executes.
+// encoding/json marshals them as they are: a snapshot body once per
+// endpoint per epoch, /api/events once per request, and cache hits
+// serve the stored bytes. Hand-rolled JSON is kept for the per-event
+// and per-probe streaming writers only (package jsonx). The wire bytes
+// are pinned by TestAPIBytesPinned.
 
 // Meta identifies the snapshot epoch a response was computed from. Every
 // cached response embeds it, and /api/epoch serves it alone as the cheap

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 
@@ -118,9 +119,9 @@ func (l *EventLog) snapshot(sinceEpoch uint64, sinceTime time.Time, max int) (re
 	return recs, l.total
 }
 
-// AppendJSON appends the /api/events response document. It is the only
+// encode marshals the /api/events response document. It is the only
 // response built per request rather than per epoch.
-func (l *EventLog) AppendJSON(dst []byte, sinceEpoch uint64, sinceTime time.Time, max int) []byte {
+func (l *EventLog) encode(sinceEpoch uint64, sinceTime time.Time, max int) ([]byte, error) {
 	ev := &Events{}
 	if l != nil {
 		if l.epoch != nil {
@@ -130,5 +131,5 @@ func (l *EventLog) AppendJSON(dst []byte, sinceEpoch uint64, sinceTime time.Time
 	} else {
 		ev.Events = []EventRecord{}
 	}
-	return appendEvents(dst, ev)
+	return json.Marshal(ev)
 }

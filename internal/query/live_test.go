@@ -133,7 +133,11 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 		}
 		var bodies [numEndpoints][]byte
 		for ep := 0; ep < numEndpoints; ep++ {
-			bodies[ep] = append([]byte(nil), s.encode(ep)...)
+			b, err := s.encode(ep)
+			if err != nil {
+				t.Fatalf("epoch %d endpoint %d: %v", s.epoch, ep, err)
+			}
+			bodies[ep] = b
 		}
 		snaps = append(snaps, s)
 		before = append(before, bodies)
@@ -141,7 +145,7 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 	}
 	for i, s := range snaps {
 		for ep := 0; ep < numEndpoints; ep++ {
-			if got := s.encode(ep); !bytes.Equal(got, before[i][ep]) {
+			if got, err := s.encode(ep); err != nil || !bytes.Equal(got, before[i][ep]) {
 				t.Fatalf("epoch %d endpoint %d: re-encoding after %d later publishes changed the body", s.epoch, ep, len(snaps)-1-i)
 			}
 		}

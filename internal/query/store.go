@@ -25,11 +25,11 @@
 //     no matter how many requests race in.
 //
 //   - Each Snapshot carries a per-endpoint response cache: the first
-//     request for an endpoint encodes its JSON body with the hand-rolled
-//     append encoders and publishes the bytes with a CAS; every later
-//     request serves the same []byte. Cache invalidation is trivial
-//     because it never happens — a new epoch is a new Snapshot with an
-//     empty cache, and the old one is garbage.
+//     request for an endpoint marshals its DTO (encoding/json) and
+//     publishes the bytes with a CAS; every later request serves the
+//     same []byte. Cache invalidation is trivial because it never
+//     happens — a new epoch is a new Snapshot with an empty cache, and
+//     the old one is garbage.
 //
 // The frozen trace.Index fingerprint is the snapshot primitive: it names
 // the dataset contents, makes the ETag strong, and lets two processes
@@ -37,6 +37,7 @@
 package query
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"strconv"
 	"sync"
@@ -320,34 +321,40 @@ func infoFingerprint(info Info) uint64 {
 }
 
 // body returns the cached encoded response for endpoint ep, encoding it
-// on first use. A nil return means the aggregate is unavailable in this
-// snapshot (results published without a heatmap or weekly profiles). Concurrent first requests may race
-// to encode; the CAS keeps the cache single-valued and the losers' work
-// is identical bytes.
-func (s *Snapshot) body(ep int) *cachedBody {
+// on first use. A nil body with a nil error means the aggregate is
+// unavailable in this snapshot (results published without a heatmap or
+// weekly profiles); an error means the results hold a value JSON cannot
+// carry (NaN, ±Inf), and nothing is cached. Concurrent first requests
+// may race to encode; the CAS keeps the cache single-valued and the
+// losers' work is identical bytes.
+func (s *Snapshot) body(ep int) (*cachedBody, error) {
 	if c := s.cache[ep].Load(); c != nil {
-		return c
+		return c, nil
 	}
-	b := s.encode(ep)
-	if b == nil {
-		return nil
+	b, err := s.encode(ep)
+	if b == nil || err != nil {
+		return nil, err
 	}
 	c := &cachedBody{b: b, clen: []string{strconv.Itoa(len(b))}}
 	if s.cache[ep].CompareAndSwap(nil, c) {
-		return c
+		return c, nil
 	}
-	return s.cache[ep].Load()
+	return s.cache[ep].Load(), nil
 }
 
-func (s *Snapshot) encode(ep int) []byte {
+// encode builds endpoint ep's DTO from the snapshot's results and
+// marshals it; nil bytes and a nil error mean the aggregate is
+// unavailable.
+func (s *Snapshot) encode(ep int) ([]byte, error) {
 	a := s.Aggregates()
 	res := a.res
+	var doc any
 	switch ep {
 	case epEpoch:
-		return appendMeta(nil, &a.meta)
+		doc = &a.meta
 
 	case epSummary:
-		sm := &Summary{
+		doc = &Summary{
 			Meta:                a.meta,
 			NoLogin:             dtoColumn(&res.Table2.NoLogin),
 			WithLogin:           dtoColumn(&res.Table2.WithLogin),
@@ -365,14 +372,13 @@ func (s *Snapshot) encode(ep int) []byte {
 			FleetFreeRAMGB:      res.Capacity.FleetFreeRAMGB,
 			FleetFreeDiskTB:     res.Capacity.FleetFreeDiskTB,
 		}
-		return appendSummary(nil, sm)
 
 	case epAvailability:
 		av := &Availability{Meta: a.meta, Points: make([]AvailabilityPoint, len(res.Availability.Points))}
 		for i, p := range res.Availability.Points {
 			av.Points[i] = AvailabilityPoint{Iter: p.Iter, T: p.Time.Unix(), On: p.PoweredOn, Free: p.UserFree}
 		}
-		return appendAvailability(nil, av)
+		doc = av
 
 	case epLabs:
 		ls := &Labs{Meta: a.meta, Labs: make([]Lab, len(res.Labs))}
@@ -388,20 +394,20 @@ func (s *Snapshot) encode(ep int) []byte {
 				FreeDiskGB:  l.FreeDiskGBPerMachine,
 			}
 		}
-		return appendLabs(nil, ls)
+		doc = ls
 
 	case epMachines:
 		ms := &Machines{Meta: a.meta, Machines: make([]Machine, len(res.Uptimes))}
 		for i, u := range res.Uptimes {
 			ms.Machines[i] = Machine{ID: u.Machine, Lab: a.labOf[u.Machine], UptimeRatio: u.Ratio, Nines: u.Nines}
 		}
-		return appendMachines(nil, ms)
+		doc = ms
 
 	case epWeekly:
 		if res.Weekly == nil {
-			return nil
+			return nil, nil
 		}
-		w := &Weekly{
+		doc = &Weekly{
 			Meta:        a.meta,
 			SlotMinutes: 7 * 24 * 60 / stats.SlotsPerWeek,
 			CPUIdlePct:  res.Weekly.CPUIdlePct.Means(),
@@ -410,10 +416,9 @@ func (s *Snapshot) encode(ep int) []byte {
 			SentBps:     res.Weekly.SentBps.Means(),
 			RecvBps:     res.Weekly.RecvBps.Means(),
 		}
-		return appendWeekly(nil, w)
 
 	case epEquivalence:
-		eq := &Equivalence{
+		doc = &Equivalence{
 			Meta:           a.meta,
 			Occupied:       res.Equivalence.OccupiedRatio,
 			Free:           res.Equivalence.FreeRatio,
@@ -422,10 +427,9 @@ func (s *Snapshot) encode(ep int) []byte {
 			WeeklyOccupied: res.Equivalence.WeeklyOccupied.Means(),
 			WeeklyFree:     res.Equivalence.WeeklyFree.Means(),
 		}
-		return appendEquivalence(nil, eq)
 
 	case epUptimes:
-		u := &Uptimes{
+		doc = &Uptimes{
 			Meta:    a.meta,
 			Bins:    s.bins,
 			Counts:  analysis.UptimeHistogram(res.Uptimes, s.bins),
@@ -433,12 +437,11 @@ func (s *Snapshot) encode(ep int) []byte {
 			Above80: analysis.CountAbove(res.Uptimes, 0.8),
 			Above90: analysis.CountAbove(res.Uptimes, 0.9),
 		}
-		return appendUptimes(nil, u)
 
 	case epHeatmap:
 		hm := res.Heatmap
 		if hm == nil {
-			return nil
+			return nil, nil
 		}
 		h := &Heatmap{
 			Meta:         a.meta,
@@ -449,9 +452,12 @@ func (s *Snapshot) encode(ep int) []byte {
 		for i, m := range hm.Machines {
 			h.Machines[i] = MachineHeatRow{ID: m.Machine, Lab: m.Lab, Uptime: m.Uptime}
 		}
-		return appendHeatmap(nil, h)
+		doc = h
+
+	default:
+		return nil, nil
 	}
-	return nil
+	return json.Marshal(doc)
 }
 
 func dtoColumn(c *analysis.Column) Column {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"winlab/internal/stats"
 	"winlab/internal/trace"
 	"winlab/internal/trace/check"
 )
@@ -242,14 +243,15 @@ func TestFirstDiff(t *testing.T) {
 		S    []inner
 		T    time.Time
 		F    float64
-		name string // unexported: ignored
+		name string // unexported: compared too
 	}
 	a := outer{S: []inner{{1}, {2}}, T: t0, F: 1.5, name: "a"}
 	b := a
 	b.name = "b"
-	if d := check.FirstDiff(a, b); d != "" {
-		t.Errorf("unexported field diff reported: %s", d)
+	if d := check.FirstDiff(a, b); d != ".name: a != b" {
+		t.Errorf("FirstDiff = %q, want the unexported .name diff", d)
 	}
+	b.name = a.name
 	// Same instant, different location: equal.
 	b.T = t0.In(time.FixedZone("X", 3600))
 	if d := check.FirstDiff(a, b); d != "" {
@@ -264,6 +266,22 @@ func TestFirstDiff(t *testing.T) {
 	b.F = 1.5000001
 	if d := check.FirstDiff(a, b); !strings.Contains(d, ".F") {
 		t.Errorf("FirstDiff = %q, want float diff at .F", d)
+	}
+
+	// stats.Running keeps its state unexported: two fed different
+	// values differ, and so do weekly profiles differing in one slot.
+	var r1, r2 stats.Running
+	r1.Add(1)
+	r2.Add(2)
+	if d := check.FirstDiff(r1, r2); !strings.Contains(d, ".mean") {
+		t.Errorf("FirstDiff(Running fed 1, Running fed 2) = %q, want a .mean diff", d)
+	}
+	var w1, w2 stats.WeeklyProfile
+	slot3 := time.Date(2003, 10, 6, 0, 45, 0, 0, time.UTC) // Monday 00:45
+	w1.Add(slot3, 10)
+	w2.Add(slot3, 20)
+	if d := check.FirstDiff(&w1, &w2); !strings.HasPrefix(d, ".Slots[3].") {
+		t.Errorf("FirstDiff of profiles differing in slot 3 = %q, want a .Slots[3] diff", d)
 	}
 }
 

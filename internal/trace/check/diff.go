@@ -17,7 +17,11 @@ import (
 // and a +00:00 reading of the same instant match), and compares floats
 // bitwise (the repo's equivalence claims are bit-identical, not
 // approximately-equal; NaN == NaN under this rule). Unexported struct
-// fields are skipped.
+// fields are compared too — a stats.Running keeps all its state in them
+// — and read through reflect's typed getters, never Interface(); a
+// time.Time reached through one is compared field by field, not with
+// Equal. Every field counts, so FirstDiff is for values (results,
+// stats), not for handles carrying locks or caches.
 //
 // The differential validator uses it to reduce "serial and parallel
 // runs disagree" to a single actionable coordinate such as
@@ -60,7 +64,7 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 	if a.Type() != b.Type() {
 		return fmt.Sprintf("%s: type %s != %s", orRoot(path), a.Type(), b.Type())
 	}
-	if a.Type() == timeType {
+	if a.Type() == timeType && a.CanInterface() {
 		ta, tb := a.Interface().(time.Time), b.Interface().(time.Time)
 		if !ta.Equal(tb) {
 			return fmt.Sprintf("%s: %s != %s", orRoot(path), fmtT(ta), fmtT(tb))
@@ -82,11 +86,7 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 	case reflect.Struct:
 		t := a.Type()
 		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" { // unexported
-				continue
-			}
-			if d := firstDiff(a.Field(i), b.Field(i), path+"."+f.Name, tol); d != "" {
+			if d := firstDiff(a.Field(i), b.Field(i), path+"."+t.Field(i).Name, tol); d != "" {
 				return d
 			}
 		}
@@ -114,14 +114,17 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 				return d
 			}
 		}
+	case reflect.Func:
+		// As reflect.DeepEqual: funcs are equal only when both are nil.
+		if !a.IsNil() || !b.IsNil() {
+			return fmt.Sprintf("%s: values differ", orRoot(path))
+		}
 	default:
 		// Comparable scalars: bool, ints, uints, string, complex, chan…
-		if a.Comparable() {
-			if !a.Equal(b) {
-				return fmt.Sprintf("%s: %v != %v", orRoot(path), a.Interface(), b.Interface())
-			}
-		} else if !reflect.DeepEqual(a.Interface(), b.Interface()) {
-			return fmt.Sprintf("%s: values differ", orRoot(path))
+		// Equal and fmt's reflect.Value operand both read an unexported
+		// value through the typed getters.
+		if !a.Equal(b) {
+			return fmt.Sprintf("%s: %v != %v", orRoot(path), a, b)
 		}
 	}
 	return ""

@@ -16,8 +16,8 @@ import (
 // Run buffers are pooled: fn must not retain run or run.Samples after
 // returning. fn runs serially within one worker but concurrently across
 // workers; it must not share unsynchronised state between worker
-// indexes. workers ≤ 1 degenerates to a plain sequential drain on the
-// calling goroutine.
+// indexes. workers ≤ 1 means one worker: the cursor decodes on the
+// calling goroutine while that worker folds, at most two runs behind.
 //
 // Parallel requires the stream to be machine-contiguous (the canonical
 // order of a TBv1 trace written from a frozen Dataset): once runs for a
@@ -30,22 +30,7 @@ import (
 // or fn's — aborts the drain and is returned; when several workers
 // fail the lowest worker index wins, deterministically.
 func Parallel(c *Cursor, workers int, fn func(worker int, run *Run) error) error {
-	if workers <= 1 {
-		var run Run
-		for {
-			ok, err := c.NextRun(&run)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := fn(0, &run); err != nil {
-				return err
-			}
-		}
-	}
-
+	workers = max(workers, 1)
 	pool := sync.Pool{New: func() any { return new(Run) }}
 	chans := make([]chan *Run, workers)
 	errs := make([]error, workers)

@@ -361,13 +361,13 @@ func TestParallelErrorPropagation(t *testing.T) {
 		t.Error("decode error swallowed by Parallel")
 	}
 
-	// Sequential degenerate path too.
+	// One worker too.
 	c3, err := stream.New(bytes.NewReader(tb[:len(tb)-2]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := stream.Parallel(c3, 1, func(w int, run *stream.Run) error { return nil }); got == nil {
-		t.Error("decode error swallowed by sequential Parallel")
+		t.Error("decode error swallowed by one-worker Parallel")
 	}
 }
 

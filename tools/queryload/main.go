@@ -45,7 +45,7 @@ import (
 	"time"
 
 	"winlab/internal/analysis"
-	"winlab/internal/core"
+	"winlab/internal/experiment"
 	"winlab/internal/query"
 )
 
@@ -296,9 +296,9 @@ func main() {
 		}
 		mode = "inproc"
 		fmt.Fprintf(os.Stderr, "queryload: simulating %d days (seed %d)...\n", *simDays, *seed)
-		cfg := core.DefaultConfig(*seed)
+		cfg := experiment.Default(*seed)
 		cfg.Days = *simDays
-		res, err := core.RunExperiment(cfg)
+		res, err := experiment.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "queryload:", err)
 			os.Exit(1)
