@@ -34,13 +34,13 @@ var paperReferences = []paperRef{
 	{"Disk used, both (GB)", 13.6, func(r *Report) float64 { return r.Table2.Both.DiskUsedGB }, 0.10},
 	{"Sent, with login (bps)", 2601.8, func(r *Report) float64 { return r.Table2.WithLogin.SentBps }, 0.25},
 	{"Recv, with login (bps)", 8662.1, func(r *Report) float64 { return r.Table2.WithLogin.RecvBps }, 0.25},
-	{"Machines powered on (avg)", 84.87, func(r *Report) float64 { return r.Avail.AvgPoweredOn }, 0.10},
-	{"Machines user-free (avg)", 57.29, func(r *Report) float64 { return r.Avail.AvgUserFree }, 0.15},
+	{"Machines powered on (avg)", 84.87, func(r *Report) float64 { return r.Availability.AvgPoweredOn }, 0.10},
+	{"Machines user-free (avg)", 57.29, func(r *Report) float64 { return r.Availability.AvgUserFree }, 0.15},
 	{"Forgotten threshold (h)", 10, func(r *Report) float64 { return float64(r.SessionAge.FirstBucketAtOrAbove(99)) }, 0.40},
 	{"Detected sessions / day / machine", 10688.0 / 77 / 169, func(r *Report) float64 {
 		days := 0.0
-		if len(r.Avail.Points) > 1 {
-			days = r.Avail.Points[len(r.Avail.Points)-1].Time.Sub(r.Avail.Points[0].Time).Hours() / 24
+		if pts := r.Availability.Points; len(pts) > 1 {
+			days = pts[len(pts)-1].Time.Sub(pts[0].Time).Hours() / 24
 		}
 		if days <= 0 || len(r.Uptimes) == 0 {
 			return 0

@@ -32,41 +32,22 @@ import (
 	"winlab/internal/trace/stream"
 )
 
-// Report bundles every analysis of the paper's evaluation section.
+// Report bundles every analysis of the paper's evaluation section: the
+// engine's one pass (shared with any later Publish of the same trace, so
+// read-only) plus the catalogue and the survival predictor.
 type Report struct {
-	Labs []lab.Spec // nil when analysing a foreign trace
+	*analysis.Results
 
-	Table2      analysis.Table2
-	SessionAge  analysis.SessionAgeProfile
-	Avail       analysis.AvailabilitySeries
-	Uptimes     []analysis.MachineUptime
-	Sessions    analysis.SessionStats
-	PowerCycles analysis.PowerCycleStats
-	Weekly      *analysis.WeeklyProfiles
-	Equivalence analysis.EquivalenceResult
-	Labs2       []analysis.LabUsage // per-lab breakdown (not in the paper)
-	Capacity    analysis.CapacityReport
-	Survival    *predictor.Model // 1-hour machine-survival predictor
-	SurvivalEv  predictor.Evaluation
+	Catalog    []lab.Spec       // nil when analysing a foreign trace
+	Survival   *predictor.Model // 1-hour machine-survival predictor
+	SurvivalEv predictor.Evaluation
 }
 
 // Analyze runs the full analysis pipeline on a trace. The paper's tables
 // and figures come from one pass of the analysis engine (analysis.All)
 // over the frozen trace.
 func Analyze(d *trace.Dataset) *Report {
-	a := analysis.All(d, analysis.Options{})
-	r := &Report{
-		Table2:      a.Table2,
-		SessionAge:  a.SessionAge,
-		Avail:       a.Availability,
-		Uptimes:     a.Uptimes,
-		Sessions:    a.Sessions,
-		PowerCycles: a.PowerCycles,
-		Weekly:      a.Weekly,
-		Equivalence: a.Equivalence,
-		Labs2:       a.Labs,
-		Capacity:    a.Capacity,
-	}
+	r := &Report{Results: analysis.All(d, analysis.Options{})}
 	r.Survival = predictor.Fit(d, time.Hour)
 	r.SurvivalEv = r.Survival.Evaluate(d)
 	return r
@@ -76,7 +57,7 @@ func Analyze(d *trace.Dataset) *Report {
 // Table 1 can be rendered too.
 func AnalyzeResult(res *experiment.Result) *Report {
 	r := Analyze(res.Dataset)
-	r.Labs = res.Config.Labs
+	r.Catalog = res.Config.Labs
 	return r
 }
 
@@ -101,18 +82,7 @@ func AnalyzeStream(path string, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Table2:      a.Table2,
-		SessionAge:  a.SessionAge,
-		Avail:       a.Availability,
-		Uptimes:     a.Uptimes,
-		Sessions:    a.Sessions,
-		PowerCycles: a.PowerCycles,
-		Weekly:      a.Weekly,
-		Equivalence: a.Equivalence,
-		Labs2:       a.Labs,
-		Capacity:    a.Capacity,
-	}, nil
+	return &Report{Results: a}, nil
 }
 
 // StreamResults runs the analysis engine out-of-core over either a TBv1
@@ -147,9 +117,9 @@ func StreamResults(path string, workers int) (*analysis.Results, error) {
 // Render writes the full text report: Table 1 (when available), Table 2
 // and Figures 2–6 plus the stability analysis.
 func (r *Report) Render(w io.Writer) {
-	if r.Labs != nil {
-		report.Table1(r.Labs).Render(w)
-		fmt.Fprintln(w, report.Table1Aggregates(r.Labs))
+	if r.Catalog != nil {
+		report.Table1(r.Catalog).Render(w)
+		fmt.Fprintln(w, report.Table1Aggregates(r.Catalog))
 	}
 	report.Table2(r.Table2).Render(w)
 	fmt.Fprintf(w, "\n(raw login samples: %d, reclassified as forgotten at >=%s: %d)\n\n",
@@ -160,7 +130,7 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "first session-age bucket at or above 99%% idle: hour %d\n\n",
 		r.SessionAge.FirstBucketAtOrAbove(99))
 
-	report.Figure3(r.Avail).Render(w)
+	report.Figure3(r.Availability).Render(w)
 	fmt.Fprintln(w)
 	report.Figure4Left(r.Uptimes).Render(w)
 	fmt.Fprintln(w)
@@ -174,7 +144,7 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintln(w)
 	report.Figure6(r.Equivalence).Render(w)
 	fmt.Fprintln(w)
-	report.LabUsageTable(r.Labs2).Render(w)
+	report.LabUsageTable(r.Labs).Render(w)
 	fmt.Fprintln(w)
 	report.CapacityTable(r.Capacity).Render(w)
 	fmt.Fprintf(w, "\nUnused memory fleet-wide: %.1f%% (the paper reports 42.1%%)\n",
@@ -183,7 +153,7 @@ func (r *Report) Render(w io.Writer) {
 	fmt.Fprintln(w)
 	heat := &report.Heatmap{
 		Title:  "User-free machines by hour of week (harvest windows)",
-		Values: analysis.FreeMachineHeat(r.Avail),
+		Values: analysis.FreeMachineHeat(r.Availability),
 	}
 	heat.Render(w)
 	if r.Survival != nil {
@@ -235,10 +205,10 @@ func (r *Report) WriteCSVs(dir string) error {
 		return err
 	}
 	if err := write("fig3_availability.csv", func(w io.Writer) error {
-		iter := make([]float64, len(r.Avail.Points))
-		on := make([]float64, len(r.Avail.Points))
-		free := make([]float64, len(r.Avail.Points))
-		for i, p := range r.Avail.Points {
+		iter := make([]float64, len(r.Availability.Points))
+		on := make([]float64, len(r.Availability.Points))
+		free := make([]float64, len(r.Availability.Points))
+		for i, p := range r.Availability.Points {
 			iter[i], on[i], free[i] = float64(p.Iter), float64(p.PoweredOn), float64(p.UserFree)
 		}
 		return report.WriteCSV(w, []string{"iteration", "powered_on", "user_free"}, iter, on, free)
@@ -275,7 +245,7 @@ func (r *Report) WriteCSVs(dir string) error {
 		if _, err := fmt.Fprintln(w, "lab,machines,uptime_pct,occupied_pct,cpu_idle_pct,ram_load_pct,free_ram_mb,free_disk_gb"); err != nil {
 			return err
 		}
-		for _, u := range r.Labs2 {
+		for _, u := range r.Labs {
 			if _, err := fmt.Fprintf(w, "%s,%d,%.2f,%.2f,%.2f,%.2f,%.1f,%.2f\n",
 				u.Lab, u.Machines, u.UptimePct, u.OccupiedPct, u.CPUIdlePct,
 				u.RAMLoadPct, u.FreeRAMMBPerMachine, u.FreeDiskGBPerMachine); err != nil {

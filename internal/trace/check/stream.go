@@ -14,9 +14,11 @@ import (
 // allocation on the clean path (violation messages allocate, but only
 // when something is wrong).
 //
-// A Stream checks everything the batch Check does except the
-// index-agreement invariant (there is no frozen index mid-collection)
-// and the iteration-window bounds when no period grid is configured.
+// A Stream checks everything the batch Check does except three things:
+// the index-agreement invariant (there is no frozen index
+// mid-collection); the catalogue invariants, unknown-machine and
+// lifetime-violation (a Stream has no machine catalogue); and the
+// iteration-window bounds when no period grid is configured.
 // Because samples arrive before their iteration record is finalised,
 // the sample-bounds check uses the period grid (iteration i collects in
 // [start+i·period, start+(i+1)·period)) rather than the recorded
