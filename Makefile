@@ -9,7 +9,7 @@ GO ?= go
 # benchmark lines (name, ns/op, B/op, allocs/op). Set PR to the pull
 # request being measured (make ledger, make abpair).
 BENCHTIME ?= 1x
-PR ?= 44
+PR ?= 45
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s
@@ -106,8 +106,9 @@ abpair:
 # decoder against its own write/read round trip), the simulation
 # engine's event order against its container/heap oracle, the analysis
 # engine's integer time kernel against its time.Time oracles (week slot,
-# time difference, boot match and interval formulas) and the /api/events
-# parameters for $(FUZZTIME) each. The committed corpora under
+# time difference, boot match and interval formulas), the /api/events
+# parameters and the anomaly events JSONL reader against the ring's
+# writer for $(FUZZTIME) each. The committed corpora under
 # testdata/fuzz replay on every plain `go test` run; this target
 # explores new inputs.
 fuzz:
@@ -121,6 +122,7 @@ fuzz:
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzWeekSlot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTimeSub$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzServeEvents$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/anomaly/ -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime $(FUZZTIME)
 
 # Trace doctor knobs: which sim seeds the differential suite replays and
 # how many simulated days per seed (the full paper run is 77 days; 7 is

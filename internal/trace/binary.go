@@ -53,7 +53,9 @@ import (
 //
 // Malformed input must produce errors, never panics or unbounded
 // allocation: every count and string length is validated against caps
-// before memory is reserved (see FuzzReadBinary).
+// before memory is reserved, and no count reserves more than the input
+// can hold — memory stays proportional to the input's size (see
+// FuzzReadBinary and TestReadBinaryAllocBomb).
 
 // magicTB identifies a TBv1 stream. Version 1 is the original layout;
 // version 2 adds machine lifetime bounds to the M block and is written
@@ -78,24 +80,36 @@ func tbVersionFor(machines []MachineInfo) byte {
 }
 
 // tbMaxString caps a single dictionary entry; tbPrealloc caps how many
-// entries any count preallocates before the stream proves they exist.
+// entries a count preallocates before the stream proves they exist.
 //
-// tbPrealloc is deliberately small: the leading uvarint counts are
-// untrusted input, and a corrupt or truncated header claiming 2⁶⁰
-// samples must not be able to demand a multi-GB allocation before the
-// sticky-error decoder has seen a single payload byte. Every slice
-// therefore starts at min(count, tbPrealloc) capacity and grows
-// incrementally — each append happens only after a full entry decoded
-// successfully, so memory consumption is proportional to input actually
-// consumed (a sample costs ≥ ~17 wire bytes), never to what the header
-// promises. See TestReadBinaryAllocBomb and the committed fuzz seed.
+// The leading uvarint counts are untrusted input: a corrupt or
+// truncated header claiming 2⁶⁰ samples must not be able to demand a
+// multi-GB allocation before the sticky-error decoder has seen a single
+// payload byte. Two rules keep memory proportional to the input's size:
+//
+//   - When the reader knows the input's byte count (ReadFile on a plain
+//     file, a merged manifest image) and the count is one the bytes can
+//     hold — count × tbMinSampleWire ≤ bytes — readBinary allocates the
+//     sample array once, exactly sized. A lie that passes this test
+//     costs at most Sizeof(Sample)/tbMinSampleWire ≈ 12 bytes of array
+//     per input byte.
+//   - Otherwise (gzip, a stream of unknown length, a count the bytes
+//     cannot hold, and every catalogue and log count) a slice starts at
+//     min(count, tbPrealloc) capacity and grows through growTo, each
+//     append after a whole entry decoded, so memory tracks the input
+//     actually consumed, never what the header promises.
 const (
 	tbMaxString = 1 << 20
 	tbPrealloc  = 1 << 12
 )
 
+// tbMinSampleWire is the smallest wire size of a sample: a machine and a
+// lab reference, the fifteen numeric varints and a session-user
+// reference, one byte each.
+const tbMinSampleWire = 18
+
 // clampPrealloc bounds a slice preallocation taken from an untrusted
-// leading count.
+// leading count that the input's size has not vouched for.
 func clampPrealloc(n uint64) int {
 	if n > tbPrealloc {
 		return tbPrealloc
@@ -104,10 +118,10 @@ func clampPrealloc(n uint64) int {
 }
 
 // growTo makes room for one more entry in a slice that mirrors an
-// untrusted count. Capacity doubles — append's 1.25× schedule copies a
-// long catalogue five times over — but never past the declared count,
-// and only once the entries so far have really decoded, so memory stays
-// proportional to input consumed.
+// untrusted count on the growth path. Capacity doubles — append's 1.25×
+// schedule copies a long catalogue five times over — but never past the
+// declared count, and only once the entries so far have really decoded,
+// so memory stays proportional to input consumed.
 func growTo[T any](s []T, declared uint64) []T {
 	if len(s) < cap(s) {
 		return s
@@ -548,40 +562,6 @@ func (d *tbReader) uvarintSlow(what string) uint64 {
 	return v
 }
 
-// uvarints decodes len(out) consecutive varints, what[i] labelling the
-// i-th in errors. When the window holds all of them at their longest
-// the loop runs on locals: no call, no window bookkeeping and no bounds
-// reasoning per value. Anything unusual — a short window, a ten-byte
-// varint — starts over one uvarint at a time, which also words the
-// errors.
-func (d *tbReader) uvarints(out []uint64, what []string) {
-	if b := d.win; len(b) >= len(out)*binary.MaxVarintLen64 {
-		off := 0
-	fast:
-		for i := range out {
-			var x uint64
-			for shift := uint(0); shift < 63; shift += 7 {
-				c := b[off]
-				off++
-				if c < 0x80 {
-					out[i] = x | uint64(c)<<shift
-					continue fast
-				}
-				x |= uint64(c&0x7f) << shift
-			}
-			off = -1 // a tenth byte: leave it to the checked path
-			break
-		}
-		if off >= 0 {
-			d.win = b[off:]
-			return
-		}
-	}
-	for i := range out {
-		out[i] = d.uvarint(what[i])
-	}
-}
-
 // unzig maps a zig-zag varint back to the signed value it encodes.
 func unzig(ux uint64) int64 {
 	x := int64(ux >> 1)
@@ -644,14 +624,19 @@ func (d *tbReader) time(what string, sec, ns *int64) time.Time {
 
 // ReadBinary deserialises a TBv1 dataset written by WriteBinary.
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	return readBinary(bufio.NewReaderSize(r, ioBufSize))
+	return readBinary(bufio.NewReaderSize(r, ioBufSize), -1)
 }
 
 // readBinary is a client of the incremental cursor: it drains every
 // sample into a Dataset. Keeping the batch reader layered on the cursor
 // makes the two differential by construction — there is exactly one
 // TBv1 decode path.
-func readBinary(br *bufio.Reader) (*Dataset, error) {
+//
+// size is the stream's length in bytes, or negative when the caller
+// does not know it. A declared count that size can hold gets its sample
+// array allocated once; any other count takes the growth path (see
+// tbPrealloc).
+func readBinary(br *bufio.Reader, size int64) (*Dataset, error) {
 	c, err := newBinaryCursor(br)
 	if err != nil {
 		return nil, err
@@ -663,27 +648,37 @@ func readBinary(br *bufio.Reader) (*Dataset, error) {
 		Machines:   c.machines,
 		Iterations: c.iterations,
 	}
-	if c.declared > 0 {
-		ds.Samples = make([]Sample, 0, clampPrealloc(c.declared))
+	if c.declared > 0 { // a zero count keeps the slice nil
+		n := clampPrealloc(c.declared)
+		if size >= 0 && c.declared <= uint64(size)/tbMinSampleWire {
+			n = int(c.declared)
+		}
+		ds.Samples = make([]Sample, 0, n)
 	}
-	var s Sample
-	for {
-		ok, err := c.Next(&s)
-		if err != nil {
+	// Each sample decodes straight into its slot.
+	for c.decoded < c.declared {
+		s := growTo(ds.Samples, c.declared)
+		ds.Samples = s[:len(s)+1]
+		if _, err := c.Next(&ds.Samples[len(s)]); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return ds, nil
-		}
-		ds.Samples = append(growTo(ds.Samples, c.declared), s)
 	}
+	// The count is honoured: this call only checks for trailing data.
+	var end Sample
+	if _, err := c.Next(&end); err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
-// The fifteen varints every sample carries between its lab reference and
-// its session user, in wire order, and the label each goes by in decode
-// errors.
+// A sample's varints in wire order: the machine and lab references,
+// fifteen numeric fields, the session-user reference and, when that
+// user is not "", the session start. fieldLabels names the numeric
+// fields in decode errors.
 const (
-	fIter = iota
+	wMachine = iota
+	wLab
+	fIter
 	fTimeSec
 	fTimeNs
 	fBootSec
@@ -698,10 +693,13 @@ const (
 	fHours
 	fSent
 	fRecv
-	tbSampleVarints
+	wUser
+	fSessSec // the session start, only when the session user is not ""
+	fSessNs
+	tbSampleWire
 )
 
-var tbSampleFields = [tbSampleVarints]string{
+var fieldLabels = [tbSampleWire]string{
 	fIter: "sample iter", fTimeSec: "sample time", fTimeNs: "sample time",
 	fBootSec: "sample boot time", fBootNs: "sample boot time",
 	fUptime: "sample uptime", fCPUIdle: "sample cpu idle",
@@ -709,6 +707,66 @@ var tbSampleFields = [tbSampleVarints]string{
 	fDisk: "sample disk gb", fFree: "sample free gb",
 	fCycles: "sample power cycles", fHours: "sample power-on hours",
 	fSent: "sample sent bytes", fRecv: "sample recv bytes",
+}
+
+// tbFastWindow is the window a sample's fast path needs: the eighteen
+// varints every sample carries at their longest. The fast path takes
+// none longer than nine bytes, so the two session varints fit too.
+const tbFastWindow = (wUser + 1) * binary.MaxVarintLen64
+
+// sampleVarints decodes a sample's varints into w in one pass over the
+// window, the common case: every reference names a string already in
+// the dictionary and no varint is ten bytes long. Anything else — a
+// short window, a reference that introduces a string or points past
+// the dictionary, a ten-byte varint — consumes nothing and reports
+// false, and the caller decodes the sample field by field, which also
+// words the errors. The machine reference is tested first, so a sample
+// that interns its machine is turned away after one varint.
+func (d *tbReader) sampleVarints(w *[tbSampleWire]uint64) bool {
+	b := d.win
+	if len(b) < tbFastWindow {
+		return false
+	}
+	refs := uint64(len(d.dict))
+	m, off := uvarintAt(b, 0)
+	if off < 0 || m >= refs {
+		return false
+	}
+	w[wMachine] = m
+	for i := wLab; i <= wUser; i++ {
+		if w[i], off = uvarintAt(b, off); off < 0 {
+			return false
+		}
+	}
+	if w[wLab] >= refs || w[wUser] >= refs {
+		return false
+	}
+	if d.dict[w[wUser]] != "" {
+		for i := fSessSec; i <= fSessNs; i++ {
+			if w[i], off = uvarintAt(b, off); off < 0 {
+				return false
+			}
+		}
+	}
+	d.win = b[off:]
+	return true
+}
+
+// uvarintAt decodes the varint at b[off:], which must hold nine bytes,
+// and returns it with the offset just past it — or an offset of -1 if
+// nine bytes do not end it, leaving a tenth byte and every error to the
+// checked path.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	var x uint64
+	for shift := uint(0); shift < 63; shift += 7 {
+		c := b[off]
+		off++
+		if c < 0x80 {
+			return x | uint64(c)<<shift, off
+		}
+		x |= uint64(c&0x7f) << shift
+	}
+	return 0, -1
 }
 
 // BinaryCursor decodes a TBv1 stream incrementally. The header, machine
@@ -856,6 +914,9 @@ func (c *BinaryCursor) Iterations() []Iteration { return c.iterations }
 // DeclaredSamples returns the sample count the stream header claims.
 // It is untrusted input: the cursor never allocates proportionally to
 // it, and a well-formed stream proves it one decoded sample at a time.
+// A caller that sizes memory by it must first check it against the
+// input's size, as readBinary does (at least tbMinSampleWire bytes a
+// sample).
 func (c *BinaryCursor) DeclaredSamples() uint64 { return c.declared }
 
 // Next decodes the next sample into *s and reports whether one was
@@ -879,52 +940,65 @@ func (c *BinaryCursor) Next(s *Sample) (bool, error) {
 	}
 
 	dec := c.dec
-	s.Machine, c.mref = dec.str("sample machine")
-	if dec.err != nil {
-		c.err = dec.err
-		return false, c.err
+	if len(dec.win) < tbFastWindow {
+		dec.fill() // eagerly, so a sample near the window's end stays fast
 	}
+	var w [tbSampleWire]uint64
+	if !dec.sampleVarints(&w) {
+		_, w[wMachine] = dec.str("sample machine")
+		_, w[wLab] = dec.str("sample lab")
+		for i := fIter; i < wUser; i++ {
+			w[i] = dec.uvarint(fieldLabels[i])
+		}
+		var user string
+		user, w[wUser] = dec.str("sample session user")
+		if user != "" {
+			w[fSessSec] = dec.uvarint("sample session start")
+			w[fSessNs] = dec.uvarint("sample session start")
+		}
+		if dec.err != nil {
+			c.err = dec.err
+			return false, c.err
+		}
+	}
+	c.mref = w[wMachine]
 	st := c.states.get(c.mref)
-	s.Lab, _ = dec.str("sample lab")
-	var f [tbSampleVarints]uint64
-	dec.uvarints(f[:], tbSampleFields[:])
-	st.iter += unzig(f[fIter])
+	s.Machine, s.Lab = dec.dict[c.mref], dec.dict[w[wLab]]
+	st.iter += unzig(w[fIter])
 	s.Iter = int(st.iter)
-	st.timeSec += unzig(f[fTimeSec])
-	st.timeNs += unzig(f[fTimeNs])
+	st.timeSec += unzig(w[fTimeSec])
+	st.timeNs += unzig(w[fTimeNs])
 	s.Time = time.Unix(st.timeSec, st.timeNs).UTC()
-	st.bootSec += unzig(f[fBootSec])
-	st.bootNs += unzig(f[fBootNs])
+	st.bootSec += unzig(w[fBootSec])
+	st.bootNs += unzig(w[fBootNs])
 	s.BootTime = time.Unix(st.bootSec, st.bootNs).UTC()
-	st.uptime += unzig(f[fUptime])
+	st.uptime += unzig(w[fUptime])
 	s.Uptime = time.Duration(st.uptime)
-	st.cpuIdle += unzig(f[fCPUIdle])
+	st.cpuIdle += unzig(w[fCPUIdle])
 	s.CPUIdle = time.Duration(st.cpuIdle)
-	st.mem += unzig(f[fMem])
+	st.mem += unzig(w[fMem])
 	s.MemLoadPct = int(st.mem)
-	st.swap += unzig(f[fSwap])
+	st.swap += unzig(w[fSwap])
 	s.SwapLoadPct = int(st.swap)
-	st.diskBits ^= f[fDisk]
+	st.diskBits ^= w[fDisk]
 	s.DiskGB = math.Float64frombits(st.diskBits)
-	st.freeBits ^= f[fFree]
+	st.freeBits ^= w[fFree]
 	s.FreeDiskGB = math.Float64frombits(st.freeBits)
-	st.cycles += unzig(f[fCycles])
+	st.cycles += unzig(w[fCycles])
 	s.PowerCycles = st.cycles
-	st.hours += unzig(f[fHours])
+	st.hours += unzig(w[fHours])
 	s.PowerOnHours = st.hours
-	st.sent += uint64(unzig(f[fSent]))
+	st.sent += uint64(unzig(w[fSent]))
 	s.SentBytes = st.sent
-	st.recv += uint64(unzig(f[fRecv]))
+	st.recv += uint64(unzig(w[fRecv]))
 	s.RecvBytes = st.recv
-	s.SessionUser, _ = dec.str("sample session user")
+	s.SessionUser = dec.dict[w[wUser]]
 	if s.SessionUser != "" {
-		s.SessionStart = dec.time("sample session start", &st.sessSec, &st.sessNs)
+		st.sessSec += unzig(w[fSessSec])
+		st.sessNs += unzig(w[fSessNs])
+		s.SessionStart = time.Unix(st.sessSec, st.sessNs).UTC()
 	} else {
 		s.SessionStart = time.Time{}
-	}
-	if dec.err != nil {
-		c.err = dec.err
-		return false, c.err
 	}
 	c.decoded++
 	return true, nil
@@ -944,11 +1018,16 @@ var gzipMagic = []byte{0x1f, 0x8b}
 // empty, and a stream that ends inside the four-byte TBv1 magic (a
 // truncated binary trace) reports the truncation.
 func ReadAny(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, ioBufSize)
+	return readAny(bufio.NewReaderSize(r, ioBufSize), -1)
+}
+
+// readAny is ReadAny over a buffered stream of size bytes (negative:
+// unknown), which sizes the sample array of a plain TBv1 stream.
+func readAny(br *bufio.Reader, size int64) (*Dataset, error) {
 	head, err := br.Peek(len(magicTB))
 	switch {
 	case err == nil && bytes.Equal(head, magicTB):
-		return readBinary(br)
+		return readBinary(br, size)
 	case bytes.HasPrefix(head, gzipMagic):
 		// Compressed stream: decompress and sniff the payload again (a
 		// .tb.gz read without extension hints lands here). gzip members

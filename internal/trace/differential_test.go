@@ -220,7 +220,7 @@ func TestCodecMatchesOracle(t *testing.T) {
 			} {
 				var ds *Dataset
 				if br, ok := rd.(*bufio.Reader); ok {
-					ds, err = readBinary(br)
+					ds, err = readBinary(br, int64(want.Len()))
 				} else {
 					ds, err = ReadBinary(rd)
 				}
@@ -235,7 +235,7 @@ func TestCodecMatchesOracle(t *testing.T) {
 				continue
 			}
 			for cut := 0; cut < want.Len(); cut++ {
-				_, err := readBinary(small(want.Bytes()[:cut]))
+				_, err := readBinary(small(want.Bytes()[:cut]), int64(cut))
 				_, oerr := oracleReadBinary(small(want.Bytes()[:cut]))
 				if err == nil || errString(err) != errString(oerr) {
 					t.Fatalf("seed %d segment %d cut at %d: %v, oracle %v", seed, i, cut, err, oerr)

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -14,6 +16,12 @@ import (
 // out-of-range dictionary references) must return an error, never panic
 // or allocate absurdly; input that decodes must re-encode to a stream
 // that decodes to the same dataset (Write∘Read fixed point).
+//
+// It is also differential. A cursor over a 16-byte bufio.Reader never
+// has a whole sample in its window, so it decodes every sample field by
+// field; the one-pass sample decode must agree with it on every input —
+// the same dataset, or an error with the same text — and so must a read
+// that sizes its sample array by the input's length.
 func FuzzReadBinary(f *testing.F) {
 	full := newDataset()
 	full.Samples = append(full.Samples, FromSnapshot(9, snapshotFixture()))
@@ -59,8 +67,18 @@ func FuzzReadBinary(f *testing.F) {
 	// sample out of bounds:
 	addSeed(func(d *Dataset) { d.Samples[0].Time = d.End.Add(time.Hour) })
 
+	for _, seed := range fastPathSeeds(f) {
+		f.Add(seed)
+	}
+	// A ten-byte varint in a sample field: a sent-bytes delta of -2⁶³.
+	addSeed(func(d *Dataset) { d.Samples[1].SentBytes = d.Samples[0].SentBytes + 1<<63 })
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadBinary(bytes.NewReader(data))
+		checked, cerr := readBinary(bufio.NewReaderSize(bytes.NewReader(data), 16), -1)
+		sameDecode(t, "field-by-field decode", d, err, checked, cerr)
+		sized, serr := readBinary(bufio.NewReaderSize(bytes.NewReader(data), ioBufSize), int64(len(data)))
+		sameDecode(t, "sized read", d, err, sized, serr)
 		if err != nil {
 			return
 		}
@@ -87,6 +105,83 @@ func FuzzReadBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameDecode fails unless a second decode of the same bytes gave the
+// same dataset, or an error with the same text.
+func sameDecode(t *testing.T, what string, want *Dataset, werr error, got *Dataset, err error) {
+	t.Helper()
+	if errString(err) != errString(werr) {
+		t.Fatalf("%s: error %q, the decoder's %q", what, errString(err), errString(werr))
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: dataset differs from the decoder's", what)
+	}
+}
+
+// longImage encodes a fixture of 300 samples, sessions included —
+// enough for the one-pass sample decode to serve most of them — and
+// returns it with the offset at which each sample from the 128th on
+// starts.
+func longImage(t testing.TB) (image []byte, starts []int) {
+	d := newDataset()
+	base := d.Samples
+	d.Samples = nil
+	for i := 0; i < 300; i++ {
+		s := base[i%len(base)]
+		s.Iter = i
+		s.Time = s.Time.Add(time.Duration(i) * time.Hour)
+		s.SentBytes = uint64(i) * 7919
+		d.Samples = append(d.Samples, s)
+	}
+	encode := func(n int) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, variant(d, d.Machines, d.Samples[:n])); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Images of 128 samples or more carry a two-byte count and differ
+	// from the whole only in it, so the image of k samples ends where
+	// sample k starts.
+	starts = make([]int, len(d.Samples))
+	for k := 128; k < len(d.Samples); k++ {
+		starts[k] = len(encode(k))
+	}
+	return encode(len(d.Samples)), starts
+}
+
+// fastPathSeeds are longImage and hostile variants of it, each with
+// something the one-pass sample decode must refuse and leave to the
+// field-by-field path, placed where a whole sample's worth of window is
+// in view: a lab or a session-user reference past the dictionary, a
+// sample that interns its machine a second time. longImage itself has
+// a sample that straddles the end of the first 4096-byte window (the
+// magic's five bytes precede it).
+func fastPathSeeds(t testing.TB) [][]byte {
+	image, starts := longImage(t)
+	const (
+		edge = 5 + tbWindow
+		dict = 5   // M1, L01 and M2 from the catalogue, "" and "u" from the samples
+		at   = 198 // M1's sample, its session user ""
+	)
+	straddles := false
+	for k := 128; k+1 < len(starts); k++ {
+		straddles = straddles || starts[k] < edge && starts[k+1] > edge
+	}
+	start, end := starts[at], starts[at+1]
+	if !straddles || image[start] != 0 || image[start+1] != 1 || image[end-1] != 3 {
+		t.Fatal("fixture drifted: no straddling sample, or sample 198 is not M1's without a session")
+	}
+	with := func(off int, b ...byte) []byte {
+		return append(append(append([]byte{}, image[:off]...), b...), image[off+1:]...)
+	}
+	return [][]byte{
+		image,
+		with(start+1, 100),             // lab reference out of range
+		with(end-1, 100),               // session-user reference out of range
+		with(start, dict, 2, 'M', '1'), // M1 interned again
+	}
 }
 
 // mergeFuzzSeeds are segment pairs covering what the compactor has to

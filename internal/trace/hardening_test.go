@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // allocBomb is a syntactically plausible TBv1 prefix whose leading
@@ -46,6 +50,46 @@ func TestReadBinaryAllocBomb(t *testing.T) {
 				t.Errorf("decoder allocated %d bytes servicing a lying count; want bounded preallocation", grew)
 			}
 		})
+	}
+
+	// From a file, ReadFile knows the input's size. The bomb's count is
+	// one its 22 bytes cannot hold, so it takes the growth path.
+	dir := t.TempDir()
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(dir, "bomb.tb")
+		if err := os.WriteFile(path, allocBomb(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bombAllocs(t, path, 4<<20)
+	})
+	// A count the file's size can hold, over a garbage body, gets its
+	// sample array — and no more — before the first sample fails.
+	t.Run("padded file", func(t *testing.T) {
+		const count = 50000
+		data := binary.AppendUvarint([]byte("WLTB\x01\x00\x00\x00\x00\x00\x00\x00"), count)
+		data = append(data, bytes.Repeat([]byte{0xff}, count*tbMinSampleWire)...)
+		path := filepath.Join(dir, "padded.tb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bombAllocs(t, path, count*uint64(unsafe.Sizeof(Sample{}))+4<<20)
+	})
+}
+
+// bombAllocs fails unless ReadFile refuses the file at path having
+// allocated at most limit bytes.
+func bombAllocs(t *testing.T, path string, limit uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("decoded a bomb into %d samples", len(d.Samples))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+		t.Errorf("decoder allocated %d bytes servicing a lying count, want ≤ %d", grew, limit)
 	}
 }
 

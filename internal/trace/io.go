@@ -84,13 +84,18 @@ func encodeStream(w io.Writer, d *Dataset, gzipped bool) error {
 // gzipped, or a segment manifest. The kind is sniffed from the content,
 // not the name. ReadFile is the only reader of manifests, so their
 // relative segment paths resolve against the manifest's own directory,
-// not the working directory.
+// not the working directory. A plain trace file's size lets the
+// decoder allocate its sample array once (see readBinary).
 func ReadFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
 	br := bufio.NewReaderSize(f, ioBufSize)
 	if head, _ := br.Peek(1); len(head) == 1 && head[0] == '{' {
 		m, err := decodeManifest(br)
@@ -99,5 +104,5 @@ func ReadFile(path string) (*Dataset, error) {
 		}
 		return readManifestDataset(m, filepath.Dir(path))
 	}
-	return ReadAny(br)
+	return readAny(br, size)
 }

@@ -2,8 +2,11 @@ package trace_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"winlab/internal/experiment"
 	"winlab/internal/trace"
@@ -92,5 +95,35 @@ func TestBinaryEquivalenceSim(t *testing.T) {
 				t.Fatalf("seed %d: machine %s span differs", seed, id)
 			}
 		}
+	}
+}
+
+// TestReadFileAllocatesSamplesOnce pins the sized read: a plain TBv1
+// file vouches for its sample count, so ReadFile allocates the sample
+// array once, exactly sized, and decodes into it. A slice grown by
+// doubling while decoding allocates about twice the array.
+func TestReadFileAllocatesSamplesOnce(t *testing.T) {
+	cfg := experiment.Default(1)
+	cfg.Days = 14
+	res, err := experiment.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.tb")
+	if err := trace.WriteFile(path, res.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := trace.ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqual(t, 1, "ReadFile", got, res.Dataset)
+	array := uint64(len(got.Samples)) * uint64(unsafe.Sizeof(trace.Sample{}))
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > array+8<<20 {
+		t.Errorf("ReadFile of %d samples allocated %d bytes, want ≤ the %d-byte sample array + 8 MB", len(got.Samples), grew, array)
 	}
 }

@@ -549,5 +549,5 @@ func readManifestDataset(m *Manifest, dir string) (*Dataset, error) {
 	if err := MergeSegments(&buf, m, dir); err != nil {
 		return nil, err
 	}
-	return ReadBinary(&buf)
+	return readBinary(bufio.NewReaderSize(&buf, ioBufSize), int64(buf.Len()))
 }
