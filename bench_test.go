@@ -11,7 +11,6 @@
 //	                         cycles, per-lab usage, §6 capacity: one pass
 //	BenchmarkHarvest       — desktop-grid yield (extension)
 //	BenchmarkAblation*     — design-choice ablations
-//	BenchmarkNBench*       — the benchmark suite's own kernels
 //	BenchmarkSimulation    — fleet-simulation throughput (one day)
 //	BenchmarkSimulationPaperScale — the 77-day run, per sample (-benchtime 1x)
 //	BenchmarkCollection    — probe render+parse+post-collect path
@@ -32,10 +31,8 @@ import (
 	"winlab/internal/gridfleet"
 	"winlab/internal/harvest"
 	"winlab/internal/lab"
-	"winlab/internal/nbench"
 	"winlab/internal/predictor"
 	"winlab/internal/probe"
-	"winlab/internal/rng"
 	"winlab/internal/trace"
 	"winlab/internal/trace/stream"
 )
@@ -571,22 +568,6 @@ func BenchmarkAnalyzeAllStreamParallel(b *testing.B) {
 	}
 	b.ReportMetric(r.Table2.Both.UptimePct, "uptime_%")
 	b.ReportMetric(r.Equivalence.TotalRatio, "equivalence")
-}
-
-// BenchmarkNBenchKernels measures every kernel of the NBench suite.
-func BenchmarkNBenchKernels(b *testing.B) {
-	for _, k := range nbench.Kernels() {
-		k := k
-		b.Run(k.Name(), func(b *testing.B) {
-			k.Setup(rng.Derive(1, k.Name()))
-			b.ResetTimer()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				sink += k.Iterate()
-			}
-			_ = sink
-		})
-	}
 }
 
 // BenchmarkAblationReplication runs the bag-of-tasks master at replication

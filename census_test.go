@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,8 +36,11 @@ import (
 //
 // What counts as a use: any reference resolved by the type checker in a
 // non-test file. A call through an interface method counts as a use of
-// every method of that name, and so do the method names the standard
-// library calls implicitly (censusImplicit).
+// that method on every type whose pointer method set has all of the
+// interface's method names, and so do the method names the standard
+// library calls implicitly (censusImplicit). Names suffice: each package
+// is type-checked on its own, so type identity does not carry across
+// packages.
 
 const censusAllowlist = "testdata/census.txt"
 
@@ -140,7 +144,11 @@ func runCensus(t *testing.T) (declared map[string]bool, unused []string) {
 	})
 	declared = map[string]bool{}
 	used := map[string]bool{}
-	ifaceCalled := map[string]bool{}
+	// methodSets maps a named type's key to its pointer method set's
+	// names; ifaceCalls maps a method name to the method-name sets of the
+	// interfaces it was called through.
+	methodSets := map[string]map[string]bool{}
+	ifaceCalls := map[string][]map[string]bool{}
 	for _, p := range survey {
 		var files []*ast.File
 		for _, name := range p.GoFiles {
@@ -174,6 +182,7 @@ func runCensus(t *testing.T) (declared map[string]bool, unused []string) {
 					declared[censusKey(m)] = true
 				}
 			}
+			methodSets[censusKey(obj)] = methodNames(named)
 			if iface, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
 					if m := iface.ExplicitMethod(i); m.Exported() {
@@ -185,7 +194,7 @@ func runCensus(t *testing.T) (declared map[string]bool, unused []string) {
 		for _, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					ifaceCalled[fn.Name()] = true
+					ifaceCalls[fn.Name()] = append(ifaceCalls[fn.Name()], methodNames(recv.Type()))
 				}
 			}
 			if k := censusKey(obj); k != "" {
@@ -195,14 +204,42 @@ func runCensus(t *testing.T) (declared map[string]bool, unused []string) {
 	}
 
 	for k := range declared {
-		method := k[strings.LastIndexByte(k, '.')+1:]
-		if used[k] || ifaceCalled[method] && isCensusMethod(k) || censusImplicit[method] && isCensusMethod(k) {
+		if used[k] {
 			continue
+		}
+		if isCensusMethod(k) {
+			dot := strings.LastIndexByte(k, '.')
+			method, have := k[dot+1:], methodSets[k[:dot]]
+			if censusImplicit[method] || slices.ContainsFunc(ifaceCalls[method], func(iface map[string]bool) bool {
+				for name := range iface {
+					if !have[name] {
+						return false
+					}
+				}
+				return true
+			}) {
+				continue
+			}
 		}
 		unused = append(unused, k)
 	}
 	sort.Strings(unused)
 	return declared, unused
+}
+
+// methodNames returns the names in t's pointer method set, or in its own
+// method set if t is an interface (a pointer to an interface has no
+// methods).
+func methodNames(t types.Type) map[string]bool {
+	if !types.IsInterface(t) {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	names := make(map[string]bool, ms.Len())
+	for i := 0; i < ms.Len(); i++ {
+		names[ms.At(i).Obj().Name()] = true
+	}
+	return names
 }
 
 // isCensusMethod reports whether key names a method (three dotted parts

@@ -24,9 +24,10 @@
 //     next to the collector health counters.
 //
 // Ground truth is free: the experiment driver can inject each anomaly
-// class on a seeded schedule (experiment.InjectedAnomaly), and Score
-// turns the injection windows into per-detector precision/recall — the
-// CI gate behind `make anomaly`.
+// class on a seeded schedule (experiment.InjectedAnomaly) and hand back
+// the injection windows as Labels; TestDetectionQualityGate scores the
+// detectors' events against them (per-detector precision/recall, run by
+// `go test` and `make anomaly`).
 package anomaly
 
 import (
@@ -94,6 +95,19 @@ type Event struct {
 	LastIter  int       `json:"last_iter"`
 	Score     float64   `json:"score"` // detector-specific magnitude (see each detector)
 	Detail    string    `json:"detail,omitempty"`
+}
+
+// Label is one ground-truth anomaly: the injection schedule of a labeled
+// scenario, expressed in the same coordinates as Event. Lab is always
+// set (for machine-scoped injections it names the containing lab);
+// Machines lists the targeted machines for machine-scoped injections and
+// is empty for lab-wide ones.
+type Label struct {
+	Kind      Kind
+	Lab       string
+	Machines  []string
+	FirstIter int
+	LastIter  int
 }
 
 // DefaultRingCapacity bounds the in-memory event ring. Anomalies are

@@ -46,11 +46,11 @@ type Config struct {
 	// Inject schedules synthetic anomalies into the run: the state source
 	// is wrapped in an Injector (report corruption) and a FaultExecutor
 	// (collapse windows as denied probes), so the injection timetable is
-	// free ground truth for the detection harness (see
-	// DefaultAnomalyScenarios and anomaly.Score). The fault decision is
-	// made on the collector's scheduling chain, so injection composes with
-	// any shard count. Empty keeps the run byte-identical to pre-injection
-	// behaviour.
+	// free ground truth for the detection-quality gate (see
+	// DefaultAnomalyScenarios and anomaly's TestDetectionQualityGate).
+	// The fault decision is made on the collector's scheduling chain, so
+	// injection composes with any shard count. Empty keeps the run
+	// byte-identical to pre-injection behaviour.
 	Inject []InjectedAnomaly
 
 	// Detect, when set, taps the sink's commit path with the streaming

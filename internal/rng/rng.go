@@ -38,9 +38,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 

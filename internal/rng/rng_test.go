@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-// Derive creates a child stream of s identified by name, consuming one draw
-// from s to decorrelate children created from identically-named parents.
-func (s *Source) Derive(name string) *Source {
-	return Derive(s.r.Int63(), name)
-}
-
-// Jitter returns x multiplied by a uniform factor in [1-f, 1+f].
-func (s *Source) Jitter(x, f float64) float64 {
-	return x * s.Uniform(1-f, 1+f)
-}
-
 func TestDeterminism(t *testing.T) {
 	a := Derive(42, "stream")
 	b := Derive(42, "stream")
@@ -37,16 +26,6 @@ func TestStreamIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Errorf("differently-named streams coincide on %d/100 draws", same)
-	}
-}
-
-func TestChildDerive(t *testing.T) {
-	p1 := Derive(1, "parent")
-	p2 := Derive(1, "parent")
-	c1 := p1.Derive("child")
-	c2 := p2.Derive("child")
-	if c1.Float64() != c2.Float64() {
-		t.Error("child streams of identical parents diverged")
 	}
 }
 
@@ -198,16 +177,6 @@ func TestPickPanics(t *testing.T) {
 		}
 	}()
 	s.Pick([]float64{0, 0})
-}
-
-func TestJitter(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 1000; i++ {
-		x := s.Jitter(100, 0.1)
-		if x < 90 || x > 110 {
-			t.Fatalf("Jitter out of range: %v", x)
-		}
-	}
 }
 
 func TestShuffleIsPermutation(t *testing.T) {

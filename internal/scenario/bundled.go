@@ -55,7 +55,7 @@ func baseline() *Config {
 // leftover machines are powered down more eagerly. The ramp is the
 // point — it is a *slow* regime shift, the labelled negative corpus
 // for the availability-collapse detector (a page here is a false
-// positive; see tools/anomalybench -scenario-corpus).
+// positive; see tools/scenariobench -collapse-corpus).
 func lockdown() *Config {
 	return &Config{
 		Name:        "lockdown",

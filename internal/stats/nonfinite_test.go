@@ -59,20 +59,6 @@ func TestRunningMergeCarriesDropped(t *testing.T) {
 	}
 }
 
-func TestQuantileIgnoresNonFinite(t *testing.T) {
-	xs := []float64{3, math.NaN(), 1, math.Inf(1), 2, math.Inf(-1)}
-	if got := Quantile(xs, 0.5); got != 2 {
-		t.Errorf("Quantile(…, 0.5) = %v, want 2", got)
-	}
-	// Input must not be reordered: Quantile sorts a filtered copy.
-	if xs[0] != 3 || xs[2] != 1 {
-		t.Errorf("Quantile mutated its input: %v", xs)
-	}
-	if got := Quantile([]float64{math.NaN(), math.Inf(1)}, 0.5); got != 0 {
-		t.Errorf("Quantile(all non-finite) = %v, want 0", got)
-	}
-}
-
 // TestHistogramNaNRegression pins the fixed panic: int(NaN) used to
 // produce a huge negative bin index.
 func TestHistogramNaNRegression(t *testing.T) {

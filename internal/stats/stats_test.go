@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -22,46 +21,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-//
-// Non-finite values are excluded before ranking, matching Running's
-// skip semantics: sort.Float64s places NaNs at arbitrary positions
-// (comparisons with NaN are false), so a single poisoned sample would
-// otherwise shift every order statistic unpredictably, and a ±Inf would
-// pin the extreme quantiles. An input with no finite values returns 0,
-// like an empty one.
-func Quantile(xs []float64, q float64) float64 {
-	s := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s = append(s, x)
-		}
-	}
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // StdDev is the two-pass population standard deviation of xs, the
@@ -163,33 +122,6 @@ func TestSampleVariance(t *testing.T) {
 	}
 	if !almostEq(r.SampleStdDev(), math.Sqrt(32.0/7), 1e-12) {
 		t.Errorf("sample sd = %v", r.SampleStdDev())
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 9}, {0.5, 5}, {0.25, 3}, {0.75, 7},
-		{-0.5, 1}, {1.5, 9},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(nil) = %v", got)
-	}
-	// Quantile must not mutate its input.
-	if xs[0] != 9 {
-		t.Errorf("Quantile sorted the caller's slice")
-	}
-}
-
-func TestQuantileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Quantile(xs, 0.3); !almostEq(got, 3, 1e-12) {
-		t.Errorf("interpolated quantile = %v, want 3", got)
 	}
 }
 

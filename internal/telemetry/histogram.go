@@ -151,11 +151,3 @@ func (h *Histogram) Summary() HistogramSummary {
 		P99:        h.Quantile(0.99),
 	}
 }
-
-// Name returns the histogram's registered name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}

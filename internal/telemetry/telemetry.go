@@ -166,14 +166,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an atomic instantaneous value (in-flight probes, open
 // breakers). All methods are safe on a nil receiver.
 type Gauge struct {
@@ -203,12 +195,4 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Name returns the gauge's registered name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
