@@ -9,7 +9,7 @@ GO ?= go
 # benchmark lines (name, ns/op, B/op, allocs/op). Set PR to the pull
 # request being measured (make ledger, make abpair).
 BENCHTIME ?= 1x
-PR ?= 47
+PR ?= 48
 
 # Fuzz smoke budget per target; raise locally for deeper runs.
 FUZZTIME ?= 10s
@@ -106,9 +106,10 @@ abpair:
 # decoder against its own write/read round trip), the simulation
 # engine's event order against its container/heap oracle, the analysis
 # engine's integer time kernel against its time.Time oracles (week slot,
-# time difference, boot match and interval formulas), the /api/events
-# parameters and the anomaly events JSONL reader against the ring's
-# writer for $(FUZZTIME) each. The committed corpora under
+# time difference, boot match and interval formulas), its exact
+# accumulators against a math/big model under random splits and
+# permutations, the /api/events parameters and the anomaly events JSONL
+# reader against the ring's writer for $(FUZZTIME) each. The committed corpora under
 # testdata/fuzz replay on every plain `go test` run; this target
 # explores new inputs.
 fuzz:
@@ -120,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzMergeSegmentStreams$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzWeekSlot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzExactAccumulator$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTimeSub$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzServeEvents$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/anomaly/ -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime $(FUZZTIME)
@@ -133,7 +135,9 @@ DOCTORDAYS ?= 7
 # doctor is the validation gate: for every seed it re-runs the repo's
 # equivalence claims (one vs four collector shards, clean and
 # fault-injected; TBv1 round trips; the analysis engine fed from a
-# dataset, a TBv1 stream and unmerged segments)
+# dataset, a TBv1 stream and unmerged segments, bit for bit; the
+# metamorphic week shift, machine relabelling and fleet duplication;
+# no observation dropped on paper, churn and grid traces)
 # and invariant-checks the collected trace as plain and gzipped TBv1
 # files; then the negative leg writes the corrupted-fixture corpus as
 # TBv1 and asserts -check flags every fixture (and does not flag the

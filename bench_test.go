@@ -526,6 +526,21 @@ func BenchmarkGridCursor(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeAll measures the in-memory engine pass over the frozen
+// 14-day dataset; All folds its machine spans on GOMAXPROCS goroutines,
+// so -cpu 1,2 compares one goroutine with two.
+func BenchmarkAnalyzeAll(b *testing.B) {
+	ds := dataset(b).Dataset
+	ds.Freeze()
+	b.ResetTimer()
+	var r *analysis.Results
+	for i := 0; i < b.N; i++ {
+		r = analysis.All(ds, analysis.Options{})
+	}
+	b.ReportMetric(r.Table2.Both.UptimePct, "uptime_%")
+	b.ReportMetric(r.Equivalence.TotalRatio, "equivalence")
+}
+
 // BenchmarkAnalyzeAllStream measures the sequential out-of-core
 // analysis: every table and figure in one pass over the TBv1 bytes,
 // bit-identical to BenchmarkPaperArtefacts' in-memory pass.
@@ -549,8 +564,8 @@ func BenchmarkAnalyzeAllStream(b *testing.B) {
 }
 
 // BenchmarkAnalyzeAllStreamParallel is AllStream with machine-sharded
-// accumulators across 4 workers (counts exact, merged floats within
-// epsilon; see validate's stream/allstream-parallel arm).
+// accumulators across 4 workers (the same Results bit for bit; see
+// validate's stream/allstream-parallel arm).
 func BenchmarkAnalyzeAllStreamParallel(b *testing.B) {
 	tb := streamTB(b)
 	b.SetBytes(int64(len(tb)))

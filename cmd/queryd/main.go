@@ -63,7 +63,7 @@ func main() {
 		period    = flag.Duration("period", 15*time.Minute, "sampling period (with -sim-days)")
 		pubEvery  = flag.Int("publish-every", 96, "with -sim-days: publish a snapshot every N collector iterations (0 = only the final trace)")
 		eventsIn  = flag.String("events", "", "replay this anomaly event JSONL file into /api/events")
-		workers   = flag.Int("workers", 0, "with -stream: analysis workers sharding a TBv1 trace by machine (0 or 1 = one worker, the exact pass; ignored for manifests)")
+		workers   = flag.Int("workers", 0, "with -stream: analysis workers sharding a TBv1 trace by machine (0 or 1 = one worker; every count gives the same results; ignored for manifests)")
 		inflight  = flag.Int("max-inflight", 0, "admission gate: max concurrent requests (0 = unlimited)")
 		queueLen  = flag.Int("max-queue", 256, "admission gate: max queued requests")
 		queueWait = flag.Duration("queue-timeout", 50*time.Millisecond, "admission gate: max queue wait before shedding")

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"runtime"
+	"sync"
 	"time"
 
 	"winlab/internal/trace"
@@ -29,9 +31,9 @@ type Options struct {
 	UnweightedEquivalence bool
 
 	// Workers shards a streamed trace by machine across that many
-	// accumulators (AllStream); zero or one is the exact sequential pass.
-	// All is always that exact pass and ignores Workers, and AllSegments
-	// runs one accumulator per segment.
+	// accumulators (AllStream); zero means one. Every count gives the
+	// same Results, bit for bit. All ignores it and folds on GOMAXPROCS
+	// goroutines, and AllSegments runs one accumulator per segment.
 	Workers int
 }
 
@@ -56,6 +58,12 @@ type Results struct {
 	Labs         []LabUsage
 	Capacity     CapacityReport
 	Heatmap      *HeatmapData
+
+	// Dropped counts the observations the engine's exact accumulators
+	// skipped (stats.Sum: non-finite, or of magnitude 2^38 or more);
+	// the trace doctor asserts it is 0 on the paper, churn and grid
+	// traces.
+	Dropped int64
 }
 
 // withDefaults fills the zero fields with the paper's parameters.
@@ -76,11 +84,12 @@ func (o Options) withDefaults() Options {
 }
 
 // All computes every artefact of the paper from an in-memory trace in one
-// sequential pass of the analysis engine (the accumulator AllStream and
-// AllSegments feed from files): the dataset is frozen, and each machine's
-// time-sorted span is fed in sorted machine order — exactly the order a
-// TBv1 file written from the frozen dataset streams in, which is why
-// AllStream with one worker reproduces All bit for bit.
+// pass of the analysis engine (the accumulator AllStream and AllSegments
+// feed from files): the dataset is frozen, its machine spans are cut
+// into contiguous groups of about equal sample counts, and each group is
+// folded into its own engine on its own goroutine, GOMAXPROCS of them.
+// The engines merge exactly, so the Results are the same bits for any
+// goroutine count, and the same as AllStream's and AllSegments'.
 //
 // All always runs the pass, and then records it on the frozen index (see
 // Recorded), so the epoch's later consumers need not run it again. The
@@ -95,16 +104,48 @@ func All(d *trace.Dataset, opts Options) *Results {
 func allFrozen(d *trace.Dataset, opts Options) *Results {
 	opts.Workers = 0 // the pass is the same for any Workers
 	idx := d.Index()
-	acc := newStreamAcc(d.Start, d.End, d.Period, d.Machines, d.Iterations, opts)
-	idx.EachMachine(func(id string, ss []trace.Sample) {
-		// Index spans are machine-contiguous by construction, so the
-		// contiguity check cannot fire.
-		_ = acc.addRun(id, ss)
-	})
-	acc.finish()
-	res := acc.finalize(d.Machines, d.Iterations)
+	res := foldSpans(d, idx, opts, runtime.GOMAXPROCS(0))
 	idx.SetMemo(&recordedPass{opts: opts, res: res})
 	return res
+}
+
+// foldSpans folds the frozen index's machine spans on up to workers
+// goroutines, each taking a contiguous run of machines holding about
+// 1/workers of the samples, and merges their engines.
+func foldSpans(d *trace.Dataset, idx *trace.Index, opts Options, workers int) *Results {
+	type span struct {
+		id string
+		ss []trace.Sample
+	}
+	spans := make([]span, 0, len(idx.Machines()))
+	idx.EachMachine(func(id string, ss []trace.Sample) {
+		spans = append(spans, span{id, ss})
+	})
+	workers = max(1, min(workers, len(spans)))
+	shards := make([]*streamAcc, workers)
+	var wg sync.WaitGroup
+	lo, done, total := 0, 0, len(d.Samples)
+	for w := range shards {
+		hi := lo
+		for hi < len(spans) && (w == workers-1 || done < (w+1)*total/workers) {
+			done += len(spans[hi].ss)
+			hi++
+		}
+		acc := newStreamAcc(d.Start, d.End, d.Period, d.Machines, d.Iterations, opts)
+		shards[w] = acc
+		wg.Add(1)
+		go func(group []span) {
+			defer wg.Done()
+			for _, sp := range group {
+				// Index spans are machine-contiguous by construction,
+				// so the contiguity check cannot fire.
+				_ = acc.addRun(sp.id, sp.ss)
+			}
+		}(spans[lo:hi])
+		lo = hi
+	}
+	wg.Wait()
+	return fold(shards).finalize(d.Machines, d.Iterations)
 }
 
 // recordedPass is an engine pass recorded on the frozen index it read:

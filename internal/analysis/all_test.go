@@ -160,7 +160,7 @@ func TestEngineMatchesBatchOracle(t *testing.T) {
 		night := func(at time.Time) bool { return at.Hour() < 8 || at.Weekday() == time.Sunday }
 		want := oracleIdlenessWhen(d, night)
 		got := All(d, Options{}).Weekly.IdlenessWhen(night)
-		if got.N() != want.N() || !approxEq(got.Mean(), want.Mean()) {
+		if got.N() != want.N() || got.Mean() != want.Mean() {
 			t.Errorf("%s: IdlenessWhen n=%d mean=%v, oracle n=%d mean=%v", name, got.N(), got.Mean(), want.N(), want.Mean())
 		}
 	}

@@ -22,13 +22,11 @@ import (
 // samples in two segments is rejected with a pointer to the compactor,
 // because its intervals and sessions would be silently split.
 //
-// Equivalence contract (asserted by internal/validate's shard arms):
-// every count, histogram and integer artefact matches AllStream over the
-// compacted trace exactly; Welford-merged means and variances may differ
-// in the last bits when K > 1, same epsilon as AllStream's parallel
-// path. The normalisation catalogue (Equivalence's totalPerf) is the
-// union catalogue, so per-segment accumulators normalise exactly like a
-// fleet-wide pass would.
+// The Results are bit-identical to All's over the compacted trace
+// (asserted by internal/validate's shard arms): the accumulators merge
+// exactly, whatever the number of segments. The normalisation catalogue
+// (Equivalence's totalPerf) is the union catalogue, so per-segment
+// accumulators normalise exactly like a fleet-wide pass would.
 func AllSegments(paths []string, opts Options) (*Results, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("analysis: no segments")

@@ -22,16 +22,11 @@ import (
 // is exactly what WriteBinary produces for a frozen Dataset. Non-contiguous
 // input is detected and rejected rather than silently mis-paired.
 //
-// Equivalence to All (asserted by internal/validate's stream arms):
-//
-//   - opts.Workers ≤ 1: bit-exact. All feeds the same engine the frozen
-//     dataset's machine spans in the order this pass reads them from
-//     the file.
-//   - opts.Workers > 1: machines are sharded deterministically across
-//     workers (stream.Parallel) and per-shard accumulators are merged
-//     in worker order. Counts, histograms and every integer artefact
-//     remain exact; Welford-merged means and variances may differ from
-//     the serial result in the last bits (documented epsilon).
+// With opts.Workers > 1, machines are sharded across workers
+// (stream.Parallel) and the per-shard accumulators merged. Every
+// accumulator is exact and order-free (stats.Sum, stats.Running), so
+// the Results are bit-identical to All's for every worker count
+// (asserted by internal/validate's stream arms).
 func AllStream(c *stream.Cursor, opts Options) (*Results, error) {
 	opts = opts.withDefaults()
 	machines := c.Machines()
@@ -71,7 +66,7 @@ type machState struct {
 
 	cat        catEntry
 	catalogued bool // so it weighs into Figure 6
-	capClass   *stats.Running
+	capClass   *stats.Sum
 	cpuLab     *labAcc // catalogue lab, resolved on the first interval
 
 	// Per-lab sample counts key on the lab the sample names, cached
@@ -91,17 +86,35 @@ type catEntry struct {
 // counts, Figure 6's perf-weighted idleness and the capacity totals.
 type iterSum struct {
 	on, free      int
-	occ, freeIdle float64
-	ramMB, diskGB float64
+	occ, freeIdle stats.Sum
+	ramMB, diskGB stats.Sum
+}
+
+func (it *iterSum) merge(o *iterSum) {
+	it.on += o.on
+	it.free += o.free
+	it.occ = it.occ.Merge(o.occ)
+	it.freeIdle = it.freeIdle.Merge(o.freeIdle)
+	it.ramMB = it.ramMB.Merge(o.ramMB)
+	it.diskGB = it.diskGB.Merge(o.diskGB)
 }
 
 type labAcc struct {
 	samples  int
 	occupied int
-	ram      stats.Running
-	freeRAM  stats.Running
-	freeDisk stats.Running
-	cpu      stats.Running
+	ram      stats.Sum
+	freeRAM  stats.Sum
+	freeDisk stats.Sum
+	cpu      stats.Sum
+}
+
+func (l *labAcc) merge(o *labAcc) {
+	l.samples += o.samples
+	l.occupied += o.occupied
+	l.ram = l.ram.Merge(o.ram)
+	l.freeRAM = l.freeRAM.Merge(o.freeRAM)
+	l.freeDisk = l.freeDisk.Merge(o.freeDisk)
+	l.cpu = l.cpu.Merge(o.cpu)
 }
 
 // iterIndex maps an iteration number to its position among the distinct
@@ -208,16 +221,17 @@ type streamAcc struct {
 	curM *machState // its state
 
 	cat       map[string]catEntry
-	totalPerf float64
+	totalPerf stats.Sum
 	perf      map[string]float64 // for the churn denominator (activePerf)
 
-	// Table 2 (§4.2) and the reclassification counts.
-	t2no, t2with, t2both table2Acc
-	rawLogin             int
-	reclassified         int
+	// Table 2 (§4.2) and the reclassification counts. The Both column
+	// is their union, merged at finalize.
+	t2no, t2with table2Acc
+	rawLogin     int
+	reclassified int
 
 	// Figure 2: CPU idleness by session age.
-	age []stats.Running
+	age []stats.Sum
 
 	// Figures 3 and 6 and the capacity totals, by iterIdx position.
 	iterIdx iterIndex
@@ -233,10 +247,9 @@ type streamAcc struct {
 	// Per-lab usage.
 	labs map[string]*labAcc
 
-	// Capacity (§6).
-	capRAM   stats.Running
-	capDisk  stats.Running
-	capClass map[int]*stats.Running
+	// Capacity (§6), per RAM class; the fleet-wide free RAM and disk are
+	// the unions of the classes and of the labs' freeDisk.
+	capClass map[int]*stats.Sum
 }
 
 // newStreamAcc builds an engine for a trace with the given header; opts
@@ -253,11 +266,11 @@ func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.M
 		mach:      make(map[string]*machState),
 		cat:       make(map[string]catEntry, len(machines)),
 		perf:      make(map[string]float64, len(machines)),
-		age:       make([]stats.Running, opts.SessionAgeHours),
+		age:       make([]stats.Sum, opts.SessionAgeHours),
 		iterIdx:   newIterIndex(iterations),
 		sess:      sessAcc{hist: stats.NewHistogram(0, opts.HistCap.Hours(), opts.HistBins)},
 		labs:      make(map[string]*labAcc),
-		capClass:  make(map[int]*stats.Running),
+		capClass:  make(map[int]*stats.Sum),
 	}
 	a.iters = make([]iterSum, len(a.iterIdx.keys))
 	for _, m := range machines {
@@ -267,7 +280,7 @@ func newStreamAcc(start, end time.Time, period time.Duration, machines []trace.M
 		}
 		a.cat[m.ID] = catEntry{ram: m.RAMMB, lab: m.Lab, perf: p}
 		a.perf[m.ID] = p
-		a.totalPerf += p
+		a.totalPerf.Add(p)
 	}
 	return a
 }
@@ -314,7 +327,7 @@ func (a *streamAcc) newMachine(id string, first *trace.Sample) *machState {
 	}
 	m.capClass = a.capClass[e.ram]
 	if m.capClass == nil {
-		m.capClass = &stats.Running{}
+		m.capClass = &stats.Sum{}
 		a.capClass[e.ram] = m.capClass
 	}
 	a.mach[id] = m
@@ -376,7 +389,6 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 		col = &a.t2with
 	}
 	col.addSample(s)
-	a.t2both.addSample(s)
 
 	mem := float64(s.MemLoadPct)
 	freeMB := float64(m.cat.ram) * (100 - mem) / 100
@@ -388,8 +400,8 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 		if !occupied {
 			it.free++
 		}
-		it.ramMB += freeMB
-		it.diskGB += s.FreeDiskGB
+		it.ramMB.Add(freeMB)
+		it.diskGB.Add(s.FreeDiskGB)
 	}
 
 	// Figure 5 sample-level profiles.
@@ -412,8 +424,6 @@ func (a *streamAcc) addSample(m *machState, prev, s *trace.Sample) (k int) {
 	la.freeDisk.Add(s.FreeDiskGB)
 
 	// Capacity.
-	a.capRAM.Add(freeMB)
-	a.capDisk.Add(s.FreeDiskGB)
 	m.capClass.Add(freeMB)
 	return k
 }
@@ -432,7 +442,6 @@ func (a *streamAcc) addInterval(m *machState, prev, s *trace.Sample, dt, age tim
 		col = &a.t2with
 	}
 	col.addInterval(idle, sent, recv)
-	a.t2both.addInterval(idle, sent, recv)
 
 	// Figure 2: idleness by session age.
 	if s.HasSession() {
@@ -453,9 +462,9 @@ func (a *streamAcc) addInterval(m *machState, prev, s *trace.Sample, dt, age tim
 	if m.catalogued && k >= 0 {
 		contrib := idle / 100 * m.cat.perf
 		if s.HasSession() {
-			a.iters[k].occ += contrib
+			a.iters[k].occ.Add(contrib)
 		} else {
-			a.iters[k].freeIdle += contrib
+			a.iters[k].freeIdle.Add(contrib)
 		}
 	}
 
@@ -490,8 +499,8 @@ type sessAcc struct {
 	count       int
 	lengths     stats.Running
 	hist        *stats.Histogram
-	uptimeAll   float64
-	uptimeShort float64
+	uptimeAll   stats.Sum
+	uptimeShort stats.Sum
 }
 
 // add records one finished session of length l.
@@ -500,28 +509,18 @@ func (s *sessAcc) add(l, histCap time.Duration) {
 	s.count++
 	s.lengths.Add(h)
 	s.hist.Add(h)
-	s.uptimeAll += h
+	s.uptimeAll.Add(h)
 	if l <= histCap {
-		s.uptimeShort += h
+		s.uptimeShort.Add(h)
 	}
 }
 
-func mergeT2(a, b *table2Acc) {
-	a.samples += b.samples
-	a.cpuIdle = a.cpuIdle.Merge(b.cpuIdle)
-	a.ram = a.ram.Merge(b.ram)
-	a.swap = a.swap.Merge(b.swap)
-	a.disk = a.disk.Merge(b.disk)
-	a.sent = a.sent.Merge(b.sent)
-	a.recv = a.recv.Merge(b.recv)
-}
-
-// fold finishes every shard and merges them, in order, into the first.
-// Shards partition machines (the parallel scheduler routes every run of
-// a machine to one worker; segments must hold whole machines), so the
-// per-machine states are disjoint; everything else merges by Welford /
-// histogram / integer addition. Merging in fixed order keeps the result
-// deterministic for a given trace and shard count.
+// fold finishes every shard and merges them into the first. Shards
+// partition machines (the parallel scheduler routes every run of a
+// machine to one worker; segments must hold whole machines), so the
+// per-machine states are disjoint; everything else merges by integer
+// addition, exact and order-free, so any partition of the machines
+// gives the same engine state.
 func fold(shards []*streamAcc) *streamAcc {
 	a := shards[0]
 	a.finish()
@@ -531,9 +530,8 @@ func fold(shards []*streamAcc) *streamAcc {
 			a.mach[id] = m
 		}
 
-		mergeT2(&a.t2no, &b.t2no)
-		mergeT2(&a.t2with, &b.t2with)
-		mergeT2(&a.t2both, &b.t2both)
+		a.t2no.merge(&b.t2no)
+		a.t2with.merge(&b.t2with)
 		a.rawLogin += b.rawLogin
 		a.reclassified += b.reclassified
 
@@ -542,20 +540,14 @@ func fold(shards []*streamAcc) *streamAcc {
 		}
 
 		for k := range a.iters {
-			x, y := &a.iters[k], &b.iters[k]
-			x.on += y.on
-			x.free += y.free
-			x.occ += y.occ
-			x.freeIdle += y.freeIdle
-			x.ramMB += y.ramMB
-			x.diskGB += y.diskGB
+			a.iters[k].merge(&b.iters[k])
 		}
 
 		a.sess.count += b.sess.count
 		a.sess.lengths = a.sess.lengths.Merge(b.sess.lengths)
 		a.sess.hist.Merge(b.sess.hist)
-		a.sess.uptimeAll += b.sess.uptimeAll
-		a.sess.uptimeShort += b.sess.uptimeShort
+		a.sess.uptimeAll = a.sess.uptimeAll.Merge(b.sess.uptimeAll)
+		a.sess.uptimeShort = a.sess.uptimeShort.Merge(b.sess.uptimeShort)
 
 		a.weekly.CPUIdlePct.Merge(&b.weekly.CPUIdlePct)
 		a.weekly.RAMLoadPct.Merge(&b.weekly.RAMLoadPct)
@@ -564,17 +556,9 @@ func fold(shards []*streamAcc) *streamAcc {
 		a.weekly.RecvBps.Merge(&b.weekly.RecvBps)
 
 		for lb, bl := range b.labs {
-			al := a.lab(lb)
-			al.samples += bl.samples
-			al.occupied += bl.occupied
-			al.ram = al.ram.Merge(bl.ram)
-			al.freeRAM = al.freeRAM.Merge(bl.freeRAM)
-			al.freeDisk = al.freeDisk.Merge(bl.freeDisk)
-			al.cpu = al.cpu.Merge(bl.cpu)
+			a.lab(lb).merge(bl)
 		}
 
-		a.capRAM = a.capRAM.Merge(b.capRAM)
-		a.capDisk = a.capDisk.Merge(b.capDisk)
 		for ram, r := range b.capClass {
 			if ar := a.capClass[ram]; ar != nil {
 				*ar = ar.Merge(*r)
@@ -621,6 +605,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	sums := func(it *trace.Iteration) *iterSum { return &a.iters[a.iterIdx.of(it.Iter)] }
 
 	// Table 2.
+	both := a.t2no
+	both.merge(&a.t2with)
 	res.Table2 = Table2{
 		Threshold: a.threshold,
 		Reclass: ReclassifyStats{
@@ -630,7 +616,7 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 		},
 		NoLogin:   a.t2no.column(attempts),
 		WithLogin: a.t2with.column(attempts),
-		Both:      a.t2both.column(attempts),
+		Both:      both.column(attempts),
 	}
 
 	// Figure 2.
@@ -644,7 +630,7 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	}
 
 	// Figure 3.
-	var on, free stats.Running
+	var on, free stats.Sum
 	for i := range iterations {
 		it := &iterations[i]
 		c := sums(it)
@@ -692,8 +678,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	if sess.count > 0 {
 		res.Sessions.ShortFraction = sess.hist.InRangeFraction()
 	}
-	if sess.uptimeAll > 0 {
-		res.Sessions.ShortUptimeFraction = sess.uptimeShort / sess.uptimeAll
+	if all := sess.uptimeAll.Total(); all > 0 {
+		res.Sessions.ShortUptimeFraction = sess.uptimeShort.Total() / all
 	}
 
 	// §5.2.2 power cycles, in sorted machine order.
@@ -741,7 +727,8 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	// Figure 6, iteration-log order; zero result when no machine has
 	// index metadata. On fleet-churn traces the denominator is the
 	// per-iteration active fleet.
-	if a.totalPerf != 0 {
+	var occ, freeEq stats.Sum
+	if totalPerf := a.totalPerf.Total(); totalPerf != 0 {
 		partial := false
 		for i := range machines {
 			if machines[i].PartialLifetime() {
@@ -749,19 +736,18 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 				break
 			}
 		}
-		var occ, freeEq stats.Running
 		for i := range iterations {
 			it := &iterations[i]
 			es := sums(it)
-			denom := a.totalPerf
+			denom := totalPerf
 			if partial {
 				denom = activePerf(machines, a.perf, it.Iter)
 				if denom == 0 {
 					continue // no fleet at this instant; nothing to compare against
 				}
 			}
-			o := es.occ / denom
-			f := es.freeIdle / denom
+			o := es.occ.Total() / denom
+			f := es.freeIdle.Total() / denom
 			occ.Add(o)
 			freeEq.Add(f)
 			res.Equivalence.WeeklyOccupied.Add(it.Start, o)
@@ -818,17 +804,25 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	res.Labs = labs
 
 	// Capacity, iteration-log order; an iteration nobody answered adds
-	// zeros.
-	rep := CapacityReport{
-		AvgFreeRAMMBPerMachine:  a.capRAM.Mean(),
-		FreeRAMByClass:          map[int]float64{},
-		AvgFreeDiskGBPerMachine: a.capDisk.Mean(),
+	// zeros. Every sample adds its free RAM to its machine's RAM class
+	// and its free disk to its lab, so those unions are the fleet's.
+	var capRAM, capDisk stats.Sum
+	for _, acc := range a.capClass {
+		capRAM = capRAM.Merge(*acc)
 	}
-	var iterRAM, iterDisk, iterOn stats.Running
+	for _, l := range a.labs {
+		capDisk = capDisk.Merge(l.freeDisk)
+	}
+	rep := CapacityReport{
+		AvgFreeRAMMBPerMachine:  capRAM.Mean(),
+		FreeRAMByClass:          map[int]float64{},
+		AvgFreeDiskGBPerMachine: capDisk.Mean(),
+	}
+	var iterRAM, iterDisk, iterOn stats.Sum
 	for i := range iterations {
 		c := sums(&iterations[i])
-		iterRAM.Add(c.ramMB)
-		iterDisk.Add(c.diskGB)
+		iterRAM.Add(c.ramMB.Total())
+		iterDisk.Add(c.diskGB.Total())
 		iterOn.Add(float64(c.on))
 	}
 	rep.FleetFreeRAMGB = iterRAM.Mean() / 1024
@@ -862,5 +856,33 @@ func (a *streamAcc) finalize(machines []trace.MachineInfo, iterations []trace.It
 	}
 	res.Heatmap = hd
 
+	res.Dropped = a.dropped() + on.Dropped() + free.Dropped() +
+		perMach.Dropped() + perCycle.Dropped() + lifetime.Dropped() +
+		res.Equivalence.Weekly.Dropped() + res.Equivalence.WeeklyOccupied.Dropped() +
+		res.Equivalence.WeeklyFree.Dropped() + occ.Dropped() + freeEq.Dropped() +
+		iterRAM.Dropped() + iterDisk.Dropped() + iterOn.Dropped()
 	return res
+}
+
+// dropped counts the observations the engine's accumulators skipped.
+func (a *streamAcc) dropped() int64 {
+	n := a.totalPerf.Dropped() + a.t2no.dropped() + a.t2with.dropped() +
+		a.sess.lengths.Dropped() + a.sess.uptimeAll.Dropped() + a.sess.uptimeShort.Dropped()
+	for i := range a.age {
+		n += a.age[i].Dropped()
+	}
+	for i := range a.iters {
+		it := &a.iters[i]
+		n += it.occ.Dropped() + it.freeIdle.Dropped() + it.ramMB.Dropped() + it.diskGB.Dropped()
+	}
+	w := &a.weekly
+	n += w.CPUIdlePct.Dropped() + w.RAMLoadPct.Dropped() + w.SwapLoad.Dropped() +
+		w.SentBps.Dropped() + w.RecvBps.Dropped()
+	for _, l := range a.labs {
+		n += l.ram.Dropped() + l.freeRAM.Dropped() + l.freeDisk.Dropped() + l.cpu.Dropped()
+	}
+	for _, c := range a.capClass {
+		n += c.Dropped()
+	}
+	return n
 }

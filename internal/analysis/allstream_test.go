@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"compress/gzip"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -178,74 +177,16 @@ func TestAllStreamGzip(t *testing.T) {
 	}
 }
 
-// approxEq checks relative closeness for the merged-float comparisons
-// of the parallel test.
-func approxEq(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol
-}
-
-// TestAllStreamParallel: sharded accumulation keeps every integer
-// artefact exact and every merged float within documented epsilon.
+// TestAllStreamParallel: sharded accumulation reproduces the sequential
+// pass exactly, whatever the worker count and run split.
 func TestAllStreamParallel(t *testing.T) {
 	d := streamFixture()
 	want := All(d, Options{Workers: 1})
 	tb := encodeTB(t, d)
 	for _, workers := range []int{2, 3, 8} {
 		got := allStreamOver(t, tb, Options{Workers: workers}, 2)
-
-		// Integer artefacts: exact.
-		if got.Table2.Both.Samples != want.Table2.Both.Samples ||
-			got.Table2.NoLogin.Samples != want.Table2.NoLogin.Samples ||
-			got.Table2.WithLogin.Samples != want.Table2.WithLogin.Samples {
-			t.Errorf("workers=%d: sample counts diverge", workers)
-		}
-		if got.Table2.Reclass != want.Table2.Reclass {
-			t.Errorf("workers=%d: reclass %+v != %+v", workers, got.Table2.Reclass, want.Table2.Reclass)
-		}
-		if diff := check.FirstDiff(want.Availability, got.Availability); diff != "" {
-			t.Errorf("workers=%d: availability: %s", workers, diff)
-		}
-		if got.Sessions.Count != want.Sessions.Count {
-			t.Errorf("workers=%d: session count %d != %d", workers, got.Sessions.Count, want.Sessions.Count)
-		}
-		if diff := check.FirstDiff(want.Sessions.Hist.Counts, got.Sessions.Hist.Counts); diff != "" {
-			t.Errorf("workers=%d: session histogram: %s", workers, diff)
-		}
-		if got.PowerCycles.TotalCycles != want.PowerCycles.TotalCycles ||
-			got.PowerCycles.DetectedSessions != want.PowerCycles.DetectedSessions {
-			t.Errorf("workers=%d: power cycles diverge", workers)
-		}
-		if diff := check.FirstDiff(want.Uptimes, got.Uptimes); diff != "" {
-			t.Errorf("workers=%d: uptimes: %s", workers, diff)
-		}
-
-		// Merged floats: epsilon.
-		pairs := [][2]float64{
-			{want.Table2.Both.CPUIdlePct, got.Table2.Both.CPUIdlePct},
-			{want.Table2.Both.RAMLoadPct, got.Table2.Both.RAMLoadPct},
-			{want.Table2.NoLogin.SentBps, got.Table2.NoLogin.SentBps},
-			{want.Sessions.Mean.Hours(), got.Sessions.Mean.Hours()},
-			{want.Equivalence.TotalRatio, got.Equivalence.TotalRatio},
-			{want.Capacity.AvgFreeRAMMBPerMachine, got.Capacity.AvgFreeRAMMBPerMachine},
-			{want.Capacity.FleetFreeDiskTB, got.Capacity.FleetFreeDiskTB},
-		}
-		for i, p := range pairs {
-			if !approxEq(p[0], p[1]) {
-				t.Errorf("workers=%d: float artefact %d: %v != %v", workers, i, p[0], p[1])
-			}
-		}
-		for lb := range want.Labs {
-			if want.Labs[lb].Lab != got.Labs[lb].Lab || want.Labs[lb].Machines != got.Labs[lb].Machines {
-				t.Errorf("workers=%d: lab %d identity diverges", workers, lb)
-			}
-			if !approxEq(want.Labs[lb].CPUIdlePct, got.Labs[lb].CPUIdlePct) {
-				t.Errorf("workers=%d: lab %s cpu %v != %v", workers, want.Labs[lb].Lab,
-					want.Labs[lb].CPUIdlePct, got.Labs[lb].CPUIdlePct)
-			}
+		if diff := check.FirstDiff(want, got); diff != "" {
+			t.Errorf("workers=%d: AllStream diverges from All: %s", workers, diff)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func CountAbove(us []MachineUptime, r float64) int {
 // grid: the mean number of user-free machines per hour of the week, the
 // "harvest windows" view of availability (rendered by report.Heatmap).
 func FreeMachineHeat(s AvailabilitySeries) []float64 {
-	var acc [7 * 24]stats.Running
+	var acc [7 * 24]stats.Sum
 	for _, p := range s.Points {
 		day := (int(p.Time.Weekday()) + 6) % 7
 		acc[day*24+p.Time.Hour()].Add(float64(p.UserFree))

@@ -17,7 +17,8 @@ import (
 // here verbatim (identifiers prefixed "oracle"; the cached
 // Index.Intervals became oracleIntervals) as the differential reference:
 // TestEngineMatchesBatchOracle requires All, MainResults and Heatmap to
-// reproduce these bodies field for field, float bits included.
+// reproduce these bodies field for field, float bits included. Their
+// bare float sums became exact stats.Sums with the engine's.
 
 // Classify classifies one sample under the given forgotten-session
 // threshold, computing its session age on the spot as the oracle bodies
@@ -196,14 +197,14 @@ func oracleSessions(d *trace.Dataset, histCap time.Duration, bins int) SessionSt
 		HistCap: histCap,
 	}
 	var lengths stats.Running
-	var uptimeAll, uptimeShort float64
+	var uptimeAll, uptimeShort stats.Sum
 	for _, s := range sessions {
 		h := s.Length.Hours()
 		lengths.Add(h)
 		st.Hist.Add(h)
-		uptimeAll += h
+		uptimeAll.Add(h)
 		if s.Length <= histCap {
-			uptimeShort += h
+			uptimeShort.Add(h)
 		}
 	}
 	st.Count = len(sessions)
@@ -212,8 +213,8 @@ func oracleSessions(d *trace.Dataset, histCap time.Duration, bins int) SessionSt
 	if st.Count > 0 {
 		st.ShortFraction = st.Hist.InRangeFraction()
 	}
-	if uptimeAll > 0 {
-		st.ShortUptimeFraction = uptimeShort / uptimeAll
+	if uptimeAll.Total() > 0 {
+		st.ShortUptimeFraction = uptimeShort.Total() / uptimeAll.Total()
 	}
 	return st
 }
@@ -347,7 +348,7 @@ func oracleIdlenessWhen(d *trace.Dataset, pred func(time.Time) bool) stats.Runni
 // Full-lifetime traces keep the classic static denominator.
 func oracleEquivalence(d *trace.Dataset, normalize bool) EquivalenceResult {
 	perf := make(map[string]float64, len(d.Machines))
-	var totalPerf float64
+	var perfSum stats.Sum
 	partial := false
 	for _, m := range d.Machines {
 		p := m.PerfIndex()
@@ -355,15 +356,16 @@ func oracleEquivalence(d *trace.Dataset, normalize bool) EquivalenceResult {
 			p = 1
 		}
 		perf[m.ID] = p
-		totalPerf += p
+		perfSum.Add(p)
 		partial = partial || m.PartialLifetime()
 	}
 	var res EquivalenceResult
+	totalPerf := perfSum.Total()
 	if totalPerf == 0 {
 		return res
 	}
 
-	type slotSum struct{ occ, free float64 }
+	type slotSum struct{ occ, free stats.Sum }
 	sums := make(map[int]*slotSum, len(d.Iterations))
 	for _, iv := range oracleIntervals(d, 2*d.Period) {
 		p, ok := perf[iv.B.Machine]
@@ -377,9 +379,9 @@ func oracleEquivalence(d *trace.Dataset, normalize bool) EquivalenceResult {
 		}
 		contrib := iv.CPUIdlePct() / 100 * p
 		if iv.B.HasSession() {
-			ss.occ += contrib
+			ss.occ.Add(contrib)
 		} else {
-			ss.free += contrib
+			ss.free.Add(contrib)
 		}
 	}
 
@@ -396,8 +398,8 @@ func oracleEquivalence(d *trace.Dataset, normalize bool) EquivalenceResult {
 				continue // no fleet at this instant; nothing to compare against
 			}
 		}
-		o := ss.occ / denom
-		f := ss.free / denom
+		o := ss.occ.Total() / denom
+		f := ss.free.Total() / denom
 		occ.Add(o)
 		free.Add(f)
 		res.WeeklyOccupied.Add(it.Start, o)
@@ -489,8 +491,8 @@ func oracleCapacity(d *trace.Dataset) CapacityReport {
 	var freeRAM, freeDisk stats.Running
 	classAcc := map[int]*stats.Running{}
 	perIter := map[int]*struct {
-		ramMB  float64
-		diskGB float64
+		ramMB  stats.Sum
+		diskGB stats.Sum
 		on     int
 	}{}
 	for i := range d.Samples {
@@ -506,14 +508,14 @@ func oracleCapacity(d *trace.Dataset) CapacityReport {
 		it := perIter[s.Iter]
 		if it == nil {
 			it = &struct {
-				ramMB  float64
-				diskGB float64
+				ramMB  stats.Sum
+				diskGB stats.Sum
 				on     int
 			}{}
 			perIter[s.Iter] = it
 		}
-		it.ramMB += freeMB
-		it.diskGB += s.FreeDiskGB
+		it.ramMB.Add(freeMB)
+		it.diskGB.Add(s.FreeDiskGB)
 		it.on++
 	}
 	var iterRAM, iterDisk, iterOn stats.Running
@@ -525,8 +527,8 @@ func oracleCapacity(d *trace.Dataset) CapacityReport {
 			iterOn.Add(0)
 			continue
 		}
-		iterRAM.Add(acc.ramMB)
-		iterDisk.Add(acc.diskGB)
+		iterRAM.Add(acc.ramMB.Total())
+		iterDisk.Add(acc.diskGB.Total())
 		iterOn.Add(float64(acc.on))
 	}
 	rep := CapacityReport{

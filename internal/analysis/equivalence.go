@@ -38,11 +38,11 @@ type EquivalenceResult struct {
 // members at the given iteration — the per-iteration equivalence
 // denominator for traces with fleet churn.
 func activePerf(machines []trace.MachineInfo, perf map[string]float64, iter int) float64 {
-	var t float64
+	var t stats.Sum
 	for i := range machines {
 		if machines[i].ActiveAt(iter) {
-			t += perf[machines[i].ID]
+			t.Add(perf[machines[i].ID])
 		}
 	}
-	return t
+	return t.Total()
 }

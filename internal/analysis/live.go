@@ -14,15 +14,11 @@ import (
 // the engine, so an epoch costs O(new samples + machines + iterations)
 // however long the trace has grown.
 //
-// Equivalence to All over the same prefix: every count, the Figure 3
-// points and means, uptime ratios, the heatmap, the power-cycle
-// statistics and the session count and histogram are bit-exact, because
-// they depend only on each machine's own sample order, which commit
-// order keeps. Float sums over samples of different machines (Table 2,
-// Figure 2, the weekly profiles, the equivalence ratios, per-lab and
-// capacity means, session-length moments) are added in commit order
-// instead of sorted machine order, so they match within floating-point
-// reassociation.
+// The Results are bit-identical to All's over the same prefix: the
+// per-machine state depends only on each machine's own sample order,
+// which commit order keeps, and every sum across machines is exact and
+// order-free (stats.Sum, stats.Running), so folding in commit order
+// instead of sorted machine order changes nothing.
 //
 // A Live is not safe for concurrent use; the Results it returns are
 // independent of it and may be shared freely.

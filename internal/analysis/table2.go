@@ -33,15 +33,16 @@ type Table2 struct {
 	Both      Column
 }
 
-// table2Acc accumulates one column.
+// table2Acc accumulates one column. Only CPU idleness and RAM load
+// report a spread, so only they keep Σq².
 type table2Acc struct {
 	samples int
 	cpuIdle stats.Running
 	ram     stats.Running
-	swap    stats.Running
-	disk    stats.Running
-	sent    stats.Running
-	recv    stats.Running
+	swap    stats.Sum
+	disk    stats.Sum
+	sent    stats.Sum
+	recv    stats.Sum
 }
 
 func (a *table2Acc) addSample(s *trace.Sample) {
@@ -55,6 +56,22 @@ func (a *table2Acc) addInterval(idle, sent, recv float64) {
 	a.cpuIdle.Add(idle)
 	a.sent.Add(sent)
 	a.recv.Add(recv)
+}
+
+// merge adds b's observations to a.
+func (a *table2Acc) merge(b *table2Acc) {
+	a.samples += b.samples
+	a.cpuIdle = a.cpuIdle.Merge(b.cpuIdle)
+	a.ram = a.ram.Merge(b.ram)
+	a.swap = a.swap.Merge(b.swap)
+	a.disk = a.disk.Merge(b.disk)
+	a.sent = a.sent.Merge(b.sent)
+	a.recv = a.recv.Merge(b.recv)
+}
+
+func (a *table2Acc) dropped() int64 {
+	return a.cpuIdle.Dropped() + a.ram.Dropped() + a.swap.Dropped() +
+		a.disk.Dropped() + a.sent.Dropped() + a.recv.Dropped()
 }
 
 func (a *table2Acc) column(attempts int) Column {

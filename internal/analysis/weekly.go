@@ -49,9 +49,9 @@ func SlotWeekday(slot int) time.Weekday {
 // pred sees each slot's start in one reference week (UTC, Monday
 // 2001-01-01), so it must depend only on the UTC weekday and time of day
 // at 15-minute resolution, as a lab calendar does.
-func (w *WeeklyProfiles) IdlenessWhen(pred func(time.Time) bool) stats.Running {
+func (w *WeeklyProfiles) IdlenessWhen(pred func(time.Time) bool) stats.Sum {
 	week := time.Date(2001, time.January, 1, 0, 0, 0, 0, time.UTC)
-	var r stats.Running
+	var r stats.Sum
 	for i := range w.CPUIdlePct.Slots {
 		if pred(week.Add(stats.SlotTime(i))) {
 			r = r.Merge(w.CPUIdlePct.Slots[i])

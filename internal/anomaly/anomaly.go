@@ -52,7 +52,7 @@ const (
 	// hours) regressed or jumped implausibly between samples (§5.2.2).
 	KindSMARTAnomaly Kind = "smart-anomaly"
 	// KindUsageDrift: a machine's memory or disk usage left its own
-	// Welford baseline (§4.2 resource-usage regimes).
+	// running baseline (§4.2 resource-usage regimes).
 	KindUsageDrift Kind = "usage-drift"
 	// KindSensorStaleness: a machine keeps answering probes but its
 	// monotone counters stopped moving — the report is stale even though

@@ -93,8 +93,8 @@ type Config struct {
 	SMARTHoursSlack   int64 // hours delta > elapsed hours + this ⇒ excursion
 	SMARTCooldownIter int   // iterations to mute a machine after an event
 
-	// Usage drift (per-machine Welford baseline on memory load and used
-	// disk). CPU is deliberately excluded: the behavior model's course
+	// Usage drift (per-machine running mean and spread of memory load and
+	// used disk). CPU is deliberately excluded: the behavior model's course
 	// schedule makes multi-hour CPU regimes (lab-wide batch sessions) a
 	// natural pattern, not an anomaly.
 	DriftWarmupSamples int     // baseline observations before alerting

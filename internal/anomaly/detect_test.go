@@ -142,7 +142,7 @@ func TestDetectRebootStorm(t *testing.T) {
 	}
 }
 
-// TestDetectUsageDrift: after the Welford warmup a sustained memory
+// TestDetectUsageDrift: after the baseline warmup a sustained memory
 // regime shift emits once; the out-of-regime samples must not feed the
 // baseline (the event's recorded baseline stays at the pre-shift mean).
 func TestDetectUsageDrift(t *testing.T) {

@@ -64,10 +64,9 @@ func AnalyzeResult(res *experiment.Result) *Report {
 // AnalyzeStream computes the same report out-of-core: it streams a
 // TBv1 trace file (plain or gzipped) through analysis.AllStream, so
 // peak memory is bounded by the accumulator state, not the trace size.
-// workers ≤ 1 (0 included) means one worker, the exact pass,
-// bit-identical to Analyze's artefacts on a canonical trace; workers > 1
-// shards by machine (counts exact, merged floats within documented
-// epsilon).
+// workers ≤ 1 (0 included) means one worker; workers > 1 shards by
+// machine. Every count gives Analyze's artefacts bit for bit on a
+// canonical trace.
 //
 // A segment manifest (labmon -shards -segments) is accepted in place of
 // a trace file: the unmerged segments feed the accumulators directly
@@ -87,7 +86,7 @@ func AnalyzeStream(path string, workers int) (*Report, error) {
 
 // StreamResults runs the analysis engine out-of-core over either a TBv1
 // trace file (plain or gzipped; workers as in AnalyzeStream, so 0 is
-// the exact one-worker pass, not GOMAXPROCS) or a segment manifest,
+// one worker, not GOMAXPROCS) or a segment manifest,
 // which ignores workers. Manifests are written as uncompressed JSON, so
 // a leading '{' is the same content sniff trace.ReadFile keys on —
 // cheap and unambiguous against TBv1 magic and the gzip header.

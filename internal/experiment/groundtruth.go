@@ -27,7 +27,7 @@ type GroundTruth struct {
 func Truth(res *Result) GroundTruth {
 	var gt GroundTruth
 	var lengths stats.Running
-	var inter stats.Running
+	var inter stats.Sum
 	period := res.Config.Period
 	for _, m := range res.Fleet.Machines {
 		for _, p := range m.PowerLog {

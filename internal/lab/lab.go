@@ -30,8 +30,9 @@ type Spec struct {
 	BaseImgGB float64 // installed OS + class software image
 }
 
-// PerfIndex returns the 50/50 INT/FP combined index for the lab's machines.
-func (s Spec) PerfIndex() float64 { return 0.5*s.IntIndex + 0.5*s.FPIndex }
+// PerfIndex returns the 50/50 INT/FP combined index for the lab's
+// machines (machine.PerfIndex).
+func (s Spec) PerfIndex() float64 { return machine.PerfIndex(s.IntIndex, s.FPIndex) }
 
 // PaperCatalog returns the 11 laboratories of the paper's Table 1.
 //

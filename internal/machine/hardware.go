@@ -17,6 +17,10 @@ type Hardware struct {
 	OS       string // operating system name and version
 }
 
+// PerfIndex is the paper's combined NBench index, 50 % INT + 50 % FP:
+// the weight of a machine in the cluster-equivalence ratio (§5.4).
+func PerfIndex(intIndex, fpIndex float64) float64 { return 0.5*intIndex + 0.5*fpIndex }
+
 // DefaultSwapMB returns the Windows 2000 default pagefile size for a
 // machine with ramMB of memory (1.5 × RAM).
 func DefaultSwapMB(ramMB int) int { return ramMB * 3 / 2 }

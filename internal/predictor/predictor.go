@@ -32,13 +32,13 @@ type Model struct {
 
 	// survivalByHour[h] is the empirical probability that a machine up at
 	// week-hour h is still up, same boot, after Horizon.
-	survivalByHour [hourSlots]stats.Running
+	survivalByHour [hourSlots]stats.Sum
 
 	// perMachine[id] is the machine's overall survival rate, used to rank
 	// machines (Stability) and to modulate the hourly baseline.
-	perMachine map[string]*stats.Running
+	perMachine map[string]*stats.Sum
 
-	overall stats.Running
+	overall stats.Sum
 }
 
 // weekHour maps a time to its hour-of-week slot (Monday 00:00 = 0).
@@ -101,11 +101,11 @@ func Fit(d *trace.Dataset, horizon time.Duration) *Model {
 	}
 	m := &Model{
 		Horizon:    horizon,
-		perMachine: make(map[string]*stats.Running),
+		perMachine: make(map[string]*stats.Sum),
 	}
 	limit := collectorLimit(d)
 	d.Index().EachMachine(func(id string, ss []trace.Sample) {
-		pm := &stats.Running{}
+		pm := &stats.Sum{}
 		m.perMachine[id] = pm
 		observe(ss, horizon, d.Period, limit, func(i int, survived float64) {
 			m.survivalByHour[weekHour(ss[i].Time)].Add(survived)
@@ -230,7 +230,7 @@ func (e Evaluation) Skill() float64 {
 // training trace, via trace.SplitAt, for an honest estimate).
 func (m *Model) Evaluate(d *trace.Dataset) Evaluation {
 	var ev Evaluation
-	var brier, baseBrier, rate stats.Running
+	var brier, baseBrier, rate stats.Sum
 	base := m.overall.Mean()
 	limit := collectorLimit(d)
 	d.Index().EachMachine(func(id string, ss []trace.Sample) {

@@ -17,11 +17,10 @@ import (
 // TestLivePublishMatchesFromScratch drives the resident engine the way
 // labmon -query-addr does — a 14-day collection publishing a stamped
 // clone every 24 iterations — and holds every epoch's Results to
-// analysis.All over a deep copy of the same clone: bit-exact for the
-// fingerprint, every count, Figure 3, uptime ratios, the heatmap, power
-// cycles and the session count and histogram; every other float within
-// 1e-9 relative (commit-order Welford sums). It also checks that the
-// epochs after the first advance one engine rather than restarting it.
+// analysis.All over a deep copy of the same clone: the fingerprint and
+// every field of Results bit-exact, though the engine folds in commit
+// order and All in machine order. It also checks that the epochs after
+// the first advance one engine rather than restarting it.
 func TestLivePublishMatchesFromScratch(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		st := NewStore(analysis.Options{})
@@ -72,38 +71,8 @@ func liveMismatch(st *Store, ref *trace.Dataset, prev *analysis.Live) string {
 	if got, want := a.meta.Fingerprint, fingerprintHex(ref.Index().Fingerprint()); got != want {
 		return fmt.Sprintf("fingerprint %s, the frozen clone's is %s", got, want)
 	}
-	got, want := a.res, analysis.All(ref, analysis.Options{})
-	for _, c := range []struct {
-		name      string
-		got, want any
-	}{
-		{"Table 2 counts", [3]int{got.Table2.NoLogin.Samples, got.Table2.WithLogin.Samples, got.Table2.Both.Samples},
-			[3]int{want.Table2.NoLogin.Samples, want.Table2.WithLogin.Samples, want.Table2.Both.Samples}},
-		{"Reclass", got.Table2.Reclass, want.Table2.Reclass},
-		{"Availability", got.Availability, want.Availability},
-		{"Uptimes", got.Uptimes, want.Uptimes},
-		{"Heatmap", got.Heatmap, want.Heatmap},
-		{"PowerCycles", got.PowerCycles, want.PowerCycles},
-		{"Sessions.Count", got.Sessions.Count, want.Sessions.Count},
-		{"Sessions.Hist", got.Sessions.Hist, want.Sessions.Hist},
-		{"Sessions.ShortFraction", got.Sessions.ShortFraction, want.Sessions.ShortFraction},
-	} {
-		if d := check.FirstDiff(c.got, c.want); d != "" {
-			return fmt.Sprintf("%s not bit-exact: %s", c.name, d)
-		}
-	}
-	// The session-length moments are floats stored as Durations: hold
-	// them to the float tolerance (plus the nanosecond the conversion
-	// truncates), then compare everything else.
-	for _, d := range [][2]time.Duration{{got.Sessions.Mean, want.Sessions.Mean}, {got.Sessions.StdDev, want.Sessions.StdDev}} {
-		if diff := (d[0] - d[1]).Abs(); float64(diff) > 1+1e-9*float64(d[1].Abs()) {
-			return fmt.Sprintf("session-length moment %v, from scratch %v", d[0], d[1])
-		}
-	}
-	g := *got
-	g.Sessions.Mean, g.Sessions.StdDev = want.Sessions.Mean, want.Sessions.StdDev
-	if d := check.FirstDiffApprox(&g, want, 1e-9); d != "" {
-		return "Results beyond 1e-9: " + d
+	if d := check.FirstDiff(a.res, analysis.All(ref, analysis.Options{})); d != "" {
+		return "Results not bit-exact: " + d
 	}
 	return ""
 }
@@ -226,7 +195,7 @@ func TestLivePublishHostileIter(t *testing.T) {
 		if on != 2*tc.inLog {
 			t.Errorf("%s: availability counted %d samples, want the %d in the log", tc.name, on, 2*tc.inLog)
 		}
-		if d := check.FirstDiffApprox(res, analysis.All(d, analysis.Options{}), 1e-9); d != "" {
+		if d := check.FirstDiff(res, analysis.All(d, analysis.Options{})); d != "" {
 			t.Errorf("%s: live results differ from All: %s", tc.name, d)
 		}
 	}

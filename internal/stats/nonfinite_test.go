@@ -129,7 +129,7 @@ func TestWeeklyProfileMerge(t *testing.T) {
 		if a.Slots[i].N() != want.Slots[i].N() {
 			t.Fatalf("slot %d: N %d != %d", i, a.Slots[i].N(), want.Slots[i].N())
 		}
-		if math.Abs(a.Slots[i].Mean()-want.Slots[i].Mean()) > 1e-12 {
+		if a.Slots[i] != want.Slots[i] {
 			t.Fatalf("slot %d: mean %v != %v", i, a.Slots[i].Mean(), want.Slots[i].Mean())
 		}
 	}

@@ -18,9 +18,10 @@ const (
 // WeeklyProfile accumulates observations keyed by their position within the
 // week (15-minute resolution, week starting Monday 00:00) and reports the
 // per-slot mean. It reproduces the aggregation behind the paper's weekly
-// distribution plots.
+// distribution plots. Its slots are exact Sums, so a profile's state
+// depends only on which observations fell in each slot.
 type WeeklyProfile struct {
-	Slots [SlotsPerWeek]Running
+	Slots [SlotsPerWeek]Sum
 }
 
 // WeekSlot maps a time to its 15-minute slot index within the week.
@@ -64,6 +65,15 @@ func (w *WeeklyProfile) Merge(o *WeeklyProfile) {
 	for i := range w.Slots {
 		w.Slots[i] = w.Slots[i].Merge(o.Slots[i])
 	}
+}
+
+// Dropped returns how many observations the slots skipped (see Sum).
+func (w *WeeklyProfile) Dropped() int64 {
+	var n int64
+	for i := range w.Slots {
+		n += w.Slots[i].Dropped()
+	}
+	return n
 }
 
 // Means returns the per-slot means. Slots with no observations yield 0.

@@ -273,8 +273,8 @@ func TestFirstDiff(t *testing.T) {
 	var r1, r2 stats.Running
 	r1.Add(1)
 	r2.Add(2)
-	if d := check.FirstDiff(r1, r2); !strings.Contains(d, ".mean") {
-		t.Errorf("FirstDiff(Running fed 1, Running fed 2) = %q, want a .mean diff", d)
+	if d := check.FirstDiff(r1, r2); !strings.Contains(d, ".Sum.lo") {
+		t.Errorf("FirstDiff(Running fed 1, Running fed 2) = %q, want a .Sum.lo diff", d)
 	}
 	var w1, w2 stats.WeeklyProfile
 	slot3 := time.Date(2003, 10, 6, 0, 45, 0, 0, time.UTC) // Monday 00:45

@@ -28,33 +28,12 @@ import (
 //
 //	.Samples[3812].CPUIdle: 17h3m0s != 17h2m45s
 func FirstDiff(a, b any) string {
-	return firstDiff(reflect.ValueOf(a), reflect.ValueOf(b), "", 0)
-}
-
-// FirstDiffApprox is FirstDiff with a relative tolerance for floats:
-// two floats match when |a−b| ≤ tol·max(1, |a|, |b|) (NaN still only
-// matches NaN). Everything else — ints, counts, strings, times — is
-// still compared exactly. The streaming validator uses it for the
-// parallel arm, whose sharded Welford merges reassociate float
-// additions; a tolerance of 0 degenerates to bit-exact FirstDiff.
-func FirstDiffApprox(a, b any, tol float64) string {
-	return firstDiff(reflect.ValueOf(a), reflect.ValueOf(b), "", tol)
+	return firstDiff(reflect.ValueOf(a), reflect.ValueOf(b), "")
 }
 
 var timeType = reflect.TypeOf(time.Time{})
 
-func floatsMatch(a, b, tol float64) bool {
-	if math.Float64bits(a) == math.Float64bits(b) {
-		return true
-	}
-	if tol <= 0 || math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	lim := tol * math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= lim
-}
-
-func firstDiff(a, b reflect.Value, path string, tol float64) string {
+func firstDiff(a, b reflect.Value, path string) string {
 	if a.IsValid() != b.IsValid() {
 		return fmt.Sprintf("%s: one side missing", orRoot(path))
 	}
@@ -73,20 +52,20 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 	}
 	switch a.Kind() {
 	case reflect.Float32, reflect.Float64:
-		if !floatsMatch(a.Float(), b.Float(), tol) {
-			return fmt.Sprintf("%s: %v != %v", orRoot(path), a.Float(), b.Float())
+		if x, y := a.Float(), b.Float(); math.Float64bits(x) != math.Float64bits(y) {
+			return fmt.Sprintf("%s: %v != %v", orRoot(path), x, y)
 		}
 	case reflect.Pointer, reflect.Interface:
 		if a.IsNil() != b.IsNil() {
 			return fmt.Sprintf("%s: nil != non-nil", orRoot(path))
 		}
 		if !a.IsNil() {
-			return firstDiff(a.Elem(), b.Elem(), path, tol)
+			return firstDiff(a.Elem(), b.Elem(), path)
 		}
 	case reflect.Struct:
 		t := a.Type()
 		for i := 0; i < t.NumField(); i++ {
-			if d := firstDiff(a.Field(i), b.Field(i), path+"."+t.Field(i).Name, tol); d != "" {
+			if d := firstDiff(a.Field(i), b.Field(i), path+"."+t.Field(i).Name); d != "" {
 				return d
 			}
 		}
@@ -95,7 +74,7 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 			return fmt.Sprintf("%s: length %d != %d", orRoot(path), a.Len(), b.Len())
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := firstDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), tol); d != "" {
+			if d := firstDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
 				return d
 			}
 		}
@@ -110,7 +89,7 @@ func firstDiff(a, b reflect.Value, path string, tol float64) string {
 			if !bv.IsValid() {
 				return fmt.Sprintf("%s: key only on one side", orRoot(kp))
 			}
-			if d := firstDiff(iter.Value(), bv, kp, tol); d != "" {
+			if d := firstDiff(iter.Value(), bv, kp); d != "" {
 				return d
 			}
 		}

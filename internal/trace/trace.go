@@ -110,8 +110,8 @@ type MachineInfo struct {
 	LeaveIter int
 }
 
-// PerfIndex returns the 50/50 combined NBench index.
-func (m MachineInfo) PerfIndex() float64 { return 0.5*m.IntIndex + 0.5*m.FPIndex }
+// PerfIndex returns the 50/50 combined NBench index (machine.PerfIndex).
+func (m MachineInfo) PerfIndex() float64 { return machine.PerfIndex(m.IntIndex, m.FPIndex) }
 
 // ActiveAt reports whether the machine was a fleet member at the given
 // iteration (always true for full-lifetime machines).

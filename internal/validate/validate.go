@@ -10,10 +10,9 @@
 //   - Dataset→TBv1→Dataset identity through trace.ReadAny's content
 //     sniffing (the codec is lossless by design);
 //   - the analysis engine's sources: the stream cursor reproducing
-//     ReadBinary sample for sample, sequential analysis.AllStream over
-//     the TBv1 encoding bit-identical to analysis.All over the dataset,
-//     and the sharded parallel AllStream within a documented relative
-//     tolerance (counts exact, merged floats ≤ streamTol);
+//     ReadBinary sample for sample, and analysis.AllStream over the TBv1
+//     encoding, sequential and sharded, bit-identical to analysis.All
+//     over the dataset;
 //   - the collector: experiment.Run with Shards=4 reproducing the
 //     one-shard (serial) dataset and stats exactly — also with the
 //     labelled anomaly scenarios injected, where the fault wrapper's
@@ -25,9 +24,14 @@
 //     freshly written segment set, the shard-aware readers
 //     (trace.ReadFile on a manifest, analysis.AllSegments over unmerged
 //     segments) agreeing with the in-memory reference;
-//   - the metamorphic week shift (ROADMAP item 17, R1): analysing the
-//     trace with every instant moved by one week gives the reference
-//     Results with every instant moved by one week, and nothing else;
+//   - the metamorphic relations (ROADMAP item 17): analysing the trace
+//     with every instant moved by one week gives the reference Results
+//     with every instant moved by one week (R1); relabelling machines
+//     within their labs changes nothing but the per-machine rows' IDs
+//     (R2); a disjoint copy of the fleet doubles every count and keeps
+//     every mean and ratio (R3);
+//   - no exact accumulator dropping an observation, on the paper run,
+//     a fleet-churn run and a small grid collection;
 //   - and, finally, the invariant checker itself over the collected
 //     dataset — a differential suite is pointless if both arms agree on
 //     corrupt data.
@@ -38,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"slices"
 	"time"
 
 	"winlab/internal/analysis"
@@ -109,15 +112,13 @@ func Suite(cfg Config) []Failure {
 	} else {
 		add("stream/cursor-vs-readbinary", diffCursor(serial.Dataset, tb.Bytes()))
 		add("stream/allstream-vs-all", diffAllStream(r1, tb.Bytes(), 1))
-		add("stream/allstream-parallel", diffAllStreamApprox(r1, tb.Bytes(), cfg.Workers))
+		add("stream/allstream-parallel", diffAllStream(r1, tb.Bytes(), cfg.Workers))
 	}
 
 	// Sharded collection arms. The collector keeps one serial
 	// scheduling chain whatever the shard count, so the four-shard merged
-	// dataset and stats must be *exactly* the one-shard run's — no
-	// tolerance anywhere in this block except the final AllSegments arm,
-	// which inherits the parallel streaming epsilon (one Welford merge
-	// per segment).
+	// dataset and stats must be *exactly* the one-shard run's, and
+	// AllSegments over its unmerged segments exactly All's Results.
 	sharded, err := run(cfg, 4, false)
 	if err != nil {
 		add("shard/collect", err.Error())
@@ -129,6 +130,9 @@ func Suite(cfg Config) []Failure {
 	}
 
 	add("metamorph/week-shift", diffShifted(serial.Dataset, r1, weekShift))
+	add("metamorph/relabel", diffRelabelled(serial.Dataset, r1))
+	add("metamorph/duplicate", diffDuplicated(serial.Dataset, r1))
+	diffDropped(cfg, r1, add)
 
 	// Shards×Inject: the fault decision is made on the scheduling chain,
 	// so an injected run is as partition-independent as a clean one.
@@ -200,7 +204,7 @@ func diffShardSegments(serial, sharded *experiment.Result, r1 *analysis.Results,
 	if err != nil {
 		add("shard/allsegments-vs-all", err.Error())
 	} else {
-		add("shard/allsegments-vs-all", check.FirstDiffApprox(r1, rSeg, streamTol))
+		add("shard/allsegments-vs-all", check.FirstDiff(r1, rSeg))
 	}
 }
 
@@ -233,8 +237,9 @@ func diffCursor(want *trace.Dataset, tb []byte) string {
 	return check.DiffDatasets(want, got)
 }
 
-// diffAllStream asserts the sequential streaming analysis is
-// bit-identical to the in-memory reference across all artefacts.
+// diffAllStream asserts the streaming analysis with the given worker
+// count is bit-identical to the in-memory reference across all
+// artefacts.
 func diffAllStream(want *analysis.Results, tb []byte, workers int) string {
 	c, err := stream.New(bytes.NewReader(tb))
 	if err != nil {
@@ -245,28 +250,6 @@ func diffAllStream(want *analysis.Results, tb []byte, workers int) string {
 		return "allstream: " + err.Error()
 	}
 	return check.FirstDiff(want, got)
-}
-
-// streamTol is the relative tolerance for the parallel streaming arm:
-// sharded Welford accumulators merge in a different association order
-// than one serial pass, so float artefacts may differ in the last few
-// bits. Integer artefacts have no such latitude and are checked
-// exactly by diffAllStreamApprox.
-const streamTol = 1e-9
-
-// diffAllStreamApprox runs the parallel streaming analysis and checks
-// it against the serial reference: counts exact, floats within
-// streamTol relative error.
-func diffAllStreamApprox(want *analysis.Results, tb []byte, workers int) string {
-	c, err := stream.New(bytes.NewReader(tb))
-	if err != nil {
-		return "open: " + err.Error()
-	}
-	got, err := analysis.AllStream(c, analysis.Options{Workers: workers})
-	if err != nil {
-		return "allstream: " + err.Error()
-	}
-	return check.FirstDiffApprox(want, got, streamTol)
 }
 
 // Run executes one serial collection arm for cfg — the reference run
@@ -360,14 +343,8 @@ const weekShift = 7 * 24 * time.Hour
 // an epoch-anchored bucket; weekly-periodic or relative arithmetic is
 // invisible to it. Zero times stay zero both ways.
 func diffShifted(ds *trace.Dataset, want *analysis.Results, d time.Duration) string {
-	shifted := &trace.Dataset{
-		Start:      shiftTime(ds.Start, d),
-		End:        shiftTime(ds.End, d),
-		Period:     ds.Period,
-		Machines:   slices.Clone(ds.Machines),
-		Iterations: slices.Clone(ds.Iterations),
-		Samples:    slices.Clone(ds.Samples),
-	}
+	shifted := cloneDataset(ds)
+	shifted.Start, shifted.End = shiftTime(ds.Start, d), shiftTime(ds.End, d)
 	for i := range shifted.Iterations {
 		it := &shifted.Iterations[i]
 		it.Start, it.End = shiftTime(it.Start, d), shiftTime(it.End, d)
